@@ -13,6 +13,7 @@ the model layer.
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass
 from math import comb
 
@@ -70,6 +71,9 @@ class FockBasis:
         object.__setattr__(self, "parent_slot", pslot)
         object.__setattr__(self, "totals", occ.sum(axis=1))
         object.__setattr__(self, "_ladder_cache", {})
+        # operators that other layers assemble on this basis for one model;
+        # weak keys let them go with the model
+        object.__setattr__(self, "operator_cache", weakref.WeakKeyDictionary())
 
     @property
     def dim(self) -> int:

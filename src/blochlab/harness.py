@@ -256,6 +256,7 @@ class SweepCell:
     h: float
     error: float | None
     status: str  # ok | exact | failed:<reason>
+    # the frame's PropagationLog.to_dict() plus energy_drift
     hygiene: dict = field(default_factory=dict)
 
 
@@ -347,10 +348,7 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
             / max(abs(ham.energy(frame0[:, :, j])), 1.0)
             for j in range(frame.shape[2])
         )
-        hygiene = {
-            "unitarity_defect": log.unitarity_defect,
-            "energy_drift": drift,
-        }
+        hygiene = dict(log.to_dict(), energy_drift=drift)
         return (h, t, x_id), (frame, hygiene)
 
     frames = dict(_pool_map(_frame, frame_jobs))

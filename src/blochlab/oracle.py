@@ -8,24 +8,35 @@ phi(t) where the free factor is an exact diagonal phase and phi solves
 i phi' = H_int^free(t) phi with H_int^free(t) built on the rotated
 couplings chi_{-t} B.  Since the free flow acts per mode as
 z -> e^{-i omega t} z, the annihilator coefficients of the rotated
-couplings are the initial ones times e^{-i omega t}, so the generator is a
-small fixed set of sparse operators with scalar phases.  The stepper is
-RK4 with step doubling (local Richardson error control); the remaining
-generator is bounded uniformly in h, so steps do not shrink as h does.
+couplings are the initial ones times e^{-i omega t}, so per distinct
+frequency w_g the couplings add up to one tensor operator
+K_g = sum_{lam,m} sum_{j in g} c_{lam m, j} a_j (x) sigma_m^[lam] with
+c = b_q - i b_p, and
+
+    H_int^free(t) = H0 + sqrt(h/2) sum_g (e^{-i w_g t} K_g + e^{i w_g t} K_g^H)
+
+with H0 = I (x) sum beta_m sigma_m^[lam].  H0, K_g and K_g^H do not depend
+on h: they are assembled once per (model, basis) as CSR matrices and shared
+by the Hamiltonians of every h, each of which keeps only h, its free
+diagonal and sqrt(h/2).  One generator application is 1 + 2G CSR matvecs
+for G frequency groups.  The stepper is RK4 with step doubling (local
+Richardson error control); the remaining generator is bounded uniformly in
+h, so steps do not shrink as h does.
 
 States are arrays of shape (fock_dim, spin_dim, n_states) so a whole
-coherent frame (the 2^N states Psi_X (x) e_j) evolves in one integration.
+coherent frame (the 2^N states Psi_X (x) e_j) evolves in one integration;
+the operators act on its Fock-major view of shape (fock_dim * spin_dim,
+n_states).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from blochlab.fock import FockBasis, coherent_state, dgamma, gamma_free_phases
+from blochlab.fock import FockBasis, coherent_state, gamma_free_phases
 from blochlab.model import Model, ModelError, PhaseVector, fmap
 
 DEFAULT_TOL = 1e-9
@@ -99,8 +110,54 @@ class PropagationLog:
         }
 
 
+class TensorOperators:
+    """The h-independent generator of one (model, basis) pair.
+
+    On the Fock-major space, with c = b_q - i b_p per coupling vector:
+    h0 = I (x) sum beta_m sigma_m^[lam], and per frequency group g
+    K_g = sum_{lam,m} sum_{j in g} c_{lam m, j} a_j (x) sigma_m^[lam],
+    with K_g^H kept as a CSR matrix of its own.  Groups whose couplings
+    all vanish are dropped.
+    """
+
+    def __init__(self, model: Model, basis: FockBasis):
+        eye = sp.identity(basis.dim, dtype=complex, format="csr")
+        spin_const = sum(
+            model.beta[m] * model.spin_ops[lam][m]
+            for lam in range(model.N)
+            for m in range(3)
+        )
+        self.h0 = sp.kron(eye, sp.csr_matrix(spin_const), format="csr")
+        self.groups = []  # (omega, k, k_adj) per coupled frequency group
+        values, group_of = np.unique(model.grid.slot_omegas, return_inverse=True)
+        for g, w in enumerate(values):
+            members = np.nonzero(group_of == g)[0]
+            terms = []
+            for lam in range(model.N):
+                for m in range(3):
+                    b = model.couplings[lam][m]
+                    coeff = b.q - 1j * b.p
+                    idx = [j for j in members if coeff[j] != 0]
+                    if not idx:
+                        continue
+                    a_sum = sum(coeff[j] * basis.annihilator(j) for j in idx)
+                    terms.append(sp.kron(a_sum, model.spin_ops[lam][m], format="csr"))
+            if terms:
+                k = sum(terms).tocsr()
+                self.groups.append((float(w), k, k.conj().T.tocsr()))
+
+
+def _shared_operators(model: Model, basis: FockBasis) -> TensorOperators:
+    """The TensorOperators of (model, basis), built on first use and kept
+    on the basis, so the Hamiltonians of every h share one copy."""
+    ops = basis.operator_cache.get(model)
+    if ops is None:
+        ops = basis.operator_cache[model] = TensorOperators(model, basis)
+    return ops
+
+
 class Hamiltonian:
-    """Assembled truncated Hamiltonian with fast generator application."""
+    """Truncated Hamiltonian at one h on the shared tensor operators."""
 
     def __init__(self, model: Model, basis: FockBasis, h: float):
         if h <= 0:
@@ -114,63 +171,34 @@ class Hamiltonian:
         self.slot_omegas = model.grid.slot_omegas
         # exact diagonal free part (photon only), in units of energy
         self.hph_diag = h * (basis.occupations @ self.slot_omegas)
-        # constant spin part of H_int
-        self.spin_const = sum(
-            model.beta[m] * model.spin_ops[lam][m]
-            for lam in range(model.N)
-            for m in range(3)
-        )
-        # per (lam, m) and per distinct frequency: sparse weighted
-        # annihilators A with coefficients c_j = (b_q - i b_p)_j, so that
-        # Phi_{S,h}(chi_{-t} B) = sqrt(h/2) sum_g [e^{-i w_g t} A_g + h.c.]
-        omegas = self.slot_omegas
-        self.omega_values = np.unique(omegas)
-        groups = [np.nonzero(np.abs(omegas - w) < 1e-12)[0] for w in self.omega_values]
-        self.field_terms = []  # list of (sigma, [(omega, A_sparse), ...])
-        for lam in range(model.N):
-            for m in range(3):
-                b = model.couplings[lam][m]
-                coeff = b.q - 1j * b.p
-                per_group = []
-                for w, idx in zip(self.omega_values, groups):
-                    if not np.any(coeff[idx]):
-                        continue
-                    a_sum = sum(coeff[j] * basis.annihilator(j) for j in idx)
-                    per_group.append((float(w), a_sum.tocsr()))
-                self.field_terms.append((model.spin_ops[lam][m], per_group))
+        # Phi_{S,h}(chi_{-t} B) (x) sigma summed = sqrt(h/2) sum_g
+        # [e^{-i w_g t} K_g + h.c.]
+        self.root = np.sqrt(self.h / 2.0)
+        self.ops = _shared_operators(model, basis)
 
     # -- generator application -----------------------------------------
 
     def _interaction_apply(self, t: float, psi: np.ndarray) -> np.ndarray:
         """H_int^free(t) psi for psi of shape (dim, s, n)."""
-        dim, s, n = psi.shape
-        flat = psi.reshape(dim, s * n)
-        out = np.einsum("ab,fbn->fan", self.spin_const, psi).astype(complex)
-        root = np.sqrt(self.h / 2.0)
-        for sigma, per_group in self.field_terms:
-            acc = np.zeros_like(flat)
-            for w, a_op in per_group:
-                ph = np.exp(-1j * w * t)
-                acc += ph * (a_op @ flat)
-                acc += np.conj(ph) * (a_op.conj().T @ flat)
-            out += root * np.einsum("ab,fbn->fan", sigma, acc.reshape(dim, s, n))
-        return out
+        flat = psi.reshape(-1, psi.shape[2])
+        out = self.ops.h0 @ flat
+        # scaled in place: each state-sized temporary is a fresh allocation
+        for w, k, k_adj in self.ops.groups:
+            ph = self.root * np.exp(-1j * w * t)
+            term = k @ flat
+            term *= ph
+            out += term
+            term = k_adj @ flat
+            term *= np.conj(ph)
+            out += term
+        return out.reshape(psi.shape)
 
     def interaction_operator(self, t: float = 0.0) -> sp.csr_matrix:
         """Materialized sparse H_int^free(t) on the tensor space."""
-        s = self.spin_dim
-        out = sp.kron(
-            sp.identity(self.basis.dim, format="csr"),
-            sp.csr_matrix(self.spin_const),
-            format="csr",
-        )
-        root = np.sqrt(self.h / 2.0)
-        for sigma, per_group in self.field_terms:
-            acc = sp.csr_matrix((self.basis.dim, self.basis.dim), dtype=complex)
-            for w, a_op in per_group:
-                ph = np.exp(-1j * w * t)
-                acc = acc + ph * a_op + np.conj(ph) * a_op.conj().T
-            out = out + root * sp.kron(acc, sp.csr_matrix(sigma), format="csr")
+        out = self.ops.h0.copy()
+        for w, k, k_adj in self.ops.groups:
+            ph = self.root * np.exp(-1j * w * t)
+            out = out + ph * k + np.conj(ph) * k_adj
         return out.tocsr()
 
     def full_operator(self) -> sp.csr_matrix:
@@ -192,10 +220,6 @@ class Hamiltonian:
 
     def free_phases(self, t: float) -> np.ndarray:
         return gamma_free_phases(self.basis, self.slot_omegas, t)
-
-
-def build_hamiltonian(model: Model, basis: FockBasis, h: float) -> Hamiltonian:
-    return Hamiltonian(model, basis, h)
 
 
 def evolve_interaction_picture(
@@ -290,21 +314,20 @@ def apply_observable(
     model = ham.model
     dim, s, n = psi.shape
     if obs.kind == "spin":
-        sigma = model.spin_ops[obs.lam - 1][obs.m - 1]
-        return np.einsum("ab,fbn->fan", sigma, psi)
+        # I (x) sigma: sigma acts on the spin axis of every Fock row
+        return model.spin_ops[obs.lam - 1][obs.m - 1] @ psi
     if obs.kind.startswith("field"):
-        v = _field_coupling(model, obs)
-        f = segal_field(ham.basis, ham.h, v)
+        f = segal_field(ham.basis, ham.h, _field_coupling(model, obs))
         return (f @ psi.reshape(dim, s * n)).reshape(dim, s, n)
-    # number_rate generator: (i/h)[H, N (x) I]; the exact commutator gives
-    # - sum_{lam,m} Phi_{S,h}(F B_{m x_lam}) (x) sigma_m^[lam]
-    out = np.zeros_like(psi)
-    for lam in range(model.N):
-        for m in range(3):
-            f = segal_field(ham.basis, ham.h, fmap(model.couplings[lam][m]))
-            fp = (f @ psi.reshape(dim, s * n)).reshape(dim, s, n)
-            out -= np.einsum("ab,fbn->fan", model.spin_ops[lam][m], fp)
-    return out
+    # number_rate generator: (i/h)[H, N (x) I] = - sum_{lam,m}
+    # Phi_{S,h}(F B_{m x_lam}) (x) sigma_m^[lam].  F B has coefficients
+    # -i c, so this is i sqrt(h/2) sum_g (K_g - K_g^H).
+    flat = psi.reshape(dim * s, n)
+    out = np.zeros((dim * s, n), dtype=complex)
+    for _, k, k_adj in ham.ops.groups:
+        out += k @ flat
+        out -= k_adj @ flat
+    return (1j * ham.root * out).reshape(dim, s, n)
 
 
 def coherent_frame(
@@ -363,22 +386,6 @@ def evolved_wick_symbol(
     """
     frame_t, _ = evolved_frame(ham, t, x, tol, tail_tol)
     return frame_symbol(frame_t, apply_observable(ham, obs, frame_t))
-
-
-def evolved_wick_symbols(
-    ham: Hamiltonian,
-    observables: Sequence[ObservableSpec],
-    t: float,
-    x: PhaseVector,
-    tol: float = DEFAULT_TOL,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> list[np.ndarray]:
-    """Shared-propagation variant for several observables at one (t, X)."""
-    frame_t, _ = evolved_frame(ham, t, x, tol, tail_tol)
-    return [
-        frame_symbol(frame_t, apply_observable(ham, obs, frame_t))
-        for obs in observables
-    ]
 
 
 def photon_rate_exact(

@@ -151,6 +151,19 @@ class TestConvergence:
             assert c.hygiene["unitarity_defect"] <= 1e-6
             assert c.hygiene["energy_drift"] <= 1e-6
 
+    def test_propagation_log_in_hygiene(self, small_plan, monkeypatch):
+        keys = ("n_accepted", "n_rejected", "min_step", "max_local_error")
+        hygiene = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("BLOCHLAB_WORKERS", workers)
+            report = run_convergence(small_plan)
+            hygiene[workers] = [c.hygiene for c in report.cells]
+        for h in hygiene["1"]:
+            assert all(k in h for k in keys)
+            assert h["n_accepted"] > 0 and h["min_step"] > 0
+            assert h["max_local_error"] <= small_plan.oracle_tol
+        assert hygiene["1"] == hygiene["2"]
+
     def test_zero_coupling_reported_exact(self):
         cfg = minimal_grid_config(beta=(0.0, 0.0, 1.0))
         cfg.cutoff_fn = lambda r: np.zeros_like(np.asarray(r, dtype=float))

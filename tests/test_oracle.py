@@ -2,22 +2,25 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from blochlab.fock import FockBasis
+from blochlab.fock import FockBasis, segal_field
 from blochlab.model import (
     Model,
     ModelConfig,
     PhaseVector,
     apply_helicity,
     chi_flow_vector,
+    coupling_B,
     coupling_B_gradient,
+    fmap,
     minimal_grid_config,
 )
 from blochlab.oracle import (
+    Hamiltonian,
     ObservableSpec,
     OracleError,
     apply_observable,
-    build_hamiltonian,
     coherent_frame,
     evolve_interaction_picture,
     evolved_frame,
@@ -34,7 +37,7 @@ from conftest import random_phase_vector
 def small_setup(minimal_model):
     basis = FockBasis(D=4, n_max=14)
     h = 0.3
-    return minimal_model, basis, build_hamiltonian(minimal_model, basis, h), h
+    return minimal_model, basis, Hamiltonian(minimal_model, basis, h), h
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +48,7 @@ def free_setup():
     model = Model(cfg)
     basis = FockBasis(D=4, n_max=10)
     h = 0.4
-    return model, basis, build_hamiltonian(model, basis, h), h
+    return model, basis, Hamiltonian(model, basis, h), h
 
 
 class TestObservableSpec:
@@ -82,13 +85,102 @@ class TestHamiltonian:
 
         basis = FockBasis(D=4, n_max=10)
         h = 0.3
-        coupled = build_hamiltonian(minimal_model, basis, h).full_operator()
+        coupled = Hamiltonian(minimal_model, basis, h).full_operator()
         cfg = minimal_grid_config(N=1, positions=[[0.0, 0.0, 0.0]], beta=(0, 0, 1))
         cfg.cutoff_fn = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-        free = build_hamiltonian(Model(cfg), basis, h).full_operator()
+        free = Hamiltonian(Model(cfg), basis, h).full_operator()
         e_coupled = spla.eigsh(coupled, k=1, which="SA")[0][0]
         e_free = spla.eigsh(free, k=1, which="SA")[0][0]
         assert e_coupled < e_free - 1e-8
+
+
+@pytest.fixture(scope="module")
+def octa_setup(octa_model):
+    """Two spins and two frequency groups: D = 48, s = 4, dim 1,225."""
+    basis = FockBasis(D=octa_model.D, n_max=2)
+    return octa_model, basis, Hamiltonian(octa_model, basis, 0.3)
+
+
+def _unit_columns(rng, rows, n):
+    psi = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    return psi / np.linalg.norm(psi, axis=0)
+
+
+class TestTensorOperators:
+    T_SAMPLES = (0.0, 0.37, 1.9)
+
+    def test_apply_matches_operator(self, octa_setup, rng):
+        _, basis, ham = octa_setup
+        assert basis.dim == 1225 and ham.spin_dim == 4
+        assert len(ham.ops.groups) == 2
+        psi = _unit_columns(rng, basis.dim * 4, 3).reshape(basis.dim, 4, 3)
+        for t in self.T_SAMPLES:
+            got = ham._interaction_apply(t, psi)
+            want = ham.interaction_operator(t) @ psi.reshape(basis.dim * 4, 3)
+            assert np.max(np.abs(got.reshape(-1, 3) - want)) <= 1e-13
+
+    def test_operator_matches_rotated_couplings(self, octa_setup):
+        # H_int^free(t) = sum (beta_m + Phi_{S,h}(chi_{-t} B)) (x) sigma,
+        # assembled from segal_field without the frequency groups
+        model, basis, ham = octa_setup
+        eye = sp.identity(basis.dim, format="csr")
+        for t in self.T_SAMPLES:
+            want = sp.csr_matrix((basis.dim * 4, basis.dim * 4), dtype=complex)
+            for lam in range(model.N):
+                for m in range(3):
+                    b = chi_flow_vector(model.grid, -t, model.couplings[lam][m])
+                    field = model.beta[m] * eye + segal_field(basis, ham.h, b)
+                    want = want + sp.kron(field, model.spin_ops[lam][m])
+            assert abs(ham.interaction_operator(t) - want).max() <= 1e-13
+
+    def test_operators_shared_across_h(self, octa_model, octa_setup):
+        _, basis, ham = octa_setup
+        other = Hamiltonian(octa_model, basis, 0.05)
+        assert other.ops is ham.ops
+        assert other.root == np.sqrt(0.05 / 2.0) and ham.root == np.sqrt(0.3 / 2.0)
+
+
+class TestObservableApplication:
+    """Each observable against its materialized operator on Fock x C^s."""
+
+    def _check(self, ham, basis, obs, op, rng):
+        s = ham.spin_dim
+        psi = _unit_columns(rng, basis.dim * s, s).reshape(basis.dim, s, s)
+        got = apply_observable(ham, obs, psi).reshape(-1, s)
+        want = op @ psi.reshape(-1, s)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_spin(self, octa_setup, rng):
+        model, basis, ham = octa_setup
+        eye = sp.identity(basis.dim, format="csr")
+        for lam in (1, 2):
+            for m in (1, 2, 3):
+                op = sp.kron(eye, model.spin_ops[lam - 1][m - 1], format="csr")
+                obs = ObservableSpec(kind="spin", m=m, lam=lam)
+                self._check(ham, basis, obs, op, rng)
+
+    def test_fields(self, octa_setup, rng):
+        model, basis, ham = octa_setup
+        point = np.array([0.2, -0.1, 0.3])
+        b = coupling_B(model.grid, model.config, 2, point)
+        for kind, v in (
+            ("field_B", b),
+            ("field_E", apply_helicity(model.grid, b)),
+            ("field_E_pol", fmap(b)),
+        ):
+            op = sp.kron(segal_field(basis, ham.h, v), sp.identity(4), format="csr")
+            obs = ObservableSpec(kind=kind, m=2, x=point)
+            self._check(ham, basis, obs, op, rng)
+
+    def test_number_rate(self, octa_setup, rng):
+        # (i/h)[H, N (x) I] = - sum Phi_{S,h}(F B_{m x_lam}) (x) sigma_m^[lam]
+        model, basis, ham = octa_setup
+        op = sp.csr_matrix((basis.dim * 4, basis.dim * 4), dtype=complex)
+        for lam in range(model.N):
+            for m in range(3):
+                f = segal_field(basis, ham.h, fmap(model.couplings[lam][m]))
+                op = op - sp.kron(f, model.spin_ops[lam][m], format="csr")
+        self._check(ham, basis, ObservableSpec(kind="number_rate"), op, rng)
 
 
 class TestEvolution:
@@ -197,7 +289,7 @@ class TestEvolvedSymbol:
 
     def test_tail_refusal(self, minimal_model):
         basis = FockBasis(D=4, n_max=4)
-        ham = build_hamiltonian(minimal_model, basis, 0.05)
+        ham = Hamiltonian(minimal_model, basis, 0.05)
         big = PhaseVector(np.full(4, 0.8), np.zeros(4))
         with pytest.raises(OracleError):
             coherent_frame(ham, big)
