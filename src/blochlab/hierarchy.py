@@ -10,11 +10,21 @@ Two independent computational paths exist for the first-order objects:
 the recursion (order_j) and the sourced Maxwell / corrected Bloch systems
 (maxwell_cross_check, spin_correction1).  Their agreement is the main
 internal consistency check of the module.
+
+Both first-order paths are trapezoid quadratures on uniform grids of n
+nodes, refined by doubling.  The coupling pairing B_a . chi_s B_b that
+their double integrals carry is a finite cosine/sine sum over the distinct
+mode frequencies, so it separates in its two time arguments: the order-1
+recursion reduces its inner layer to suffix integrals and the Bloch
+correction its tangent contraction to prefix integrals, each O(n) per
+grid.  The fixed-substep RK4 sweeps that feed them (_propagator_sweep,
+_maxwell_sweep) tabulate their X-dependent site fields once per grid on the
+half-step stage grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +38,7 @@ from blochlab.model import (
     coupling_B_gradient,
     fmap,
 )
-from blochlab.oracle import ObservableSpec
+from blochlab.oracle import ObservableSpec, field_coupling
 
 
 class HierarchyError(ModelError):
@@ -53,40 +63,6 @@ def _cross_mat(x: np.ndarray) -> np.ndarray:
             [-x[1], x[0], 0.0],
         ]
     )
-
-
-# ---------------------------------------------------------------------------
-# free flow
-
-
-@dataclass(frozen=True)
-class FlowCache:
-    """Precomputed per-slot rotation for one flow time chi_t."""
-
-    grid: object
-    t: float
-    cos: np.ndarray = field(init=False)
-    sin: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        om = self.grid.slot_omegas
-        object.__setattr__(self, "cos", np.cos(om * self.t))
-        object.__setattr__(self, "sin", np.sin(om * self.t))
-
-    def apply(self, x: PhaseVector) -> PhaseVector:
-        if x.dim != self.grid.D:
-            raise ModelError("dimension mismatch")
-        return PhaseVector(
-            self.cos * x.q + self.sin * x.p, -self.sin * x.q + self.cos * x.p
-        )
-
-    def inverse(self) -> "FlowCache":
-        return FlowCache(self.grid, -self.t)
-
-
-def chi_flow(grid, t: float, x: PhaseVector) -> PhaseVector:
-    """Free flow: per-mode clockwise rotation at frequency omega."""
-    return chi_flow_vector(grid, t, x)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +176,9 @@ def _propagator_sweep(model: Model, t: float, x: PhaseVector, n: int) -> np.ndar
     sd = model.spin_dim
     out = np.empty((n + 1, sd, sd), dtype=complex)
     g = np.eye(sd, dtype=complex)
-    out[0] = g
+    out[:] = g
     if t == 0.0 or n == 0:
-        return out[: n + 1]
+        return out
     panel = t / n
     sub = max(1, int(np.ceil(abs(panel) / 0.01)))
     dt = panel / sub
@@ -232,16 +208,6 @@ def _propagator_sweep(model: Model, t: float, x: PhaseVector, n: int) -> np.ndar
 
 # ---------------------------------------------------------------------------
 # observables in affine form
-
-
-def field_coupling(model: Model, obs: ObservableSpec) -> PhaseVector:
-    """Linear-form vector of a field observable at its evaluation point."""
-    b = coupling_B(model.grid, model.config, obs.m, obs.x)
-    if obs.kind == "field_E":
-        return apply_helicity(model.grid, b)
-    if obs.kind == "field_E_pol":
-        return fmap(b)
-    return b
 
 
 def observable_form(model: Model, obs: ObservableSpec):
@@ -319,6 +285,26 @@ def _chi_pair_table(grid, left_vecs, right: PhaseVector, rgrid) -> np.ndarray:
     return lq @ qr.T + lp @ pr.T
 
 
+def _pair_coeffs(grid, left_vecs, right_vecs):
+    """Split the pairing kernel over the distinct mode frequencies w_g:
+
+        left_vecs[i] . chi_r right_vecs[j]
+            = sum_g alpha[g, i, j] cos(w_g r) + beta[g, i, j] sin(w_g r).
+
+    Returns (w_g, alpha, beta)."""
+    uniq, inv = np.unique(grid.slot_omegas, return_inverse=True)
+    lq = np.stack([v.q for v in left_vecs])[:, None, :]
+    lp = np.stack([v.p for v in left_vecs])[:, None, :]
+    rq = np.stack([v.q for v in right_vecs])[None, :, :]
+    rp = np.stack([v.p for v in right_vecs])[None, :, :]
+    shape = (len(uniq), len(left_vecs), len(right_vecs))
+    alpha, beta = np.zeros(shape), np.zeros(shape)
+    # slot terms on the leading axis, summed slot by slot into their group
+    np.add.at(alpha, inv, np.moveaxis(lq * rq + lp * rp, 2, 0))
+    np.add.at(beta, inv, np.moveaxis(lq * rp - lp * rq, 2, 0))
+    return uniq, alpha, beta
+
+
 # ---------------------------------------------------------------------------
 # order j >= 1 via the Duhamel recursion
 
@@ -347,23 +333,11 @@ def _order1_on_grid(model, obs, t, x, n):
     # frequencies, so it separates in (w, u) and the double quadrature
     # collapses to O(n) suffix integrals per frequency.
     K = T[n] @ s_a @ T[n].conj().T
-    uniq, inv = np.unique(model.grid.slot_omegas, return_inverse=True)
+    uniq, alpha_b, beta_b = _pair_coeffs(model.grid, bs, bs)
+    _, alpha_f, beta_f = _pair_coeffs(model.grid, bs, fbs)
     ug = dt * np.arange(n + 1)
     cg = np.cos(np.outer(uniq, ug))  # (G, n+1)
     sg = np.sin(np.outer(uniq, ug))
-
-    def pair_coeffs(right_vecs):
-        # c_{a'}(r; V_a) = sum_g alpha[g,a',a] cos(g r) + beta[g,a',a] sin(g r)
-        nG, A = len(uniq), len(bs)
-        alpha = np.zeros((nG, A, A))
-        beta = np.zeros((nG, A, A))
-        for ap, b in enumerate(bs):
-            for a, v in enumerate(right_vecs):
-                ca = b.q * v.q + b.p * v.p
-                sa = b.q * v.p - b.p * v.q
-                np.add.at(alpha[:, ap, a], inv, ca)
-                np.add.at(beta[:, ap, a], inv, sa)
-        return alpha, beta
 
     def rev_cumtrapz(f):
         # suffix trapezoid integrals along axis 1
@@ -384,8 +358,8 @@ def _order1_on_grid(model, obs, t, x, n):
         t4 = np.einsum("gi,gpa,gipcd->iacd", sg, beta, rc, optimize=True)
         return 1j * (t1 + t2 + t3 - t4)
 
-    nb = inner(*pair_coeffs(bs))  # (n+1, A, sd, sd)
-    nf = inner(*pair_coeffs(fbs))
+    nb = inner(alpha_b, beta_b)  # (n+1, A, sd, sd)
+    nf = inner(alpha_f, beta_f)
     cb = nb @ K - K @ nb
     cf = nf @ K - K @ nf
     term = 0.5j * (Sig @ cb - cb @ Sig) - 0.5 * (Sig @ cf + cf @ Sig)
@@ -587,51 +561,58 @@ def _maxwell_sweep(model: Model, t: float, x: PhaseVector, n: int):
     first-order mode amplitudes Z on a uniform grid.
 
     dZ_q = omega Z_p, dZ_p = -omega Z_q, sourced by - sum_a (F B_a) S_a^0(u).
+    The site fields beta + B . chi_u X are tabulated once on the half-step
+    stage grid of the fixed-substep RK4 (substep <= 0.01).
     Returns (R_path (n+1, N, 3, 3), Z_path (n+1, 2, D, sd, sd))."""
     D, sd, N = model.D, model.spin_dim, model.N
-    om = model.grid.slot_omegas
-    _, fbs, sigs, idx = _coupling_list(model)
-    fq = np.stack([v.q for v in fbs])  # (A, D)
-    fp = np.stack([v.p for v in fbs])
+    om = model.grid.slot_omegas[:, None]
+    bs, fbs, _, _ = _coupling_list(model)
+    # source weights [F B_a]_q and [F B_a]_p, shape (2, D, A)
+    fqp = np.stack([np.stack([v.q for v in fbs], 1), np.stack([v.p for v in fbs], 1)])
 
     r_path = np.empty((n + 1, N, 3, 3))
+    r_path[:] = np.eye(3)
     z_path = np.zeros((n + 1, 2, D, sd, sd), dtype=complex)
-    state_r = np.stack([np.eye(3) for _ in range(N)]).astype(complex)
-    state_z = np.zeros((2, D, sd, sd), dtype=complex)
-    r_path[0] = np.real(state_r)
     if t == 0.0 or n == 0:
-        return r_path[: n + 1], z_path[: n + 1]
+        return r_path, z_path
     panel = t / n
     sub = max(1, int(np.ceil(abs(panel) / 0.01)))
     dt = panel / sub
 
-    def rhs(u, rr, zz):
-        drr = np.empty_like(rr)
-        for lam in range(N):
-            drr[lam] = 2.0 * _cross_mat(_site_field(model, lam, u, x)) @ rr[lam]
-        # spin matrices S_a(u) = sum_k R^lam[m, k] sigma_k^[lam]
-        s_mats = np.empty((len(idx), sd, sd), dtype=complex)
-        for a, (lam, m) in enumerate(idx):
-            s_mats[a] = np.einsum("k,kab->ab", rr[lam, m], np.array(model.spin_ops[lam]))
-        dz = np.empty_like(zz)
-        dz[0] = om[:, None, None] * zz[1]
-        dz[1] = -om[:, None, None] * zz[0]
-        dz[0] -= np.einsum("aj,acd->jcd", fq, s_mats)
-        dz[1] -= np.einsum("aj,acd->jcd", fp, s_mats)
-        return drr, dz
+    # 2 C(b^lam(u)) on the half-step grid, with b_m = beta_m + B_{m x_lam} . chi_u X
+    stage = 0.5 * dt * np.arange(2 * n * sub + 1)
+    ctab = _chi_pair_table(model.grid, bs, x, stage)  # (A, n_stages)
+    fields = ctab.T.reshape(-1, N, 3) + np.asarray(model.beta)
+    gen = 2.0 * np.einsum("ijk,snj->snik", _EPS3, fields)
+    sig = np.array(model.spin_ops).reshape(N, 3, sd * sd)
+
+    # one flat state [R^1..R^N | Z], so each RK4 combination is one array op
+    nr = 9 * N
+    state = np.zeros(nr + 2 * D * sd * sd, dtype=complex)
+    state[:nr] = np.tile(np.eye(3).ravel(), N)
+
+    def rhs(j, y):
+        rr = y[:nr].reshape(N, 3, 3)
+        zz = y[nr:].reshape(2, D, sd * sd)
+        dy = np.empty_like(y)
+        dy[:nr] = (gen[j] @ rr).ravel()
+        dz = dy[nr:].reshape(2, D, sd * sd)
+        dz[0] = om * zz[1]
+        dz[1] = -om * zz[0]
+        # spin matrices S_a(u) = sum_k R^lam[m, k] sigma_k^[lam], flattened
+        dz -= fqp @ (rr @ sig).reshape(-1, sd * sd)
+        return dy
 
     for i in range(n):
-        u0 = i * panel
         for k in range(sub):
-            uu = u0 + k * dt
-            k1r, k1z = rhs(uu, state_r, state_z)
-            k2r, k2z = rhs(uu + 0.5 * dt, state_r + 0.5 * dt * k1r, state_z + 0.5 * dt * k1z)
-            k3r, k3z = rhs(uu + 0.5 * dt, state_r + 0.5 * dt * k2r, state_z + 0.5 * dt * k2z)
-            k4r, k4z = rhs(uu + dt, state_r + dt * k3r, state_z + dt * k3z)
-            state_r = state_r + (dt / 6.0) * (k1r + 2 * k2r + 2 * k3r + k4r)
-            state_z = state_z + (dt / 6.0) * (k1z + 2 * k2z + 2 * k3z + k4z)
-        r_path[i + 1] = np.real(state_r)
-        z_path[i + 1] = state_z
+            j = 2 * (i * sub + k)
+            k1 = rhs(j, state)
+            k2 = rhs(j + 1, state + 0.5 * dt * k1)
+            k3 = rhs(j + 1, state + 0.5 * dt * k2)
+            k4 = rhs(j + 2, state + dt * k3)
+            state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        r_path[i + 1] = np.real(state[:nr]).reshape(N, 3, 3)
+        z_path[i + 1] = state[nr:].reshape(2, D, sd, sd)
     return r_path, z_path
 
 
@@ -716,45 +697,61 @@ def maxwell_cross_check(
 def _spin1_on_grid(model, lam, t, x, n):
     """S^{[lam, 1]}(t, X) by variation of constants around the order-0
     rotation, with the radiated-field coupling and the tangent contraction
-    K built from dB^[0] pairings along the coupling directions."""
-    sd = model.spin_dim
+    K built from dB^[0] pairings along the coupling directions.
+
+    The contraction at node w is a convolution over u <= w,
+
+        kappa(w) = -2 eps[n,c,a] R_w[a,r] sum_u pbb[c,m,w-u] Y_u[m,r,q],
+        Y_u[m,r,q] = R_u[p,r] eps[m,p,k] R_u[k,q],
+
+    whose kernel pbb[c,m,s] = B_c . chi_s B_m is a finite cosine/sine sum
+    over the distinct mode frequencies.  It separates in (w, u), so every
+    node's convolution comes from the prefix trapezoid integrals of
+    cos(g u) Y_u and sin(g u) Y_u: O(n) work on the grid."""
     r_all, z_path = _maxwell_sweep(model, t, x, n)
-    r_path = r_all[:, lam]
+    r_path = r_all[:, lam]  # (n+1, 3, 3)
     dt = t / n
     w = _trap_weights(n, dt)
     sig = np.array(model.spin_ops[lam])
-    bsl = [model.couplings[lam][m] for m in range(3)]
-    rgrid = dt * np.arange(n + 1)
-    # pbb[c, m, r] = B_{c x_lam} . chi_r B_{m x_lam}
-    pbb = np.stack([_chi_pair_table(model.grid, bsl, b, rgrid) for b in bsl], axis=1)
+    bsl = model.couplings[lam]
 
-    r_t = r_path[n]
-    out = np.zeros((3, sd, sd), dtype=complex)
-    for iw in range(n + 1):
-        rw = r_path[iw]
-        # radiated-field coupling, symmetrized: eps_{nab} {B^1_a, S^0_b}
-        b1 = np.stack([_contract_field(bsl[a], z_path[iw]) for a in range(3)])
-        s0 = np.einsum("bk,kcd->bcd", rw, sig)
-        cpl = np.einsum("nab,acd,bde->nce", _EPS3, b1, s0) + np.einsum(
-            "nab,bcd,ade->nce", _EPS3, s0, b1
-        )
-        # K(w): same-site contraction of coupling pairings with the
-        # rotation transport, cumulative over u <= w
-        if iw > 0:
-            wu = _trap_weights(iw, dt)
-            g3 = pbb[:, :, iw - np.arange(iw + 1)]  # [c, m, u]
-            cmat = np.einsum("nca,cmu->umna", _EPS3, g3)
-            trans = np.einsum("np,uqp->unq", rw, r_path[: iw + 1])  # R_w R_u^T
-            m1 = np.einsum("umnp,upq->umnq", cmat, trans)
-            kappa = -2.0 * np.einsum(
-                "u,umnp,mpk,ukq->nq", wu, m1, _EPS3, r_path[: iw + 1]
-            )
-            kmat = np.einsum("nq,qcd->ncd", kappa, sig)
-        else:
-            kmat = np.zeros((3, sd, sd), dtype=complex)
-        frc = cpl + kmat
-        out += w[iw] * np.einsum("np,pcd->ncd", r_t @ rw.T, frc)
-    return out
+    # radiated-field coupling, symmetrized: eps_{nab} {B^1_a, S^0_b}
+    bq = np.stack([b.q for b in bsl])
+    bp = np.stack([b.p for b in bsl])
+    b1 = np.einsum("aj,ijcd->iacd", bq, z_path[:, 0]) + np.einsum(
+        "aj,ijcd->iacd", bp, z_path[:, 1]
+    )
+    s0 = np.einsum("ibk,kcd->ibcd", r_path, sig)
+    cpl = np.einsum("nab,iacd,ibde->ince", _EPS3, b1, s0) + np.einsum(
+        "nab,ibcd,iade->ince", _EPS3, s0, b1
+    )
+
+    # K(w): same-site contraction of coupling pairings with the rotation
+    # transport; pbb[c,m,w-u] = sum_g alpha cos(g(w-u)) + beta sin(g(w-u))
+    uniq, alpha, beta = _pair_coeffs(model.grid, bsl, bsl)
+    ug = dt * np.arange(n + 1)
+    cg = np.cos(np.outer(uniq, ug))[:, :, None, None, None]  # (G, n+1, 1, 1, 1)
+    sg = np.sin(np.outer(uniq, ug))[:, :, None, None, None]
+    y = np.einsum("upr,mpk,ukq->umrq", r_path, _EPS3, r_path)
+
+    def cumtrapz(f):
+        # prefix trapezoid integrals along axis 1
+        out = np.zeros_like(f)
+        out[:, 1:] = np.cumsum(0.5 * dt * (f[:, :-1] + f[:, 1:]), axis=1)
+        return out
+
+    pc = cumtrapz(cg * y)  # int_0^w cos(g u) Y_u du
+    ps = cumtrapz(sg * y)
+    conv = np.einsum("gcm,gwmrq->wcrq", alpha, cg * pc + sg * ps) + np.einsum(
+        "gcm,gwmrq->wcrq", beta, sg * pc - cg * ps
+    )
+    kappa = -2.0 * np.einsum("nca,war,wcrq->wnq", _EPS3, r_path, conv)
+
+    # out = sum_w w_w (R_t R_w^T) (cpl(w) + kappa(w) . sigma)
+    trans = w[:, None, None] * (r_path[n] @ r_path.transpose(0, 2, 1))
+    return np.einsum("wnp,wpcd->ncd", trans, cpl) + np.einsum(
+        "nq,qcd->ncd", np.einsum("wnp,wpq->nq", trans, kappa), sig
+    )
 
 
 def spin_correction1(
@@ -765,11 +762,14 @@ def spin_correction1(
         raise HierarchyError("tol must be positive")
     out = []
     for lam in range(model.N):
-        mats = _refine(
-            lambda n: _spin1_on_grid(model, lam, t, x, n),
-            tol * 0.1,
-            label="spin-correction quadrature",
-        )
+        if t == 0.0:
+            mats = np.zeros((3, model.spin_dim, model.spin_dim), dtype=complex)
+        else:
+            mats = _refine(
+                lambda n: _spin1_on_grid(model, lam, t, x, n),
+                tol * 0.1,
+                label="spin-correction quadrature",
+            )
         out.append(SpinTriple(lam=lam + 1, order=1, rotation=None, matrices=mats))
     return out
 

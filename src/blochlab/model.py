@@ -463,8 +463,6 @@ class Model:
         self.couplings_E = [
             [apply_helicity(self.grid, b) for b in row] for row in self.couplings
         ]
-        # polarized electric couplings F(B) = (-p, q) applied to B
-        self.couplings_Epol = [[fmap(b) for b in row] for row in self.couplings]
         self.spin_ops = [
             [spin_operator(config.N, lam, m) for m in (1, 2, 3)]
             for lam in range(1, config.N + 1)

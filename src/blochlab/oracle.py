@@ -37,7 +37,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from blochlab.fock import FockBasis, coherent_state, gamma_free_phases
-from blochlab.model import Model, ModelError, PhaseVector, fmap
+from blochlab.model import (
+    Model,
+    ModelError,
+    PhaseVector,
+    apply_helicity,
+    coupling_B,
+    fmap,
+)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_TAIL_TOL = 1e-10
@@ -88,6 +95,16 @@ class ObservableSpec:
         if self.kind == "spin":
             return f"spin[m={self.m},lam={self.lam}]"
         return "number_rate"
+
+
+def field_coupling(model: Model, obs: ObservableSpec) -> PhaseVector:
+    """Linear-form vector F_A of a field observable at its evaluation point."""
+    b = coupling_B(model.grid, model.config, obs.m, obs.x)
+    if obs.kind == "field_B":
+        return b
+    if obs.kind == "field_E":
+        return apply_helicity(model.grid, b)
+    return fmap(b)  # field_E_pol
 
 
 @dataclass
@@ -294,17 +311,6 @@ def evolve_interaction_picture(
 # -- observables ------------------------------------------------------
 
 
-def _field_coupling(model: Model, obs: ObservableSpec) -> PhaseVector:
-    from blochlab.model import apply_helicity, coupling_B
-
-    b = coupling_B(model.grid, model.config, obs.m, obs.x)
-    if obs.kind == "field_B":
-        return b
-    if obs.kind == "field_E":
-        return apply_helicity(model.grid, b)
-    return fmap(b)  # field_E_pol
-
-
 def apply_observable(
     ham: Hamiltonian, obs: ObservableSpec, psi: np.ndarray
 ) -> np.ndarray:
@@ -317,7 +323,7 @@ def apply_observable(
         # I (x) sigma: sigma acts on the spin axis of every Fock row
         return model.spin_ops[obs.lam - 1][obs.m - 1] @ psi
     if obs.kind.startswith("field"):
-        f = segal_field(ham.basis, ham.h, _field_coupling(model, obs))
+        f = segal_field(ham.basis, ham.h, field_coupling(model, obs))
         return (f @ psi.reshape(dim, s * n)).reshape(dim, s, n)
     # number_rate generator: (i/h)[H, N (x) I] = - sum_{lam,m}
     # Phi_{S,h}(F B_{m x_lam}) (x) sigma_m^[lam].  F B has coefficients

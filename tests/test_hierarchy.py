@@ -1,6 +1,7 @@
 """Semiclassical hierarchy: flow, propagator, order-0/1 coefficients and
 the dual-path equivalences."""
 
+import copy
 import json
 
 import numpy as np
@@ -8,12 +9,18 @@ import pytest
 from scipy.linalg import expm
 
 from blochlab.hierarchy import (
-    FlowCache,
+    _EPS3,
     HierarchyError,
     MaxwellCheckReport,
     PHOTON_RATE_SIGN,
+    _contract_field,
+    _cross_mat,
+    _maxwell_sweep,
+    _propagator_sweep,
+    _site_field,
+    _spin1_on_grid,
+    _trap_weights,
     bloch_spin0,
-    chi_flow,
     compute_hierarchy,
     maxwell_cross_check,
     observable_form,
@@ -28,6 +35,7 @@ from blochlab.model import (
     Model,
     PhaseVector,
     chi_flow_vector,
+    fmap,
     minimal_grid_config,
     polarization_project,
     symplectic_form,
@@ -51,7 +59,7 @@ def _norm(a):
 class TestFlow:
     def test_identity_at_zero(self, minimal_model, rng):
         x = random_phase_vector(rng, minimal_model.D)
-        y = chi_flow(minimal_model.grid, 0.0, x)
+        y = chi_flow_vector(minimal_model.grid, 0.0, x)
         np.testing.assert_allclose(y.q, x.q)
         np.testing.assert_allclose(y.p, x.p)
 
@@ -59,7 +67,7 @@ class TestFlow:
         # omega = 1 on the minimal grid; (q, p) = (1, 0) -> (0, -1)
         q = np.zeros(4)
         q[0] = 1.0
-        y = chi_flow(minimal_model.grid, np.pi / 2, PhaseVector(q, np.zeros(4)))
+        y = chi_flow_vector(minimal_model.grid, np.pi / 2, PhaseVector(q, np.zeros(4)))
         np.testing.assert_allclose(y.q, 0.0, atol=1e-15)
         expected_p = np.zeros(4)
         expected_p[0] = -1.0
@@ -69,22 +77,21 @@ class TestFlow:
         x = random_phase_vector(rng, octa_model.D)
         y = random_phase_vector(rng, octa_model.D)
         t = 0.83
-        xt = chi_flow(octa_model.grid, t, x)
-        yt = chi_flow(octa_model.grid, t, y)
+        xt = chi_flow_vector(octa_model.grid, t, x)
+        yt = chi_flow_vector(octa_model.grid, t, y)
         assert abs(xt.norm() - x.norm()) <= 1e-12 * x.norm()
         assert abs(
             symplectic_form(xt, yt) - symplectic_form(x, y)
         ) <= 1e-12 * max(1.0, abs(symplectic_form(x, y)))
 
-    def test_cache_group_law(self, minimal_model, rng):
+    def test_group_law_and_inverse(self, minimal_model, rng):
         grid = minimal_model.grid
         x = random_phase_vector(rng, minimal_model.D)
-        a, b = FlowCache(grid, 0.4), FlowCache(grid, 1.1)
-        both = FlowCache(grid, 1.5).apply(x)
-        seq = b.apply(a.apply(x))
+        both = chi_flow_vector(grid, 1.5, x)
+        seq = chi_flow_vector(grid, 1.1, chi_flow_vector(grid, 0.4, x))
         np.testing.assert_allclose(seq.q, both.q, atol=1e-12)
         np.testing.assert_allclose(seq.p, both.p, atol=1e-12)
-        back = a.inverse().apply(a.apply(x))
+        back = chi_flow_vector(grid, -0.4, chi_flow_vector(grid, 0.4, x))
         np.testing.assert_allclose(back.q, x.q, atol=1e-12)
 
 
@@ -340,6 +347,142 @@ class TestDualPaths:
         x = random_phase_vector(rng, 4, scale=0.4)
         rep = maxwell_cross_check(free_model, 0.9, x, tol=1e-8)
         assert rep.max_rel_dev == 0.0 or rep.passed
+
+
+def _maxwell_reference(model, t, x, n):
+    """_maxwell_sweep with the site fields evaluated step by step."""
+    D, sd, N = model.D, model.spin_dim, model.N
+    om = model.grid.slot_omegas
+    fbs = [fmap(model.couplings[lam][m]) for lam in range(N) for m in range(3)]
+    fq = np.stack([v.q for v in fbs])
+    fp = np.stack([v.p for v in fbs])
+    r_path = np.empty((n + 1, N, 3, 3))
+    z_path = np.zeros((n + 1, 2, D, sd, sd), dtype=complex)
+    rr = np.stack([np.eye(3) for _ in range(N)]).astype(complex)
+    zz = np.zeros((2, D, sd, sd), dtype=complex)
+    r_path[0] = np.eye(3)
+    sub = max(1, int(np.ceil(abs(t / n) / 0.01)))
+    dt = t / n / sub
+
+    def rhs(u, rr, zz):
+        drr = np.stack(
+            [2.0 * _cross_mat(_site_field(model, lam, u, x)) @ rr[lam] for lam in range(N)]
+        )
+        s_mats = np.stack(
+            [
+                np.einsum("k,kab->ab", rr[lam, m], np.array(model.spin_ops[lam]))
+                for lam in range(N)
+                for m in range(3)
+            ]
+        )
+        dz = np.stack([om[:, None, None] * zz[1], -om[:, None, None] * zz[0]])
+        dz[0] -= np.einsum("aj,acd->jcd", fq, s_mats)
+        dz[1] -= np.einsum("aj,acd->jcd", fp, s_mats)
+        return drr, dz
+
+    for i in range(n):
+        for k in range(sub):
+            u = (i * sub + k) * dt
+            k1r, k1z = rhs(u, rr, zz)
+            k2r, k2z = rhs(u + 0.5 * dt, rr + 0.5 * dt * k1r, zz + 0.5 * dt * k1z)
+            k3r, k3z = rhs(u + 0.5 * dt, rr + 0.5 * dt * k2r, zz + 0.5 * dt * k2z)
+            k4r, k4z = rhs(u + dt, rr + dt * k3r, zz + dt * k3z)
+            rr = rr + (dt / 6.0) * (k1r + 2 * k2r + 2 * k3r + k4r)
+            zz = zz + (dt / 6.0) * (k1z + 2 * k2z + 2 * k3z + k4z)
+        r_path[i + 1] = np.real(rr)
+        z_path[i + 1] = zz
+    return r_path, z_path
+
+
+def _spin1_reference(model, lam, t, x, n):
+    """_spin1_on_grid with K(w) rebuilt at every node: O(n^2) in the grid."""
+    sd = model.spin_dim
+    r_all, z_path = _maxwell_reference(model, t, x, n)
+    r_path = r_all[:, lam]
+    dt = t / n
+    w = _trap_weights(n, dt)
+    sig = np.array(model.spin_ops[lam])
+    bsl = model.couplings[lam]
+    # pbb[c, m, s] = B_c . chi_{s dt} B_m, slot by slot
+    om = model.grid.slot_omegas
+    ang = np.outer(dt * np.arange(n + 1), om)
+    pbb = np.array(
+        [
+            [
+                np.cos(ang) @ (bc.q * bm.q + bc.p * bm.p)
+                + np.sin(ang) @ (bc.q * bm.p - bc.p * bm.q)
+                for bm in bsl
+            ]
+            for bc in bsl
+        ]
+    )
+    out = np.zeros((3, sd, sd), dtype=complex)
+    for iw in range(n + 1):
+        rw = r_path[iw]
+        b1 = np.stack([_contract_field(bsl[a], z_path[iw]) for a in range(3)])
+        s0 = np.einsum("bk,kcd->bcd", rw, sig)
+        frc = np.einsum("nab,acd,bde->nce", _EPS3, b1, s0) + np.einsum(
+            "nab,bcd,ade->nce", _EPS3, s0, b1
+        )
+        if iw > 0:
+            wu = _trap_weights(iw, dt)
+            g3 = pbb[:, :, iw - np.arange(iw + 1)]  # [c, m, u]
+            cmat = np.einsum("nca,cmu->umna", _EPS3, g3)
+            trans = np.einsum("np,uqp->unq", rw, r_path[: iw + 1])
+            m1 = np.einsum("umnp,upq->umnq", cmat, trans)
+            kappa = -2.0 * np.einsum(
+                "u,umnp,mpk,ukq->nq", wu, m1, _EPS3, r_path[: iw + 1]
+            )
+            frc = frc + np.einsum("nq,qcd->ncd", kappa, sig)
+        out += w[iw] * np.einsum("np,pcd->ncd", r_path[n] @ rw.T, frc)
+    return out
+
+
+class TestGridKernels:
+    """The O(n) prefix-integral kernel and the tabulated sweep against their
+    step-by-step references, on two sites and two frequency groups."""
+
+    @pytest.mark.parametrize("t", [0.37, 1.9])
+    def test_maxwell_sweep_matches_stepwise(self, octa_model, rng, t):
+        assert len(np.unique(octa_model.grid.slot_omegas)) == 2
+        x = random_phase_vector(rng, octa_model.D, scale=0.5)
+        r, z = _maxwell_sweep(octa_model, t, x, 16)
+        r_ref, z_ref = _maxwell_reference(octa_model, t, x, 16)
+        assert np.max(np.abs(r - r_ref)) <= 1e-13 * np.max(np.abs(r_ref))
+        assert np.max(np.abs(z - z_ref)) <= 1e-13 * np.max(np.abs(z_ref))
+
+    @pytest.mark.parametrize("t", [0.37, 1.9])
+    def test_spin1_matches_quadratic_reference(self, octa_model, rng, t):
+        x = random_phase_vector(rng, octa_model.D, scale=0.5)
+        for lam in range(octa_model.N):
+            got = _spin1_on_grid(octa_model, lam, t, x, 16)
+            ref = _spin1_reference(octa_model, lam, t, x, 16)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_spin1_sine_terms(self, octa_model, rng):
+        # same-site pairings of the built couplings are pure cosine sums;
+        # generic coupling vectors also carry the sine coefficients
+        model = copy.copy(octa_model)
+        model.couplings = [
+            [random_phase_vector(rng, model.D, scale=0.05) for _ in range(3)]
+            for _ in range(model.N)
+        ]
+        x = random_phase_vector(rng, model.D, scale=0.5)
+        for lam in range(model.N):
+            got = _spin1_on_grid(model, lam, 1.9, x, 16)
+            ref = _spin1_reference(model, lam, 1.9, x, 16)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_time_zero(self, octa_model, rng):
+        x = random_phase_vector(rng, octa_model.D, scale=0.5)
+        sd = octa_model.spin_dim
+        g = _propagator_sweep(octa_model, 0.0, x, 32)
+        np.testing.assert_array_equal(g, np.broadcast_to(np.eye(sd), (33, sd, sd)))
+        r, z = _maxwell_sweep(octa_model, 0.0, x, 32)
+        np.testing.assert_array_equal(r, np.broadcast_to(np.eye(3), (33, 2, 3, 3)))
+        np.testing.assert_array_equal(z, 0.0)
+        for trip in spin_correction1(octa_model, 0.0, x):
+            np.testing.assert_array_equal(trip.matrices, 0.0)
 
 
 class TestPhotonExpansion:
