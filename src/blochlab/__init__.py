@@ -27,7 +27,6 @@ from blochlab.harness import (
     run_calculus_selftest,
     run_convergence,
     run_crosscheck,
-    run_photon_rate,
 )
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "run_calculus_selftest",
     "run_convergence",
     "run_crosscheck",
-    "run_photon_rate",
     "build_grid",
     "minimal_grid_config",
 ]

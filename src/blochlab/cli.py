@@ -8,6 +8,7 @@ fails; worker count comes from the BLOCHLAB_WORKERS environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -17,11 +18,12 @@ from .harness import (
     run_calculus_selftest,
     run_convergence,
     run_crosscheck,
-    run_photon_rate,
     write_csv,
     write_json,
 )
-from .model import Model, ModelConfig, grid_debug_dump
+from .hierarchy import PHOTON_RATE_SIGN
+from .model import Model, ModelConfig, grid_debug_dump, polarization_project
+from .oracle import ObservableSpec
 
 
 def _load_plan(path: str) -> ExperimentPlan:
@@ -55,8 +57,7 @@ def _cmd_selftest(args) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_converge(args) -> int:
-    plan = _load_plan(args.plan)
+def _report_convergence(plan: ExperimentPlan, args, command: str) -> int:
     report = run_convergence(plan)
     for f in report.fits:
         slope = "exact" if f["slope"] is None else f"{f['slope']:.3f}"
@@ -65,28 +66,27 @@ def _cmd_converge(args) -> int:
             f"{f['X_id']} M={f['M']}  slope {slope}"
         )
     _emit(report, plan, args.json, args.csv)
-    print("converge:", "PASS" if report.passed else "FAIL")
+    print(f"{command}:", "PASS" if report.passed else "FAIL")
     return 0 if report.passed else 1
+
+
+def _cmd_converge(args) -> int:
+    return _report_convergence(_load_plan(args.plan), args, "converge")
 
 
 def _cmd_photon(args) -> int:
     plan = _load_plan(args.plan)
-    report = run_photon_rate(plan)
-    print(f"recorded rate sign: {report.sign:+.0f}")
-    for p in report.polarization:
+    plan = dataclasses.replace(
+        plan, observables=(ObservableSpec(kind="number_rate"),), M=min(plan.M, 1)
+    )
+    print(f"recorded rate sign: {PHOTON_RATE_SIGN:+.0f}")
+    grid = plan.model.grid
+    for x_id, x in plan.x_samples:
         print(
-            f"{p['X_id']}: |Pi+ X| = {p['norm_plus']:.4f}, "
-            f"|Pi- X| = {p['norm_minus']:.4f}"
+            f"{x_id}: |Pi+ X| = {polarization_project(grid, +1, x).norm():.4f}, "
+            f"|Pi- X| = {polarization_project(grid, -1, x).norm():.4f}"
         )
-    for f in report.fits:
-        slope = "n/a" if f["slope"] is None else f"{f['slope']:.3f}"
-        print(
-            f"{f['status']:>6s}  {f['observable']:20s} t={f['t']:g} "
-            f"{f['X_id']}  slope {slope}"
-        )
-    _emit(report, plan, args.json, args.csv)
-    print("photon:", "PASS" if report.passed else "FAIL")
-    return 0 if report.passed else 1
+    return _report_convergence(plan, args, "photon")
 
 
 def _cmd_crosscheck(args) -> int:
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, fn, text in (
         ("converge", _cmd_converge, "oracle-vs-expansion h sweep"),
-        ("photon", _cmd_photon, "photon-rate comparison sweep"),
+        ("photon", _cmd_photon, "number_rate convergence sweep"),
         ("crosscheck", _cmd_crosscheck, "dual-path agreement checks"),
     ):
         p = sub.add_parser(name, help=text)

@@ -5,6 +5,10 @@ concerns itself with orchestration only: deterministic sample generation,
 a bounded worker pool over independent cells, log-log slope fits with the
 raw (h, error) pairs kept alongside, and CSV/JSON writers whose output is
 bitwise-stable under a fixed seed.
+
+There is one sweep, run_convergence: each (h, t, X) frame is propagated
+once and every observable of the plan, number_rate included, is read from
+it.  The photon-rate measurement is that sweep on a number_rate plan.
 """
 
 from __future__ import annotations
@@ -23,13 +27,12 @@ from .fock import (
     coherent_state,
 )
 from .hierarchy import (
-    PHOTON_RATE_SIGN,
     bloch_spin0,
     compute_hierarchy,
     maxwell_cross_check,
     order0,
     order_j,
-    photon_rate_expansion,
+    photon_rate_expansion,  # no caller here; perfbench/tracing.py wraps it
     propagator_G,
     spin_correction1,
     tangent_derivatives,
@@ -39,7 +42,6 @@ from .model import (
     ModelConfig,
     ModelError,
     PhaseVector,
-    polarization_project,
 )
 from .oracle import (
     Hamiltonian,
@@ -49,7 +51,6 @@ from .oracle import (
     evolved_frame,
     frame_symbol,
     apply_observable,
-    photon_rate_exact,
 )
 from .symbols import (
     PolySymbol,
@@ -359,6 +360,11 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
         for t in plan.t_samples:
             for x_id, x in plan.x_samples:
                 orders = coefficients[(obs.label(), t, x_id)]
+                # every partial sum gets a fit row, even with no cell left
+                fit_errors = [
+                    errors_by_fit.setdefault((obs.label(), t, x_id, j), [])
+                    for j in range(plan.M + 1)
+                ]
                 for h in plan.h_list:
                     frame, info = frames[(h, t, x_id)]
                     if frame is None:
@@ -378,9 +384,7 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
                             orders[order_used]
                         )
                         err = _operator_norm(exact - partial)
-                        errors_by_fit.setdefault(
-                            (obs.label(), t, x_id, order_used), []
-                        ).append((h, err))
+                        fit_errors[order_used].append((h, err))
                         if order_used == plan.M:
                             status = "exact" if zero_coupling else "ok"
                             cells.append(
@@ -399,7 +403,7 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
             "M": order_used,
             "expected": order_used + 1,
         }
-        if zero_coupling:
+        if zero_coupling and es:
             ok = max(es) <= ZERO_COUPLING_TOL
             fits.append(
                 dict(
@@ -595,161 +599,6 @@ def run_calculus_selftest(seed: int = 20260826) -> SelftestReport:
 
 
 # ---------------------------------------------------------------------------
-# photon-rate sweep
-
-
-@dataclass(frozen=True)
-class PhotonRateReport:
-    plan_meta: dict
-    sign: float
-    cells: tuple  # SweepCell
-    fits: tuple
-    polarization: tuple  # per X: norms of Pi_+/Pi_- parts
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "photon_rate",
-            "plan": self.plan_meta,
-            "sign": self.sign,
-            "passed": self.passed,
-            "fits": list(self.fits),
-            "polarization": list(self.polarization),
-            "cells": [
-                {
-                    "observable": c.observable,
-                    "t": c.t,
-                    "X_id": c.x_id,
-                    "h": c.h,
-                    "error": c.error,
-                    "status": c.status,
-                }
-                for c in self.cells
-            ],
-        }
-
-
-def run_photon_rate(plan: ExperimentPlan) -> PhotonRateReport:
-    """Exact photon rate vs hierarchy partial sums, with the sign and the
-    circular-polarization split of each X sample recorded."""
-    model = plan.model
-    M = min(plan.M, 1)
-
-    pol = []
-    for x_id, x in plan.x_samples:
-        xp = polarization_project(model.grid, +1, x)
-        xm = polarization_project(model.grid, -1, x)
-        pol.append(
-            {
-                "X_id": x_id,
-                "norm_plus": xp.norm(),
-                "norm_minus": xm.norm(),
-            }
-        )
-
-    def _orders(job):
-        t, x_id, x = job
-        return (t, x_id), photon_rate_expansion(model, t, x, M, tol=plan.tol)
-
-    jobs = [(t, x_id, x) for t in plan.t_samples for (x_id, x) in plan.x_samples]
-    orders_map = dict(_pool_map(_orders, jobs))
-
-    basis = FockBasis(model.D, plan.n_max)
-    hams = {h: Hamiltonian(model, basis, h) for h in plan.h_list}
-
-    def _exact(job):
-        h, t, x_id, x = job
-        try:
-            return (h, t, x_id), photon_rate_exact(
-                hams[h], t, x, tol=plan.oracle_tol
-            )
-        except (OracleError, ModelError) as exc:
-            return (h, t, x_id), f"failed:{exc}"
-
-    exact_jobs = [
-        (h, t, x_id, x)
-        for h in plan.h_list
-        for t in plan.t_samples
-        for (x_id, x) in plan.x_samples
-    ]
-    exact_map = dict(_pool_map(_exact, exact_jobs))
-
-    cells = []
-    errors_by_fit = {}
-    for order_used in range(M + 1):
-        label = f"number_rate[M={order_used}]"
-        for t in plan.t_samples:
-            for x_id, x in plan.x_samples:
-                orders = orders_map[(t, x_id)]
-                for h in plan.h_list:
-                    exact = exact_map[(h, t, x_id)]
-                    if isinstance(exact, str):
-                        cells.append(SweepCell(label, t, x_id, h, None, exact))
-                        continue
-                    partial = sum(
-                        (h**j) * orders[j] for j in range(order_used + 1)
-                    )
-                    err = _operator_norm(np.atleast_2d(exact) - partial)
-                    cells.append(SweepCell(label, t, x_id, h, err, "ok"))
-                    errors_by_fit.setdefault((label, t, x_id, order_used), []).append(
-                        (h, err)
-                    )
-
-    fits = []
-    all_pass = True
-    for (label, t, x_id, order_used), pairs in sorted(errors_by_fit.items()):
-        hs = [p[0] for p in pairs]
-        es = [p[1] for p in pairs]
-        if len(hs) < 4:
-            fits.append(
-                {
-                    "observable": label,
-                    "t": t,
-                    "X_id": x_id,
-                    "slope": None,
-                    "r2": None,
-                    "status": "insufficient-data",
-                }
-            )
-            all_pass = False
-            continue
-        slope, r2 = fit_slope(hs, es)
-        ok = slope >= order_used + SLOPE_MARGIN
-        fits.append(
-            {
-                "observable": label,
-                "t": t,
-                "X_id": x_id,
-                "slope": slope,
-                "r2": r2,
-                "expected": order_used + 1,
-                "status": "pass" if ok else "fail",
-            }
-        )
-        all_pass &= ok
-    if any(c.status.startswith("failed") for c in cells):
-        all_pass = False
-
-    cells.sort(key=_cell_sort_key)
-    meta = {
-        "seed": plan.seed,
-        "M": M,
-        "n_max": plan.n_max,
-        "h": list(plan.h_list),
-        "t": list(plan.t_samples),
-        "X_ids": [x_id for x_id, _ in plan.x_samples],
-    }
-    return PhotonRateReport(
-        plan_meta=meta,
-        sign=PHOTON_RATE_SIGN,
-        cells=tuple(cells),
-        fits=tuple(fits),
-        polarization=tuple(pol),
-        passed=all_pass,
-    )
-
-
-# ---------------------------------------------------------------------------
 # dual-path cross-check
 
 
@@ -840,7 +689,7 @@ def run_crosscheck(plan: ExperimentPlan, tol: float = 1e-6) -> CrosscheckReport:
         {"check": "propagator-unitarity", "residual": state.unitarity_defect}
     )
     v = PhaseVector(np.ones(model.D), np.zeros(model.D)) * (1.0 / np.sqrt(model.D))
-    tb = tangent_derivatives(model, 0, 0, v, t_max, x, tol=plan.tol)
+    tb = tangent_derivatives(model, 1, 0, v, t_max, x, tol=plan.tol)
     hygiene.append({"check": "tangent-fd-residual", "residual": tb.residual})
 
     for e in entries:

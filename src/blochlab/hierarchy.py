@@ -19,7 +19,9 @@ recursion reduces its inner layer to suffix integrals and the Bloch
 correction its tangent contraction to prefix integrals, each O(n) per
 grid.  The fixed-substep RK4 sweeps that feed them (_propagator_sweep,
 _maxwell_sweep) tabulate their X-dependent site fields once per grid on the
-half-step stage grid.
+half-step stage grid and run blochlab.stepper.integrate_panels; the
+adaptive integrations (propagator_G, the order-0 rotations and their
+tangents) run blochlab.stepper.integrate_adaptive with a first step of 1e-2.
 """
 
 from __future__ import annotations
@@ -39,11 +41,16 @@ from blochlab.model import (
     fmap,
 )
 from blochlab.oracle import ObservableSpec, field_coupling
+from blochlab.stepper import PropagationLog, integrate_adaptive, integrate_panels
+from blochlab.symbols import c1_cross
 
 
 class HierarchyError(ModelError):
-    """Integration failures, grid-refinement failures, residual breaches."""
+    """Grid-refinement failures, residual breaches, invalid arguments."""
 
+
+# first step of the hierarchy's adaptive integrations
+_DT0 = 1e-2
 
 # resolved empirically against the exact photon-rate oracle; see the
 # commutator (i/h)[H, N (x) I] = - sum Phi_{S,h}(F B) (x) sigma
@@ -66,71 +73,20 @@ def _cross_mat(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# generic adaptive RK4 with step doubling
-
-
-def _integrate_adaptive(rhs, t0, t1, y0, tol, postprocess=None, log=None):
-    """Classical RK4 with step-doubling control and Richardson update.
-
-    rhs(t, y) -> dy/dt for a complex ndarray y of any shape.  postprocess,
-    if given, is applied to y after every accepted step (used for polar
-    re-unitarization).  Raises on step floor.
-    """
-    span = t1 - t0
-    if span == 0.0:
-        return np.array(y0, copy=True)
-    direction = 1.0 if span > 0 else -1.0
-    floor = 1e-12 * max(1.0, abs(span))
-
-    def step(t, y, dt):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-        k4 = rhs(t + dt, y + dt * k3)
-        return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    t = t0
-    y = np.array(y0, dtype=complex)
-    dt = direction * min(1e-2, abs(span))
-    while (t1 - t) * direction > 1e-15 * max(1.0, abs(span)):
-        if abs(dt) > abs(t1 - t):
-            dt = t1 - t
-        big = step(t, y, dt)
-        half = step(t, y, 0.5 * dt)
-        small = step(t + 0.5 * dt, half, 0.5 * dt)
-        err = float(np.max(np.abs(small - big)))
-        if err <= tol:
-            y = small + (small - big) / 15.0
-            if postprocess is not None:
-                y = postprocess(y)
-            t += dt
-            if log is not None:
-                log["n_accepted"] = log.get("n_accepted", 0) + 1
-                log["max_local_error"] = max(log.get("max_local_error", 0.0), err)
-            if err < tol / 64.0:
-                dt *= 2.0
-        else:
-            dt *= 0.5
-            if log is not None:
-                log["n_rejected"] = log.get("n_rejected", 0) + 1
-            if abs(dt) < floor:
-                raise HierarchyError("step size fell below the floor")
-    return y
-
-
-# ---------------------------------------------------------------------------
 # propagator
 
 
 @dataclass
 class PropagatorState:
-    """Unitary spin propagator G(t, s, X) with its integration log."""
+    """Unitary spin propagator G(t, s, X) with its integration log and the
+    number of polar re-projections it took."""
 
     matrix: np.ndarray
     t: float
     s: float
     x: PhaseVector
-    log: dict
+    log: PropagationLog
+    n_projections: int
 
     @property
     def unitarity_defect(self) -> float:
@@ -151,20 +107,32 @@ def propagator_G(
         raise HierarchyError("tol must be positive")
     sd = model.spin_dim
     eye = np.eye(sd, dtype=complex)
-    log: dict = {"n_projections": 0}
+    projections = 0
 
     def rhs(u, g):
         return 1j * (g @ model.h_int_symbol(chi_flow_vector(model.grid, u, x)))
 
     def post(g):
+        nonlocal projections
         defect = np.linalg.norm(g.conj().T @ g - eye)
         if defect > tol / 10.0:
-            log["n_projections"] += 1
+            projections += 1
             return _polar_project(g)
         return g
 
-    g = _integrate_adaptive(rhs, s, t, eye, tol, postprocess=post, log=log)
-    return PropagatorState(matrix=g, t=t, s=s, x=x, log=log)
+    g, log = integrate_adaptive(rhs, eye, s, t, tol, _DT0, postprocess=post)
+    return PropagatorState(
+        matrix=g, t=t, s=s, x=x, log=log, n_projections=projections
+    )
+
+
+def _panel_stages(t: float, n: int):
+    """Substeps per panel (substep <= 0.01), the substep and the half-step
+    stage times of n panels over [0, t]."""
+    panel = t / n
+    sub = max(1, int(np.ceil(abs(panel) / 0.01)))
+    dt = panel / sub
+    return sub, dt, 0.5 * dt * np.arange(2 * n * sub + 1)
 
 
 def _propagator_sweep(model: Model, t: float, x: PhaseVector, n: int) -> np.ndarray:
@@ -179,30 +147,22 @@ def _propagator_sweep(model: Model, t: float, x: PhaseVector, n: int) -> np.ndar
     out[:] = g
     if t == 0.0 or n == 0:
         return out
-    panel = t / n
-    sub = max(1, int(np.ceil(abs(panel) / 0.01)))
-    dt = panel / sub
+    sub, dt, stage = _panel_stages(t, n)
 
     # H_int(chi_u X) on the half-step grid, assembled in one vectorized pass
     bs, _, sigs, idx = _coupling_list(model)
     h_beta = sum(
         model.beta[m] * sigs[a] for a, (lam, m) in enumerate(idx)
     )
-    stage = 0.5 * dt * np.arange(2 * n * sub + 1)
     ctab = _chi_pair_table(model.grid, bs, x, stage)  # (A, n_stages)
     h_stage = np.einsum("at,acd->tcd", ctab, sigs) + h_beta
 
-    for i in range(n):
-        for k in range(sub):
-            j = 2 * (i * sub + k)
-            h0, h1, h2 = h_stage[j], h_stage[j + 1], h_stage[j + 2]
-            k1 = 1j * (g @ h0)
-            k2 = 1j * ((g + 0.5 * dt * k1) @ h1)
-            k3 = 1j * ((g + 0.5 * dt * k2) @ h1)
-            k4 = 1j * ((g + dt * k3) @ h2)
-            g = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def at_node(i, g):
         g = _polar_project(g)
         out[i + 1] = g
+        return g
+
+    integrate_panels(lambda j, g: 1j * (g @ h_stage[j]), g, n, sub, dt, at_node)
     return out
 
 
@@ -457,7 +417,7 @@ def _rotation_endpoint(model, lam, t, x, tol) -> np.ndarray:
     def rhs(u, r):
         return 2.0 * _cross_mat(_site_field(model, lam, u, x)) @ r
 
-    r = _integrate_adaptive(rhs, 0.0, t, np.eye(3, dtype=complex), tol)
+    r, _ = integrate_adaptive(rhs, np.eye(3), 0.0, t, tol, _DT0)
     return np.real(r)
 
 
@@ -500,8 +460,8 @@ def _rotation_tangent(model, lam, t, x, v, tol):
         db = np.array([model.couplings[lam][m].dot(yv) for m in range(3)])
         return np.stack([om @ r, om @ d + 2.0 * _cross_mat(db) @ r])
 
-    y0 = np.stack([np.eye(3, dtype=complex), np.zeros((3, 3), dtype=complex)])
-    y = _integrate_adaptive(rhs, 0.0, t, y0, tol)
+    y0 = np.stack([np.eye(3), np.zeros((3, 3))])
+    y, _ = integrate_adaptive(rhs, y0, 0.0, t, tol, _DT0)
     return np.real(y[0]), np.real(y[1])
 
 
@@ -518,6 +478,8 @@ def tangent_derivatives(
     independent finite-difference residual check."""
     if j != 0:
         raise HierarchyError("tangent derivatives are provided at order 0 only")
+    if not 1 <= lam <= model.N:
+        raise HierarchyError(f"site index lam={lam} outside 1..{model.N}")
     r, d = _rotation_tangent(model, lam - 1, t, x, v, tol)
     # finite-difference probe, centered, eps = 1e-5 in the direction V
     vn = v.norm()
@@ -575,12 +537,9 @@ def _maxwell_sweep(model: Model, t: float, x: PhaseVector, n: int):
     z_path = np.zeros((n + 1, 2, D, sd, sd), dtype=complex)
     if t == 0.0 or n == 0:
         return r_path, z_path
-    panel = t / n
-    sub = max(1, int(np.ceil(abs(panel) / 0.01)))
-    dt = panel / sub
+    sub, dt, stage = _panel_stages(t, n)
 
     # 2 C(b^lam(u)) on the half-step grid, with b_m = beta_m + B_{m x_lam} . chi_u X
-    stage = 0.5 * dt * np.arange(2 * n * sub + 1)
     ctab = _chi_pair_table(model.grid, bs, x, stage)  # (A, n_stages)
     fields = ctab.T.reshape(-1, N, 3) + np.asarray(model.beta)
     gen = 2.0 * np.einsum("ijk,snj->snik", _EPS3, fields)
@@ -603,16 +562,12 @@ def _maxwell_sweep(model: Model, t: float, x: PhaseVector, n: int):
         dz -= fqp @ (rr @ sig).reshape(-1, sd * sd)
         return dy
 
-    for i in range(n):
-        for k in range(sub):
-            j = 2 * (i * sub + k)
-            k1 = rhs(j, state)
-            k2 = rhs(j + 1, state + 0.5 * dt * k1)
-            k3 = rhs(j + 1, state + 0.5 * dt * k2)
-            k4 = rhs(j + 2, state + dt * k3)
-            state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        r_path[i + 1] = np.real(state[:nr]).reshape(N, 3, 3)
-        z_path[i + 1] = state[nr:].reshape(2, D, sd, sd)
+    def at_node(i, y):
+        r_path[i + 1] = np.real(y[:nr]).reshape(N, 3, 3)
+        z_path[i + 1] = y[nr:].reshape(2, D, sd, sd)
+        return y
+
+    integrate_panels(rhs, state, n, sub, dt, at_node)
     return r_path, z_path
 
 
@@ -803,6 +758,7 @@ def photon_rate_expansion(
         return orders
 
     n1 = np.zeros((sd, sd), dtype=complex)
+    eye = np.eye(sd)
     spins1 = spin_correction1(model, t, x, tol=max(tol, 1e-7))
     for lam in range(model.N):
         pos = model.config.positions[lam]
@@ -815,14 +771,16 @@ def photon_rate_expansion(
             n1 += e1 @ spins0[lam].matrices[m]
             # C^0(E^0, S^1)
             n1 += PHOTON_RATE_SIGN * e0 * spins1[lam].matrices[m]
-            # C^1(E^0, S^0): half the (B + i F B) directional derivative of
-            # the order-0 spin along the transported polarized coupling
+            # C^1(E^0, S^0): the polarized field is affine in X with
+            # gradient along the transported coupling
             wvec = chi_flow_vector(model.grid, -t, fb)
-            tb = tangent_derivatives(model, lam + 1, 0, wvec, t, x, tol=min(tol, 1e-8))
-            tf = tangent_derivatives(
-                model, lam + 1, 0, fmap(wvec), t, x, tol=min(tol, 1e-8)
-            )
-            n1 += PHOTON_RATE_SIGN * 0.5 * (tb.dS[m] + 1j * tf.dS[m])
+
+            def dg(z, v):
+                return tangent_derivatives(
+                    model, lam + 1, 0, v, t, z, tol=min(tol, 1e-8)
+                ).dS[m]
+
+            n1 += c1_cross([(wvec, PHOTON_RATE_SIGN * eye)], dg, x, side="left")
     orders.append(n1)
     return orders
 

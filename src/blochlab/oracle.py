@@ -19,9 +19,11 @@ with H0 = I (x) sum beta_m sigma_m^[lam].  H0, K_g and K_g^H do not depend
 on h: they are assembled once per (model, basis) as CSR matrices and shared
 by the Hamiltonians of every h, each of which keeps only h, its free
 diagonal and sqrt(h/2).  One generator application is 1 + 2G CSR matvecs
-for G frequency groups.  The stepper is RK4 with step doubling (local
-Richardson error control); the remaining generator is bounded uniformly in
-h, so steps do not shrink as h does.
+for G frequency groups.  The stepper is the package's step-doubling RK4
+(blochlab.stepper, local Richardson error control, first step 0.1); the
+remaining generator is bounded uniformly in h, so steps do not shrink as h
+does.  The photon-number rate is the number_rate observable read from the
+same evolved frame as every other observable.
 
 States are arrays of shape (fock_dim, spin_dim, n_states) so a whole
 coherent frame (the 2^N states Psi_X (x) e_j) evolves in one integration;
@@ -31,7 +33,7 @@ n_states).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,6 +47,7 @@ from blochlab.model import (
     coupling_B,
     fmap,
 )
+from blochlab.stepper import PropagationLog, integrate_adaptive
 
 DEFAULT_TOL = 1e-9
 DEFAULT_TAIL_TOL = 1e-10
@@ -105,26 +108,6 @@ def field_coupling(model: Model, obs: ObservableSpec) -> PhaseVector:
     if obs.kind == "field_E":
         return apply_helicity(model.grid, b)
     return fmap(b)  # field_E_pol
-
-
-@dataclass
-class PropagationLog:
-    """Step record of one interaction-picture integration."""
-
-    n_accepted: int = 0
-    n_rejected: int = 0
-    step_sizes: list = field(default_factory=list)
-    local_errors: list = field(default_factory=list)
-    unitarity_defect: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "n_accepted": self.n_accepted,
-            "n_rejected": self.n_rejected,
-            "min_step": min(self.step_sizes, default=None),
-            "max_local_error": max(self.local_errors, default=0.0),
-            "unitarity_defect": self.unitarity_defect,
-        }
 
 
 class TensorOperators:
@@ -257,51 +240,12 @@ def evolve_interaction_picture(
         psi0 = psi0[:, :, None]
     if psi0.shape[0] != ham.basis.dim or psi0.shape[1] != ham.spin_dim:
         raise OracleError("state shape does not match the Hamiltonian")
-    log = PropagationLog()
     norms0 = np.sqrt(np.sum(np.abs(psi0) ** 2, axis=(0, 1)))
 
     def rhs(s, phi):
         return -1j * ham._interaction_apply(s, phi)
 
-    def rk4(s, phi, dt):
-        k1 = rhs(s, phi)
-        k2 = rhs(s + dt / 2, phi + dt / 2 * k1)
-        k3 = rhs(s + dt / 2, phi + dt / 2 * k2)
-        k4 = rhs(s + dt, phi + dt * k3)
-        return phi + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    phi = psi0.copy()
-    if t != 0.0:
-        direction = 1.0 if t > 0 else -1.0
-        remaining = abs(t)
-        s = 0.0
-        dt = min(0.1, remaining)
-        floor = max(abs(t), 1.0) * 1e-12
-        while remaining > 0.0:
-            dt = min(dt, remaining)
-            step = direction * dt
-            big = rk4(s, phi, step)
-            half = rk4(s, phi, step / 2)
-            small = rk4(s + step / 2, half, step / 2)
-            err = float(np.max(np.abs(small - big)))
-            if err <= tol:
-                # Richardson extrapolation from the halved solution
-                phi = small + (small - big) / 15.0
-                s += step
-                remaining -= dt
-                log.n_accepted += 1
-                log.step_sizes.append(dt)
-                log.local_errors.append(err)
-                if err < tol / 64.0:
-                    dt *= 2.0
-            else:
-                log.n_rejected += 1
-                dt *= 0.5
-                if dt < floor:
-                    raise OracleError(
-                        f"step control stalled at dt={dt:.3e}; "
-                        f"log={log.to_dict()}"
-                    )
+    phi, log = integrate_adaptive(rhs, psi0, 0.0, t, tol, dt0=0.1)
     psi_t = ham.free_phases(t)[:, None, None] * phi
     norms = np.sqrt(np.sum(np.abs(psi_t) ** 2, axis=(0, 1)))
     log.unitarity_defect = float(np.max(np.abs(norms - norms0)))
@@ -392,20 +336,6 @@ def evolved_wick_symbol(
     """
     frame_t, _ = evolved_frame(ham, t, x, tol, tail_tol)
     return frame_symbol(frame_t, apply_observable(ham, obs, frame_t))
-
-
-def photon_rate_exact(
-    ham: Hamiltonian,
-    t: float,
-    x: PhaseVector,
-    tol: float = DEFAULT_TOL,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> np.ndarray:
-    """Wick symbol of the photon-number rate N'(t) = (i/h) e^{i(t/h)H}
-    [H, N (x) I] e^{-i(t/h)H} at X."""
-    return evolved_wick_symbol(
-        ham, ObservableSpec(kind="number_rate"), t, x, tol, tail_tol
-    )
 
 
 def number_expectation(ham: Hamiltonian, frame_t: np.ndarray) -> np.ndarray:

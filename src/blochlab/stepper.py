@@ -1,0 +1,119 @@
+"""The one classical RK4 of the package, in two loops.
+
+integrate_adaptive is step doubling with local Richardson error control:
+each attempted step compares one RK4 step with two half steps, accepts when
+their largest entrywise difference is at most tol, updates with the
+extrapolated value and doubles the step after a very accurate one.  The
+oracle and the hierarchy's adaptive integrations use it, each with its own
+first step dt0.
+
+integrate_panels is the fixed-substep loop of the hierarchy's grid sweeps:
+n panels of sub RK4 substeps each, with the right-hand side evaluated on a
+table of half-step stages, so stage j of substep k in panel i is
+2 (i sub + k) + {0, 1, 2}.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from blochlab.model import ModelError
+
+
+class StepStallError(ModelError):
+    """The adaptive step size fell below its floor."""
+
+
+@dataclass
+class PropagationLog:
+    """Step record of one adaptive integration."""
+
+    n_accepted: int = 0
+    n_rejected: int = 0
+    step_sizes: list = field(default_factory=list)
+    local_errors: list = field(default_factory=list)
+    unitarity_defect: float = 0.0
+
+    def to_dict(self) -> dict:
+        return {
+            "n_accepted": self.n_accepted,
+            "n_rejected": self.n_rejected,
+            "min_step": min(self.step_sizes, default=None),
+            "max_local_error": max(self.local_errors, default=0.0),
+            "unitarity_defect": self.unitarity_defect,
+        }
+
+
+def _rk4(rhs, y, dt, start, mid, end):
+    """One RK4 step of length dt; rhs is called at start, mid (twice), end."""
+    k1 = rhs(start, y)
+    k2 = rhs(mid, y + dt / 2 * k1)
+    k3 = rhs(mid, y + dt / 2 * k2)
+    k4 = rhs(end, y + dt * k3)
+    return y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def integrate_adaptive(rhs, y0, t0, t1, tol, dt0, postprocess=None):
+    """y(t1) for dy/dt = rhs(t, y), y(t0) = y0, and the step log.
+
+    postprocess, if given, is applied to y after every accepted step.
+    Raises StepStallError when the step size falls below
+    1e-12 max(|t1 - t0|, 1).
+    """
+
+    def rk4(s, y, dt):
+        return _rk4(rhs, y, dt, s, s + dt / 2, s + dt)
+
+    y = np.array(y0, dtype=complex)
+    log = PropagationLog()
+    span = t1 - t0
+    direction = 1.0 if span > 0 else -1.0
+    remaining = abs(span)
+    s = t0
+    dt = min(dt0, remaining)
+    floor = max(remaining, 1.0) * 1e-12
+    while remaining > 0.0:
+        dt = min(dt, remaining)
+        step = direction * dt
+        big = rk4(s, y, step)
+        half = rk4(s, y, step / 2)
+        small = rk4(s + step / 2, half, step / 2)
+        err = float(np.max(np.abs(small - big)))
+        if err <= tol:
+            # Richardson extrapolation from the halved solution
+            y = small + (small - big) / 15.0
+            if postprocess is not None:
+                y = postprocess(y)
+            s += step
+            remaining -= dt
+            log.n_accepted += 1
+            log.step_sizes.append(dt)
+            log.local_errors.append(err)
+            if err < tol / 64.0:
+                dt *= 2.0
+        else:
+            log.n_rejected += 1
+            dt *= 0.5
+            if dt < floor:
+                raise StepStallError(
+                    f"step control stalled at dt={dt:.3e}; log={log.to_dict()}"
+                )
+    return y, log
+
+
+def integrate_panels(rhs, y0, n, sub, dt, at_node):
+    """n panels of sub fixed RK4 substeps of length dt from y0.
+
+    rhs(j, y) evaluates the derivative at half-step stage j.  After panel i
+    the state goes through at_node(i, y), which records it and returns the
+    state to continue from.
+    """
+    y = y0
+    for i in range(n):
+        for k in range(sub):
+            j = 2 * (i * sub + k)
+            y = _rk4(rhs, y, dt, j, j + 1, j + 2)
+        y = at_node(i, y)
+    return y

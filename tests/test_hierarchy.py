@@ -295,6 +295,13 @@ class TestTangent:
         with pytest.raises(HierarchyError):
             tangent_derivatives(minimal_model, 1, 1, x, 1.0, x)
 
+    @pytest.mark.parametrize("lam", [0, 3])
+    def test_site_index_out_of_range(self, octa_model, rng, lam):
+        # sites are 1-based: lam = 0 must not wrap around to the last site
+        x = random_phase_vector(rng, octa_model.D, scale=0.1)
+        with pytest.raises(HierarchyError, match="site index"):
+            tangent_derivatives(octa_model, lam, 0, x, 0.5, x)
+
 
 class TestDualPaths:
     def test_spin_correction_matches_recursion(self, minimal_model, rng):

@@ -27,7 +27,6 @@ from blochlab.oracle import (
     evolved_wick_symbol,
     frame_symbol,
     number_expectation,
-    photon_rate_exact,
 )
 from blochlab.model import ModelError
 from conftest import random_phase_vector
@@ -295,16 +294,19 @@ class TestEvolvedSymbol:
             coherent_frame(ham, big)
 
 
+NUMBER_RATE = ObservableSpec(kind="number_rate")
+
+
 class TestPhotonRate:
     def test_zero_coupling_vanishes(self, free_setup, rng):
         _, _, ham, _ = free_setup
         x = random_phase_vector(rng, 4, scale=0.15)
-        got = photon_rate_exact(ham, 0.5, x)
+        got = evolved_wick_symbol(ham, NUMBER_RATE, 0.5, x)
         np.testing.assert_allclose(got, 0.0, atol=1e-10)
 
     def test_origin_t0_vanishes(self, small_setup):
         _, _, ham, _ = small_setup
-        got = photon_rate_exact(ham, 0.0, PhaseVector.zero(4))
+        got = evolved_wick_symbol(ham, NUMBER_RATE, 0.0, PhaseVector.zero(4))
         np.testing.assert_allclose(got, 0.0, atol=1e-10)
 
     def test_matches_number_derivative(self, small_setup, rng):
@@ -318,7 +320,7 @@ class TestPhotonRate:
         fd = (number_expectation(ham, plus) - number_expectation(ham, minus)) / (
             2 * dt
         )
-        rate = photon_rate_exact(ham, t, x, tol=1e-11)
+        rate = evolved_wick_symbol(ham, NUMBER_RATE, t, x, tol=1e-11)
         np.testing.assert_allclose(fd, rate, atol=5e-6)
 
 
