@@ -5,13 +5,12 @@ partial sum by O(h^{M+1}).  No constants are known a priori, so we halve h
 along a ladder, compare against the exact truncated-Fock evolution, and
 read the order off a log-log fit.
 
-Run as: python3 demos/measure_the_order.py   (about half a minute)
+Run as: python3 demos/measure_the_order.py   (a few seconds)
 """
 
 from blochlab import ExperimentPlan, default_plan_dict, run_convergence
 
 plan_dict = default_plan_dict()
-plan_dict["n_max"] = 18  # enough photon levels for |X| = 0.5 down to h = 0.05
 plan = ExperimentPlan.from_dict(plan_dict)
 
 print("h ladder:", list(plan.h_list))

@@ -13,7 +13,6 @@ from blochlab.hierarchy import PHOTON_RATE_SIGN, photon_rate_expansion
 from blochlab.model import polarization_project
 
 plan_dict = default_plan_dict()
-plan_dict["n_max"] = 18
 plan = ExperimentPlan.from_dict(plan_dict)
 model = plan.model
 x_id, x = plan.x_samples[0]

@@ -76,8 +76,14 @@ def _cmd_converge(args) -> int:
 
 def _cmd_photon(args) -> int:
     plan = _load_plan(args.plan)
+    # the plan's own output paths hold its converge record: write only the
+    # --json/--csv paths given here
     plan = dataclasses.replace(
-        plan, observables=(ObservableSpec(kind="number_rate"),), M=min(plan.M, 1)
+        plan,
+        observables=(ObservableSpec(kind="number_rate"),),
+        M=min(plan.M, 1),
+        json_path=None,
+        csv_path=None,
     )
     print(f"recorded rate sign: {PHOTON_RATE_SIGN:+.0f}")
     grid = plan.model.grid

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -44,6 +45,7 @@ from .model import (
     PhaseVector,
 )
 from .oracle import (
+    DEFAULT_TAIL_TOL,
     Hamiltonian,
     ObservableSpec,
     OracleError,
@@ -69,9 +71,12 @@ SLOPE_UPPER_M0 = 1.2
 
 ZERO_COUPLING_TOL = 1e-8
 
+# the oracle's first fluctuation cutoff; the plan's n_max caps its doublings
+FIRST_CUTOFF = 2
+
 
 class HarnessError(ModelError):
-    """Raised for malformed plans and precheck failures."""
+    """Raised for malformed plans, worker settings and fit inputs."""
 
 
 def worker_count() -> int:
@@ -100,7 +105,11 @@ def _pool_map(fn, jobs):
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """One sweep: a model, observables, samples, and an h ladder."""
+    """One sweep: a model, observables, samples, and an h ladder.
+
+    n_max caps the photon cutoff of the oracle's fluctuation basis; each
+    frame starts at FIRST_CUTOFF and doubles it until its leakage fits.
+    """
 
     config: ModelConfig
     observables: tuple
@@ -131,16 +140,6 @@ class ExperimentPlan:
             raise HarnessError("plan needs at least one observable")
         if not self.x_samples or not self.t_samples:
             raise HarnessError("plan needs X and t samples")
-        h_min = float(hs[-1])
-        for x_id, x in self.x_samples:
-            mean = x.norm() ** 2 / (2.0 * h_min)
-            need = mean + 3.0 * np.sqrt(mean)
-            if need > self.n_max:
-                raise HarnessError(
-                    f"cutoff adequacy precheck failed for {x_id}: "
-                    f"mean occupation {mean:.3g} at h={h_min} needs "
-                    f"n_max >= {need:.3g} (have {self.n_max})"
-                )
 
     @property
     def model(self) -> Model:
@@ -257,7 +256,7 @@ class SweepCell:
     h: float
     error: float | None
     status: str  # ok | exact | failed:<reason>
-    # the frame's PropagationLog.to_dict() plus energy_drift
+    # the frame's PropagationLog.to_dict() plus energy_drift and cutoff
     hygiene: dict = field(default_factory=dict)
 
 
@@ -325,9 +324,20 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
 
     coefficients = dict(_pool_map(_coeffs, coeff_jobs))
 
-    # one Hamiltonian per h, one propagated frame per (h, t, X)
-    basis = FockBasis(model.D, plan.n_max)
-    hams = {h: Hamiltonian(model, basis, h) for h in plan.h_list}
+    # one propagated frame per (h, t, X), in the frame displaced by W(X):
+    # the fluctuation cutoff starts at FIRST_CUTOFF and doubles, up to
+    # n_max, until the frame's leakage fits DEFAULT_TAIL_TOL.  Bases and
+    # Hamiltonians are built on first use, under a lock, and shared.
+    bases, hams = {}, {}
+    build_lock = threading.Lock()
+
+    def _hamiltonian(cutoff, h):
+        with build_lock:
+            if (cutoff, h) not in hams:
+                if cutoff not in bases:
+                    bases[cutoff] = FockBasis(model.D, cutoff)
+                hams[(cutoff, h)] = Hamiltonian(model, bases[cutoff], h)
+            return hams[(cutoff, h)]
 
     frame_jobs = [
         (h, t, x_id, x)
@@ -338,19 +348,31 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
 
     def _frame(job):
         h, t, x_id, x = job
-        ham = hams[h]
-        try:
-            frame, log = evolved_frame(ham, t, x, tol=plan.oracle_tol)
-        except (OracleError, ModelError) as exc:
-            return (h, t, x_id), (None, f"failed:{exc}")
-        frame0 = coherent_frame(ham, x)
-        drift = max(
-            abs(ham.energy(frame[:, :, j]) - ham.energy(frame0[:, :, j]))
-            / max(abs(ham.energy(frame0[:, :, j])), 1.0)
-            for j in range(frame.shape[2])
-        )
-        hygiene = dict(log.to_dict(), energy_drift=drift)
-        return (h, t, x_id), (frame, hygiene)
+        cutoff = min(FIRST_CUTOFF, plan.n_max)
+        while True:
+            ham = _hamiltonian(cutoff, h)
+            try:
+                frame, y, log = evolved_frame(ham, t, x, tol=plan.oracle_tol)
+            except (OracleError, ModelError) as exc:
+                return (h, t, x_id), (None, f"failed:{exc}")
+            if log.leakage <= DEFAULT_TAIL_TOL:
+                break
+            if cutoff == plan.n_max:
+                return (h, t, x_id), (
+                    None,
+                    f"failed:leakage {log.leakage:.3e} exceeds "
+                    f"{DEFAULT_TAIL_TOL:.1e} at the cap n_max = {cutoff}",
+                )
+            cutoff = min(2 * cutoff, plan.n_max)
+        # Psi_X (x) e_j is W(X) applied to the vacuum frame
+        frame0 = coherent_frame(ham, model.zero_x())
+        drift = 0.0
+        for j in range(frame.shape[2]):
+            e0 = ham.energy(frame0[:, :, j], x)
+            e_t = ham.energy(frame[:, :, j], y)
+            drift = max(drift, abs(e_t - e0) / max(abs(e0), 1.0))
+        hygiene = dict(log.to_dict(), energy_drift=drift, cutoff=cutoff)
+        return (h, t, x_id), ((frame, y, ham), hygiene)
 
     frames = dict(_pool_map(_frame, frame_jobs))
 
@@ -366,15 +388,15 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
                     for j in range(plan.M + 1)
                 ]
                 for h in plan.h_list:
-                    frame, info = frames[(h, t, x_id)]
-                    if frame is None:
+                    evolved, info = frames[(h, t, x_id)]
+                    if evolved is None:
                         cells.append(
                             SweepCell(obs.label(), t, x_id, h, None, info)
                         )
                         continue
-                    ham = hams[h]
+                    frame, y, ham = evolved
                     exact = np.atleast_2d(
-                        frame_symbol(frame, apply_observable(ham, obs, frame))
+                        frame_symbol(frame, apply_observable(ham, obs, frame, y))
                     )
                     # slopes for every partial sum up to M come from the
                     # same frames; the cell rows keep the plan's M

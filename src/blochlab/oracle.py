@@ -3,32 +3,52 @@
 H(h) = H_ph (x) I + h H_int with H_ph = h dGamma(M_omega) and
 H_int = sum_{lam,m} (beta_m + Phi_{S,h}(B_{m x_lam})) (x) sigma_m^[lam].
 
-Propagation works in the interaction picture: psi(t) = (Gamma(chi_t) (x) I)
-phi(t) where the free factor is an exact diagonal phase and phi solves
-i phi' = H_int^free(t) phi with H_int^free(t) built on the rotated
-couplings chi_{-t} B.  Since the free flow acts per mode as
-z -> e^{-i omega t} z, the annihilator coefficients of the rotated
-couplings are the initial ones times e^{-i omega t}, so per distinct
-frequency w_g the couplings add up to one tensor operator
-K_g = sum_{lam,m} sum_{j in g} c_{lam m, j} a_j (x) sigma_m^[lam] with
-c = b_q - i b_p, and
+Displaced frame (Hepp's method).  The coherent state Psi_X is W(X) applied
+to the vacuum, where the Weyl operator W(X) shifts a_j -> a_j + z_j with
+z = (q + i p)/sqrt(2h).  H_ph is quadratic and the coupling linear in a, a*,
+so conjugating by W is exact, and the evolved coherent frame is
 
-    H_int^free(t) = H0 + sqrt(h/2) sum_g (e^{-i w_g t} K_g + e^{i w_g t} K_g^H)
+    e^{-i(t/h)H} (Psi_X (x) e_j) = W(chi_t X) xi_j(t),
 
-with H0 = I (x) sum beta_m sigma_m^[lam].  H0, K_g and K_g^H do not depend
-on h: they are assembled once per (model, basis) as CSR matrices and shared
-by the Hamiltonians of every h, each of which keeps only h, its free
-diagonal and sqrt(h/2).  One generator application is 1 + 2G CSR matvecs
-for G frequency groups.  The stepper is the package's step-doubling RK4
-(blochlab.stepper, local Richardson error control, first step 0.1); the
-remaining generator is bounded uniformly in h, so steps do not shrink as h
-does.  The photon-number rate is the number_rate observable read from the
-same evolved frame as every other observable.
+where the fluctuation state xi carries O(h |c|^2 t^2) photons instead of the
+|X|^2/2h of Psi_X: the photon cutoff no longer grows as h shrinks.  xi is
+propagated in the interaction picture, xi(t) = (Gamma(chi_t) (x) I) phi(t),
+with phi(0) = vac (x) e_j and i phi' = [H_int^free(s) + drive(s)] phi.  Since
+the free flow acts per mode as z -> e^{-i omega s} z, the annihilator
+coefficients of the rotated couplings are the initial ones times
+e^{-i omega s}, so per distinct frequency w_g the couplings add up to one
+tensor operator K_g = sum_{lam,m} sum_{j in g} c_{lam m, j} a_j (x)
+sigma_m^[lam] with c = b_q - i b_p, and
 
-States are arrays of shape (fock_dim, spin_dim, n_states) so a whole
-coherent frame (the 2^N states Psi_X (x) e_j) evolves in one integration;
-the operators act on its Fock-major view of shape (fock_dim * spin_dim,
-n_states).
+    H_int^free(s) + drive(s) = H0 + sqrt(h/2) sum_g (e^{-i w_g s} L_g + h.c.)
+
+with H0 = I (x) sum beta_m sigma_m^[lam] and L_g = W(X)* K_g W(X) = K_g +
+I (x) K_g[a -> z].  The drive sqrt(h/2) sum_g (e^{-i w_g s} K_g[a -> z] + h.c.)
+= sum_{lam,m} (B_{m x lam} . chi_s X) sigma_m^[lam] is one s x s spin
+matrix per group and does not depend on h; at X = 0 it vanishes and the
+propagation is that of the undisplaced state.  H0, K_g and K_g^H do not
+depend on h or X: they are assembled once per (model, basis) as CSR matrices
+and shared by the Hamiltonians of every h.  One generator application is
+1 + 2G CSR matvecs for G frequency groups.  The stepper is the package's
+step-doubling RK4 (blochlab.stepper, local Richardson error control, first
+step 0.1); the generator is bounded uniformly in h, so steps do not shrink
+as h does.
+
+Observables are read in the same frame: with Y = chi_t X,
+<W(Y) xi_i, A W(Y) xi_j> = <xi_i, W(Y)* A W(Y) xi_j>, where W(Y)* A W(Y) is
+sigma for a spin, Phi_h(F_A) + (F_A . Y) for a field, and the number_rate
+generator with K_g -> L_g.  The photon-number rate is the number_rate
+observable read from the same evolved frame as every other observable.
+
+Cutoff sizing: the basis cutoff bounds the photon number of xi, not of
+Psi_X.  evolve_interaction_picture records the leakage, the largest
+population of the top photon layer over the initial state and every
+accepted step; the caller picks a cutoff whose leakage stays within
+DEFAULT_TAIL_TOL.
+
+States are arrays of shape (fock_dim, spin_dim, n_states) so a whole frame
+(the 2^N states xi_j) evolves in one integration; the operators act on its
+Fock-major view of shape (fock_dim * spin_dim, n_states).
 """
 
 from __future__ import annotations
@@ -38,12 +58,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from blochlab.fock import FockBasis, coherent_state, gamma_free_phases
+from blochlab.fock import FockBasis, coherent_state, gamma_free_phases, segal_field
 from blochlab.model import (
     Model,
     ModelError,
     PhaseVector,
     apply_helicity,
+    chi_flow_vector,
     coupling_B,
     fmap,
 )
@@ -116,27 +137,31 @@ class TensorOperators:
     On the Fock-major space, with c = b_q - i b_p per coupling vector:
     h0 = I (x) sum beta_m sigma_m^[lam], and per frequency group g
     K_g = sum_{lam,m} sum_{j in g} c_{lam m, j} a_j (x) sigma_m^[lam],
-    with K_g^H kept as a CSR matrix of its own.  Groups whose couplings
+    with K_g^H kept as a CSR matrix of its own, and the group's
+    coefficients c_{lam m, j} (zero off the group), from which
+    Hamiltonian.displaced_groups builds the drive.  Groups whose couplings
     all vanish are dropped.
     """
 
     def __init__(self, model: Model, basis: FockBasis):
-        eye = sp.identity(basis.dim, dtype=complex, format="csr")
+        self.eye = sp.identity(basis.dim, dtype=complex, format="csr")
         spin_const = sum(
             model.beta[m] * model.spin_ops[lam][m]
             for lam in range(model.N)
             for m in range(3)
         )
-        self.h0 = sp.kron(eye, sp.csr_matrix(spin_const), format="csr")
-        self.groups = []  # (omega, k, k_adj) per coupled frequency group
+        self.h0 = sp.kron(self.eye, sp.csr_matrix(spin_const), format="csr")
+        # sigma_m^[lam] stacked in (lam, m) order, one row of c each
+        self.sigmas = np.array([op for row in model.spin_ops for op in row])
+        coeffs = np.array([b.q - 1j * b.p for row in model.couplings for b in row])
+        self.groups = []  # (omega, k, k_adj, coeff) per coupled frequency group
         values, group_of = np.unique(model.grid.slot_omegas, return_inverse=True)
         for g, w in enumerate(values):
             members = np.nonzero(group_of == g)[0]
             terms = []
             for lam in range(model.N):
                 for m in range(3):
-                    b = model.couplings[lam][m]
-                    coeff = b.q - 1j * b.p
+                    coeff = coeffs[3 * lam + m]
                     idx = [j for j in members if coeff[j] != 0]
                     if not idx:
                         continue
@@ -144,7 +169,9 @@ class TensorOperators:
                     terms.append(sp.kron(a_sum, model.spin_ops[lam][m], format="csr"))
             if terms:
                 k = sum(terms).tocsr()
-                self.groups.append((float(w), k, k.conj().T.tocsr()))
+                group_coeff = np.zeros_like(coeffs)
+                group_coeff[:, members] = coeffs[:, members]
+                self.groups.append((float(w), k, k.conj().T.tocsr(), group_coeff))
 
 
 def _shared_operators(model: Model, basis: FockBasis) -> TensorOperators:
@@ -178,12 +205,28 @@ class Hamiltonian:
 
     # -- generator application -----------------------------------------
 
-    def _interaction_apply(self, t: float, psi: np.ndarray) -> np.ndarray:
-        """H_int^free(t) psi for psi of shape (dim, s, n)."""
+    def displaced_groups(self, x: PhaseVector) -> list:
+        """Per frequency group (w_g, L_g, L_g^H) with L_g = W(X)* K_g W(X)
+        = K_g + I (x) K_g[a -> z]; at X = 0 the values of K_g, K_g^H.
+
+        K_g[a -> z] = sum_{lam,m} (c_{lam m} . z) sigma_m^[lam] is the
+        group's s x s drive matrix over sqrt(h/2).
+        """
+        z = (x.q + 1j * x.p) / np.sqrt(2.0 * self.h)
+        out = []
+        for w, k, k_adj, coeff in self.ops.groups:
+            k_z = np.tensordot(coeff @ z, self.ops.sigmas, axes=1)
+            shift = sp.kron(self.ops.eye, sp.csr_matrix(k_z), format="csr")
+            out.append((w, (k + shift).tocsr(), (k_adj + shift.conj().T).tocsr()))
+        return out
+
+    def _interaction_apply(self, t: float, psi: np.ndarray, groups: list) -> np.ndarray:
+        """(H_int^free(t) + drive(t)) psi for psi of shape (dim, s, n), with
+        groups = displaced_groups(X)."""
         flat = psi.reshape(-1, psi.shape[2])
         out = self.ops.h0 @ flat
         # scaled in place: each state-sized temporary is a fresh allocation
-        for w, k, k_adj in self.ops.groups:
+        for w, k, k_adj in groups:
             ph = self.root * np.exp(-1j * w * t)
             term = k @ flat
             term *= ph
@@ -193,10 +236,10 @@ class Hamiltonian:
             out += term
         return out.reshape(psi.shape)
 
-    def interaction_operator(self, t: float = 0.0) -> sp.csr_matrix:
-        """Materialized sparse H_int^free(t) on the tensor space."""
+    def interaction_operator(self, t: float, x: PhaseVector) -> sp.csr_matrix:
+        """Materialized sparse H_int^free(t) + drive(t) of frame point X."""
         out = self.ops.h0.copy()
-        for w, k, k_adj in self.ops.groups:
+        for w, k, k_adj in self.displaced_groups(x):
             ph = self.root * np.exp(-1j * w * t)
             out = out + ph * k + np.conj(ph) * k_adj
         return out.tocsr()
@@ -208,15 +251,28 @@ class Hamiltonian:
             sp.identity(self.spin_dim, format="csr"),
             format="csr",
         )
-        return (free + self.h * self.interaction_operator(0.0)).tocsr()
+        interaction = self.interaction_operator(0.0, self.model.zero_x())
+        return (free + self.h * interaction).tocsr()
 
-    def energy(self, psi: np.ndarray) -> float:
-        """<psi, H psi> for a single unit state of shape (dim, s)."""
+    def energy(self, psi: np.ndarray, y: PhaseVector) -> float:
+        """<W(Y) psi, H W(Y) psi> for a single state of shape (dim, s).
+
+        W(Y)* H W(Y) = H + Phi_h(omega Y) (x) I + (1/2) sum_j omega_j
+        (q_j^2 + p_j^2) + h drive_Y(0), where Phi_h(omega Y) =
+        h sum_j omega_j (conj(z_j) a_j + z_j a_j*); at Y = 0 this is <psi, H psi>.
+        """
         state = psi[:, :, None]
-        hpsi = self.hph_diag[:, None, None] * state + self.h * self._interaction_apply(
-            0.0, state
+        om = self.slot_omegas
+        shift = segal_field(self.basis, self.h, PhaseVector(om * y.q, om * y.p))
+        hpsi = (
+            self.hph_diag[:, None, None] * state
+            + (shift @ psi)[:, :, None]
+            + self.h * self._interaction_apply(0.0, state, self.displaced_groups(y))
         )
-        return float(np.vdot(state, hpsi).real)
+        classical = 0.5 * float(om @ (y.q**2 + y.p**2))
+        return float(np.vdot(state, hpsi).real) + classical * float(
+            np.vdot(psi, psi).real
+        )
 
     def free_phases(self, t: float) -> np.ndarray:
         return gamma_free_phases(self.basis, self.slot_omegas, t)
@@ -226,13 +282,17 @@ def evolve_interaction_picture(
     ham: Hamiltonian,
     psi0: np.ndarray,
     t: float,
+    x: PhaseVector,
     tol: float = DEFAULT_TOL,
 ) -> tuple[np.ndarray, PropagationLog]:
-    """e^{-i (t/h) H(h)} applied to states of shape (dim, s, n).
+    """xi(t) with e^{-i (t/h) H(h)} W(X) psi0 = W(chi_t X) xi(t), for states
+    of shape (dim, s, n); at X = 0 this is e^{-i (t/h) H(h)} psi0.
 
-    Integrates the interaction-picture ODE i phi' = H_int^free(s) phi with
-    an adaptive RK4 (step-doubling local error <= tol per step), then
-    applies the exact free phase.
+    Integrates the interaction-picture ODE i phi' = [H_int^free(s) +
+    drive(s)] phi with an adaptive RK4 (step-doubling local error <= tol per
+    step), then applies the exact free phase.  The log's leakage is the
+    largest top-photon-layer population of any state, over psi0 and every
+    accepted step.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     squeeze = psi0.ndim == 2
@@ -241,14 +301,27 @@ def evolve_interaction_picture(
     if psi0.shape[0] != ham.basis.dim or psi0.shape[1] != ham.spin_dim:
         raise OracleError("state shape does not match the Hamiltonian")
     norms0 = np.sqrt(np.sum(np.abs(psi0) ** 2, axis=(0, 1)))
+    groups = ham.displaced_groups(x)
+    top = ham.basis.totals == ham.basis.n_max
 
     def rhs(s, phi):
-        return -1j * ham._interaction_apply(s, phi)
+        return -1j * ham._interaction_apply(s, phi, groups)
 
-    phi, log = integrate_adaptive(rhs, psi0, 0.0, t, tol, dt0=0.1)
+    def top_population(phi):
+        return float(np.max(np.sum(np.abs(phi[top]) ** 2, axis=(0, 1))))
+
+    leakage = top_population(psi0)
+
+    def monitor(phi):
+        nonlocal leakage
+        leakage = max(leakage, top_population(phi))
+        return phi
+
+    phi, log = integrate_adaptive(rhs, psi0, 0.0, t, tol, dt0=0.1, postprocess=monitor)
     psi_t = ham.free_phases(t)[:, None, None] * phi
     norms = np.sqrt(np.sum(np.abs(psi_t) ** 2, axis=(0, 1)))
     log.unitarity_defect = float(np.max(np.abs(norms - norms0)))
+    log.leakage = leakage
     return (psi_t[:, :, 0] if squeeze else psi_t), log
 
 
@@ -256,25 +329,27 @@ def evolve_interaction_picture(
 
 
 def apply_observable(
-    ham: Hamiltonian, obs: ObservableSpec, psi: np.ndarray
+    ham: Hamiltonian, obs: ObservableSpec, psi: np.ndarray, y: PhaseVector
 ) -> np.ndarray:
-    """A psi for psi of shape (dim, s, n), without materializing A."""
-    from blochlab.fock import segal_field
-
+    """W(Y)* A W(Y) psi for psi of shape (dim, s, n), without materializing
+    A; at Y = 0 this is A psi."""
     model = ham.model
     dim, s, n = psi.shape
     if obs.kind == "spin":
         # I (x) sigma: sigma acts on the spin axis of every Fock row
         return model.spin_ops[obs.lam - 1][obs.m - 1] @ psi
     if obs.kind.startswith("field"):
-        f = segal_field(ham.basis, ham.h, field_coupling(model, obs))
-        return (f @ psi.reshape(dim, s * n)).reshape(dim, s, n)
+        v = field_coupling(model, obs)
+        f = segal_field(ham.basis, ham.h, v)
+        out = (f @ psi.reshape(dim, s * n)).reshape(dim, s, n)
+        out += v.dot(y) * psi
+        return out
     # number_rate generator: (i/h)[H, N (x) I] = - sum_{lam,m}
     # Phi_{S,h}(F B_{m x_lam}) (x) sigma_m^[lam].  F B has coefficients
-    # -i c, so this is i sqrt(h/2) sum_g (K_g - K_g^H).
+    # -i c, so this is i sqrt(h/2) sum_g (K_g - K_g^H), conjugated by W(Y).
     flat = psi.reshape(dim * s, n)
     out = np.zeros((dim * s, n), dtype=complex)
-    for _, k, k_adj in ham.ops.groups:
+    for _, k, k_adj in ham.displaced_groups(y):
         out += k @ flat
         out -= k_adj @ flat
     return (1j * ham.root * out).reshape(dim, s, n)
@@ -286,7 +361,8 @@ def coherent_frame(
     """The 2^N states Psi_X (x) e_j stacked as (dim, s, s).
 
     Refuses when the coherent tail mass exceeds tail_tol (the cutoff can
-    not represent the requested (X, h) pair faithfully).
+    not represent the requested (X, h) pair faithfully).  At X = 0 these
+    are the states vac (x) e_j that start the displaced frame.
     """
     import warnings
 
@@ -315,10 +391,12 @@ def evolved_frame(
     t: float,
     x: PhaseVector,
     tol: float = DEFAULT_TOL,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> tuple[np.ndarray, PropagationLog]:
-    """Forward-evolved coherent frame e^{-i(t/h)H}(Psi_X (x) e_j)."""
-    return evolve_interaction_picture(ham, coherent_frame(ham, x, tail_tol), t, tol)
+) -> tuple[np.ndarray, PhaseVector, PropagationLog]:
+    """The forward-evolved coherent frame in the displaced frame: (xi, Y,
+    log) with e^{-i(t/h)H}(Psi_X (x) e_j) = W(Y) xi_j and Y = chi_t X."""
+    vacuum = coherent_frame(ham, ham.model.zero_x())
+    xi, log = evolve_interaction_picture(ham, vacuum, t, x, tol)
+    return xi, chi_flow_vector(ham.model.grid, t, x), log
 
 
 def evolved_wick_symbol(
@@ -327,18 +405,17 @@ def evolved_wick_symbol(
     t: float,
     x: PhaseVector,
     tol: float = DEFAULT_TOL,
-    tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> np.ndarray:
     """Exact Wick symbol of the Heisenberg-evolved observable at X.
 
     Entries <U(t) Psi_i, A U(t) Psi_j> over the coherent spin frame; the
     conjugated operator is never materialized.
     """
-    frame_t, _ = evolved_frame(ham, t, x, tol, tail_tol)
-    return frame_symbol(frame_t, apply_observable(ham, obs, frame_t))
+    xi, y, _ = evolved_frame(ham, t, x, tol)
+    return frame_symbol(xi, apply_observable(ham, obs, xi, y))
 
 
 def number_expectation(ham: Hamiltonian, frame_t: np.ndarray) -> np.ndarray:
-    """Matrix of <state_i, (N (x) I) state_j> for a state frame."""
+    """Matrix of <state_i, (N (x) I) state_j> for an undisplaced state frame."""
     n_diag = np.asarray(ham.basis.totals, dtype=float)
     return frame_symbol(frame_t, n_diag[:, None, None] * frame_t)

@@ -35,6 +35,7 @@ class PropagationLog:
     step_sizes: list = field(default_factory=list)
     local_errors: list = field(default_factory=list)
     unitarity_defect: float = 0.0
+    leakage: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -43,6 +44,7 @@ class PropagationLog:
             "min_step": min(self.step_sizes, default=None),
             "max_local_error": max(self.local_errors, default=0.0),
             "unitarity_defect": self.unitarity_defect,
+            "leakage": self.leakage,
         }
 
 

@@ -6,6 +6,7 @@ import json
 import sys
 from pathlib import Path
 
+import blochlab.cli as cli
 import blochlab.harness
 import blochlab.hierarchy
 import blochlab.oracle
@@ -64,10 +65,21 @@ class TestPlan:
         with pytest.raises(HarnessError, match=r"\(0, 1\]"):
             ExperimentPlan.from_dict(small_plan_dict(h=[1.5, 0.4, 0.2, 0.1]))
 
-    def test_adequacy_precheck(self):
-        # |X| = 3 at h = 0.05 needs far more than 18 photon levels
-        with pytest.raises(HarnessError, match="adequacy"):
-            ExperimentPlan.from_dict(small_plan_dict(X={"count": 1, "norm": 3.0}))
+    def test_small_h_plan_runs_at_a_low_cap(self):
+        # Psi_X holds |X|^2 / 2h = 20 photons at h = 0.00625, far above the
+        # cap of 8; the displaced oracle holds only the few fluctuation
+        # photons, so the plan runs and every fit passes
+        d = small_plan_dict(
+            h=[0.05, 0.025, 0.0125, 0.00625],
+            n_max=8,
+            oracle_tol=1e-11,
+            observables=default_plan_dict()["observables"] + [{"kind": "number_rate"}],
+        )
+        report = run_convergence(ExperimentPlan.from_dict(d))
+        assert len(report.fits) == 6
+        assert all(f["status"] == "pass" for f in report.fits)
+        assert report.passed
+        assert all(c.hygiene["cutoff"] <= 8 for c in report.cells)
 
     def test_random_samples_deterministic(self):
         a = ExperimentPlan.from_dict(small_plan_dict())
@@ -198,14 +210,21 @@ class TestConvergence:
         assert fit["max_error"] <= 1e-8
 
     def test_truncation_failures_recorded_not_fitted(self):
-        # n_max = 12 cannot hold the coherent tail at the smallest h;
-        # those cells must carry a reason and stay out of the fit
-        plan = ExperimentPlan.from_dict(small_plan_dict(n_max=12))
+        # a cap of one fluctuation photon leaks above the tail tolerance at
+        # every h; those cells must carry a reason and stay out of the fit
+        plan = ExperimentPlan.from_dict(small_plan_dict(n_max=1))
         report = run_convergence(plan)
         assert not report.passed
         failed = [c for c in report.cells if c.status.startswith("failed")]
-        assert failed and all("tail" in c.status for c in failed)
+        assert failed and all("leakage" in c.status for c in failed)
         assert all(f["status"] == "insufficient-data" for f in report.fits)
+
+    def test_cutoff_sized_by_leakage(self, conv_report, small_plan):
+        # the desk frames leak above the tolerance at 2 fluctuation photons
+        # and fit at 4, well under the cap of 18
+        for c in conv_report.cells:
+            assert c.hygiene["cutoff"] == 4
+            assert c.hygiene["leakage"] <= 1e-10
 
     def test_step_stall_recorded_not_raised(self):
         # no step can meet oracle_tol = 1e-30, so every frame stalls; the
@@ -261,6 +280,22 @@ class TestPhotonRate:
         norm_plus = polarization_project(grid, +1, x).norm()
         norm_minus = polarization_project(grid, -1, x).norm()
         assert norm_plus**2 + norm_minus**2 == pytest.approx(x.norm() ** 2, rel=1e-10)
+
+
+class TestPhotonCommand:
+    def test_leaves_the_plan_outputs_alone(self, tmp_path):
+        # the plan's output paths hold its converge record; `photon` writes
+        # only the paths given on its command line
+        json_out, csv_out = tmp_path / "plan.json", tmp_path / "plan.csv"
+        d = small_plan_dict(output={"json": str(json_out), "csv": str(csv_out)})
+        plan_path = tmp_path / "plan_in.json"
+        plan_path.write_text(json.dumps(d))
+        assert cli.main(["photon", str(plan_path)]) == 0
+        assert not json_out.exists() and not csv_out.exists()
+        given = tmp_path / "photon.json"
+        assert cli.main(["photon", str(plan_path), "--json", str(given)]) == 0
+        assert json.loads(given.read_text())["plan"]["observables"] == ["number_rate"]
+        assert not json_out.exists() and not csv_out.exists()
 
 
 class TestCrosscheck:

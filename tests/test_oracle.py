@@ -109,28 +109,33 @@ class TestTensorOperators:
     T_SAMPLES = (0.0, 0.37, 1.9)
 
     def test_apply_matches_operator(self, octa_setup, rng):
-        _, basis, ham = octa_setup
+        model, basis, ham = octa_setup
         assert basis.dim == 1225 and ham.spin_dim == 4
         assert len(ham.ops.groups) == 2
         psi = _unit_columns(rng, basis.dim * 4, 3).reshape(basis.dim, 4, 3)
-        for t in self.T_SAMPLES:
-            got = ham._interaction_apply(t, psi)
-            want = ham.interaction_operator(t) @ psi.reshape(basis.dim * 4, 3)
-            assert np.max(np.abs(got.reshape(-1, 3) - want)) <= 1e-13
+        for x in (model.zero_x(), random_phase_vector(rng, model.D, scale=0.3)):
+            groups = ham.displaced_groups(x)
+            for t in self.T_SAMPLES:
+                got = ham._interaction_apply(t, psi, groups)
+                want = ham.interaction_operator(t, x) @ psi.reshape(basis.dim * 4, 3)
+                assert np.max(np.abs(got.reshape(-1, 3) - want)) <= 1e-13
 
-    def test_operator_matches_rotated_couplings(self, octa_setup):
-        # H_int^free(t) = sum (beta_m + Phi_{S,h}(chi_{-t} B)) (x) sigma,
-        # assembled from segal_field without the frequency groups
+    def test_operator_matches_rotated_couplings(self, octa_setup, rng):
+        # H_int^free(t) + drive(t) = sum (beta_m + (chi_{-t} B) . X
+        # + Phi_{S,h}(chi_{-t} B)) (x) sigma, assembled from segal_field
+        # without the frequency groups
         model, basis, ham = octa_setup
         eye = sp.identity(basis.dim, format="csr")
-        for t in self.T_SAMPLES:
-            want = sp.csr_matrix((basis.dim * 4, basis.dim * 4), dtype=complex)
-            for lam in range(model.N):
-                for m in range(3):
-                    b = chi_flow_vector(model.grid, -t, model.couplings[lam][m])
-                    field = model.beta[m] * eye + segal_field(basis, ham.h, b)
-                    want = want + sp.kron(field, model.spin_ops[lam][m])
-            assert abs(ham.interaction_operator(t) - want).max() <= 1e-13
+        for x in (model.zero_x(), random_phase_vector(rng, model.D, scale=0.3)):
+            for t in self.T_SAMPLES:
+                want = sp.csr_matrix((basis.dim * 4, basis.dim * 4), dtype=complex)
+                for lam in range(model.N):
+                    for m in range(3):
+                        b = chi_flow_vector(model.grid, -t, model.couplings[lam][m])
+                        shift = model.beta[m] + b.dot(x)
+                        field = shift * eye + segal_field(basis, ham.h, b)
+                        want = want + sp.kron(field, model.spin_ops[lam][m])
+                assert abs(ham.interaction_operator(t, x) - want).max() <= 1e-13
 
     def test_operators_shared_across_h(self, octa_model, octa_setup):
         _, basis, ham = octa_setup
@@ -140,14 +145,19 @@ class TestTensorOperators:
 
 
 class TestObservableApplication:
-    """Each observable against its materialized operator on Fock x C^s."""
+    """Each observable against its materialized operator on Fock x C^s.
 
-    def _check(self, ham, basis, obs, op, rng):
+    Displaced by W(Y), a field Phi_h(V) becomes Phi_h(V) + V . Y, so every
+    reference is assembled at Y = 0 and at a random Y from segal_field.
+    """
+
+    def _check(self, ham, basis, obs, op_at, rng):
         s = ham.spin_dim
         psi = _unit_columns(rng, basis.dim * s, s).reshape(basis.dim, s, s)
-        got = apply_observable(ham, obs, psi).reshape(-1, s)
-        want = op @ psi.reshape(-1, s)
-        assert np.max(np.abs(got - want)) <= 1e-14
+        for y in (ham.model.zero_x(), random_phase_vector(rng, basis.D, scale=0.3)):
+            got = apply_observable(ham, obs, psi, y).reshape(-1, s)
+            want = op_at(y) @ psi.reshape(-1, s)
+            assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_spin(self, octa_setup, rng):
         model, basis, ham = octa_setup
@@ -156,10 +166,11 @@ class TestObservableApplication:
             for m in (1, 2, 3):
                 op = sp.kron(eye, model.spin_ops[lam - 1][m - 1], format="csr")
                 obs = ObservableSpec(kind="spin", m=m, lam=lam)
-                self._check(ham, basis, obs, op, rng)
+                self._check(ham, basis, obs, lambda y: op, rng)
 
     def test_fields(self, octa_setup, rng):
         model, basis, ham = octa_setup
+        eye = sp.identity(basis.dim, format="csr")
         point = np.array([0.2, -0.1, 0.3])
         b = coupling_B(model.grid, model.config, 2, point)
         for kind, v in (
@@ -167,73 +178,95 @@ class TestObservableApplication:
             ("field_E", apply_helicity(model.grid, b)),
             ("field_E_pol", fmap(b)),
         ):
-            op = sp.kron(segal_field(basis, ham.h, v), sp.identity(4), format="csr")
+
+            def op_at(y):
+                field = segal_field(basis, ham.h, v) + v.dot(y) * eye
+                return sp.kron(field, sp.identity(4), format="csr")
+
             obs = ObservableSpec(kind=kind, m=2, x=point)
-            self._check(ham, basis, obs, op, rng)
+            self._check(ham, basis, obs, op_at, rng)
 
     def test_number_rate(self, octa_setup, rng):
         # (i/h)[H, N (x) I] = - sum Phi_{S,h}(F B_{m x_lam}) (x) sigma_m^[lam]
         model, basis, ham = octa_setup
-        op = sp.csr_matrix((basis.dim * 4, basis.dim * 4), dtype=complex)
-        for lam in range(model.N):
-            for m in range(3):
-                f = segal_field(basis, ham.h, fmap(model.couplings[lam][m]))
-                op = op - sp.kron(f, model.spin_ops[lam][m], format="csr")
-        self._check(ham, basis, ObservableSpec(kind="number_rate"), op, rng)
+        eye = sp.identity(basis.dim, format="csr")
+
+        def op_at(y):
+            op = sp.csr_matrix((basis.dim * 4, basis.dim * 4), dtype=complex)
+            for lam in range(model.N):
+                for m in range(3):
+                    fb = fmap(model.couplings[lam][m])
+                    f = segal_field(basis, ham.h, fb) + fb.dot(y) * eye
+                    op = op - sp.kron(f, model.spin_ops[lam][m], format="csr")
+            return op
+
+        self._check(ham, basis, ObservableSpec(kind="number_rate"), op_at, rng)
+
+
+def _random_states(rng, dim):
+    psi0 = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
+    return psi0 / np.linalg.norm(psi0)
+
+
+def _undisplaced_frame(ham, t, x, tol):
+    """The coherent frame propagated as it stands, in the frame X = 0."""
+    zero = ham.model.zero_x()
+    frame_t, _ = evolve_interaction_picture(ham, coherent_frame(ham, x), t, zero, tol)
+    return frame_t
 
 
 class TestEvolution:
     def test_free_evolution_is_exact_phase(self, free_setup, rng):
         model, basis, ham, h = free_setup
-        psi0 = rng.standard_normal((basis.dim, 2)) + 1j * rng.standard_normal(
-            (basis.dim, 2)
-        )
-        psi0 /= np.linalg.norm(psi0)
+        psi0 = _random_states(rng, basis.dim)
         t = 1.3
-        psi_t, log = evolve_interaction_picture(ham, psi0, t)
+        psi_t, log = evolve_interaction_picture(ham, psi0, t, model.zero_x())
         expected = ham.free_phases(t)[:, None] * psi0
         np.testing.assert_allclose(psi_t, expected, atol=1e-9)
 
     def test_norm_preserved(self, small_setup, rng):
-        _, basis, ham, _ = small_setup
-        psi0 = rng.standard_normal((basis.dim, 2)) + 1j * rng.standard_normal(
-            (basis.dim, 2)
-        )
-        psi0 /= np.linalg.norm(psi0)
-        psi_t, log = evolve_interaction_picture(ham, psi0, 2.0, tol=1e-9)
+        model, basis, ham, _ = small_setup
+        psi0 = _random_states(rng, basis.dim)
+        x = random_phase_vector(rng, 4, scale=0.2)
+        psi_t, log = evolve_interaction_picture(ham, psi0, 2.0, x, tol=1e-9)
         assert abs(np.linalg.norm(psi_t) - 1.0) < 1e-7
         assert log.unitarity_defect < 1e-7
 
     def test_energy_conserved(self, small_setup, rng):
-        _, basis, ham, _ = small_setup
-        psi0 = rng.standard_normal((basis.dim, 2)) + 1j * rng.standard_normal(
-            (basis.dim, 2)
-        )
-        psi0 /= np.linalg.norm(psi0)
-        e0 = ham.energy(psi0)
-        psi_t, _ = evolve_interaction_picture(ham, psi0, 1.7, tol=1e-10)
-        assert ham.energy(psi_t) == pytest.approx(e0, abs=1e-7)
+        # <W(Y) psi, H W(Y) psi> is conserved with the frame point moving
+        # along the free flow, Y = chi_t X.  Displaced, the truncated
+        # identity holds while the top photon layer stays empty, so the
+        # displaced case starts from at most 3 photons.
+        model, basis, ham, _ = small_setup
+        psi0 = _random_states(rng, basis.dim)
+        few = np.where((basis.totals <= 3)[:, None], psi0, 0.0)
+        few /= np.linalg.norm(few)
+        cases = ((psi0, model.zero_x()), (few, random_phase_vector(rng, 4, scale=0.2)))
+        for psi0, x in cases:
+            e0 = ham.energy(psi0, x)
+            psi_t, _ = evolve_interaction_picture(ham, psi0, 1.7, x, tol=1e-10)
+            y = chi_flow_vector(model.grid, 1.7, x)
+            assert ham.energy(psi_t, y) == pytest.approx(e0, abs=1e-7)
 
     def test_group_property(self, small_setup, rng):
-        _, basis, ham, _ = small_setup
-        psi0 = rng.standard_normal((basis.dim, 2)) + 1j * rng.standard_normal(
-            (basis.dim, 2)
-        )
-        psi0 /= np.linalg.norm(psi0)
-        one, _ = evolve_interaction_picture(ham, psi0, 1.1, tol=1e-10)
-        a, _ = evolve_interaction_picture(ham, psi0, 0.6, tol=1e-10)
-        b, _ = evolve_interaction_picture(ham, a, 0.5, tol=1e-10)
-        np.testing.assert_allclose(one, b, atol=1e-8)
+        # W(X) psi0 evolved for 0.6 is W(chi_0.6 X) a: its frame point moves
+        model, basis, ham, _ = small_setup
+        psi0 = _random_states(rng, basis.dim)
+        for x in (model.zero_x(), random_phase_vector(rng, 4, scale=0.2)):
+            one, _ = evolve_interaction_picture(ham, psi0, 1.1, x, tol=1e-10)
+            a, _ = evolve_interaction_picture(ham, psi0, 0.6, x, tol=1e-10)
+            y = chi_flow_vector(model.grid, 0.6, x)
+            b, _ = evolve_interaction_picture(ham, a, 0.5, y, tol=1e-10)
+            np.testing.assert_allclose(one, b, atol=1e-8)
 
     def test_backward_inverts(self, small_setup, rng):
-        _, basis, ham, _ = small_setup
-        psi0 = rng.standard_normal((basis.dim, 2)) + 1j * rng.standard_normal(
-            (basis.dim, 2)
-        )
-        psi0 /= np.linalg.norm(psi0)
-        fwd, _ = evolve_interaction_picture(ham, psi0, 0.9, tol=1e-10)
-        back, _ = evolve_interaction_picture(ham, fwd, -0.9, tol=1e-10)
-        np.testing.assert_allclose(back, psi0, atol=1e-8)
+        model, basis, ham, _ = small_setup
+        psi0 = _random_states(rng, basis.dim)
+        for x in (model.zero_x(), random_phase_vector(rng, 4, scale=0.2)):
+            fwd, _ = evolve_interaction_picture(ham, psi0, 0.9, x, tol=1e-10)
+            y = chi_flow_vector(model.grid, 0.9, x)
+            back, _ = evolve_interaction_picture(ham, fwd, -0.9, y, tol=1e-10)
+            np.testing.assert_allclose(back, psi0, atol=1e-8)
 
 
 class TestEvolvedSymbol:
@@ -271,7 +304,7 @@ class TestEvolvedSymbol:
         x = random_phase_vector(rng, 4, scale=0.15)
         v = random_phase_vector(rng, 4)
         t = 0.8
-        frame_t, _ = evolved_frame(ham, t, x)
+        frame_t = _undisplaced_frame(ham, t, x, tol=1e-9)
         f = segal_field(basis, h, v)
         applied = (f @ frame_t.reshape(basis.dim, -1)).reshape(frame_t.shape)
         got = frame_symbol(frame_t, applied)
@@ -310,13 +343,13 @@ class TestPhotonRate:
         np.testing.assert_allclose(got, 0.0, atol=1e-10)
 
     def test_matches_number_derivative(self, small_setup, rng):
-        # central difference of <N (x) I> along the evolution vs the exact
-        # commutator observable
+        # central difference of <N (x) I> along the undisplaced evolution vs
+        # the exact commutator observable read in the displaced frame
         _, _, ham, _ = small_setup
         x = random_phase_vector(rng, 4, scale=0.2)
         t, dt = 0.6, 1e-3
-        plus, _ = evolved_frame(ham, t + dt, x, tol=1e-11)
-        minus, _ = evolved_frame(ham, t - dt, x, tol=1e-11)
+        plus = _undisplaced_frame(ham, t + dt, x, tol=1e-11)
+        minus = _undisplaced_frame(ham, t - dt, x, tol=1e-11)
         fd = (number_expectation(ham, plus) - number_expectation(ham, minus)) / (
             2 * dt
         )
@@ -325,6 +358,9 @@ class TestPhotonRate:
 
 
 class TestOperatorFieldEquations:
+    """Time derivatives of symbols read in the displaced frame against
+    right-hand sides applied to the undisplaced evolved frame."""
+
     def test_maxwell_structure(self, small_setup, rng):
         # d/dt <B_m(x)> + (curl <E>)_m = 0 along the evolution, with the
         # spatial curl taken analytically through the coupling gradients
@@ -336,11 +372,10 @@ class TestOperatorFieldEquations:
         t, dt = 0.5, 1e-3
 
         def b_symbol(tt, m):
-            frame_t, _ = evolved_frame(ham, tt, x, tol=1e-11)
             obs = ObservableSpec(kind="field_B", m=m, x=x_pt)
-            return frame_symbol(frame_t, apply_observable(ham, obs, frame_t))
+            return evolved_wick_symbol(ham, obs, tt, x, tol=1e-11)
 
-        frame_t, _ = evolved_frame(ham, t, x, tol=1e-11)
+        frame_t = _undisplaced_frame(ham, t, x, tol=1e-11)
         eps = np.zeros((3, 3, 3))
         for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
             eps[i, j, k], eps[i, k, j] = 1.0, -1.0
@@ -370,11 +405,10 @@ class TestOperatorFieldEquations:
         t, dt = 0.4, 1e-3
 
         def spin_symbol(tt, j):
-            frame_t, _ = evolved_frame(ham, tt, x, tol=1e-11)
             obs = ObservableSpec(kind="spin", m=j, lam=1)
-            return frame_symbol(frame_t, apply_observable(ham, obs, frame_t))
+            return evolved_wick_symbol(ham, obs, tt, x, tol=1e-11)
 
-        frame_t, _ = evolved_frame(ham, t, x, tol=1e-11)
+        frame_t = _undisplaced_frame(ham, t, x, tol=1e-11)
         eps = np.zeros((3, 3, 3))
         for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
             eps[i, j, k], eps[i, k, j] = 1.0, -1.0
@@ -394,3 +428,75 @@ class TestOperatorFieldEquations:
                     term = model.beta[m] * state + field_part
                     rhs += 2.0 * eps[j - 1, m, l] * frame_symbol(frame_t, term)
             np.testing.assert_allclose(fd, rhs, atol=5e-6)
+
+
+AGREEMENT_OBSERVABLES = (
+    ObservableSpec(kind="spin", m=1, lam=1),
+    ObservableSpec(kind="field_B", m=2, x=np.zeros(3)),
+    ObservableSpec(kind="field_E", m=1, x=np.array([0.1, 0.0, 0.2])),
+    NUMBER_RATE,
+)
+
+
+@pytest.fixture(scope="module")
+def desk_setup():
+    """The shipped desk plan's model and X sample, and an 18-photon basis."""
+    from blochlab.harness import ExperimentPlan, default_plan_dict
+
+    plan = ExperimentPlan.from_dict(default_plan_dict())
+    return plan.model, plan.x_samples[0][1], FockBasis(plan.model.D, 18)
+
+
+def _max_disagreement(displaced, undisplaced, t, x, observables, tol):
+    """Largest entry gap between the symbols of the displaced oracle and
+    of the coherent frame propagated as it stands, and the displaced
+    frame's leakage."""
+    xi, y, log = evolved_frame(displaced, t, x, tol)
+    frame_t = _undisplaced_frame(undisplaced, t, x, tol)
+    zero = undisplaced.model.zero_x()
+    gap = 0.0
+    for obs in observables:
+        got = frame_symbol(xi, apply_observable(displaced, obs, xi, y))
+        want = frame_symbol(frame_t, apply_observable(undisplaced, obs, frame_t, zero))
+        gap = max(gap, float(np.max(np.abs(got - want))))
+    return gap, log.leakage
+
+
+class TestDisplacedFrame:
+    """The displaced oracle against the propagation of Psi_X itself, which
+    is the X = 0 case of the same code on a basis that holds Psi_X."""
+
+    @pytest.mark.parametrize("h", [0.4, 0.05])
+    def test_desk_agrees_with_undisplaced(self, desk_setup, h):
+        # 4 fluctuation photons (dimension 70) against 18 photons (7,315)
+        model, x, big = desk_setup
+        small = Hamiltonian(model, FockBasis(model.D, 4), h)
+        gap, leakage = _max_disagreement(
+            small, Hamiltonian(model, big, h), 1.0, x, AGREEMENT_OBSERVABLES, 1e-11
+        )
+        assert leakage <= 1e-10
+        assert gap <= 1e-10
+
+    def test_two_groups_agree_with_undisplaced(self, octa_model, octa_setup, rng):
+        # N = 2 and two frequency groups, on the full 2-photon basis, at an
+        # |X| small enough for Psi_X to fit it
+        _, basis, _ = octa_setup
+        v = rng.standard_normal(2 * octa_model.D)
+        v *= 0.005 / np.linalg.norm(v)
+        x = PhaseVector(v[: octa_model.D], v[octa_model.D :])
+        ham = Hamiltonian(octa_model, basis, 0.1)
+        observables = AGREEMENT_OBSERVABLES + (ObservableSpec(kind="spin", m=3, lam=2),)
+        gap, _ = _max_disagreement(ham, ham, 0.2, x, observables, 1e-11)
+        assert gap <= 1e-10
+
+    @pytest.mark.parametrize("h", [0.4, 0.1])
+    def test_energy_identity_at_t0(self, desk_setup, h):
+        # <vac (x) e_j, W(X)* H W(X) vac (x) e_j> = <Psi_X (x) e_j, H ...>
+        model, x, big = desk_setup
+        small = Hamiltonian(model, FockBasis(model.D, 4), h)
+        vacuum = coherent_frame(small, model.zero_x())
+        undisplaced = Hamiltonian(model, big, h)
+        frame = coherent_frame(undisplaced, x)
+        for j in range(model.spin_dim):
+            want = undisplaced.energy(frame[:, :, j], model.zero_x())
+            assert abs(small.energy(vacuum[:, :, j], x) - want) <= 1e-12
