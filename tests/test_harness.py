@@ -65,10 +65,11 @@ class TestPlan:
         with pytest.raises(HarnessError, match=r"\(0, 1\]"):
             ExperimentPlan.from_dict(small_plan_dict(h=[1.5, 0.4, 0.2, 0.1]))
 
-    def test_small_h_plan_runs_at_a_low_cap(self):
+    def test_adequacy_precheck(self):
+        # a plan that a cutoff adequacy precheck on Psi_X would refuse:
         # Psi_X holds |X|^2 / 2h = 20 photons at h = 0.00625, far above the
         # cap of 8; the displaced oracle holds only the few fluctuation
-        # photons, so the plan runs and every fit passes
+        # photons, so the plan is accepted, runs and every fit passes
         d = small_plan_dict(
             h=[0.05, 0.025, 0.0125, 0.00625],
             n_max=8,
