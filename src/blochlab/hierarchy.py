@@ -11,17 +11,22 @@ the recursion (order_j) and the sourced Maxwell / corrected Bloch systems
 (maxwell_cross_check, spin_correction1).  Their agreement is the main
 internal consistency check of the module.
 
+Every coupling pairing of the module, the site fields beta + B_a . chi_u X
+that drive the precession as well as the kernels B_a . chi_s B_b of the
+double integrals, is one blochlab.model.flow_pairing: a finite cosine/sine
+sum over the distinct mode frequencies, built once per call and evaluated
+at a time or on a grid of times.
+
 Both first-order paths are trapezoid quadratures on uniform grids of n
-nodes, refined by doubling.  The coupling pairing B_a . chi_s B_b that
-their double integrals carry is a finite cosine/sine sum over the distinct
-mode frequencies, so it separates in its two time arguments: the order-1
-recursion reduces its inner layer to suffix integrals and the Bloch
-correction its tangent contraction to prefix integrals, each O(n) per
-grid.  The fixed-substep RK4 sweeps that feed them (_propagator_sweep,
-_maxwell_sweep) tabulate their X-dependent site fields once per grid on the
-half-step stage grid and run blochlab.stepper.integrate_panels; the
+nodes, refined by doubling.  Their pairing kernels separate in the two
+time arguments, so the order-1 recursion reduces its inner layer to
+suffix integrals and the Bloch correction its tangent contraction to
+prefix integrals, each O(n) per grid.  The fixed-substep RK4 sweeps that
+feed them (_propagator_sweep, _maxwell_sweep) evaluate their site fields
+on the half-step stage grid and run blochlab.stepper.integrate_panels; the
 adaptive integrations (propagator_G, the order-0 rotations and their
-tangents) run blochlab.stepper.integrate_adaptive with a first step of 1e-2.
+tangents) evaluate the pairing inside the right-hand side and run
+blochlab.stepper.integrate_adaptive with a first step of 1e-2.
 """
 
 from __future__ import annotations
@@ -38,7 +43,9 @@ from blochlab.model import (
     chi_flow_vector,
     coupling_B,
     coupling_B_gradient,
+    flow_pairing,
     fmap,
+    stack_vectors,
 )
 from blochlab.oracle import ObservableSpec, field_coupling
 from blochlab.stepper import PropagationLog, integrate_adaptive, integrate_panels
@@ -108,9 +115,10 @@ def propagator_G(
     sd = model.spin_dim
     eye = np.eye(sd, dtype=complex)
     projections = 0
+    pairing = flow_pairing(model.grid, model.coupling_list, [x])
 
     def rhs(u, g):
-        return 1j * (g @ model.h_int_symbol(chi_flow_vector(model.grid, u, x)))
+        return 1j * (g @ model.spin_matrix(model.site_beta + pairing(u)[:, 0]))
 
     def post(g):
         nonlocal projections
@@ -150,12 +158,8 @@ def _propagator_sweep(model: Model, t: float, x: PhaseVector, n: int) -> np.ndar
     sub, dt, stage = _panel_stages(t, n)
 
     # H_int(chi_u X) on the half-step grid, assembled in one vectorized pass
-    bs, _, sigs, idx = _coupling_list(model)
-    h_beta = sum(
-        model.beta[m] * sigs[a] for a, (lam, m) in enumerate(idx)
-    )
-    ctab = _chi_pair_table(model.grid, bs, x, stage)  # (A, n_stages)
-    h_stage = np.einsum("at,acd->tcd", ctab, sigs) + h_beta
+    pairing = flow_pairing(model.grid, model.coupling_list, [x])
+    h_stage = model.spin_matrix(model.site_beta + pairing(stage)[:, :, 0])
 
     def at_node(i, g):
         g = _polar_project(g)
@@ -221,71 +225,26 @@ def _refine(compute, tol, n0=32, nmax=4096, label="quadrature"):
     raise HierarchyError(f"{label} did not converge below tol={tol}")
 
 
-def _coupling_list(model: Model):
-    """Flat (lam, m) coupling data: vectors B_a, F B_a and matrices sigma_a."""
-    bs, fbs, sigs, idx = [], [], [], []
-    for lam in range(model.N):
-        for m in range(3):
-            bs.append(model.couplings[lam][m])
-            fbs.append(fmap(model.couplings[lam][m]))
-            sigs.append(model.spin_ops[lam][m])
-            idx.append((lam, m))
-    return bs, fbs, np.array(sigs), idx
-
-
-def _chi_pair_table(grid, left_vecs, right: PhaseVector, rgrid) -> np.ndarray:
-    """table[a, i] = left_vecs[a] . chi_{rgrid[i]} right."""
-    om = grid.slot_omegas
-    ang = np.outer(np.asarray(rgrid, dtype=float), om)
-    c, s = np.cos(ang), np.sin(ang)
-    qr = c * right.q + s * right.p  # (nr, D)
-    pr = -s * right.q + c * right.p
-    lq = np.stack([v.q for v in left_vecs])
-    lp = np.stack([v.p for v in left_vecs])
-    return lq @ qr.T + lp @ pr.T
-
-
-def _pair_coeffs(grid, left_vecs, right_vecs):
-    """Split the pairing kernel over the distinct mode frequencies w_g:
-
-        left_vecs[i] . chi_r right_vecs[j]
-            = sum_g alpha[g, i, j] cos(w_g r) + beta[g, i, j] sin(w_g r).
-
-    Returns (w_g, alpha, beta)."""
-    uniq, inv = np.unique(grid.slot_omegas, return_inverse=True)
-    lq = np.stack([v.q for v in left_vecs])[:, None, :]
-    lp = np.stack([v.p for v in left_vecs])[:, None, :]
-    rq = np.stack([v.q for v in right_vecs])[None, :, :]
-    rp = np.stack([v.p for v in right_vecs])[None, :, :]
-    shape = (len(uniq), len(left_vecs), len(right_vecs))
-    alpha, beta = np.zeros(shape), np.zeros(shape)
-    # slot terms on the leading axis, summed slot by slot into their group
-    np.add.at(alpha, inv, np.moveaxis(lq * rq + lp * rp, 2, 0))
-    np.add.at(beta, inv, np.moveaxis(lq * rp - lp * rq, 2, 0))
-    return uniq, alpha, beta
-
-
 # ---------------------------------------------------------------------------
 # order j >= 1 via the Duhamel recursion
 
 
 def _order1_on_grid(model, obs, t, x, n):
     f_a, s_a = observable_form(model, obs)
-    bs, fbs, sig_stack, _ = _coupling_list(model)
+    bs = model.coupling_list
+    fbs = [fmap(b) for b in bs]
     T = _propagator_sweep(model, t, x, n)
     dt = t / n
     w = _trap_weights(n, dt)
     # conjugated coupling spins Sig[i, a] = T_i sigma_a T_i*
-    Sig = np.einsum("iab,qbc,idc->iqad", T, sig_stack, T.conj())
+    Sig = np.einsum("iab,qbc,idc->iqad", T, model.sigmas, T.conj())
 
     if s_a is None:
         # pure field: Phi^[0](s) = - sum_a (F_A . chi_s F B_a) sigma_a,
         # X-independent, so only the conjugated spins enter.
         r = t - dt * np.arange(n + 1)
-        ctab = np.stack(
-            [_chi_pair_table(model.grid, [f_a], fb, r)[0] for fb in fbs]
-        )  # (A, n+1)
-        return -np.einsum("i,ai,iacd->cd", w, ctab, Sig)
+        ctab = flow_pairing(model.grid, [f_a], fbs)(r)[:, 0]  # (n+1, A)
+        return -np.einsum("i,ia,iacd->cd", w, ctab, Sig)
 
     # spin observable.  The inner Duhamel layer needs, for every u,
     #   N_V(u) = i int_u^t (B_{a'} . chi_{w-u} V) Sig_{a'}(w) dw;
@@ -293,8 +252,9 @@ def _order1_on_grid(model, obs, t, x, n):
     # frequencies, so it separates in (w, u) and the double quadrature
     # collapses to O(n) suffix integrals per frequency.
     K = T[n] @ s_a @ T[n].conj().T
-    uniq, alpha_b, beta_b = _pair_coeffs(model.grid, bs, bs)
-    _, alpha_f, beta_f = _pair_coeffs(model.grid, bs, fbs)
+    pair_b = flow_pairing(model.grid, bs, bs)
+    pair_f = flow_pairing(model.grid, bs, fbs)
+    uniq = pair_b.omegas
     ug = dt * np.arange(n + 1)
     cg = np.cos(np.outer(uniq, ug))  # (G, n+1)
     sg = np.sin(np.outer(uniq, ug))
@@ -311,15 +271,16 @@ def _order1_on_grid(model, obs, t, x, n):
     rc = rev_cumtrapz(fc)  # int_u^t cos(g w) Sig(w) dw
     rs = rev_cumtrapz(fs)
 
-    def inner(alpha, beta):
+    def inner(pairing):
+        alpha, beta = pairing.alpha, pairing.beta
         t1 = np.einsum("gi,gpa,gipcd->iacd", cg, alpha, rc, optimize=True)
         t2 = np.einsum("gi,gpa,gipcd->iacd", cg, beta, rs, optimize=True)
         t3 = np.einsum("gi,gpa,gipcd->iacd", sg, alpha, rs, optimize=True)
         t4 = np.einsum("gi,gpa,gipcd->iacd", sg, beta, rc, optimize=True)
         return 1j * (t1 + t2 + t3 - t4)
 
-    nb = inner(alpha_b, beta_b)  # (n+1, A, sd, sd)
-    nf = inner(alpha_f, beta_f)
+    nb = inner(pair_b)  # (n+1, A, sd, sd)
+    nf = inner(pair_f)
     cb = nb @ K - K @ nb
     cf = nf @ K - K @ nf
     term = 0.5j * (Sig @ cb - cb @ Sig) - 0.5 * (Sig @ cf + cf @ Sig)
@@ -369,7 +330,8 @@ def _directional_prev(model, obs, jm1, s, y, v, tol, eps=1e-5):
 def _order_high(model, obs, j, t, x, tol):
     """Orders j >= 2: the same Duhamel integral with finite-difference
     tangents of the previous order.  Accurate to the FD floor (~1e-8)."""
-    bs, fbs, sigs, _ = _coupling_list(model)
+    bs = model.coupling_list
+    fbs = [fmap(b) for b in bs]
 
     def on_grid(n):
         T = _propagator_sweep(model, t, x, n)
@@ -381,7 +343,7 @@ def _order_high(model, obs, j, t, x, tol):
             s = t - u
             y = chi_flow_vector(model.grid, u, x)
             phi = np.zeros_like(acc)
-            for b, fb, sig in zip(bs, fbs, sigs):
+            for b, fb, sig in zip(bs, fbs, model.sigmas):
                 db = _directional_prev(model, obs, j - 1, s, y, b, tol * 0.1)
                 df = _directional_prev(model, obs, j - 1, s, y, fb, tol * 0.1)
                 phi += 0.5j * (sig @ db - db @ sig) - 0.5 * (sig @ df + df @ sig)
@@ -405,17 +367,13 @@ class SpinTriple:
     matrices: np.ndarray  # (3, sd, sd)
 
 
-def _site_field(model, lam, u, x) -> np.ndarray:
-    """b_m(u) = beta_m + B_{m x_lam} . chi_u X."""
-    y = chi_flow_vector(model.grid, u, x)
-    return np.array(
-        [model.beta[m] + model.couplings[lam][m].dot(y) for m in range(3)]
-    )
-
-
 def _rotation_endpoint(model, lam, t, x, tol) -> np.ndarray:
+    """R(t) of dR/du = 2 C(b(u)) R, with the site field b_m(u) = beta_m +
+    B_{m x_lam} . chi_u X."""
+    pairing = flow_pairing(model.grid, model.couplings[lam], [x])
+
     def rhs(u, r):
-        return 2.0 * _cross_mat(_site_field(model, lam, u, x)) @ r
+        return 2.0 * _cross_mat(model.beta + pairing(u)[:, 0]) @ r
 
     r, _ = integrate_adaptive(rhs, np.eye(3), 0.0, t, tol, _DT0)
     return np.real(r)
@@ -430,7 +388,7 @@ def bloch_spin0(
     out = []
     for lam in range(model.N):
         r = _rotation_endpoint(model, lam, t, x, tol)
-        sig = np.array(model.spin_ops[lam])
+        sig = model.spin_ops[lam]
         mats = np.einsum("mk,kab->mab", r, sig)
         out.append(SpinTriple(lam=lam + 1, order=0, rotation=r, matrices=mats))
     return out
@@ -452,13 +410,13 @@ class TangentBundleState:
 
 def _rotation_tangent(model, lam, t, x, v, tol):
     """Joint (R, dR) integration of the linearized site-Bloch system."""
+    pairing = flow_pairing(model.grid, model.couplings[lam], [x, v])
 
     def rhs(u, y):
         r, d = y[0], y[1]
-        om = 2.0 * _cross_mat(_site_field(model, lam, u, x))
-        yv = chi_flow_vector(model.grid, u, v)
-        db = np.array([model.couplings[lam][m].dot(yv) for m in range(3)])
-        return np.stack([om @ r, om @ d + 2.0 * _cross_mat(db) @ r])
+        b = pairing(u)  # (3, 2): B_m . chi_u X, B_m . chi_u V
+        om = 2.0 * _cross_mat(model.beta + b[:, 0])
+        return np.stack([om @ r, om @ d + 2.0 * _cross_mat(b[:, 1]) @ r])
 
     y0 = np.stack([np.eye(3), np.zeros((3, 3))])
     y, _ = integrate_adaptive(rhs, y0, 0.0, t, tol, _DT0)
@@ -501,7 +459,7 @@ def tangent_derivatives(
             raise HierarchyError(
                 f"tangent residual breach: {residual:.3e} along |V|={vn:.3e}"
             )
-    sig = np.array(model.spin_ops[lam - 1])
+    sig = model.spin_ops[lam - 1]
     return TangentBundleState(
         lam=lam,
         t=t,
@@ -523,14 +481,14 @@ def _maxwell_sweep(model: Model, t: float, x: PhaseVector, n: int):
     first-order mode amplitudes Z on a uniform grid.
 
     dZ_q = omega Z_p, dZ_p = -omega Z_q, sourced by - sum_a (F B_a) S_a^0(u).
-    The site fields beta + B . chi_u X are tabulated once on the half-step
+    The site fields beta + B . chi_u X are evaluated once on the half-step
     stage grid of the fixed-substep RK4 (substep <= 0.01).
     Returns (R_path (n+1, N, 3, 3), Z_path (n+1, 2, D, sd, sd))."""
     D, sd, N = model.D, model.spin_dim, model.N
     om = model.grid.slot_omegas[:, None]
-    bs, fbs, _, _ = _coupling_list(model)
+    bs = model.coupling_list
     # source weights [F B_a]_q and [F B_a]_p, shape (2, D, A)
-    fqp = np.stack([np.stack([v.q for v in fbs], 1), np.stack([v.p for v in fbs], 1)])
+    fqp = np.stack(stack_vectors([fmap(b) for b in bs])).transpose(0, 2, 1)
 
     r_path = np.empty((n + 1, N, 3, 3))
     r_path[:] = np.eye(3)
@@ -540,10 +498,9 @@ def _maxwell_sweep(model: Model, t: float, x: PhaseVector, n: int):
     sub, dt, stage = _panel_stages(t, n)
 
     # 2 C(b^lam(u)) on the half-step grid, with b_m = beta_m + B_{m x_lam} . chi_u X
-    ctab = _chi_pair_table(model.grid, bs, x, stage)  # (A, n_stages)
-    fields = ctab.T.reshape(-1, N, 3) + np.asarray(model.beta)
-    gen = 2.0 * np.einsum("ijk,snj->snik", _EPS3, fields)
-    sig = np.array(model.spin_ops).reshape(N, 3, sd * sd)
+    fields = model.site_beta + flow_pairing(model.grid, bs, [x])(stage)[:, :, 0]
+    gen = 2.0 * np.einsum("ijk,snj->snik", _EPS3, fields.reshape(-1, N, 3))
+    sig = model.sigmas.reshape(N, 3, sd * sd)
 
     # one flat state [R^1..R^N | Z], so each RK4 combination is one array op
     nr = 9 * N
@@ -667,12 +624,11 @@ def _spin1_on_grid(model, lam, t, x, n):
     r_path = r_all[:, lam]  # (n+1, 3, 3)
     dt = t / n
     w = _trap_weights(n, dt)
-    sig = np.array(model.spin_ops[lam])
+    sig = model.spin_ops[lam]
     bsl = model.couplings[lam]
 
     # radiated-field coupling, symmetrized: eps_{nab} {B^1_a, S^0_b}
-    bq = np.stack([b.q for b in bsl])
-    bp = np.stack([b.p for b in bsl])
+    bq, bp = stack_vectors(bsl)
     b1 = np.einsum("aj,ijcd->iacd", bq, z_path[:, 0]) + np.einsum(
         "aj,ijcd->iacd", bp, z_path[:, 1]
     )
@@ -683,7 +639,8 @@ def _spin1_on_grid(model, lam, t, x, n):
 
     # K(w): same-site contraction of coupling pairings with the rotation
     # transport; pbb[c,m,w-u] = sum_g alpha cos(g(w-u)) + beta sin(g(w-u))
-    uniq, alpha, beta = _pair_coeffs(model.grid, bsl, bsl)
+    pairing = flow_pairing(model.grid, bsl, bsl)
+    uniq, alpha, beta = pairing.omegas, pairing.alpha, pairing.beta
     ug = dt * np.arange(n + 1)
     cg = np.cos(np.outer(uniq, ug))[:, :, None, None, None]  # (G, n+1, 1, 1, 1)
     sg = np.sin(np.outer(uniq, ug))[:, :, None, None, None]

@@ -13,12 +13,22 @@ commutation-seed identity
     sigma(E_mx, B_ny) = grad rho(x - y) . (e_m x e_n)
 
 exact at the discrete level (not quadrature-limited).
+
+One layout serves every layer: Model.sigmas stacks the spin matrices
+sigma_m^[lam] in (lam, m) order, Model.coupling_list flattens the coupling
+vectors B_{m x_lam} in the same order, and the interaction symbol is their
+contraction.  The free-transported pairing L . chi_u R that the hierarchy
+integrates is flow_pairing: per distinct mode frequency (the single
+grouping ModeGrid.frequency_groups, which the oracle's tensor operators
+share) one cosine and one sine coefficient, evaluated at a time or on a
+grid of times.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -145,6 +155,11 @@ class ModeGrid:
     def slot_omegas(self) -> np.ndarray:
         """Frequency per mode slot (each omega repeated 4 times)."""
         return np.repeat(self.omegas, 4)
+
+    @cached_property
+    def frequency_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct slot frequencies w_g and the group index of each slot."""
+        return np.unique(self.slot_omegas, return_inverse=True)
 
 
 def _frame_for(khat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -311,6 +326,19 @@ def minimal_grid_config(
     )
 
 
+def _coupling_kernel(grid: ModeGrid, config: ModelConfig, m: int, x):
+    """Per k-point amplitudes sqrt(w) A (khat x e_m) . eps_a, shape (n, 2),
+    and phases k . x, shape (n, 1), of the magnetic coupling for axis m at x."""
+    if m not in (1, 2, 3):
+        raise ModelError("axis index m must be 1, 2 or 3")
+    om = grid.omegas
+    amp = config.cutoff_fn(om) * np.sqrt(om) * TWO_PI_POW
+    c = np.cross(grid.kpoints / om[:, None], np.eye(3)[m - 1])
+    ca = np.einsum("ij,iaj->ia", c, grid.frames)
+    theta = grid.kpoints @ np.asarray(x, dtype=float)
+    return (np.sqrt(grid.weights) * amp)[:, None] * ca, theta[:, None]
+
+
 def coupling_B(grid: ModeGrid, config: ModelConfig, m: int, x) -> CouplingVector:
     """Projection of the magnetic coupling for axis m at point x onto the grid.
 
@@ -327,51 +355,21 @@ def coupling_B(grid: ModeGrid, config: ModelConfig, m: int, x) -> CouplingVector
     With this encoding the symplectic seed identity against grad rho is
     exact on any grid; no antipodal symmetry of the k-set is needed.
     """
-    if m not in (1, 2, 3):
-        raise ModelError("axis index m must be 1, 2 or 3")
-    x = np.asarray(x, dtype=float)
-    D = grid.D
-    q = np.zeros(D)
-    p = np.zeros(D)
-    em = np.eye(3)[m - 1]
-    for i in range(grid.n_kpoints):
-        k = grid.kpoints[i]
-        om = grid.omegas[i]
-        amp = float(config.cutoff_fn(om)) * np.sqrt(om) * TWO_PI_POW
-        c = np.cross(k / om, em)
-        theta = float(k @ x)
-        sw = np.sqrt(grid.weights[i])
-        for a in range(2):
-            ca = float(c @ grid.frames[i, a])
-            q[4 * i + a] = sw * amp * ca * np.sin(theta)  # cos slot
-            q[4 * i + 2 + a] = -sw * amp * ca * np.cos(theta)  # sin slot
-    return CouplingVector(q, p)
+    amp, theta = _coupling_kernel(grid, config, m, x)
+    q = np.stack([amp * np.sin(theta), -amp * np.cos(theta)], 1)
+    return CouplingVector(q.reshape(-1), np.zeros(grid.D))
 
 
 def coupling_B_gradient(
     grid: ModeGrid, config: ModelConfig, m: int, x
 ) -> list[CouplingVector]:
     """Spatial gradient [d B_{m x} / d x_l for l = 1..3], exact."""
-    x = np.asarray(x, dtype=float)
-    out = []
-    for l in range(3):
-        D = grid.D
-        q = np.zeros(D)
-        p = np.zeros(D)
-        em = np.eye(3)[m - 1]
-        for i in range(grid.n_kpoints):
-            k = grid.kpoints[i]
-            om = grid.omegas[i]
-            amp = float(config.cutoff_fn(om)) * np.sqrt(om) * TWO_PI_POW
-            c = np.cross(k / om, em)
-            theta = float(k @ x)
-            sw = np.sqrt(grid.weights[i])
-            for a in range(2):
-                ca = float(c @ grid.frames[i, a])
-                q[4 * i + a] = sw * amp * ca * np.cos(theta) * k[l]
-                q[4 * i + 2 + a] = sw * amp * ca * np.sin(theta) * k[l]
-        out.append(CouplingVector(q, p))
-    return out
+    amp, theta = _coupling_kernel(grid, config, m, x)
+    q = np.stack([amp * np.cos(theta), amp * np.sin(theta)], 1)
+    return [
+        CouplingVector((q * k[:, None, None]).reshape(-1), np.zeros(grid.D))
+        for k in grid.kpoints.T
+    ]
 
 
 # Helicity sign table: +1 when parity index equals frame index.
@@ -446,6 +444,53 @@ def chi_flow_vector(grid: ModeGrid, t: float, x: PhaseVector) -> PhaseVector:
     return PhaseVector(c * x.q + s * x.p, -s * x.q + c * x.p)
 
 
+def stack_vectors(vectors) -> tuple[np.ndarray, np.ndarray]:
+    """The q and p parts of a sequence of phase vectors as rows, (n, D) each."""
+    return np.stack([v.q for v in vectors]), np.stack([v.p for v in vectors])
+
+
+@dataclass(frozen=True)
+class FlowPairing:
+    """The free-flow pairing of two vector families, split over the distinct
+    mode frequencies w_g:
+
+        left[i] . chi_u right[j] = sum_g alpha[g, i, j] cos(w_g u)
+                                       + beta[g, i, j] sin(w_g u).
+    """
+
+    omegas: np.ndarray  # (G,)
+    alpha: np.ndarray  # (G, n_left, n_right)
+    beta: np.ndarray
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        return np.concatenate([self.alpha, self.beta]).reshape(2 * len(self.omegas), -1)
+
+    def __call__(self, u) -> np.ndarray:
+        """The pairing at time u, shape (n_left, n_right), or at an array of
+        times, shape u.shape + (n_left, n_right)."""
+        ang = np.multiply.outer(u, self.omegas)
+        trig = np.concatenate([np.cos(ang), np.sin(ang)], -1)
+        return (trig @ self._rows).reshape(trig.shape[:-1] + self.alpha.shape[1:])
+
+
+def flow_pairing(grid: ModeGrid, left, right) -> FlowPairing:
+    """FlowPairing of the phase vectors left[i] and right[j] on the grid.
+
+    Per slot, L . chi_u R = cos(w u) (L_q R_q + L_p R_p) + sin(w u) (L_q R_p
+    - L_p R_q); the slots of one frequency group are summed once here."""
+    uniq, group_of = grid.frequency_groups
+    member = (group_of[None, :] == np.arange(len(uniq))[:, None]).astype(float)
+    lq, lp = stack_vectors(left)
+    rq, rp = stack_vectors(right)
+    lq, lp = lq[:, None, :], lp[:, None, :]
+
+    def grouped(slot_terms):  # (n_left, n_right, D) -> (G, n_left, n_right)
+        return np.moveaxis(slot_terms @ member.T, 2, 0)
+
+    return FlowPairing(uniq, grouped(lq * rq + lp * rp), grouped(lq * rp - lp * rq))
+
+
 class Model:
     """Bundle of grid, couplings and spin operators for one configuration."""
 
@@ -463,36 +508,46 @@ class Model:
         self.couplings_E = [
             [apply_helicity(self.grid, b) for b in row] for row in self.couplings
         ]
-        self.spin_ops = [
-            [spin_operator(config.N, lam, m) for m in (1, 2, 3)]
-            for lam in range(1, config.N + 1)
-        ]
+        # sigma_m^[lam] stacked in (lam, m) order; spin_ops[lam-1][m-1] views it
+        self.sigmas = np.array(
+            [
+                spin_operator(config.N, lam, m)
+                for lam in range(1, config.N + 1)
+                for m in (1, 2, 3)
+            ]
+        )
+        self.spin_ops = self.sigmas.reshape(config.N, 3, self.spin_dim, self.spin_dim)
+        # beta_m per (lam, m), the order of sigmas
+        self.site_beta = np.tile(self.beta, config.N)
 
     @property
     def D(self) -> int:
         return self.grid.D
 
+    @property
+    def coupling_list(self) -> list[PhaseVector]:
+        """B_{m x_lam} in (lam, m) order, the order of sigmas."""
+        return [b for row in self.couplings for b in row]
+
     def zero_x(self) -> PhaseVector:
         return PhaseVector.zero(self.D)
 
+    def spin_matrix(self, coefs) -> np.ndarray:
+        """sum_a coefs[..., a] sigma_a over the (lam, m) stack."""
+        coefs = np.asarray(coefs)
+        flat = coefs @ self.sigmas.reshape(len(self.sigmas), -1)
+        return flat.reshape(coefs.shape[:-1] + self.sigmas.shape[1:])
+
     def h_int_symbol(self, x: PhaseVector) -> np.ndarray:
         """H_int(X) = sum_{lam,m} (beta_m + B_{m x_lam} . X) sigma_m^[lam]."""
-        if x.dim != self.D:
-            raise ModelError("dimension mismatch")
-        out = np.zeros((self.spin_dim, self.spin_dim), dtype=complex)
-        for lam in range(self.N):
-            for m in range(3):
-                coef = self.beta[m] + self.couplings[lam][m].dot(x)
-                out += coef * self.spin_ops[lam][m]
-        return out
+        return self.spin_matrix(self.site_beta) + self.dh_int(x)
 
     def dh_int(self, v: PhaseVector) -> np.ndarray:
         """Constant differential of the affine symbol: beta dropped."""
-        out = np.zeros((self.spin_dim, self.spin_dim), dtype=complex)
-        for lam in range(self.N):
-            for m in range(3):
-                out += self.couplings[lam][m].dot(v) * self.spin_ops[lam][m]
-        return out
+        if v.dim != self.D:
+            raise ModelError("dimension mismatch")
+        bq, bp = stack_vectors(self.coupling_list)
+        return self.spin_matrix(bq @ v.q + bp @ v.p)
 
     def q_form(self, t: float, rel_tol: float = 1e-10) -> "QuadFormQ":
         """Quadratic form Q_t(V) = |t| int_0^t |dH_int(chi_s V)|_HS^2 ds.
@@ -512,12 +567,11 @@ class Model:
             s_wts = 0.5 * t * wts
             acc = np.zeros((2 * D, 2 * D))
             for s, ws in zip(s_nodes, s_wts):
-                for lam in range(self.N):
-                    for m in range(3):
-                        # B . chi_s V = (chi_{-s} B) . V
-                        b = chi_flow_vector(self.grid, -s, self.couplings[lam][m])
-                        vec = np.concatenate([b.q, b.p])
-                        acc += ws * np.outer(vec, vec)
+                for b0 in self.coupling_list:
+                    # B . chi_s V = (chi_{-s} B) . V
+                    b = chi_flow_vector(self.grid, -s, b0)
+                    vec = np.concatenate([b.q, b.p])
+                    acc += ws * np.outer(vec, vec)
             return (2**self.N) * abs(t) * acc if t > 0 else -(2**self.N) * abs(t) * acc
 
         order = 8

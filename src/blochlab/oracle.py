@@ -97,6 +97,10 @@ class ObservableSpec:
             if self.m not in (1, 2, 3) or self.x is None:
                 raise ModelError("field observables need axis m and point x")
             object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
+            if self.x.shape != (3,):
+                raise ModelError(
+                    f"field point must have 3 entries, got shape {self.x.shape}"
+                )
         elif self.kind == "spin":
             if self.m not in (1, 2, 3) or self.lam is None or self.lam < 1:
                 raise ModelError(
@@ -145,28 +149,21 @@ class TensorOperators:
 
     def __init__(self, model: Model, basis: FockBasis):
         self.eye = sp.identity(basis.dim, dtype=complex, format="csr")
-        spin_const = sum(
-            model.beta[m] * model.spin_ops[lam][m]
-            for lam in range(model.N)
-            for m in range(3)
-        )
+        spin_const = model.spin_matrix(model.site_beta)
         self.h0 = sp.kron(self.eye, sp.csr_matrix(spin_const), format="csr")
-        # sigma_m^[lam] stacked in (lam, m) order, one row of c each
-        self.sigmas = np.array([op for row in model.spin_ops for op in row])
-        coeffs = np.array([b.q - 1j * b.p for row in model.couplings for b in row])
+        # one row of c per sigma_m^[lam] of model.sigmas, in (lam, m) order
+        coeffs = np.array([b.q - 1j * b.p for b in model.coupling_list])
         self.groups = []  # (omega, k, k_adj, coeff) per coupled frequency group
-        values, group_of = np.unique(model.grid.slot_omegas, return_inverse=True)
+        values, group_of = model.grid.frequency_groups
         for g, w in enumerate(values):
             members = np.nonzero(group_of == g)[0]
             terms = []
-            for lam in range(model.N):
-                for m in range(3):
-                    coeff = coeffs[3 * lam + m]
-                    idx = [j for j in members if coeff[j] != 0]
-                    if not idx:
-                        continue
-                    a_sum = sum(coeff[j] * basis.annihilator(j) for j in idx)
-                    terms.append(sp.kron(a_sum, model.spin_ops[lam][m], format="csr"))
+            for coeff, sigma in zip(coeffs, model.sigmas):
+                idx = [j for j in members if coeff[j] != 0]
+                if not idx:
+                    continue
+                a_sum = sum(coeff[j] * basis.annihilator(j) for j in idx)
+                terms.append(sp.kron(a_sum, sigma, format="csr"))
             if terms:
                 k = sum(terms).tocsr()
                 group_coeff = np.zeros_like(coeffs)
@@ -215,7 +212,7 @@ class Hamiltonian:
         z = (x.q + 1j * x.p) / np.sqrt(2.0 * self.h)
         out = []
         for w, k, k_adj, coeff in self.ops.groups:
-            k_z = np.tensordot(coeff @ z, self.ops.sigmas, axes=1)
+            k_z = self.model.spin_matrix(coeff @ z)
             shift = sp.kron(self.ops.eye, sp.csr_matrix(k_z), format="csr")
             out.append((w, (k + shift).tocsr(), (k_adj + shift.conj().T).tocsr()))
         return out
@@ -254,24 +251,24 @@ class Hamiltonian:
         interaction = self.interaction_operator(0.0, self.model.zero_x())
         return (free + self.h * interaction).tocsr()
 
-    def energy(self, psi: np.ndarray, y: PhaseVector) -> float:
-        """<W(Y) psi, H W(Y) psi> for a single state of shape (dim, s).
+    def energy(self, psi: np.ndarray, y: PhaseVector) -> np.ndarray:
+        """<W(Y) psi_j, H W(Y) psi_j> for each state j of psi, shape (dim, s, n).
 
         W(Y)* H W(Y) = H + Phi_h(omega Y) (x) I + (1/2) sum_j omega_j
         (q_j^2 + p_j^2) + h drive_Y(0), where Phi_h(omega Y) =
         h sum_j omega_j (conj(z_j) a_j + z_j a_j*); at Y = 0 this is <psi, H psi>.
         """
-        state = psi[:, :, None]
+        dim, s, n = psi.shape
         om = self.slot_omegas
         shift = segal_field(self.basis, self.h, PhaseVector(om * y.q, om * y.p))
         hpsi = (
-            self.hph_diag[:, None, None] * state
-            + (shift @ psi)[:, :, None]
-            + self.h * self._interaction_apply(0.0, state, self.displaced_groups(y))
+            self.hph_diag[:, None, None] * psi
+            + (shift @ psi.reshape(dim, s * n)).reshape(psi.shape)
+            + self.h * self._interaction_apply(0.0, psi, self.displaced_groups(y))
         )
         classical = 0.5 * float(om @ (y.q**2 + y.p**2))
-        return float(np.vdot(state, hpsi).real) + classical * float(
-            np.vdot(psi, psi).real
+        return np.einsum("fsn,fsn->n", psi.conj(), hpsi).real + classical * np.sum(
+            np.abs(psi) ** 2, axis=(0, 1)
         )
 
     def free_phases(self, t: float) -> np.ndarray:

@@ -28,7 +28,12 @@ from blochlab.harness import (
     write_json,
 )
 from blochlab.hierarchy import PHOTON_RATE_SIGN
-from blochlab.model import PhaseVector, minimal_grid_config, polarization_project
+from blochlab.model import (
+    ModelError,
+    PhaseVector,
+    minimal_grid_config,
+    polarization_project,
+)
 from blochlab.oracle import ObservableSpec
 
 
@@ -81,6 +86,21 @@ class TestPlan:
         assert all(f["status"] == "pass" for f in report.fits)
         assert report.passed
         assert all(c.hygiene["cutoff"] <= 8 for c in report.cells)
+
+    def test_spin_site_out_of_range(self):
+        # the desk model has one spin; site 2 used to raise IndexError mid-sweep
+        with pytest.raises(HarnessError, match="site 2"):
+            ExperimentPlan.from_dict(
+                small_plan_dict(observables=[{"kind": "spin", "axis": 1, "spin": 2}])
+            )
+
+    @pytest.mark.parametrize(
+        "point", [[0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [[0.0, 0.0, 0.0]]]
+    )
+    def test_field_point_needs_three_entries(self, point):
+        obs = [{"kind": "field_B", "axis": 2, "point": point}]
+        with pytest.raises(ModelError, match="3 entries"):
+            ExperimentPlan.from_dict(small_plan_dict(observables=obs))
 
     def test_random_samples_deterministic(self):
         a = ExperimentPlan.from_dict(small_plan_dict())
@@ -209,6 +229,26 @@ class TestConvergence:
         assert fit["status"] == "exact"
         assert fit["slope"] is None
         assert fit["max_error"] <= 1e-8
+
+    def test_time_zero_group_exact(self):
+        # U(0) = I: the t = 0 cells are the exact symbols up to rounding
+        # (number_rate about 1e-18), so they are reported like zero coupling
+        d = small_plan_dict(
+            n_max=8,
+            t=[0.0, 1.0],
+            observables=default_plan_dict()["observables"] + [{"kind": "number_rate"}],
+        )
+        report = run_convergence(ExperimentPlan.from_dict(d))
+        assert report.passed
+        assert len(report.fits) == 12
+        for c in report.cells:
+            assert c.status == ("exact" if c.t == 0.0 else "ok")
+        for f in report.fits:
+            if f["t"] == 0.0:
+                assert f["status"] == "exact" and f["slope"] is None
+                assert f["max_error"] <= 1e-8
+            else:
+                assert f["status"] == "pass"
 
     def test_truncation_failures_recorded_not_fitted(self):
         # a cap of one fluctuation photon leaks above the tail tolerance at

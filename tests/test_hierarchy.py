@@ -17,7 +17,6 @@ from blochlab.hierarchy import (
     _cross_mat,
     _maxwell_sweep,
     _propagator_sweep,
-    _site_field,
     _spin1_on_grid,
     _trap_weights,
     bloch_spin0,
@@ -371,9 +370,14 @@ def _maxwell_reference(model, t, x, n):
     sub = max(1, int(np.ceil(abs(t / n) / 0.01)))
     dt = t / n / sub
 
+    def site_field(lam, u):
+        # beta_m + B_{m x_lam} . chi_u X, through the free flow itself
+        y = chi_flow_vector(model.grid, u, x)
+        return model.beta + np.array([b.dot(y) for b in model.couplings[lam]])
+
     def rhs(u, rr, zz):
         drr = np.stack(
-            [2.0 * _cross_mat(_site_field(model, lam, u, x)) @ rr[lam] for lam in range(N)]
+            [2.0 * _cross_mat(site_field(lam, u)) @ rr[lam] for lam in range(N)]
         )
         s_mats = np.stack(
             [

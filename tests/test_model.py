@@ -13,6 +13,7 @@ from blochlab.model import (
     chi_flow_vector,
     coupling_B,
     coupling_B_gradient,
+    flow_pairing,
     fmap,
     minimal_grid_config,
     polarization_project,
@@ -326,6 +327,45 @@ class TestFlow:
         b = chi_flow_vector(g, 1.1, x)
         np.testing.assert_allclose(a.q, b.q, atol=1e-13)
         np.testing.assert_allclose(a.p, b.p, atol=1e-13)
+
+
+class TestFlowPairing:
+    """The grouped cosine/sine pairing against the free flow and a dot."""
+
+    def _vectors(self, rng, D, n):
+        return [random_phase_vector(rng, D) for _ in range(n)]
+
+    def _reference(self, grid, left, right, u):
+        return np.array(
+            [[l.dot(chi_flow_vector(grid, u, r)) for r in right] for l in left]
+        )
+
+    def test_groups(self, octa_model):
+        g = octa_model.grid
+        uniq, group_of = g.frequency_groups
+        assert len(uniq) == 2
+        np.testing.assert_array_equal(uniq[group_of], g.slot_omegas)
+
+    def test_scalar_times(self, octa_model, rng):
+        g = octa_model.grid
+        left, right = self._vectors(rng, g.D, 3), self._vectors(rng, g.D, 2)
+        pairing = flow_pairing(g, left, right)
+        assert np.max(np.abs(pairing.beta)) > 0.1  # sine terms present
+        for u in (0.0, 0.37, -1.2, 4.0):
+            got = pairing(u)
+            assert got.shape == (3, 2)
+            ref = self._reference(g, left, right, u)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
+
+    def test_array_times(self, octa_model, rng):
+        g = octa_model.grid
+        left, right = self._vectors(rng, g.D, 2), self._vectors(rng, g.D, 3)
+        times = np.linspace(-2.0, 3.0, 7)
+        got = flow_pairing(g, left, right)(times)
+        assert got.shape == (7, 2, 3)
+        for u, row in zip(times, got):
+            ref = self._reference(g, left, right, u)
+            np.testing.assert_allclose(row, ref, rtol=0, atol=1e-13)
 
 
 class TestQForm:
