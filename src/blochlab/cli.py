@@ -32,9 +32,7 @@ def _load_plan(path: str) -> ExperimentPlan:
     return ExperimentPlan.from_file(path)
 
 
-def _emit(report, plan: ExperimentPlan | None, json_override=None, csv_override=None):
-    json_path = json_override or (plan.json_path if plan else None)
-    csv_path = csv_override or (plan.csv_path if plan else None)
+def _emit(report, json_path, csv_path=None):
     if json_path:
         write_json(report, json_path)
         print(f"wrote {json_path}")
@@ -65,7 +63,7 @@ def _report_convergence(plan: ExperimentPlan, args, command: str) -> int:
             f"{f['status']:>6s}  {f['observable']:30s} t={f['t']:g} "
             f"{f['X_id']} M={f['M']}  slope {slope}"
         )
-    _emit(report, plan, args.json, args.csv)
+    _emit(report, args.json or plan.json_path, args.csv or plan.csv_path)
     print(f"{command}:", "PASS" if report.passed else "FAIL")
     return 0 if report.passed else 1
 
@@ -104,7 +102,8 @@ def _cmd_crosscheck(args) -> int:
     for e in report.hygiene:
         mark = "PASS" if e["passed"] else "FAIL"
         print(f"{mark}  {e['check']:22s} residual {e['residual']:.3e}")
-    _emit(report, plan, args.json, None)
+    # the plan's output paths hold its converge record: write only --json
+    _emit(report, args.json)
     print("crosscheck:", "PASS" if report.passed else "FAIL")
     return 0 if report.passed else 1
 

@@ -27,10 +27,23 @@ on the half-step stage grid and run blochlab.stepper.integrate_panels; the
 adaptive integrations (propagator_G, the order-0 rotations and their
 tangents) evaluate the pairing inside the right-hand side and run
 blochlab.stepper.integrate_adaptive with a first step of 1e-2.
+
+Every first-order object at a point (t, X) reads the same grid sweeps, so
+a shared_sweeps(model, t, X) scope integrates each sweep (kind, n) once
+and hands the stored, read-only arrays to every later consumer at that
+(t, X): the spin and field order_j calls of all axes, spin_correction1 of
+every site and first_order_modes.  A sweep for another model, t or X (the
+inner points of _order_high) integrates as usual.  The table lives in a
+context variable, so each pool thread has its own, and it is dropped when
+the scope exits; compute_hierarchy and each t job of run_crosscheck open
+one.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +156,43 @@ def _panel_stages(t: float, n: int):
     return sub, dt, 0.5 * dt * np.arange(2 * n * sub + 1)
 
 
+# (model, t, X, {(kind, n): sweep}) of the innermost shared_sweeps scope
+_SWEEPS = contextvars.ContextVar("blochlab_hierarchy_sweeps", default=None)
+
+
+@contextmanager
+def shared_sweeps(model: Model, t: float, x: PhaseVector):
+    """Integrate each grid sweep of (model, t, X) at most once per n inside
+    the block.  Model and X are matched by identity."""
+    token = _SWEEPS.set((model, t, x, {}))
+    try:
+        yield
+    finally:
+        _SWEEPS.reset(token)
+
+
+def _shared(sweep):
+    """Serve sweep(model, t, x, n) from the open scope's table, integrating
+    on a miss; a call for another model, t or X bypasses the table.  The
+    returned arrays are read-only, since later consumers read them too."""
+
+    @functools.wraps(sweep)
+    def lookup(model, t, x, n):
+        scope = _SWEEPS.get()
+        hit = scope and scope[0] is model and scope[1] == t and scope[2] is x
+        table = scope[3] if hit else {}
+        key = (sweep.__name__, n)
+        if key not in table:
+            out = sweep(model, t, x, n)
+            for a in out if isinstance(out, tuple) else (out,):
+                a.setflags(write=False)
+            table[key] = out
+        return table[key]
+
+    return lookup
+
+
+@_shared
 def _propagator_sweep(model: Model, t: float, x: PhaseVector, n: int) -> np.ndarray:
     """G(u_i, 0, X) on the uniform grid u_i = i t / n, shape (n+1, sd, sd).
 
@@ -476,6 +526,7 @@ def tangent_derivatives(
 # sourced Maxwell cross-check
 
 
+@_shared
 def _maxwell_sweep(model: Model, t: float, x: PhaseVector, n: int):
     """Jointly integrate per-site rotations R^mu and the matrix-valued
     first-order mode amplitudes Z on a uniform grid.
@@ -779,12 +830,13 @@ def compute_hierarchy(
     tol: float = 1e-7,
 ) -> HierarchyResult:
     """Orders 0..M of the evolved-symbol expansion for one observable."""
-    if obs.kind == "number_rate":
-        orders = photon_rate_expansion(model, t, x, M, tol=tol)
-    else:
-        orders = [order0(model, obs, t, x, tol=min(tol, 1e-9))]
-        for j in range(1, M + 1):
-            orders.append(order_j(model, obs, j, t, x, tol=tol))
+    with shared_sweeps(model, t, x):
+        if obs.kind == "number_rate":
+            orders = photon_rate_expansion(model, t, x, M, tol=tol)
+        else:
+            orders = [order0(model, obs, t, x, tol=min(tol, 1e-9))]
+            for j in range(1, M + 1):
+                orders.append(order_j(model, obs, j, t, x, tol=tol))
     grid_id = f"D{model.D}:K{model.grid.n_kpoints}"
     meta = {
         "tol": tol,

@@ -349,6 +349,44 @@ class TestCrosscheck:
         assert all(e["deviation"] <= 1e-6 for e in report.entries)
         assert all(e["residual"] <= 1e-6 for e in report.hygiene)
 
+    def test_deterministic_across_workers(self, monkeypatch):
+        # each pool thread opens its own sweep table for its t sample
+        plan = ExperimentPlan.from_dict(small_plan_dict(t=[0.5, 1.0, 1.5]))
+        blobs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("BLOCHLAB_WORKERS", workers)
+            blobs.append(json.dumps(run_crosscheck(plan).to_dict(), sort_keys=True))
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("field", ["div_b_residual", "div_e_residual"])
+    def test_divergence_residuals_gate(self, monkeypatch, field):
+        real = blochlab.harness.maxwell_cross_check
+
+        def leaky(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), **{field: 1e-3})
+
+        monkeypatch.setattr(blochlab.harness, "maxwell_cross_check", leaky)
+        report = run_crosscheck(ExperimentPlan.from_dict(small_plan_dict(t=[0.5])))
+        failed = [e["check"] for e in report.entries if not e["passed"]]
+        assert failed == ["field-order1"]
+        assert not report.passed
+
+
+class TestCrosscheckCommand:
+    def test_leaves_the_plan_outputs_alone(self, tmp_path):
+        # as for `photon`, the plan's output paths hold its converge record
+        json_out, csv_out = tmp_path / "plan.json", tmp_path / "plan.csv"
+        output = {"json": str(json_out), "csv": str(csv_out)}
+        d = small_plan_dict(t=[0.5], output=output)
+        plan_path = tmp_path / "plan_in.json"
+        plan_path.write_text(json.dumps(d))
+        assert cli.main(["crosscheck", str(plan_path)]) == 0
+        assert not json_out.exists() and not csv_out.exists()
+        given = tmp_path / "crosscheck.json"
+        assert cli.main(["crosscheck", str(plan_path), "--json", str(given)]) == 0
+        assert json.loads(given.read_text())["kind"] == "crosscheck"
+        assert not json_out.exists() and not csv_out.exists()
+
 
 class TestTraceTargets:
     def test_wrapped_targets_resolve(self, monkeypatch):

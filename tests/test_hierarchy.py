@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import blochlab.hierarchy as hierarchy
 from blochlab.hierarchy import (
     _EPS3,
     HierarchyError,
@@ -27,6 +28,7 @@ from blochlab.hierarchy import (
     order_j,
     photon_rate_expansion,
     propagator_G,
+    shared_sweeps,
     spin_correction1,
     tangent_derivatives,
 )
@@ -494,6 +496,96 @@ class TestGridKernels:
         np.testing.assert_array_equal(z, 0.0)
         for trip in spin_correction1(octa_model, 0.0, x):
             np.testing.assert_array_equal(trip.matrices, 0.0)
+
+
+class TestSharedSweeps:
+    """A shared_sweeps scope integrates each grid sweep (kind, n) of its
+    (t, X) once and serves the stored arrays to every consumer, on two
+    sites, two frequency groups and cross-site sine terms."""
+
+    T = 0.7
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        # (kind, n) of every integrated sweep: the propagator sweep steps a
+        # (sd, sd) matrix, the Maxwell sweep one flat state vector
+        seen = []
+        real = hierarchy.integrate_panels
+
+        def counting(rhs, y0, n, sub, dt, at_node):
+            seen.append(("propagator" if y0.ndim == 2 else "maxwell", n))
+            return real(rhs, y0, n, sub, dt, at_node)
+
+        monkeypatch.setattr(hierarchy, "integrate_panels", counting)
+        return seen
+
+    @staticmethod
+    def _consumers(model, t, x):
+        spin = ObservableSpec(kind="spin", m=1, lam=2)
+        field = ObservableSpec(kind="field_B", m=2, x=np.array([0.3, -0.1, 0.2]))
+        mx = maxwell_cross_check(model, t, x, tol=1e-5)
+        return [
+            order_j(model, spin, 1, t, x, tol=1e-6),
+            order_j(model, field, 1, t, x, tol=1e-6),
+            np.stack([s.matrices for s in spin_correction1(model, t, x, tol=1e-5)]),
+            np.array([mx.max_rel_dev, mx.div_b_residual, mx.div_e_residual]),
+        ]
+
+    def test_bitwise_equal_and_each_sweep_once(self, octa_model, rng, calls):
+        x = random_phase_vector(rng, octa_model.D, scale=0.5)
+        outside = self._consumers(octa_model, self.T, x)
+        assert len(calls) > len(set(calls))  # without a scope, sweeps repeat
+        calls.clear()
+        with shared_sweeps(octa_model, self.T, x):
+            inside = self._consumers(octa_model, self.T, x)
+            assert len(calls) == len(set(calls))
+            kinds = {kind for kind, _ in calls}
+            assert kinds == {"propagator", "maxwell"}
+            # a second round is served entirely from the table
+            n_calls = len(calls)
+            again = self._consumers(octa_model, self.T, x)
+            assert len(calls) == n_calls
+        for a, b, c in zip(outside, inside, again):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a, c)
+
+    def test_other_point_bypasses(self, octa_model, rng, calls):
+        x = random_phase_vector(rng, octa_model.D, scale=0.5)
+        twin = PhaseVector(x.q.copy(), x.p.copy())
+        other = copy.copy(octa_model)
+        with shared_sweeps(octa_model, self.T, x):
+            for _ in range(2):
+                _propagator_sweep(octa_model, self.T, x, 16)
+                _propagator_sweep(octa_model, 0.5, x, 16)
+                _propagator_sweep(octa_model, self.T, twin, 16)
+                _propagator_sweep(other, self.T, x, 16)
+                _maxwell_sweep(octa_model, self.T, x, 16)
+                _maxwell_sweep(octa_model, 0.5, x, 16)
+        assert calls.count(("propagator", 16)) == 1 + 2 * 3
+        assert calls.count(("maxwell", 16)) == 1 + 2
+
+    def test_stored_arrays_read_only(self, octa_model, rng):
+        x = random_phase_vector(rng, octa_model.D, scale=0.5)
+        with shared_sweeps(octa_model, self.T, x):
+            g = _propagator_sweep(octa_model, self.T, x, 16)
+            r, z = _maxwell_sweep(octa_model, self.T, x, 16)
+            for a in (g, r, z, r[:, 1]):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0.0
+
+    def test_table_dropped_on_exit(self, octa_model, rng, calls):
+        x = random_phase_vector(rng, octa_model.D, scale=0.5)
+        with shared_sweeps(octa_model, self.T, x):
+            inner = _propagator_sweep(octa_model, self.T, x, 16)
+            assert _propagator_sweep(octa_model, self.T, x, 16) is inner
+        assert hierarchy._SWEEPS.get() is None
+        after = _propagator_sweep(octa_model, self.T, x, 16)
+        assert after is not inner and len(calls) == 2
+        np.testing.assert_array_equal(after, inner)
+        with pytest.raises(RuntimeError):
+            with shared_sweeps(octa_model, self.T, x):
+                raise RuntimeError
+        assert hierarchy._SWEEPS.get() is None
 
 
 class TestPhotonExpansion:
