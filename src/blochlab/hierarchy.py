@@ -22,11 +22,15 @@ nodes, refined by doubling.  Their pairing kernels separate in the two
 time arguments, so the order-1 recursion reduces its inner layer to
 suffix integrals and the Bloch correction its tangent contraction to
 prefix integrals, each O(n) per grid.  The fixed-substep RK4 sweeps that
-feed them (_propagator_sweep, _maxwell_sweep) evaluate their site fields
-on the half-step stage grid and run blochlab.stepper.integrate_panels; the
-adaptive integrations (propagator_G, the order-0 rotations and their
-tangents) evaluate the pairing inside the right-hand side and run
-blochlab.stepper.integrate_adaptive with a first step of 1e-2.
+feed them (_propagator_sweep, _maxwell_sweep) integrate linear systems:
+they evaluate their generators on the half-step stage grid and take every
+substep as an RK4 transfer map (blochlab.stepper.rk4_transfer), so a sweep
+multiplies small matrices instead of calling a right-hand side.  The
+Maxwell sweep's mode amplitudes are one recurrence per frequency group,
+summed for all substeps at once.  The adaptive integrations (propagator_G,
+the order-0 rotations and their tangents) evaluate the pairing inside the
+right-hand side and run blochlab.stepper.integrate_adaptive with a first
+step of 1e-2.
 
 Every first-order object at a point (t, X) reads the same grid sweeps, so
 a shared_sweeps(model, t, X) scope integrates each sweep (kind, n) once
@@ -61,7 +65,7 @@ from blochlab.model import (
     stack_vectors,
 )
 from blochlab.oracle import ObservableSpec, field_coupling
-from blochlab.stepper import PropagationLog, integrate_adaptive, integrate_panels
+from blochlab.stepper import PropagationLog, integrate_adaptive, rk4_transfer
 from blochlab.symbols import c1_cross
 
 
@@ -156,6 +160,14 @@ def _panel_stages(t: float, n: int):
     return sub, dt, 0.5 * dt * np.arange(2 * n * sub + 1)
 
 
+def _panel_split(table, n, sub):
+    """Start, middle and end stages of every substep from a half-step stage
+    table, each of shape (n, sub, ...): stage j of substep k in panel i is
+    2 (i sub + k) + {0, 1, 2}."""
+    shape = (n, sub) + table.shape[1:]
+    return tuple(table[j : j + 2 * n * sub : 2].reshape(shape) for j in range(3))
+
+
 # (model, t, X, {(kind, n): sweep}) of the innermost shared_sweeps scope
 _SWEEPS = contextvars.ContextVar("blochlab_hierarchy_sweeps", default=None)
 
@@ -210,13 +222,16 @@ def _propagator_sweep(model: Model, t: float, x: PhaseVector, n: int) -> np.ndar
     # H_int(chi_u X) on the half-step grid, assembled in one vectorized pass
     pairing = flow_pairing(model.grid, model.coupling_list, [x])
     h_stage = model.spin_matrix(model.site_beta + pairing(stage)[:, :, 0])
-
-    def at_node(i, g):
-        g = _polar_project(g)
+    # dG/du = G (i H) steps as G -> G psi, psi the transposed transfer map
+    # of the transposed generator; then the substep product of each panel
+    phi, _ = rk4_transfer(*_panel_split(1j * h_stage.swapaxes(1, 2), n, sub), dt)
+    psi = phi.swapaxes(-1, -2)
+    panel = psi[:, 0]
+    for k in range(1, sub):
+        panel = panel @ psi[:, k]
+    for i in range(n):
+        g = _polar_project(g @ panel[i])
         out[i + 1] = g
-        return g
-
-    integrate_panels(lambda j, g: 1j * (g @ h_stage[j]), g, n, sub, dt, at_node)
     return out
 
 
@@ -301,6 +316,7 @@ def _order1_on_grid(model, obs, t, x, n):
     # the pairing kernel is a finite cosine/sine sum over the distinct mode
     # frequencies, so it separates in (w, u) and the double quadrature
     # collapses to O(n) suffix integrals per frequency.
+    sd = model.spin_dim
     K = T[n] @ s_a @ T[n].conj().T
     pair_b = flow_pairing(model.grid, bs, bs)
     pair_f = flow_pairing(model.grid, bs, fbs)
@@ -321,16 +337,17 @@ def _order1_on_grid(model, obs, t, x, n):
     rc = rev_cumtrapz(fc)  # int_u^t cos(g w) Sig(w) dw
     rs = rev_cumtrapz(fs)
 
-    def inner(pairing):
-        alpha, beta = pairing.alpha, pairing.beta
-        t1 = np.einsum("gi,gpa,gipcd->iacd", cg, alpha, rc, optimize=True)
-        t2 = np.einsum("gi,gpa,gipcd->iacd", cg, beta, rs, optimize=True)
-        t3 = np.einsum("gi,gpa,gipcd->iacd", sg, alpha, rs, optimize=True)
-        t4 = np.einsum("gi,gpa,gipcd->iacd", sg, beta, rc, optimize=True)
-        return 1j * (t1 + t2 + t3 - t4)
-
-    nb = inner(pair_b)  # (n+1, A, sd, sd)
-    nf = inner(pair_f)
+    # N_V(u) = i sum_g,p alpha[g,p,a] (cos rc + sin rs) + beta[g,p,a] (cos rs
+    # - sin rc): the stacked [cos; sin] rows against the stacked [alpha;
+    # beta] of both pairings, one product for the pair
+    c5, s5 = cg[:, :, None, None, None], sg[:, :, None, None, None]
+    rows = np.concatenate([c5 * rc + s5 * rs, c5 * rs - s5 * rc])  # (2G, n+1, A, sd, sd)
+    rows = rows.transpose(1, 3, 4, 0, 2).reshape((n + 1) * sd * sd, -1)
+    coef = np.concatenate(
+        [np.concatenate([p.alpha, p.beta]) for p in (pair_b, pair_f)], axis=2
+    )  # (2G, A, 2A)
+    both = rows @ coef.reshape(rows.shape[1], -1)  # ((n+1) sd^2, 2A)
+    nb, nf = 1j * both.reshape(n + 1, sd, sd, 2, -1).transpose(3, 0, 4, 1, 2)
     cb = nb @ K - K @ nb
     cf = nf @ K - K @ nf
     term = 0.5j * (Sig @ cb - cb @ Sig) - 0.5 * (Sig @ cf + cf @ Sig)
@@ -533,13 +550,13 @@ def _maxwell_sweep(model: Model, t: float, x: PhaseVector, n: int):
 
     dZ_q = omega Z_p, dZ_p = -omega Z_q, sourced by - sum_a (F B_a) S_a^0(u).
     The site fields beta + B . chi_u X are evaluated once on the half-step
-    stage grid of the fixed-substep RK4 (substep <= 0.01).
+    stage grid of the fixed-substep RK4 (substep <= 0.01), and the RK4 steps
+    of the joint linear system are taken as transfer maps.
     Returns (R_path (n+1, N, 3, 3), Z_path (n+1, 2, D, sd, sd))."""
     D, sd, N = model.D, model.spin_dim, model.N
-    om = model.grid.slot_omegas[:, None]
     bs = model.coupling_list
     # source weights [F B_a]_q and [F B_a]_p, shape (2, D, A)
-    fqp = np.stack(stack_vectors([fmap(b) for b in bs])).transpose(0, 2, 1)
+    fq, fp = np.stack(stack_vectors([fmap(b) for b in bs])).transpose(0, 2, 1)
 
     r_path = np.empty((n + 1, N, 3, 3))
     r_path[:] = np.eye(3)
@@ -547,35 +564,52 @@ def _maxwell_sweep(model: Model, t: float, x: PhaseVector, n: int):
     if t == 0.0 or n == 0:
         return r_path, z_path
     sub, dt, stage = _panel_stages(t, n)
+    steps = n * sub
 
     # 2 C(b^lam(u)) on the half-step grid, with b_m = beta_m + B_{m x_lam} . chi_u X
     fields = model.site_beta + flow_pairing(model.grid, bs, [x])(stage)[:, :, 0]
     gen = 2.0 * np.einsum("ijk,snj->snik", _EPS3, fields.reshape(-1, N, 3))
+    phi, maps = rk4_transfer(*_panel_split(gen, n, sub), dt)
+
+    # R: one 3x3 product per site and substep
+    phi = phi.reshape(steps, N, 3, 3)
+    r = np.empty((steps + 1, N, 3, 3))
+    r[0] = np.eye(3)
+    for k in range(steps):
+        np.matmul(phi[k], r[k], out=r[k + 1])
+    r_path[1:] = r[sub::sub]
+
+    # Z, per frequency group on W = Z_q + i Z_p: W' = (x / dt) W - src(R),
+    # x = -i w_g dt, src = (F B)_{q + i p} S(R) linear in R.  One RK4 step is
+    # W -> mu(x) W - dt/6 sum_i c_i(x) src(y_i) over the stage states y_i of
+    # R, with mu = 1 + x + x^2/2 + x^3/6 + x^4/24 and
+    # c = (1 + x + x^2/2 + x^3/4, 2 + x + x^2/2, 2 + x, 1).  The stages are
+    # combined, and the recurrence summed, in rotation space; the spin
+    # matrices and mode weights enter only at the nodes.
+    y1 = r[:steps]
+    y2, y3, y4 = (m.reshape(steps, N, 3, 3) @ y1 for m in maps)
+    uniq, group_of = model.grid.frequency_groups
+    xg = (-1j * dt * uniq)[:, None, None, None, None]
+    comb = y1 / 4 * xg + (y1 + y2) / 2
+    comb = (comb * xg + (y1 + y2 + y3)) * xg + (y1 + 2 * (y2 + y3) + y4)
+    mu = 1 + xg * (1 + xg * (1 / 2 + xg * (1 / 6 + xg / 24)))
+    # a_{k+1} = mu a_k + comb_k by recursive doubling: the partial sums only
+    # ever carry powers of mu, |mu| <= 1, so no weight grows
+    span, power = 1, mu
+    while span < steps:
+        comb[:, span:] += power * comb[:, :-span]
+        span, power = 2 * span, power * power
+    acc = dt / 6 * comb[:, sub - 1 :: sub]  # (G, n, N, 3, 3)
+    # Z_q = -(F B)_q S(Re acc) + (F B)_p S(Im acc),
+    # Z_p = -(F B)_p S(Re acc) - (F B)_q S(Im acc), one real product per group
     sig = model.sigmas.reshape(N, 3, sd * sd)
-
-    # one flat state [R^1..R^N | Z], so each RK4 combination is one array op
-    nr = 9 * N
-    state = np.zeros(nr + 2 * D * sd * sd, dtype=complex)
-    state[:nr] = np.tile(np.eye(3).ravel(), N)
-
-    def rhs(j, y):
-        rr = y[:nr].reshape(N, 3, 3)
-        zz = y[nr:].reshape(2, D, sd * sd)
-        dy = np.empty_like(y)
-        dy[:nr] = (gen[j] @ rr).ravel()
-        dz = dy[nr:].reshape(2, D, sd * sd)
-        dz[0] = om * zz[1]
-        dz[1] = -om * zz[0]
-        # spin matrices S_a(u) = sum_k R^lam[m, k] sigma_k^[lam], flattened
-        dz -= fqp @ (rr @ sig).reshape(-1, sd * sd)
-        return dy
-
-    def at_node(i, y):
-        r_path[i + 1] = np.real(y[:nr]).reshape(N, 3, 3)
-        z_path[i + 1] = y[nr:].reshape(2, D, sd, sd)
-        return y
-
-    integrate_panels(rhs, state, n, sub, dt, at_node)
+    weights = np.stack([np.hstack([-fq, fp]), np.hstack([-fp, -fq])])  # (2, D, 2A)
+    for g in range(len(uniq)):
+        parts = np.stack([acc[g].real @ sig, acc[g].imag @ sig])  # (2, n, N, 3, sd^2)
+        rows = parts.reshape(2, n, 3 * N, -1).transpose(0, 2, 1, 3).reshape(6 * N, -1)
+        modes = group_of == g
+        zg = (weights[:, modes].reshape(-1, 6 * N) @ rows.view(float)).view(complex)
+        z_path[1:, :, modes] = zg.reshape(2, -1, n, sd, sd).transpose(2, 0, 1, 3, 4)
     return r_path, z_path
 
 
@@ -780,13 +814,14 @@ def photon_rate_expansion(
             # C^0(E^0, S^1)
             n1 += PHOTON_RATE_SIGN * e0 * spins1[lam].matrices[m]
             # C^1(E^0, S^0): the polarized field is affine in X with
-            # gradient along the transported coupling
+            # gradient along the transported coupling.  Only dS is read, so
+            # the tangent skips tangent_derivatives' finite-difference probe;
+            # run_crosscheck's tangent-fd-residual hygiene check runs it
             wvec = chi_flow_vector(model.grid, -t, fb)
 
             def dg(z, v):
-                return tangent_derivatives(
-                    model, lam + 1, 0, v, t, z, tol=min(tol, 1e-8)
-                ).dS[m]
+                _, d = _rotation_tangent(model, lam, t, z, v, min(tol, 1e-8))
+                return np.einsum("mk,kab->mab", d, model.spin_ops[lam])[m]
 
             n1 += c1_cross([(wvec, PHOTON_RATE_SIGN * eye)], dg, x, side="left")
     orders.append(n1)

@@ -1,4 +1,5 @@
-"""The one classical RK4 of the package, in two loops.
+"""The one classical RK4 of the package: an adaptive loop and, for linear
+systems, its transfer maps.
 
 integrate_adaptive is step doubling with local Richardson error control:
 each attempted step compares one RK4 step with two half steps, accepts when
@@ -7,10 +8,10 @@ extrapolated value and doubles the step after a very accurate one.  The
 oracle and the hierarchy's adaptive integrations use it, each with its own
 first step dt0.
 
-integrate_panels is the fixed-substep loop of the hierarchy's grid sweeps:
-n panels of sub RK4 substeps each, with the right-hand side evaluated on a
-table of half-step stages, so stage j of substep k in panel i is
-2 (i sub + k) + {0, 1, 2}.
+rk4_transfer writes the same step on a linear system y' = A(u) y as a
+matrix, y -> Phi y, for a whole stack of steps in one batched product
+chain.  The hierarchy's fixed-substep grid sweeps use it: they tabulate A
+on the half-step stage grid once and then only multiply matrices.
 """
 
 from __future__ import annotations
@@ -105,17 +106,23 @@ def integrate_adaptive(rhs, y0, t0, t1, tol, dt0, postprocess=None):
     return y, log
 
 
-def integrate_panels(rhs, y0, n, sub, dt, at_node):
-    """n panels of sub fixed RK4 substeps of length dt from y0.
+def rk4_transfer(a0, ah, a1, dt):
+    """Transfer maps of RK4 steps of length dt on the linear y' = A(u) y.
 
-    rhs(j, y) evaluates the derivative at half-step stage j.  After panel i
-    the state goes through at_node(i, y), which records it and returns the
-    state to continue from.
+    a0, ah and a1 hold A at the start, middle and end of each step, stacked
+    over any leading axes.  Returns (phi, (m2, m3, m4)): the step takes y to
+    phi y, and _rk4 evaluates its right-hand sides at the stage states y,
+    m2 y, m3 y and m4 y.  This is _rk4's arithmetic on A y, regrouped:
+
+        B2 = Ah m2,  B3 = Ah m3,  B4 = A1 m4,
+        m2 = I + dt/2 A0,  m3 = I + dt/2 B2,  m4 = I + dt B3,
+        phi = I + dt/6 (A0 + 2 B2 + 2 B3 + B4).
     """
-    y = y0
-    for i in range(n):
-        for k in range(sub):
-            j = 2 * (i * sub + k)
-            y = _rk4(rhs, y, dt, j, j + 1, j + 2)
-        y = at_node(i, y)
-    return y
+    eye = np.eye(a0.shape[-1])
+    m2 = eye + dt / 2 * a0
+    b2 = ah @ m2
+    m3 = eye + dt / 2 * b2
+    b3 = ah @ m3
+    m4 = eye + dt * b3
+    phi = eye + dt / 6 * (a0 + 2 * b2 + 2 * b3 + a1 @ m4)
+    return phi, (m2, m3, m4)

@@ -17,6 +17,7 @@ from blochlab.hierarchy import (
     _contract_field,
     _cross_mat,
     _maxwell_sweep,
+    _polar_project,
     _propagator_sweep,
     _spin1_on_grid,
     _trap_weights,
@@ -42,6 +43,7 @@ from blochlab.model import (
     symplectic_form,
 )
 from blochlab.oracle import ObservableSpec
+from blochlab.stepper import _rk4
 from conftest import random_phase_vector
 
 
@@ -357,6 +359,35 @@ class TestDualPaths:
         assert rep.max_rel_dev == 0.0 or rep.passed
 
 
+def _site_fields(model, x, u):
+    """beta_m + B_{m x_lam} . chi_u X in (lam, m) order, through the free flow
+    itself."""
+    y = chi_flow_vector(model.grid, u, x)
+    return model.site_beta + np.array([b.dot(y) for b in model.coupling_list])
+
+
+def _propagator_reference(model, t, x, n):
+    """_propagator_sweep as one RK4 call per substep on the right-hand side
+    G i H(u), with the site fields evaluated step by step."""
+    sd = model.spin_dim
+    out = np.empty((n + 1, sd, sd), dtype=complex)
+    g = np.eye(sd, dtype=complex)
+    out[0] = g
+    sub = max(1, int(np.ceil(abs(t / n) / 0.01)))
+    dt = t / n / sub
+
+    def rhs(u, g):
+        return 1j * (g @ model.spin_matrix(_site_fields(model, x, u)))
+
+    for i in range(n):
+        for k in range(sub):
+            u = (i * sub + k) * dt
+            g = _rk4(rhs, g, dt, u, u + 0.5 * dt, u + dt)
+        g = _polar_project(g)
+        out[i + 1] = g
+    return out
+
+
 def _maxwell_reference(model, t, x, n):
     """_maxwell_sweep with the site fields evaluated step by step."""
     D, sd, N = model.D, model.spin_dim, model.N
@@ -372,15 +403,9 @@ def _maxwell_reference(model, t, x, n):
     sub = max(1, int(np.ceil(abs(t / n) / 0.01)))
     dt = t / n / sub
 
-    def site_field(lam, u):
-        # beta_m + B_{m x_lam} . chi_u X, through the free flow itself
-        y = chi_flow_vector(model.grid, u, x)
-        return model.beta + np.array([b.dot(y) for b in model.couplings[lam]])
-
     def rhs(u, rr, zz):
-        drr = np.stack(
-            [2.0 * _cross_mat(site_field(lam, u)) @ rr[lam] for lam in range(N)]
-        )
+        fields = _site_fields(model, x, u).reshape(N, 3)
+        drr = np.stack([2.0 * _cross_mat(fields[lam]) @ rr[lam] for lam in range(N)])
         s_mats = np.stack(
             [
                 np.einsum("k,kab->ab", rr[lam, m], np.array(model.spin_ops[lam]))
@@ -472,6 +497,24 @@ class TestGridKernels:
             ref = _spin1_reference(octa_model, lam, t, x, 16)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("t, n", [(0.37, 16), (0.37, 64), (1.9, 16), (1.9, 64)])
+    def test_sweeps_match_stepwise_sine_terms(self, octa_model, rng, t, n):
+        # the transfer-map sweeps against one RK4 call per substep, with
+        # generic couplings, so the pairings carry sine coefficients
+        model = copy.copy(octa_model)
+        model.couplings = [
+            [random_phase_vector(rng, model.D, scale=0.3) for _ in range(3)]
+            for _ in range(model.N)
+        ]
+        x = random_phase_vector(rng, model.D, scale=0.5)
+        g = _propagator_sweep(model, t, x, n)
+        g_ref = _propagator_reference(model, t, x, n)
+        assert np.max(np.abs(g - g_ref)) <= 1e-13
+        r, z = _maxwell_sweep(model, t, x, n)
+        r_ref, z_ref = _maxwell_reference(model, t, x, n)
+        assert np.max(np.abs(r - r_ref)) <= 1e-13
+        assert np.max(np.abs(z - z_ref)) <= 1e-13 * np.max(np.abs(z_ref))
+
     def test_spin1_sine_terms(self, octa_model, rng):
         # same-site pairings of the built couplings are pure cosine sums;
         # generic coupling vectors also carry the sine coefficients
@@ -497,6 +540,17 @@ class TestGridKernels:
         for trip in spin_correction1(octa_model, 0.0, x):
             np.testing.assert_array_equal(trip.matrices, 0.0)
 
+    def test_no_panels(self, octa_model, rng):
+        # n = 0 at t > 0: the sweeps hold their initial rows only
+        x = random_phase_vector(rng, octa_model.D, scale=0.5)
+        sd = octa_model.spin_dim
+        g = _propagator_sweep(octa_model, 0.7, x, 0)
+        np.testing.assert_array_equal(g, np.eye(sd)[None])
+        r, z = _maxwell_sweep(octa_model, 0.7, x, 0)
+        np.testing.assert_array_equal(r, np.broadcast_to(np.eye(3), (1, 2, 3, 3)))
+        assert z.shape == (1, 2, octa_model.D, sd, sd)
+        np.testing.assert_array_equal(z, 0.0)
+
 
 class TestSharedSweeps:
     """A shared_sweeps scope integrates each grid sweep (kind, n) of its
@@ -507,16 +561,17 @@ class TestSharedSweeps:
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        # (kind, n) of every integrated sweep: the propagator sweep steps a
-        # (sd, sd) matrix, the Maxwell sweep one flat state vector
+        # (kind, n) of every integrated sweep: each takes its RK4 transfer
+        # maps in one call on (n, sub, ...) stage generators, (sd, sd) for
+        # the propagator sweep and (N, 3, 3) for the Maxwell sweep
         seen = []
-        real = hierarchy.integrate_panels
+        real = hierarchy.rk4_transfer
 
-        def counting(rhs, y0, n, sub, dt, at_node):
-            seen.append(("propagator" if y0.ndim == 2 else "maxwell", n))
-            return real(rhs, y0, n, sub, dt, at_node)
+        def counting(a0, ah, a1, dt):
+            seen.append(("propagator" if a0.ndim == 4 else "maxwell", len(a0)))
+            return real(a0, ah, a1, dt)
 
-        monkeypatch.setattr(hierarchy, "integrate_panels", counting)
+        monkeypatch.setattr(hierarchy, "rk4_transfer", counting)
         return seen
 
     @staticmethod

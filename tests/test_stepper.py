@@ -1,14 +1,10 @@
-"""The shared RK4: adaptive step doubling and fixed panels."""
+"""The shared RK4: adaptive step doubling and linear transfer maps."""
 
 import numpy as np
 import pytest
 
 from blochlab.model import ModelError
-from blochlab.stepper import (
-    StepStallError,
-    integrate_adaptive,
-    integrate_panels,
-)
+from blochlab.stepper import StepStallError, _rk4, integrate_adaptive, rk4_transfer
 
 
 def _cos_rhs(t, y):
@@ -68,33 +64,39 @@ class TestAdaptive:
         assert isinstance(info.value, ModelError)
 
 
-class TestPanels:
-    def test_matches_exact_flow_and_visits_nodes(self):
-        # y' = i cos(t) y on [0, 2] in n panels: y = exp(i sin t)
-        n, sub, dt = 8, 25, 0.01
-        stage = 0.5 * dt * np.arange(2 * n * sub + 1)
-        nodes = []
+class TestTransfer:
+    def test_matches_rk4_on_linear_systems(self):
+        # random complex generators, a stack of 5 steps: phi y and the stage
+        # states are what _rk4 computes on the right-hand side A y, up to
+        # rounding relative to |y|
+        rng = np.random.default_rng(11)
 
-        def at_node(i, y):
-            nodes.append((i, y[0]))
-            return y
+        def draw(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-        y = integrate_panels(
-            lambda j, y: 1j * np.cos(stage[j]) * y,
-            np.ones(1, dtype=complex),
-            n,
-            sub,
-            dt,
-            at_node,
-        )
-        assert [i for i, _ in nodes] == list(range(n))
-        for i, value in nodes:
-            assert value == pytest.approx(np.exp(1j * np.sin((i + 1) * 0.25)), abs=1e-9)
-        assert y[0] == nodes[-1][1]
+        a = draw(3, 5, 4, 4)
+        y = draw(5, 4, 2)
+        dt = 0.07
+        phi, maps = rk4_transfer(a[0], a[1], a[2], dt)
+        for k in range(5):
+            seen = []
 
-    def test_node_hook_result_is_carried(self):
-        # at_node may replace the state, as the polar projection does
-        y = integrate_panels(
-            lambda j, y: np.zeros_like(y), np.zeros(1), 3, 2, 0.1, lambda i, y: y + 1.0
-        )
-        assert y[0] == 3.0
+            def rhs(j, z, k=k):
+                seen.append(z)
+                return a[j, k] @ z
+
+            want = _rk4(rhs, y[k], dt, 0, 1, 2)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(phi[k] @ y[k] - want)) <= 1e-15 * scale
+            stages = [y[k]] + [m[k] @ y[k] for m in maps]
+            assert np.max(np.abs(np.subtract(stages, seen))) <= 1e-15 * scale
+
+    def test_follows_exact_flow(self):
+        # y' = i cos(t) y on [0, 2] in 200 steps of 0.01: y = exp(i sin t)
+        steps, dt = 200, 0.01
+        stage = 0.5 * dt * np.arange(2 * steps + 1)
+        gen = (1j * np.cos(stage))[:, None, None]
+        phi, _ = rk4_transfer(gen[0:-1:2], gen[1::2], gen[2::2], dt)
+        y = np.cumprod(phi[:, 0, 0])
+        t = dt * np.arange(1, steps + 1)
+        np.testing.assert_allclose(y, np.exp(1j * np.sin(t)), rtol=0, atol=1e-9)
