@@ -17,7 +17,6 @@ from blochlab.model import (
 from blochlab.fock import FockBasis
 from blochlab.oracle import Hamiltonian, ObservableSpec
 from blochlab.hierarchy import (
-    HierarchyResult,
     compute_hierarchy,
     photon_rate_expansion,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "FockBasis",
     "Hamiltonian",
     "ObservableSpec",
-    "HierarchyResult",
     "compute_hierarchy",
     "photon_rate_expansion",
     "ExperimentPlan",

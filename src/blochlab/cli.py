@@ -46,11 +46,7 @@ def _cmd_selftest(args) -> int:
     for e in report.entries:
         mark = "PASS" if e.passed else "FAIL"
         print(f"{mark}  {e.name:30s} residual {e.residual:.3e}  (tol {e.tol:g})")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.json}")
+    _emit(report, args.json)
     print("selftest:", "PASS" if report.passed else "FAIL")
     return 0 if report.passed else 1
 

@@ -77,6 +77,10 @@ ZERO_COUPLING_TOL = 1e-8
 # the oracle's first fluctuation cutoff; the plan's n_max caps its doublings
 FIRST_CUTOFF = 2
 
+# run_crosscheck's gate on every dual-path deviation, divergence residual
+# and hygiene residual
+CROSSCHECK_TOL = 1e-6
+
 
 class HarnessError(ModelError):
     """Raised for malformed plans, worker settings and fit inputs."""
@@ -143,10 +147,20 @@ class ExperimentPlan:
             raise HarnessError("plan needs at least one observable")
         if not self.x_samples or not self.t_samples:
             raise HarnessError("plan needs X and t samples")
+        # cells, frames and fits are keyed by X id and t: a repeat would merge
+        x_ids = [x_id for x_id, _ in self.x_samples]
+        if len(set(x_ids)) != len(x_ids):
+            raise HarnessError(f"X ids must be distinct, got {x_ids}")
+        if len(set(self.t_samples)) != len(self.t_samples):
+            raise HarnessError(f"t samples must be distinct, got {self.t_samples}")
         for obs in self.observables:
             if obs.kind == "spin" and obs.lam > self.config.N:
                 raise HarnessError(
                     f"{obs.label()}: site {obs.lam} outside 1..{self.config.N}"
+                )
+            if obs.kind == "number_rate" and self.M > 1:
+                raise HarnessError(
+                    f"number_rate is expanded to order 1, the plan asks M = {self.M}"
                 )
 
     @property
@@ -273,7 +287,6 @@ class ConvergenceReport:
     plan_meta: dict
     cells: tuple  # SweepCell, canonical order
     fits: tuple  # dicts: observable, t, x_id, slope, r2, expected, status
-    coefficients: dict  # (obs, t, x_id) -> list of matrices
     passed: bool
 
     def to_dict(self) -> dict:
@@ -324,8 +337,8 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
 
     def _coeffs(job):
         obs, t, x_id, x = job
-        res = compute_hierarchy(model, obs, t, x, plan.M, tol=plan.tol)
-        return (obs.label(), t, x_id), res.orders
+        orders = compute_hierarchy(model, obs, t, x, plan.M, tol=plan.tol)
+        return (obs.label(), t, x_id), orders
 
     coefficients = dict(_pool_map(_coeffs, coeff_jobs))
 
@@ -470,7 +483,6 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
         plan_meta=meta,
         cells=tuple(cells),
         fits=tuple(fits),
-        coefficients=coefficients,
         passed=all_pass,
     )
 
@@ -648,7 +660,7 @@ def _rel_dev(a: np.ndarray, b: np.ndarray) -> float:
     return _operator_norm(np.atleast_2d(a) - np.atleast_2d(b)) / scale
 
 
-def run_crosscheck(plan: ExperimentPlan, tol: float = 1e-6) -> CrosscheckReport:
+def run_crosscheck(plan: ExperimentPlan) -> CrosscheckReport:
     """The three independent-path agreements, per t sample.
 
     Path pairs: order-0 Duhamel vs the precession solution, order-1
@@ -656,6 +668,7 @@ def run_crosscheck(plan: ExperimentPlan, tol: float = 1e-6) -> CrosscheckReport:
     Duhamel (field) vs the sourced-mode reconstruction.
     """
     model = plan.model
+    tol = CROSSCHECK_TOL
     x_id, x = plan.x_samples[0]
     entries = []
     hygiene = []
@@ -710,7 +723,7 @@ def run_crosscheck(plan: ExperimentPlan, tol: float = 1e-6) -> CrosscheckReport:
         {"check": "propagator-unitarity", "residual": state.unitarity_defect}
     )
     v = PhaseVector(np.ones(model.D), np.zeros(model.D)) * (1.0 / np.sqrt(model.D))
-    tb = tangent_derivatives(model, 1, 0, v, t_max, x, tol=plan.tol)
+    tb = tangent_derivatives(model, 1, v, t_max, x, tol=plan.tol)
     hygiene.append({"check": "tangent-fd-residual", "residual": tb.residual})
 
     for e in entries:
@@ -718,8 +731,8 @@ def run_crosscheck(plan: ExperimentPlan, tol: float = 1e-6) -> CrosscheckReport:
         # field-order1 entries also carry the divergence residuals
         e["passed"] = all(e.get(k, 0.0) <= tol for k in ("deviation", "div_b", "div_e"))
     for hgi in hygiene:
-        hgi["tol"] = 1e-6
-        hgi["passed"] = hgi["residual"] <= 1e-6
+        hgi["tol"] = tol
+        hgi["passed"] = hgi["residual"] <= tol
     passed = all(e["passed"] for e in entries) and all(h["passed"] for h in hygiene)
 
     meta = {

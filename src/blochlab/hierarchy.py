@@ -377,21 +377,23 @@ def order_j(
     return _order_high(model, obs, j, t, x, tol)
 
 
-def _directional_prev(model, obs, jm1, s, y, v, tol, eps=1e-5):
+def _central_difference(f, x: PhaseVector, v: PhaseVector):
+    """(f(X + s V) - f(X - s V)) / 2s with s = 1e-5 / |V|, for V != 0."""
+    step = 1e-5 / v.norm()
+    return (f(x + step * v) - f(x - step * v)) / (2.0 * step)
+
+
+def _directional_prev(model, obs, jm1, s, y, v, tol):
     """Central-difference directional derivative of A^[j-1](s, .) at y."""
-    vn = v.norm()
-    if vn == 0.0:
+    if v.norm() == 0.0:
         return np.zeros((model.spin_dim, model.spin_dim), dtype=complex)
-    step = eps / vn
 
     def prev(z):
         if jm1 == 0:
             return order0(model, obs, s, z, tol)
         return order_j(model, obs, jm1, s, z, tol)
 
-    hi = prev(PhaseVector(y.q + step * v.q, y.p + step * v.p))
-    lo = prev(PhaseVector(y.q - step * v.q, y.p - step * v.p))
-    return (hi - lo) / (2.0 * step)
+    return _central_difference(prev, y, v)
 
 
 def _order_high(model, obs, j, t, x, tol):
@@ -429,7 +431,6 @@ class SpinTriple:
     """S_m^{[lam, j]}(t, X) for m = 1..3 as spin-register matrices."""
 
     lam: int
-    order: int
     rotation: np.ndarray | None  # SO(3) path endpoint, order 0 only
     matrices: np.ndarray  # (3, sd, sd)
 
@@ -457,20 +458,16 @@ def bloch_spin0(
         r = _rotation_endpoint(model, lam, t, x, tol)
         sig = model.spin_ops[lam]
         mats = np.einsum("mk,kab->mab", r, sig)
-        out.append(SpinTriple(lam=lam + 1, order=0, rotation=r, matrices=mats))
+        out.append(SpinTriple(lam=lam + 1, rotation=r, matrices=mats))
     return out
 
 
 @dataclass
 class TangentBundleState:
-    """Order-0 spin triple with its directional derivative along V."""
+    """Directional derivative along V of an order-0 spin triple, with the
+    relative residual of its finite-difference check."""
 
-    lam: int
-    t: float
-    direction: PhaseVector
-    rotation: np.ndarray
     drotation: np.ndarray
-    S: np.ndarray  # (3, sd, sd)
     dS: np.ndarray  # (3, sd, sd)
     residual: float
 
@@ -493,50 +490,28 @@ def _rotation_tangent(model, lam, t, x, v, tol):
 def tangent_derivatives(
     model: Model,
     lam: int,
-    j: int,
     v: PhaseVector,
     t: float,
     x: PhaseVector,
     tol: float = 1e-8,
 ) -> TangentBundleState:
-    """Directional derivative of S^{[lam, j]}(t, X) along V with an
+    """Directional derivative of S^{[lam, 0]}(t, X) along V with an
     independent finite-difference residual check."""
-    if j != 0:
-        raise HierarchyError("tangent derivatives are provided at order 0 only")
     if not 1 <= lam <= model.N:
         raise HierarchyError(f"site index lam={lam} outside 1..{model.N}")
-    r, d = _rotation_tangent(model, lam - 1, t, x, v, tol)
-    # finite-difference probe, centered, eps = 1e-5 in the direction V
-    vn = v.norm()
-    if vn == 0.0:
-        residual = 0.0
-    else:
-        eps = 1e-5 / vn
-        rp = _rotation_endpoint(
-            model, lam - 1, t, PhaseVector(x.q + eps * v.q, x.p + eps * v.p), tol
+    _, d = _rotation_tangent(model, lam - 1, t, x, v, tol)
+    residual = 0.0
+    if v.norm() != 0.0:
+        fd = _central_difference(
+            lambda z: _rotation_endpoint(model, lam - 1, t, z, tol), x, v
         )
-        rm = _rotation_endpoint(
-            model, lam - 1, t, PhaseVector(x.q - eps * v.q, x.p - eps * v.p), tol
-        )
-        fd = (rp - rm) / (2.0 * eps)
-        residual = float(
-            np.linalg.norm(fd - d) / max(np.linalg.norm(d), 1.0)
-        )
+        residual = float(np.linalg.norm(fd - d) / max(np.linalg.norm(d), 1.0))
         if residual > max(tol, 1e-6):
             raise HierarchyError(
-                f"tangent residual breach: {residual:.3e} along |V|={vn:.3e}"
+                f"tangent residual breach: {residual:.3e} along |V|={v.norm():.3e}"
             )
-    sig = model.spin_ops[lam - 1]
-    return TangentBundleState(
-        lam=lam,
-        t=t,
-        direction=v,
-        rotation=r,
-        drotation=d,
-        S=np.einsum("mk,kab->mab", r, sig),
-        dS=np.einsum("mk,kab->mab", d, sig),
-        residual=residual,
-    )
+    dS = np.einsum("mk,kab->mab", d, model.spin_ops[lam - 1])
+    return TangentBundleState(drotation=d, dS=dS, residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -624,10 +599,8 @@ class MaxwellCheckReport:
 
     t: float
     max_rel_dev: float
-    entries: list
     div_b_residual: float
     div_e_residual: float
-    passed: bool
 
 
 def first_order_modes(
@@ -643,47 +616,29 @@ def first_order_modes(
 
 
 def maxwell_cross_check(
-    model: Model,
-    t: float,
-    x: PhaseVector,
-    tol: float = 1e-6,
-    points=None,
+    model: Model, t: float, x: PhaseVector, tol: float = 1e-6
 ) -> MaxwellCheckReport:
-    """Compare B^[1] from the sourced mode system against the recursion."""
+    """Compare B^[1] from the sourced mode system against the recursion at
+    every spin site, with the analytic divergence of the reconstructed
+    first-order fields."""
     z = first_order_modes(model, t, x, tol=min(tol, 1e-7))
-    if points is None:
-        points = [np.asarray(p, dtype=float) for p in model.config.positions]
-    entries = []
-    max_dev = 0.0
-    for pt in points:
-        for m in (1, 2, 3):
-            vec = coupling_B(model.grid, model.config, m, pt)
-            lhs = _contract_field(vec, z)
-            obs = ObservableSpec(kind="field_B", m=m, x=pt)
-            rhs = order_j(model, obs, 1, t, x, tol=min(tol * 0.1, 1e-7))
-            scale = max(np.linalg.norm(rhs), 1e-12)
-            dev = float(np.linalg.norm(lhs - rhs) / scale)
-            entries.append({"point": pt.tolist(), "m": m, "rel_dev": dev})
-            max_dev = max(max_dev, dev)
-    # analytic divergence of the reconstructed first-order fields
-    div_b = 0.0
-    div_e = 0.0
-    for pt in points:
+    max_dev = div_b = div_e = 0.0
+    for pt in (np.asarray(p, dtype=float) for p in model.config.positions):
         acc_b = np.zeros((model.spin_dim,) * 2, dtype=complex)
         acc_e = np.zeros_like(acc_b)
         for m in (1, 2, 3):
+            lhs = _contract_field(coupling_B(model.grid, model.config, m, pt), z)
+            obs = ObservableSpec(kind="field_B", m=m, x=pt)
+            rhs = order_j(model, obs, 1, t, x, tol=min(tol * 0.1, 1e-7))
+            scale = max(np.linalg.norm(rhs), 1e-12)
+            max_dev = max(max_dev, float(np.linalg.norm(lhs - rhs) / scale))
             grads = coupling_B_gradient(model.grid, model.config, m, pt)
             acc_b += _contract_field(grads[m - 1], z)
             acc_e += _contract_field(apply_helicity(model.grid, grads[m - 1]), z)
         div_b = max(div_b, float(np.linalg.norm(acc_b)))
         div_e = max(div_e, float(np.linalg.norm(acc_e)))
     return MaxwellCheckReport(
-        t=t,
-        max_rel_dev=max_dev,
-        entries=entries,
-        div_b_residual=div_b,
-        div_e_residual=div_e,
-        passed=max_dev <= tol,
+        t=t, max_rel_dev=max_dev, div_b_residual=div_b, div_e_residual=div_e
     )
 
 
@@ -767,7 +722,7 @@ def spin_correction1(
                 tol * 0.1,
                 label="spin-correction quadrature",
             )
-        out.append(SpinTriple(lam=lam + 1, order=1, rotation=None, matrices=mats))
+        out.append(SpinTriple(lam=lam + 1, rotation=None, matrices=mats))
     return out
 
 
@@ -829,31 +784,7 @@ def photon_rate_expansion(
 
 
 # ---------------------------------------------------------------------------
-# result container
-
-
-@dataclass
-class HierarchyResult:
-    """Expansion coefficients of one observable with run metadata."""
-
-    observable: str
-    t: float
-    x_q: np.ndarray
-    x_p: np.ndarray
-    orders: list
-    meta: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "observable": self.observable,
-            "t": self.t,
-            "X": {"q": self.x_q.tolist(), "p": self.x_p.tolist()},
-            "orders": [
-                {"re": np.real(a).tolist(), "im": np.imag(a).tolist()}
-                for a in self.orders
-            ],
-            "meta": self.meta,
-        }
+# one observable's expansion
 
 
 def compute_hierarchy(
@@ -863,26 +794,13 @@ def compute_hierarchy(
     x: PhaseVector,
     M: int,
     tol: float = 1e-7,
-) -> HierarchyResult:
-    """Orders 0..M of the evolved-symbol expansion for one observable."""
+) -> list[np.ndarray]:
+    """Coefficients A^[0..M](t, X) of the evolved-symbol expansion for one
+    observable."""
     with shared_sweeps(model, t, x):
         if obs.kind == "number_rate":
-            orders = photon_rate_expansion(model, t, x, M, tol=tol)
-        else:
-            orders = [order0(model, obs, t, x, tol=min(tol, 1e-9))]
-            for j in range(1, M + 1):
-                orders.append(order_j(model, obs, j, t, x, tol=tol))
-    grid_id = f"D{model.D}:K{model.grid.n_kpoints}"
-    meta = {
-        "tol": tol,
-        "grid": grid_id,
-        "q_trace": model.q_form(t).trace if t != 0.0 else 0.0,
-    }
-    return HierarchyResult(
-        observable=obs.label(),
-        t=t,
-        x_q=x.q.copy(),
-        x_p=x.p.copy(),
-        orders=orders,
-        meta=meta,
-    )
+            return photon_rate_expansion(model, t, x, M, tol=tol)
+        orders = [order0(model, obs, t, x, tol=min(tol, 1e-9))]
+        for j in range(1, M + 1):
+            orders.append(order_j(model, obs, j, t, x, tol=tol))
+        return orders

@@ -89,10 +89,6 @@ class PhaseVector:
         return PhaseVector(np.zeros(dim), np.zeros(dim))
 
 
-# A coupling vector has the same layout as a phase vector.
-CouplingVector = PhaseVector
-
-
 def symplectic_form(x: PhaseVector, y: PhaseVector) -> float:
     """sigma(X, Y) = x_p . y_q - x_q . y_p.
 
@@ -339,7 +335,7 @@ def _coupling_kernel(grid: ModeGrid, config: ModelConfig, m: int, x):
     return (np.sqrt(grid.weights) * amp)[:, None] * ca, theta[:, None]
 
 
-def coupling_B(grid: ModeGrid, config: ModelConfig, m: int, x) -> CouplingVector:
+def coupling_B(grid: ModeGrid, config: ModelConfig, m: int, x) -> PhaseVector:
     """Projection of the magnetic coupling for axis m at point x onto the grid.
 
     Each grid point stands for the antipodal pair {+k, -k} of the continuum,
@@ -357,17 +353,17 @@ def coupling_B(grid: ModeGrid, config: ModelConfig, m: int, x) -> CouplingVector
     """
     amp, theta = _coupling_kernel(grid, config, m, x)
     q = np.stack([amp * np.sin(theta), -amp * np.cos(theta)], 1)
-    return CouplingVector(q.reshape(-1), np.zeros(grid.D))
+    return PhaseVector(q.reshape(-1), np.zeros(grid.D))
 
 
 def coupling_B_gradient(
     grid: ModeGrid, config: ModelConfig, m: int, x
-) -> list[CouplingVector]:
+) -> list[PhaseVector]:
     """Spatial gradient [d B_{m x} / d x_l for l = 1..3], exact."""
     amp, theta = _coupling_kernel(grid, config, m, x)
     q = np.stack([amp * np.cos(theta), amp * np.sin(theta)], 1)
     return [
-        CouplingVector((q * k[:, None, None]).reshape(-1), np.zeros(grid.D))
+        PhaseVector((q * k[:, None, None]).reshape(-1), np.zeros(grid.D))
         for k in grid.kpoints.T
     ]
 

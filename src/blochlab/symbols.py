@@ -118,9 +118,6 @@ class PolySymbol:
             return 0
         return max(sum(al) + sum(be) for al, be in self.coeffs)
 
-    def is_matrix_valued(self) -> bool:
-        return any(_is_matrix(v) for v in self.coeffs.values())
-
     def value_shape(self):
         for v in self.coeffs.values():
             if _is_matrix(v):
@@ -154,13 +151,6 @@ class PolySymbol:
                 )
                 coeffs[k] = _madd(coeffs.get(k), _mul(v1, v2))
         return PolySymbol(self.D, coeffs)
-
-    def conjugate(self) -> "PolySymbol":
-        """Complex (adjoint) conjugate: swaps z and w exponents."""
-        out = {}
-        for (al, be), v in self.coeffs.items():
-            out[(be, al)] = v.conj().T if _is_matrix(v) else np.conj(v)
-        return PolySymbol(self.D, out)
 
     def eval(self, x: PhaseVector):
         if x.dim != self.D:

@@ -1,5 +1,6 @@
 """Experiment driver: plans, fits, sweeps, reports, writers."""
 
+import ast
 import dataclasses
 import importlib.util
 import json
@@ -102,6 +103,31 @@ class TestPlan:
         with pytest.raises(ModelError, match="3 entries"):
             ExperimentPlan.from_dict(small_plan_dict(observables=obs))
 
+    def test_x_ids_must_be_distinct(self):
+        # cells and frames are keyed by X id: a repeated id made every cell
+        # of the first X report the second X's error
+        x = ExperimentPlan.from_dict(small_plan_dict()).x_samples[0][1]
+        entry = {"id": "a", "q": x.q.tolist(), "p": (0.5 * x.p).tolist()}
+        other = {"id": "a", "q": (-x.q).tolist(), "p": x.p.tolist()}
+        with pytest.raises(HarnessError, match="X ids"):
+            ExperimentPlan.from_dict(small_plan_dict(X=[entry, other]))
+        distinct = [entry, dict(other, id="b")]
+        plan = ExperimentPlan.from_dict(small_plan_dict(X=distinct))
+        assert [x_id for x_id, _ in plan.x_samples] == ["a", "b"]
+
+    def test_t_samples_must_be_distinct(self):
+        with pytest.raises(HarnessError, match="t samples"):
+            ExperimentPlan.from_dict(small_plan_dict(t=[0.5, 1.0, 0.5]))
+
+    def test_number_rate_order_capped(self):
+        # the photon-rate expansion stops at order 1; M = 2 used to load and
+        # then raise inside the coefficient pool
+        rate = [{"kind": "number_rate"}]
+        with pytest.raises(HarnessError, match="number_rate"):
+            ExperimentPlan.from_dict(small_plan_dict(observables=rate, M=2))
+        assert ExperimentPlan.from_dict(small_plan_dict(observables=rate, M=1)).M == 1
+        assert ExperimentPlan.from_dict(small_plan_dict(M=2)).M == 2
+
     def test_random_samples_deterministic(self):
         a = ExperimentPlan.from_dict(small_plan_dict())
         b = ExperimentPlan.from_dict(small_plan_dict())
@@ -154,6 +180,13 @@ class TestWorkers:
 
 
 class TestSelftest:
+    def test_json_into_new_directory(self, tmp_path, capsys):
+        # converge and crosscheck create the directory; selftest crashed
+        out = tmp_path / "new" / "selftest.json"
+        assert cli.main(["selftest", "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["kind"] == "selftest"
+        assert f"wrote {out}" in capsys.readouterr().out
+
     def test_all_pass(self):
         report = run_calculus_selftest()
         assert report.passed
@@ -411,3 +444,21 @@ class TestTraceTargets:
         assert missing == []
         with tracing.Tracer().patched():
             pass
+
+    def test_benchmark_imports_resolve(self):
+        # every name the benchmark imports from blochlab, and the pool it
+        # wraps, must exist: worker.py imports worker_count even untraced
+        perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+        wanted = {("blochlab.harness", "_pool_map")}
+        for path in sorted(perfbench.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                module = getattr(node, "module", None) or ""
+                if isinstance(node, ast.ImportFrom) and module.startswith("blochlab"):
+                    wanted.update((module, a.name) for a in node.names)
+        assert ("blochlab.harness", "worker_count") in wanted
+        missing = [
+            (module, name)
+            for module, name in sorted(wanted)
+            if not hasattr(importlib.import_module(module), name)
+        ]
+        assert missing == []

@@ -2,7 +2,6 @@
 the dual-path equivalences."""
 
 import copy
-import json
 
 import numpy as np
 import pytest
@@ -272,9 +271,7 @@ class TestOrderJ:
 class TestTangent:
     def test_zero_direction(self, minimal_model, rng):
         x = random_phase_vector(rng, 4, scale=0.4)
-        st = tangent_derivatives(
-            minimal_model, 1, 0, PhaseVector.zero(4), 1.0, x
-        )
+        st = tangent_derivatives(minimal_model, 1, PhaseVector.zero(4), 1.0, x)
         np.testing.assert_allclose(st.dS, 0.0, atol=1e-12)
         assert st.residual == 0.0
 
@@ -282,28 +279,23 @@ class TestTangent:
         x = random_phase_vector(rng, 4, scale=0.4)
         v = random_phase_vector(rng, 4)
         v = v * (1.0 / v.norm())
-        st = tangent_derivatives(free_model, 1, 0, v, 1.0, x)
+        st = tangent_derivatives(free_model, 1, v, 1.0, x)
         np.testing.assert_allclose(st.dS, 0.0, atol=1e-10)
 
     def test_finite_difference_agreement(self, minimal_model, rng):
         x = random_phase_vector(rng, 4, scale=0.4)
         v = random_phase_vector(rng, 4)
         v = v * (1.0 / v.norm())
-        st = tangent_derivatives(minimal_model, 1, 0, v, 1.0, x, tol=1e-9)
+        st = tangent_derivatives(minimal_model, 1, v, 1.0, x, tol=1e-9)
         assert st.residual <= 1e-6
         assert _norm(st.drotation) > 1e-4  # the check is not vacuous
-
-    def test_higher_order_not_provided(self, minimal_model, rng):
-        x = random_phase_vector(rng, 4)
-        with pytest.raises(HierarchyError):
-            tangent_derivatives(minimal_model, 1, 1, x, 1.0, x)
 
     @pytest.mark.parametrize("lam", [0, 3])
     def test_site_index_out_of_range(self, octa_model, rng, lam):
         # sites are 1-based: lam = 0 must not wrap around to the last site
         x = random_phase_vector(rng, octa_model.D, scale=0.1)
         with pytest.raises(HierarchyError, match="site index"):
-            tangent_derivatives(octa_model, lam, 0, x, 0.5, x)
+            tangent_derivatives(octa_model, lam, x, 0.5, x)
 
 
 class TestDualPaths:
@@ -348,7 +340,6 @@ class TestDualPaths:
         x = random_phase_vector(rng, 4, scale=0.4)
         rep = maxwell_cross_check(minimal_model, 0.9, x, tol=1e-6)
         assert isinstance(rep, MaxwellCheckReport)
-        assert rep.passed
         assert rep.max_rel_dev <= 1e-6
         assert rep.div_b_residual <= 1e-10
         assert rep.div_e_residual <= 1e-10
@@ -356,7 +347,7 @@ class TestDualPaths:
     def test_maxwell_zero_sources(self, free_model, rng):
         x = random_phase_vector(rng, 4, scale=0.4)
         rep = maxwell_cross_check(free_model, 0.9, x, tol=1e-8)
-        assert rep.max_rel_dev == 0.0 or rep.passed
+        assert rep.max_rel_dev <= 1e-8
 
 
 def _site_fields(model, x, u):
@@ -678,10 +669,10 @@ class TestPhotonExpansion:
         assert PHOTON_RATE_SIGN == -1.0
 
 
-class TestResultContainer:
-    def test_roundtrip_json(self, minimal_model, rng):
+class TestComputeHierarchy:
+    def test_returns_hermitian_orders(self, minimal_model, rng):
         x = random_phase_vector(rng, 4, scale=0.4)
-        res = compute_hierarchy(
+        orders = compute_hierarchy(
             minimal_model,
             ObservableSpec(kind="spin", m=1, lam=1),
             0.8,
@@ -689,10 +680,6 @@ class TestResultContainer:
             M=1,
             tol=1e-7,
         )
-        assert len(res.orders) == 2
-        blob = json.dumps(res.to_dict())
-        back = json.loads(blob)
-        assert back["observable"] == "spin[m=1,lam=1]"
-        assert back["meta"]["q_trace"] > 0.0
-        for a in res.orders:
+        assert len(orders) == 2
+        for a in orders:
             assert _norm(a - a.conj().T) <= 1e-8
