@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -147,12 +148,16 @@ class ExperimentPlan:
             raise HarnessError("plan needs at least one observable")
         if not self.x_samples or not self.t_samples:
             raise HarnessError("plan needs X and t samples")
-        # cells, frames and fits are keyed by X id and t: a repeat would merge
+        # cells, frames and fits are keyed by observable, X id and t: a repeat
+        # would merge or duplicate them
         x_ids = [x_id for x_id, _ in self.x_samples]
         if len(set(x_ids)) != len(x_ids):
             raise HarnessError(f"X ids must be distinct, got {x_ids}")
         if len(set(self.t_samples)) != len(self.t_samples):
             raise HarnessError(f"t samples must be distinct, got {self.t_samples}")
+        labels = [obs.label() for obs in self.observables]
+        if len(set(labels)) != len(labels):
+            raise HarnessError(f"observables must be distinct, got {labels}")
         for obs in self.observables:
             if obs.kind == "spin" and obs.lam > self.config.N:
                 raise HarnessError(
@@ -170,13 +175,15 @@ class ExperimentPlan:
     @staticmethod
     def from_dict(d: dict) -> "ExperimentPlan":
         config = ModelConfig.from_dict(d["model"])
+        for i, o in enumerate(d["observables"]):
+            if "kind" not in o:
+                raise HarnessError(f"observable {i} has no 'kind' key: {o}")
         observables = tuple(ObservableSpec.from_dict(o) for o in d["observables"])
         seed = int(d.get("seed", 0))
         xs_spec = d.get("X", {"count": 1, "norm": 0.5})
         samples = []
+        grid_D = Model(config).D
         if isinstance(xs_spec, dict):
-            model = Model(config)
-            grid_D = model.D
             rng = np.random.default_rng(seed)
             norm = float(xs_spec.get("norm", 0.5))
             for i in range(int(xs_spec.get("count", 1))):
@@ -187,11 +194,14 @@ class ExperimentPlan:
                 )
         else:
             for i, entry in enumerate(xs_spec):
-                x = PhaseVector(
-                    np.asarray(entry["q"], dtype=float),
-                    np.asarray(entry["p"], dtype=float),
-                )
-                samples.append((entry.get("id", f"X{i}"), x))
+                x_id = entry.get("id", f"X{i}")
+                q, p = (np.asarray(entry.get(k, ()), dtype=float) for k in ("q", "p"))
+                if q.shape != (grid_D,) or p.shape != (grid_D,):
+                    raise HarnessError(
+                        f"X sample {x_id!r}: q and p need {grid_D} entries each "
+                        f"on this grid, got shapes {q.shape} and {p.shape}"
+                    )
+                samples.append((x_id, PhaseVector(q, p)))
         out = d.get("output", {})
         return ExperimentPlan(
             config=config,
@@ -246,6 +256,8 @@ def fit_slope(hs, errors):
     errors = np.asarray(errors, dtype=float)
     if hs.size < 4:
         raise HarnessError("slope fit needs at least 4 h values")
+    if not (np.isfinite(hs).all() and np.isfinite(errors).all()):
+        raise HarnessError("slope fit needs finite h values and errors")
     if np.any(errors <= 0.0):
         raise HarnessError("slope fit needs positive errors")
     lx, ly = np.log(hs), np.log(errors)
@@ -257,7 +269,7 @@ def fit_slope(hs, errors):
 
 
 def slope_passes(slope: float, M: int) -> bool:
-    if slope < M + SLOPE_MARGIN:
+    if not math.isfinite(slope) or slope < M + SLOPE_MARGIN:
         return False
     if M == 0 and slope > SLOPE_UPPER_M0:
         return False
@@ -322,6 +334,36 @@ def _cell_sort_key(c: SweepCell):
     return (c.observable, c.t, c.x_id, -c.h)
 
 
+def _partial_sum_errors(exact, orders, h):
+    """||exact - sum_{i <= j} h^i A[i]|| for j = 0..M, NaN where not finite."""
+    errors = []
+    partial = np.zeros_like(exact)
+    for j, a in enumerate(orders):
+        partial = partial + (h**j) * np.atleast_2d(a)
+        diff = exact - partial
+        errors.append(_operator_norm(diff) if np.isfinite(diff).all() else math.nan)
+    return errors
+
+
+def _fit_row(label, t, x_id, j, hs, errors, exact_group: bool) -> dict:
+    """The fit of partial sum j from its finite cells' (h, error) pairs.
+
+    An exact group (no coupling, or t = 0) has no h-dependence, so its
+    errors are only held below ZERO_COUPLING_TOL.
+    """
+    row = {"observable": label, "t": t, "X_id": x_id, "M": j, "expected": j + 1}
+    row.update(slope=None, r2=None)
+    if exact_group and errors:
+        row["max_error"] = max(errors)
+        row["status"] = "exact" if row["max_error"] <= ZERO_COUPLING_TOL else "fail"
+    elif len(hs) < 4:
+        row["status"] = "insufficient-data"
+    else:
+        row["slope"], row["r2"] = fit_slope(hs, errors)
+        row["status"] = "pass" if slope_passes(row["slope"], j) else "fail"
+    return row
+
+
 def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
     """Exact symbols vs hierarchy partial sums over the plan's h ladder."""
     model = plan.model
@@ -365,6 +407,7 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
     ]
 
     def _frame(job):
+        """(frame, Y, Hamiltonian, hygiene) and None, or None and a failure."""
         h, t, x_id, x = job
         cutoff = min(FIRST_CUTOFF, plan.n_max)
         while True:
@@ -387,89 +430,50 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
         e_t = ham.energy(frame, y)
         drift = float(np.max(np.abs(e_t - e0) / np.maximum(np.abs(e0), 1.0)))
         hygiene = dict(log.to_dict(), energy_drift=drift, cutoff=cutoff)
-        return (h, t, x_id), ((frame, y, ham), hygiene)
+        return (h, t, x_id), ((frame, y, ham, hygiene), None)
 
     frames = dict(_pool_map(_frame, frame_jobs))
 
-    cells = []
-    errors_by_fit = {}
+    # per (observable, t, X) group: one table of partial-sum errors, a row
+    # per h whose frame exists and whose errors are finite, a column per
+    # order 0..M.  Its rows give the cells (at the plan's M), its columns
+    # the fits.
+    cells, fits = [], []
     for obs in plan.observables:
+        label = obs.label()
         for t in plan.t_samples:
-            for x_id, x in plan.x_samples:
-                orders = coefficients[(obs.label(), t, x_id)]
-                # every partial sum gets a fit row, even with no cell left
-                fit_errors = [
-                    errors_by_fit.setdefault((obs.label(), t, x_id, j), [])
-                    for j in range(plan.M + 1)
-                ]
+            exact_group = zero_coupling or t == 0.0
+            for x_id, _ in plan.x_samples:
+                orders = coefficients[(label, t, x_id)]
+                hs, table = [], []
                 for h in plan.h_list:
-                    evolved, info = frames[(h, t, x_id)]
-                    if evolved is None:
-                        cells.append(
-                            SweepCell(obs.label(), t, x_id, h, None, info)
+                    evolved, status = frames[(h, t, x_id)]
+                    error, hygiene = None, {}
+                    if evolved is not None:
+                        frame, y, ham, hygiene = evolved
+                        exact = np.atleast_2d(
+                            frame_symbol(frame, apply_observable(ham, obs, frame, y))
                         )
-                        continue
-                    frame, y, ham = evolved
-                    exact = np.atleast_2d(
-                        frame_symbol(frame, apply_observable(ham, obs, frame, y))
-                    )
-                    # slopes for every partial sum up to M come from the
-                    # same frames; the cell rows keep the plan's M
-                    partial = np.zeros_like(exact)
-                    for order_used in range(plan.M + 1):
-                        partial = partial + (h**order_used) * np.atleast_2d(
-                            orders[order_used]
-                        )
-                        err = _operator_norm(exact - partial)
-                        fit_errors[order_used].append((h, err))
-                        if order_used == plan.M:
-                            status = "exact" if zero_coupling or t == 0.0 else "ok"
-                            cells.append(
-                                SweepCell(obs.label(), t, x_id, h, err, status, info)
-                            )
-
-    fits = []
-    all_pass = True
-    for (label, t, x_id, order_used), pairs in sorted(errors_by_fit.items()):
-        hs = [p[0] for p in pairs]
-        es = [p[1] for p in pairs]
-        base = {
-            "observable": label,
-            "t": t,
-            "X_id": x_id,
-            "M": order_used,
-            "expected": order_used + 1,
-        }
-        if (zero_coupling or t == 0.0) and es:
-            ok = max(es) <= ZERO_COUPLING_TOL
-            fits.append(
-                dict(
-                    base,
-                    slope=None,
-                    r2=None,
-                    max_error=max(es),
-                    status="exact" if ok else "fail",
-                )
-            )
-            all_pass &= ok
-            continue
-        if len(hs) < 4:
-            fits.append(
-                dict(base, slope=None, r2=None, status="insufficient-data")
-            )
-            all_pass = False
-            continue
-        slope, r2 = fit_slope(hs, es)
-        ok = slope_passes(slope, order_used)
-        fits.append(
-            dict(base, slope=slope, r2=r2, status="pass" if ok else "fail")
-        )
-        all_pass &= ok
-
-    if any(c.status.startswith("failed") for c in cells):
-        all_pass = False
+                        errors = _partial_sum_errors(exact, orders, h)
+                        if not np.isfinite(exact).all():
+                            status = "failed:non-finite exact symbol"
+                        elif not np.isfinite(errors).all():
+                            status = "failed:non-finite partial-sum error"
+                        else:
+                            error, status = errors[-1], "exact" if exact_group else "ok"
+                            hs.append(h)
+                            table.append(errors)
+                    cells.append(SweepCell(label, t, x_id, h, error, status, hygiene))
+                # every partial sum gets a fit row, even with no cell left
+                for j in range(plan.M + 1):
+                    column = [row[j] for row in table]
+                    fits.append(_fit_row(label, t, x_id, j, hs, column, exact_group))
 
     cells.sort(key=_cell_sort_key)
+    fits.sort(key=lambda f: (f["observable"], f["t"], f["X_id"], f["M"]))
+    passed = all(f["status"] in ("pass", "exact") for f in fits) and not any(
+        c.status.startswith("failed") for c in cells
+    )
     meta = {
         "seed": plan.seed,
         "M": plan.M,
@@ -479,12 +483,7 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
         "X_ids": [x_id for x_id, _ in plan.x_samples],
         "observables": [o.label() for o in plan.observables],
     }
-    return ConvergenceReport(
-        plan_meta=meta,
-        cells=tuple(cells),
-        fits=tuple(fits),
-        passed=all_pass,
-    )
+    return ConvergenceReport(meta, tuple(cells), tuple(fits), passed)
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,12 @@ def _refine(compute, tol, n0=32, nmax=4096, label="quadrature"):
 # order j >= 1 via the Duhamel recursion
 
 
+def _commutator_forcing(sig, db, df):
+    """The C^1 forcing 0.5i [sigma, dA(B)] - 0.5 {sigma, dA(F B)} of the
+    Duhamel recursion; broadcasts over leading axes."""
+    return 0.5j * (sig @ db - db @ sig) - 0.5 * (sig @ df + df @ sig)
+
+
 def _order1_on_grid(model, obs, t, x, n):
     f_a, s_a = observable_form(model, obs)
     bs = model.coupling_list
@@ -350,7 +356,7 @@ def _order1_on_grid(model, obs, t, x, n):
     nb, nf = 1j * both.reshape(n + 1, sd, sd, 2, -1).transpose(3, 0, 4, 1, 2)
     cb = nb @ K - K @ nb
     cf = nf @ K - K @ nf
-    term = 0.5j * (Sig @ cb - cb @ Sig) - 0.5 * (Sig @ cf + cf @ Sig)
+    term = _commutator_forcing(Sig, cb, cf)
     return np.einsum("i,icd->cd", w, term.sum(axis=1))
 
 
@@ -415,7 +421,7 @@ def _order_high(model, obs, j, t, x, tol):
             for b, fb, sig in zip(bs, fbs, model.sigmas):
                 db = _directional_prev(model, obs, j - 1, s, y, b, tol * 0.1)
                 df = _directional_prev(model, obs, j - 1, s, y, fb, tol * 0.1)
-                phi += 0.5j * (sig @ db - db @ sig) - 0.5 * (sig @ df + df @ sig)
+                phi += _commutator_forcing(sig, db, df)
             acc += w[i] * (T[i] @ phi @ T[i].conj().T)
         return acc
 

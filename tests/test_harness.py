@@ -119,6 +119,12 @@ class TestPlan:
         with pytest.raises(HarnessError, match="t samples"):
             ExperimentPlan.from_dict(small_plan_dict(t=[0.5, 1.0, 0.5]))
 
+    def test_observables_must_be_distinct(self):
+        # a repeated observable used to merge into one fit of 2 x 4 cells
+        spin = {"kind": "spin", "axis": 1, "spin": 1}
+        with pytest.raises(HarnessError, match="observables must be distinct"):
+            ExperimentPlan.from_dict(small_plan_dict(observables=[spin, spin]))
+
     def test_number_rate_order_capped(self):
         # the photon-rate expansion stops at order 1; M = 2 used to load and
         # then raise inside the coefficient pool
@@ -127,6 +133,20 @@ class TestPlan:
             ExperimentPlan.from_dict(small_plan_dict(observables=rate, M=2))
         assert ExperimentPlan.from_dict(small_plan_dict(observables=rate, M=1)).M == 1
         assert ExperimentPlan.from_dict(small_plan_dict(M=2)).M == 2
+
+    def test_x_sample_length_must_match_grid(self):
+        # a length-2 X on the desk grid (D = 4) used to load and then fail
+        # mid-sweep on a broadcast of shapes (3,1,4) and (1,2)
+        short = [{"id": "short", "q": [0.1, 0.0], "p": [0.0, 0.2]}]
+        with pytest.raises(HarnessError, match="X sample 'short'"):
+            ExperimentPlan.from_dict(small_plan_dict(X=short))
+        with pytest.raises(HarnessError, match="X sample 'X0'"):
+            ExperimentPlan.from_dict(small_plan_dict(X=[{"q": [0.1, 0, 0, 0]}]))
+
+    def test_observable_needs_kind(self):
+        obs = [{"kind": "spin", "axis": 1, "spin": 1}, {"axis": 2}]
+        with pytest.raises(HarnessError, match="observable 1 has no 'kind'"):
+            ExperimentPlan.from_dict(small_plan_dict(observables=obs))
 
     def test_random_samples_deterministic(self):
         a = ExperimentPlan.from_dict(small_plan_dict())
@@ -162,6 +182,18 @@ class TestSlopeFit:
         assert slope_passes(1.9, 1)
         assert slope_passes(2.6, 1)  # no upper bound past M = 0
         assert not slope_passes(1.5, 1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_slope_fails(self, bad):
+        assert not any(slope_passes(bad, M) for M in range(3))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_input(self, bad):
+        hs = [0.4, 0.2, 0.1, 0.05]
+        with pytest.raises(HarnessError, match="finite"):
+            fit_slope(hs, [1.0, 0.5, bad, 0.125])
+        with pytest.raises(HarnessError, match="finite"):
+            fit_slope([0.4, bad, 0.1, 0.05], [1.0, 0.5, 0.25, 0.125])
 
 
 class TestWorkers:
@@ -292,6 +324,32 @@ class TestConvergence:
         failed = [c for c in report.cells if c.status.startswith("failed")]
         assert failed and all("leakage" in c.status for c in failed)
         assert all(f["status"] == "insufficient-data" for f in report.fits)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_exact_symbol_recorded_not_fitted(self, monkeypatch, bad):
+        # an infinite exact symbol at h = 0.4 used to read as an ok cell of
+        # error NaN with both fits passing at slope NaN; a NaN one crashed
+        # the sweep inside the operator norm
+        real = blochlab.harness.frame_symbol
+
+        def spoiled(frame, applied):
+            out = real(frame, applied)
+            if not calls:
+                out = np.full_like(out, bad)
+            calls.append(1)
+            return out
+
+        calls = []
+        monkeypatch.setattr(blochlab.harness, "frame_symbol", spoiled)
+        plan = ExperimentPlan.from_dict(small_plan_dict(n_max=8))
+        report = run_convergence(plan)
+        assert not report.passed
+        by_h = {c.h: c for c in report.cells}
+        assert by_h[0.4].status == "failed:non-finite exact symbol"
+        assert by_h[0.4].error is None and by_h[0.4].hygiene["cutoff"] >= 1
+        assert all(by_h[h].status == "ok" for h in plan.h_list[1:])
+        # three cells are left, too few for a slope
+        assert [f["status"] for f in report.fits] == ["insufficient-data"] * 2
 
     def test_cutoff_sized_by_leakage(self, conv_report, small_plan):
         # the desk frames leak above the tolerance at 2 fluctuation photons

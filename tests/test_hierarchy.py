@@ -16,6 +16,7 @@ from blochlab.hierarchy import (
     _contract_field,
     _cross_mat,
     _maxwell_sweep,
+    _order_high,
     _polar_project,
     _propagator_sweep,
     _spin1_on_grid,
@@ -218,6 +219,22 @@ class TestOrderJ:
         ):
             a1 = order_j(minimal_model, obs, 1, 0.9, x)
             assert _norm(a1 - a1.conj().T) <= 1e-10 * max(1.0, _norm(a1))
+
+    @pytest.mark.parametrize(
+        "obs",
+        [
+            ObservableSpec(kind="spin", m=1, lam=1),
+            ObservableSpec(kind="field_B", m=2, x=np.array([0.0, 0.0, 0.0])),
+        ],
+        ids=["spin", "field_B"],
+    )
+    def test_high_order_path_at_order_one(self, minimal_model, rng, obs):
+        # the j >= 2 recursion (finite-difference tangents of order 0)
+        # against the analytic order-1 path; 1e-6 is its quadrature floor
+        x = random_phase_vector(rng, 4, scale=0.4)
+        want = order_j(minimal_model, obs, 1, 0.5, x)
+        got = _order_high(minimal_model, obs, 1, 0.5, x, 1e-7)
+        assert _norm(got - want) <= 1e-6 * _norm(want)
 
     def test_field_order1_reduction(self, minimal_model, rng):
         # for a pure field observable the forcing is X-independent, so the
