@@ -144,6 +144,10 @@ class ExperimentPlan:
             raise HarnessError("expansion order M must be >= 0")
         if self.n_max < 1:
             raise HarnessError("n_max must be positive")
+        for name in ("tol", "oracle_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise HarnessError(f"{name} must be positive and finite, got {value}")
         if not self.observables:
             raise HarnessError("plan needs at least one observable")
         if not self.x_samples or not self.t_samples:
@@ -323,7 +327,9 @@ class ConvergenceReport:
 
 
 def _operator_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.atleast_2d(a), 2))
+    """Spectral norm, NaN for a matrix with a non-finite entry."""
+    a = np.atleast_2d(a)
+    return float(np.linalg.norm(a, 2)) if np.isfinite(a).all() else math.nan
 
 
 def _coupling_norm(model: Model) -> float:
@@ -340,8 +346,7 @@ def _partial_sum_errors(exact, orders, h):
     partial = np.zeros_like(exact)
     for j, a in enumerate(orders):
         partial = partial + (h**j) * np.atleast_2d(a)
-        diff = exact - partial
-        errors.append(_operator_norm(diff) if np.isfinite(diff).all() else math.nan)
+        errors.append(_operator_norm(exact - partial))
     return errors
 
 
@@ -654,9 +659,10 @@ class CrosscheckReport:
         }
 
 
-def _rel_dev(a: np.ndarray, b: np.ndarray) -> float:
-    scale = max(_operator_norm(b), 1e-30)
-    return _operator_norm(np.atleast_2d(a) - np.atleast_2d(b)) / scale
+def _rel_dev(a: np.ndarray, b: np.ndarray, floor: float = 1e-30) -> float:
+    """||a - b|| / max(||b||, floor), NaN if a or b is not finite."""
+    scale = np.maximum(_operator_norm(b), floor)
+    return float(_operator_norm(np.atleast_2d(a) - np.atleast_2d(b)) / scale)
 
 
 def run_crosscheck(plan: ExperimentPlan) -> CrosscheckReport:
@@ -672,31 +678,35 @@ def run_crosscheck(plan: ExperimentPlan) -> CrosscheckReport:
     entries = []
     hygiene = []
 
-    def _one_t(t):
-        out = []
-        # order 0: Duhamel path vs precession path, all sites and axes
-        triples = bloch_spin0(model, t, x, tol=plan.tol)
-        dev0 = 0.0
+    def _spin_dev(triples, direct, floor):
+        """Largest deviation of the site triples from the direct coefficient
+        of each spin axis; NaN, so a failing entry, if any is not finite."""
+        devs = []
         for tr in triples:
             for m in (1, 2, 3):
                 obs = ObservableSpec(kind="spin", m=m, lam=tr.lam)
-                direct = order0(model, obs, t, x, tol=plan.tol)
-                dev0 = max(dev0, _rel_dev(tr.matrices[m - 1], direct))
+                devs.append(_rel_dev(tr.matrices[m - 1], direct(obs), floor))
+        return float(np.max(devs))
+
+    def _one_t(t):
+        out = []
+        # order 0: Duhamel path vs precession path, all sites and axes
+        dev0 = _spin_dev(
+            bloch_spin0(model, t, x, tol=plan.tol),
+            lambda obs: order0(model, obs, t, x, tol=plan.tol),
+            1e-30,
+        )
         out.append({"check": "spin-order0", "t": t, "deviation": dev0})
 
         if t > 0.0:
             # every first-order path at this t reads the same grid sweeps
             with shared_sweeps(model, t, x):
                 # order 1 spin: variation-of-constants vs Duhamel recursion
-                ones = spin_correction1(model, t, x, tol=tol * 0.3)
-                dev1 = 0.0
-                for tr in ones:
-                    for m in (1, 2, 3):
-                        obs = ObservableSpec(kind="spin", m=m, lam=tr.lam)
-                        direct = order_j(model, obs, 1, t, x, tol=tol * 0.3)
-                        scale = max(_operator_norm(np.atleast_2d(direct)), 1.0)
-                        diff = np.atleast_2d(tr.matrices[m - 1]) - np.atleast_2d(direct)
-                        dev1 = max(dev1, _operator_norm(diff) / scale)
+                dev1 = _spin_dev(
+                    spin_correction1(model, t, x, tol=tol * 0.3),
+                    lambda obs: order_j(model, obs, 1, t, x, tol=tol * 0.3),
+                    1.0,
+                )
                 out.append({"check": "spin-order1", "t": t, "deviation": dev1})
 
                 # order 1 field: sourced modes vs Duhamel recursion
@@ -717,7 +727,7 @@ def run_crosscheck(plan: ExperimentPlan) -> CrosscheckReport:
 
     # hygiene probes: propagator unitarity and tangent-vs-FD residuals
     t_max = max(plan.t_samples)
-    state = propagator_G(model, t_max, 0.0, x, tol=plan.tol)
+    state = propagator_G(model, t_max, x, tol=plan.tol)
     hygiene.append(
         {"check": "propagator-unitarity", "residual": state.unitarity_defect}
     )

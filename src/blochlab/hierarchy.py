@@ -2,7 +2,7 @@
 
 For affine observables A(X) = (F_A . X) I + S_A the evolved symbol expands
 in powers of h.  Order 0 is classical transport of the field part plus
-conjugation of the spin part by the propagator G(t, s, X); higher orders
+conjugation of the spin part by the propagator G(t, 0, X); higher orders
 follow a Duhamel recursion whose forcing pairs the constant gradient of
 the interaction symbol with directional derivatives of the previous order.
 
@@ -17,11 +17,21 @@ double integrals, is one blochlab.model.flow_pairing: a finite cosine/sine
 sum over the distinct mode frequencies, built once per call and evaluated
 at a time or on a grid of times.
 
+Each shared formula has one implementation.  The C^1 composition term is
+blochlab.symbols.c1_affine: the Duhamel forcing of every order is
+i (C1(sigma, A) - C1(A, sigma)) of it (_duhamel_forcing), and the
+photon-rate term C1(E^0, S^0) takes it the two rotation tangents.  The
+cross-product matrix of the precession (_cross_mat) and the contraction
+of a site rotation with the site's spin operators (_site_spins) are
+batched over leading axes, so the adaptive right-hand sides and the grid
+sweeps share them.
+
 Both first-order paths are trapezoid quadratures on uniform grids of n
 nodes, refined by doubling.  Their pairing kernels separate in the two
-time arguments, so the order-1 recursion reduces its inner layer to
-suffix integrals and the Bloch correction its tangent contraction to
-prefix integrals, each O(n) per grid.  The fixed-substep RK4 sweeps that
+time arguments, so both reduce to one flow-kernel convolution
+(_lag_convolution): suffix integrals for the inner layer of the order-1
+recursion, prefix integrals for the tangent contraction of the Bloch
+correction, each O(n) per grid.  The fixed-substep RK4 sweeps that
 feed them (_propagator_sweep, _maxwell_sweep) integrate linear systems:
 they evaluate their generators on the half-step stage grid and take every
 substep as an RK4 transfer map (blochlab.stepper.rk4_transfer), so a sweep
@@ -66,7 +76,7 @@ from blochlab.model import (
 )
 from blochlab.oracle import ObservableSpec, field_coupling
 from blochlab.stepper import PropagationLog, integrate_adaptive, rk4_transfer
-from blochlab.symbols import c1_cross
+from blochlab.symbols import c1_affine
 
 
 class HierarchyError(ModelError):
@@ -83,17 +93,19 @@ PHOTON_RATE_SIGN = -1.0
 _EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
     _EPS3[_i, _j, _k], _EPS3[_i, _k, _j] = 1.0, -1.0
+# C_ij = -eps_ijk x_k as the linear map x_k -> (i, j)
+_CROSS_MAP = -_EPS3.reshape(9, 3).T
 
 
 def _cross_mat(x: np.ndarray) -> np.ndarray:
-    """C(x) with C(x) v = x cross v."""
-    return np.array(
-        [
-            [0.0, -x[2], x[1]],
-            [x[2], 0.0, -x[0]],
-            [-x[1], x[0], 0.0],
-        ]
-    )
+    """C(x) with C(x) v = x cross v, batched over the leading axes of x."""
+    return (x @ _CROSS_MAP).reshape(x.shape[:-1] + (3, 3))
+
+
+def _site_spins(r: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Spin matrices sum_k r[..., m, k] ops[k] of a site rotation (or of its
+    tangent) against the site's spin operators, batched over leading axes."""
+    return np.einsum("...mk,kab->...mab", r, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -102,15 +114,10 @@ def _cross_mat(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PropagatorState:
-    """Unitary spin propagator G(t, s, X) with its integration log and the
-    number of polar re-projections it took."""
+    """Unitary spin propagator G(t, 0, X) with its integration log."""
 
     matrix: np.ndarray
-    t: float
-    s: float
-    x: PhaseVector
     log: PropagationLog
-    n_projections: int
 
     @property
     def unitarity_defect(self) -> float:
@@ -124,31 +131,24 @@ def _polar_project(g: np.ndarray) -> np.ndarray:
 
 
 def propagator_G(
-    model: Model, t: float, s: float, x: PhaseVector, tol: float = 1e-8
+    model: Model, t: float, x: PhaseVector, tol: float = 1e-8
 ) -> PropagatorState:
-    """Solve dG/dt = i G H_int(chi_t X), G(s, s) = I."""
+    """Solve dG/dt = i G H_int(chi_t X), G(0, 0) = I."""
     if tol <= 0:
         raise HierarchyError("tol must be positive")
-    sd = model.spin_dim
-    eye = np.eye(sd, dtype=complex)
-    projections = 0
+    eye = np.eye(model.spin_dim, dtype=complex)
     pairing = flow_pairing(model.grid, model.coupling_list, [x])
 
     def rhs(u, g):
         return 1j * (g @ model.spin_matrix(model.site_beta + pairing(u)[:, 0]))
 
     def post(g):
-        nonlocal projections
-        defect = np.linalg.norm(g.conj().T @ g - eye)
-        if defect > tol / 10.0:
-            projections += 1
+        if np.linalg.norm(g.conj().T @ g - eye) > tol / 10.0:
             return _polar_project(g)
         return g
 
-    g, log = integrate_adaptive(rhs, eye, s, t, tol, _DT0, postprocess=post)
-    return PropagatorState(
-        matrix=g, t=t, s=s, x=x, log=log, n_projections=projections
-    )
+    g, log = integrate_adaptive(rhs, eye, 0.0, t, tol, _DT0, postprocess=post)
+    return PropagatorState(matrix=g, log=log)
 
 
 def _panel_stages(t: float, n: int):
@@ -260,7 +260,7 @@ def order0(
     if f_a is not None:
         out += f_a.dot(chi_flow_vector(model.grid, t, x)) * np.eye(sd)
     if s_a is not None:
-        g = propagator_G(model, t, 0.0, x, tol).matrix
+        g = propagator_G(model, t, x, tol).matrix
         out += g @ s_a @ g.conj().T
     return out
 
@@ -294,10 +294,47 @@ def _refine(compute, tol, n0=32, nmax=4096, label="quadrature"):
 # order j >= 1 via the Duhamel recursion
 
 
-def _commutator_forcing(sig, db, df):
-    """The C^1 forcing 0.5i [sigma, dA(B)] - 0.5 {sigma, dA(F B)} of the
-    Duhamel recursion; broadcasts over leading axes."""
-    return 0.5j * (sig @ db - db @ sig) - 0.5 * (sig @ df + df @ sig)
+def _duhamel_forcing(sig, db, dfb):
+    """The Duhamel forcing i (C1(sigma, A) - C1(A, sigma)) of coupling spins
+    sigma against the previous order A, given dA(B) and dA(F B) along the
+    coupling B of each sigma; broadcasts over leading axes."""
+    return 1j * (c1_affine(sig, db, dfb, "left") - c1_affine(sig, db, dfb, "right"))
+
+
+def _lag_convolution(omegas, dt, f, suffix):
+    """Cosine and sine parts of the flow-kernel convolution on the uniform
+    grid u_i = i dt, for every node u and distinct mode frequency g:
+
+        suffix:  int_u^t cos/sin(g (w - u)) f(w) dw
+        prefix:  int_0^u cos/sin(g (u - w)) f(w) dw
+
+    by trapezoid quadrature, with f of shape (n+1, ...).  A pairing kernel
+    sum_g alpha cos(g s) + beta sin(g s) separates in (w, u), so both come
+    from the running integrals of cos(g w) f(w) and sin(g w) f(w): O(n) work.
+    Returns shape (2, G, n+1, ...), cosine part first."""
+    phase = np.multiply.outer(omegas, dt * np.arange(len(f)))
+    cs = np.stack([np.cos(phase), np.sin(phase)])
+    c, s = cs = cs.reshape(cs.shape + (1,) * (f.ndim - 1))
+    inc = cs * f
+    inc = 0.5 * dt * (inc[:, :, :-1] + inc[:, :, 1:])
+    # running integrals of cos(g w) f(w) and sin(g w) f(w) over the suffix
+    # or prefix of each node, then rotated into the two parts in place, so
+    # that a grid of n = 4096 nodes holds few arrays of this size at once
+    out = np.zeros(inc.shape[:2] + f.shape, dtype=inc.dtype)
+    if suffix:
+        np.cumsum(inc[:, :, ::-1], axis=2, out=out[:, :, -2::-1])
+    else:
+        np.cumsum(inc, axis=2, out=out[:, :, 1:])
+    del inc
+    rc, rs = out
+    rc_start = rc.copy()
+    rc *= c
+    rc += s * rs
+    rs *= c
+    rs -= s * rc_start
+    if not suffix:
+        np.negative(rs, out=rs)
+    return out
 
 
 def _order1_on_grid(model, obs, t, x, n):
@@ -317,46 +354,23 @@ def _order1_on_grid(model, obs, t, x, n):
         ctab = flow_pairing(model.grid, [f_a], fbs)(r)[:, 0]  # (n+1, A)
         return -np.einsum("i,ia,iacd->cd", w, ctab, Sig)
 
-    # spin observable.  The inner Duhamel layer needs, for every u,
-    #   N_V(u) = i int_u^t (B_{a'} . chi_{w-u} V) Sig_{a'}(w) dw;
-    # the pairing kernel is a finite cosine/sine sum over the distinct mode
-    # frequencies, so it separates in (w, u) and the double quadrature
-    # collapses to O(n) suffix integrals per frequency.
+    # spin observable.  The inner Duhamel layer needs, for every u and both
+    # pairings P of B with B and with F B,
+    #   N_P(u) = i int_u^t P_{a'a}(w - u) Sig_{a'}(w) dw,
+    # a suffix flow-kernel convolution: the stacked [cos; sin] parts against
+    # the stacked [alpha; beta] of both pairings, one product for the pair.
     sd = model.spin_dim
     K = T[n] @ s_a @ T[n].conj().T
     pair_b = flow_pairing(model.grid, bs, bs)
     pair_f = flow_pairing(model.grid, bs, fbs)
-    uniq = pair_b.omegas
-    ug = dt * np.arange(n + 1)
-    cg = np.cos(np.outer(uniq, ug))  # (G, n+1)
-    sg = np.sin(np.outer(uniq, ug))
-
-    def rev_cumtrapz(f):
-        # suffix trapezoid integrals along axis 1
-        inc = 0.5 * dt * (f[:, :-1] + f[:, 1:])
-        out = np.zeros_like(f)
-        out[:, :-1] = np.cumsum(inc[:, ::-1], axis=1)[:, ::-1]
-        return out
-
-    fc = np.einsum("gi,ipcd->gipcd", cg, Sig)
-    fs = np.einsum("gi,ipcd->gipcd", sg, Sig)
-    rc = rev_cumtrapz(fc)  # int_u^t cos(g w) Sig(w) dw
-    rs = rev_cumtrapz(fs)
-
-    # N_V(u) = i sum_g,p alpha[g,p,a] (cos rc + sin rs) + beta[g,p,a] (cos rs
-    # - sin rc): the stacked [cos; sin] rows against the stacked [alpha;
-    # beta] of both pairings, one product for the pair
-    c5, s5 = cg[:, :, None, None, None], sg[:, :, None, None, None]
-    rows = np.concatenate([c5 * rc + s5 * rs, c5 * rs - s5 * rc])  # (2G, n+1, A, sd, sd)
-    rows = rows.transpose(1, 3, 4, 0, 2).reshape((n + 1) * sd * sd, -1)
+    rows = _lag_convolution(pair_b.omegas, dt, Sig, suffix=True)
+    rows = rows.transpose(2, 4, 5, 0, 1, 3).reshape((n + 1) * sd * sd, -1)
     coef = np.concatenate(
         [np.concatenate([p.alpha, p.beta]) for p in (pair_b, pair_f)], axis=2
     )  # (2G, A, 2A)
     both = rows @ coef.reshape(rows.shape[1], -1)  # ((n+1) sd^2, 2A)
     nb, nf = 1j * both.reshape(n + 1, sd, sd, 2, -1).transpose(3, 0, 4, 1, 2)
-    cb = nb @ K - K @ nb
-    cf = nf @ K - K @ nf
-    term = _commutator_forcing(Sig, cb, cf)
+    term = _duhamel_forcing(Sig, nb @ K - K @ nb, nf @ K - K @ nf)
     return np.einsum("i,icd->cd", w, term.sum(axis=1))
 
 
@@ -389,17 +403,17 @@ def _central_difference(f, x: PhaseVector, v: PhaseVector):
     return (f(x + step * v) - f(x - step * v)) / (2.0 * step)
 
 
-def _directional_prev(model, obs, jm1, s, y, v, tol):
-    """Central-difference directional derivative of A^[j-1](s, .) at y."""
-    if v.norm() == 0.0:
-        return np.zeros((model.spin_dim, model.spin_dim), dtype=complex)
+def _directional_prev(model, obs, jm1, s, y, vs, tol):
+    """Central-difference directional derivatives of A^[j-1](s, .) at y
+    along each V of vs, stacked."""
 
     def prev(z):
         if jm1 == 0:
             return order0(model, obs, s, z, tol)
         return order_j(model, obs, jm1, s, z, tol)
 
-    return _central_difference(prev, y, v)
+    zero = np.zeros((model.spin_dim, model.spin_dim), dtype=complex)
+    return np.stack([_central_difference(prev, y, v) if v.norm() else zero for v in vs])
 
 
 def _order_high(model, obs, j, t, x, tol):
@@ -415,13 +429,12 @@ def _order_high(model, obs, j, t, x, tol):
         acc = np.zeros((model.spin_dim, model.spin_dim), dtype=complex)
         for i in range(n + 1):
             u = i * dt
-            s = t - u
             y = chi_flow_vector(model.grid, u, x)
-            phi = np.zeros_like(acc)
-            for b, fb, sig in zip(bs, fbs, model.sigmas):
-                db = _directional_prev(model, obs, j - 1, s, y, b, tol * 0.1)
-                df = _directional_prev(model, obs, j - 1, s, y, fb, tol * 0.1)
-                phi += _commutator_forcing(sig, db, df)
+            db, dfb = (
+                _directional_prev(model, obs, j - 1, t - u, y, vs, tol * 0.1)
+                for vs in (bs, fbs)
+            )
+            phi = _duhamel_forcing(model.sigmas, db, dfb).sum(axis=0)
             acc += w[i] * (T[i] @ phi @ T[i].conj().T)
         return acc
 
@@ -462,8 +475,7 @@ def bloch_spin0(
     out = []
     for lam in range(model.N):
         r = _rotation_endpoint(model, lam, t, x, tol)
-        sig = model.spin_ops[lam]
-        mats = np.einsum("mk,kab->mab", r, sig)
+        mats = _site_spins(r, model.spin_ops[lam])
         out.append(SpinTriple(lam=lam + 1, rotation=r, matrices=mats))
     return out
 
@@ -516,7 +528,7 @@ def tangent_derivatives(
             raise HierarchyError(
                 f"tangent residual breach: {residual:.3e} along |V|={v.norm():.3e}"
             )
-    dS = np.einsum("mk,kab->mab", d, model.spin_ops[lam - 1])
+    dS = _site_spins(d, model.spin_ops[lam - 1])
     return TangentBundleState(drotation=d, dS=dS, residual=residual)
 
 
@@ -549,7 +561,7 @@ def _maxwell_sweep(model: Model, t: float, x: PhaseVector, n: int):
 
     # 2 C(b^lam(u)) on the half-step grid, with b_m = beta_m + B_{m x_lam} . chi_u X
     fields = model.site_beta + flow_pairing(model.grid, bs, [x])(stage)[:, :, 0]
-    gen = 2.0 * np.einsum("ijk,snj->snik", _EPS3, fields.reshape(-1, N, 3))
+    gen = 2.0 * _cross_mat(fields.reshape(-1, N, 3))
     phi, maps = rk4_transfer(*_panel_split(gen, n, sub), dt)
 
     # R: one 3x3 product per site and substep
@@ -603,7 +615,6 @@ def _contract_field(vec: PhaseVector, z: np.ndarray) -> np.ndarray:
 class MaxwellCheckReport:
     """Dual-path comparison of the first-order radiated field."""
 
-    t: float
     max_rel_dev: float
     div_b_residual: float
     div_e_residual: float
@@ -636,15 +647,18 @@ def maxwell_cross_check(
             lhs = _contract_field(coupling_B(model.grid, model.config, m, pt), z)
             obs = ObservableSpec(kind="field_B", m=m, x=pt)
             rhs = order_j(model, obs, 1, t, x, tol=min(tol * 0.1, 1e-7))
-            scale = max(np.linalg.norm(rhs), 1e-12)
-            max_dev = max(max_dev, float(np.linalg.norm(lhs - rhs) / scale))
+            scale = np.maximum(np.linalg.norm(rhs), 1e-12)
+            max_dev = np.maximum(max_dev, np.linalg.norm(lhs - rhs) / scale)
             grads = coupling_B_gradient(model.grid, model.config, m, pt)
             acc_b += _contract_field(grads[m - 1], z)
             acc_e += _contract_field(apply_helicity(model.grid, grads[m - 1]), z)
-        div_b = max(div_b, float(np.linalg.norm(acc_b)))
-        div_e = max(div_e, float(np.linalg.norm(acc_e)))
+        div_b = np.maximum(div_b, np.linalg.norm(acc_b))
+        div_e = np.maximum(div_e, np.linalg.norm(acc_e))
+    # np.maximum keeps a NaN, so a non-finite comparison fails its check
     return MaxwellCheckReport(
-        t=t, max_rel_dev=max_dev, div_b_residual=div_b, div_e_residual=div_e
+        max_rel_dev=float(max_dev),
+        div_b_residual=float(div_b),
+        div_e_residual=float(div_e),
     )
 
 
@@ -657,15 +671,14 @@ def _spin1_on_grid(model, lam, t, x, n):
     rotation, with the radiated-field coupling and the tangent contraction
     K built from dB^[0] pairings along the coupling directions.
 
-    The contraction at node w is a convolution over u <= w,
+    The contraction at node w is a prefix flow-kernel convolution over
+    u <= w,
 
         kappa(w) = -2 eps[n,c,a] R_w[a,r] sum_u pbb[c,m,w-u] Y_u[m,r,q],
         Y_u[m,r,q] = R_u[p,r] eps[m,p,k] R_u[k,q],
 
     whose kernel pbb[c,m,s] = B_c . chi_s B_m is a finite cosine/sine sum
-    over the distinct mode frequencies.  It separates in (w, u), so every
-    node's convolution comes from the prefix trapezoid integrals of
-    cos(g u) Y_u and sin(g u) Y_u: O(n) work on the grid."""
+    over the distinct mode frequencies (_lag_convolution)."""
     r_all, z_path = _maxwell_sweep(model, t, x, n)
     r_path = r_all[:, lam]  # (n+1, 3, 3)
     dt = t / n
@@ -678,7 +691,7 @@ def _spin1_on_grid(model, lam, t, x, n):
     b1 = np.einsum("aj,ijcd->iacd", bq, z_path[:, 0]) + np.einsum(
         "aj,ijcd->iacd", bp, z_path[:, 1]
     )
-    s0 = np.einsum("ibk,kcd->ibcd", r_path, sig)
+    s0 = _site_spins(r_path, sig)
     cpl = np.einsum("nab,iacd,ibde->ince", _EPS3, b1, s0) + np.einsum(
         "nab,ibcd,iade->ince", _EPS3, s0, b1
     )
@@ -686,23 +699,10 @@ def _spin1_on_grid(model, lam, t, x, n):
     # K(w): same-site contraction of coupling pairings with the rotation
     # transport; pbb[c,m,w-u] = sum_g alpha cos(g(w-u)) + beta sin(g(w-u))
     pairing = flow_pairing(model.grid, bsl, bsl)
-    uniq, alpha, beta = pairing.omegas, pairing.alpha, pairing.beta
-    ug = dt * np.arange(n + 1)
-    cg = np.cos(np.outer(uniq, ug))[:, :, None, None, None]  # (G, n+1, 1, 1, 1)
-    sg = np.sin(np.outer(uniq, ug))[:, :, None, None, None]
     y = np.einsum("upr,mpk,ukq->umrq", r_path, _EPS3, r_path)
-
-    def cumtrapz(f):
-        # prefix trapezoid integrals along axis 1
-        out = np.zeros_like(f)
-        out[:, 1:] = np.cumsum(0.5 * dt * (f[:, :-1] + f[:, 1:]), axis=1)
-        return out
-
-    pc = cumtrapz(cg * y)  # int_0^w cos(g u) Y_u du
-    ps = cumtrapz(sg * y)
-    conv = np.einsum("gcm,gwmrq->wcrq", alpha, cg * pc + sg * ps) + np.einsum(
-        "gcm,gwmrq->wcrq", beta, sg * pc - cg * ps
-    )
+    lag = _lag_convolution(pairing.omegas, dt, y, suffix=False)  # (2, G, n+1, ...)
+    coef = np.stack([pairing.alpha, pairing.beta])  # (2, G, 3, 3)
+    conv = np.einsum("kgcm,kgwmrq->wcrq", coef, lag)
     kappa = -2.0 * np.einsum("nca,war,wcrq->wnq", _EPS3, r_path, conv)
 
     # out = sum_w w_w (R_t R_w^T) (cpl(w) + kappa(w) . sigma)
@@ -779,12 +779,12 @@ def photon_rate_expansion(
             # the tangent skips tangent_derivatives' finite-difference probe;
             # run_crosscheck's tangent-fd-residual hygiene check runs it
             wvec = chi_flow_vector(model.grid, -t, fb)
-
-            def dg(z, v):
-                _, d = _rotation_tangent(model, lam, t, z, v, min(tol, 1e-8))
-                return np.einsum("mk,kab->mab", d, model.spin_ops[lam])[m]
-
-            n1 += c1_cross([(wvec, PHOTON_RATE_SIGN * eye)], dg, x, side="left")
+            tangents = [
+                _rotation_tangent(model, lam, t, x, v, min(tol, 1e-8))[1]
+                for v in (wvec, fmap(wvec))
+            ]
+            db, dfb = _site_spins(np.stack(tangents), model.spin_ops[lam])[:, m]
+            n1 += c1_affine(PHOTON_RATE_SIGN * eye, db, dfb, "left")
     orders.append(n1)
     return orders
 

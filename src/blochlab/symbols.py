@@ -10,19 +10,26 @@ coordinates d/dq - i d/dp = 2 d/dz and d/dq + i d/dp = 2 d/dw, so normal
 ordering, the heat operator and the composition series are plain
 multi-index bookkeeping.  Matrix-valued coefficients share the scalar code
 path; products keep operator order.
+
+c1_affine is the one implementation of the first-order composition term
+C^1, the h-term of the Mizrahi series, when one factor is an affine matrix
+symbol.  It works on arrays of directional derivatives rather than on
+PolySymbols, so the hierarchy applies it on whole quadrature grids: the
+Duhamel forcing of every order is i (C1(F, G) - C1(G, F)), and the
+photon-rate correction reads C1(E^0, S^0) from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from blochlab.fock import FockBasis
-from blochlab.model import ModelError, PhaseVector, fmap
+from blochlab.model import ModelError, PhaseVector
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -364,55 +371,22 @@ def derivative_norm_surrogate(f: PolySymbol) -> float:
     return best
 
 
-AffineTerm = tuple[PhaseVector, np.ndarray]
+def c1_affine(s, db, dfb, side: str):
+    """First-order composition term C^1 against an affine matrix symbol.
 
+    F(X) = const + (B . X) S has the constant gradient (dq - i dp)F =
+    (B_q - i B_p) S, so the j-sum of the h-term of the Mizrahi series
+    reduces to two real directional derivatives of the other factor G:
 
-def c1_cross(
-    terms: Sequence[AffineTerm],
-    dg: Callable[[PhaseVector, PhaseVector], np.ndarray],
-    x: PhaseVector,
-    side: str = "left",
-) -> np.ndarray:
-    """First-order composition coefficient against an affine matrix symbol.
+        C1(F, G)(X) = 1/2 S [dG(X)(B) + i dG(X)(F B)]      (side "left")
+        C1(G, F)(X) = 1/2 [dG(X)(B) - i dG(X)(F B)] S      (side "right")
 
-    F(X) = const + sum_s (B_s . X) S_s with matrix weights S_s given as
-    ``terms`` = [(B_s, S_s), ...]; G is supplied only through its
-    directional derivative callback dg(X, V).  Using
-    (dq - i dp)F = sum_s (B_q - i B_p)_s S_s and the reduction of the
-    j-sum to two real directional derivatives,
-
-        C1(F, G)(X) = 1/2 sum_s S_s o [dG(X)(B_s) + i dG(X)(F B_s)]
-        C1(G, F)(X) = 1/2 sum_s [dG(X)(B_s) - i dG(X)(F B_s)] o S_s
-
-    with F the complex-structure map (q,p) -> (-p,q).  ``side`` selects
-    whether the affine factor stands left ("left", C1(F,G)) or right
-    ("right", C1(G,F)) in the composition.
+    with F the complex-structure map (q,p) -> (-p,q).  ``db`` and ``dfb``
+    are dG(X)(B) and dG(X)(F B); S, db and dfb broadcast over leading axes,
+    so a stack of affine terms gives a stack of terms.
     """
-    if side not in ("left", "right"):
-        raise ModelError("side must be 'left' or 'right'")
-    acc = None
-    for b, s_mat in terms:
-        d1 = dg(x, b)
-        d2 = dg(x, fmap(b))
-        if side == "left":
-            contrib = 0.5 * (s_mat @ (d1 + 1j * d2))
-        else:
-            contrib = 0.5 * ((d1 - 1j * d2) @ s_mat)
-        acc = contrib if acc is None else acc + contrib
-    if acc is None:
-        raise ModelError("affine symbol needs at least one linear term")
-    return acc
-
-
-def poly_directional_callback(g: PolySymbol):
-    """Adapt a matrix polynomial symbol to the c1_cross callback form."""
-
-    shape = g.value_shape() or (1, 1)
-
-    def dg(x: PhaseVector, v: PhaseVector) -> np.ndarray:
-        val = g.directional(v).eval(x)
-        if not _is_matrix(val):
-            val = val * np.eye(shape[0], dtype=complex)
-        return val
-
-    return dg
+    if side == "left":
+        return 0.5 * (s @ (db + 1j * dfb))
+    if side == "right":
+        return 0.5 * ((db - 1j * dfb) @ s)
+    raise ModelError("side must be 'left' or 'right'")

@@ -67,6 +67,14 @@ class TestPlan:
         with pytest.raises(HarnessError, match="decreasing"):
             ExperimentPlan.from_dict(small_plan_dict(h=[0.1, 0.2, 0.3, 0.4]))
 
+    @pytest.mark.parametrize("field", ["tol", "oracle_tol"])
+    @pytest.mark.parametrize("bad", [0.0, -1e-9, float("inf"), float("nan")])
+    def test_tolerances_must_be_positive_and_finite(self, field, bad):
+        # tol = 0 used to load and then raise HierarchyError from the
+        # coefficient pool; oracle_tol < 0 loaded and stalled every frame
+        with pytest.raises(HarnessError, match=f"^{field} must be positive"):
+            ExperimentPlan.from_dict(small_plan_dict(**{field: bad}))
+
     def test_h_must_be_in_unit_interval(self):
         with pytest.raises(HarnessError, match=r"\(0, 1\]"):
             ExperimentPlan.from_dict(small_plan_dict(h=[1.5, 0.4, 0.2, 0.1]))
@@ -460,6 +468,38 @@ class TestCrosscheck:
         report = run_crosscheck(ExperimentPlan.from_dict(small_plan_dict(t=[0.5])))
         failed = [e["check"] for e in report.entries if not e["passed"]]
         assert failed == ["field-order1"]
+        assert not report.passed
+
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_order0_fails_its_entry(self, monkeypatch, bad):
+        # an infinite coefficient used to pass with deviation 0.0, because the
+        # max over axes dropped the NaN deviation; a NaN one raised LinAlgError
+        def spoiled(model, obs, t, x, tol):
+            return np.full((model.spin_dim,) * 2, bad, dtype=complex)
+
+        monkeypatch.setattr(blochlab.harness, "order0", spoiled)
+        plan = ExperimentPlan.from_dict(small_plan_dict(n_max=8, t=[0.5]))
+        report = run_crosscheck(plan)
+        assert not report.passed
+        by_check = {e["check"]: e for e in report.entries}
+        assert np.isnan(by_check["spin-order0"]["deviation"])
+        assert not by_check["spin-order0"]["passed"]
+        assert by_check["spin-order1"]["passed"] and by_check["field-order1"]["passed"]
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_order1_fails_its_entries(self, monkeypatch, bad):
+        # the same for the first-order coefficient that both order-1 checks
+        # compare against, including the max inside maxwell_cross_check
+        def spoiled(model, obs, j, t, x, tol):
+            return np.full((model.spin_dim,) * 2, bad, dtype=complex)
+
+        monkeypatch.setattr(blochlab.harness, "order_j", spoiled)
+        monkeypatch.setattr(blochlab.hierarchy, "order_j", spoiled)
+        plan = ExperimentPlan.from_dict(small_plan_dict(n_max=8, t=[0.5]))
+        report = run_crosscheck(plan)
+        failed = {e["check"] for e in report.entries if not e["passed"]}
+        assert failed == {"spin-order1", "field-order1"}
         assert not report.passed
 
 

@@ -102,32 +102,32 @@ class TestPropagator:
     def test_constant_generator_closed_form(self, minimal_model):
         # X = 0, beta = (0, 0, b): G(t, 0, 0) = exp(i t b sigma_3)
         t, b = 0.7, 1.0
-        g = propagator_G(minimal_model, t, 0.0, minimal_model.zero_x()).matrix
+        g = propagator_G(minimal_model, t, minimal_model.zero_x()).matrix
         expected = expm(1j * t * b * minimal_model.spin_ops[0][2])
         assert _norm(g - expected) <= 1e-9
 
     def test_identity_at_equal_times(self, minimal_model, rng):
         x = random_phase_vector(rng, 4, scale=0.4)
-        g = propagator_G(minimal_model, 0.3, 0.3, x).matrix
+        g = propagator_G(minimal_model, 0.0, x).matrix
         np.testing.assert_allclose(g, np.eye(2), atol=1e-14)
 
     def test_group_law(self, minimal_model, rng):
         x = random_phase_vector(rng, 4, scale=0.4)
         s, t = 0.3, 0.9
-        gs = propagator_G(minimal_model, s, 0.0, x, tol=1e-10).matrix
-        gt = propagator_G(minimal_model, t, 0.0, x, tol=1e-10).matrix
+        gs = propagator_G(minimal_model, s, x, tol=1e-10).matrix
+        gt = propagator_G(minimal_model, t, x, tol=1e-10).matrix
         xs = chi_flow_vector(minimal_model.grid, s, x)
-        rel = propagator_G(minimal_model, t - s, 0.0, xs, tol=1e-10).matrix
+        rel = propagator_G(minimal_model, t - s, xs, tol=1e-10).matrix
         assert _norm(gs.conj().T @ gt - rel) <= 1e-8
 
     def test_unitary(self, octa_model, rng):
         x = random_phase_vector(rng, octa_model.D, scale=0.3)
-        state = propagator_G(octa_model, 1.2, 0.0, x, tol=1e-9)
+        state = propagator_G(octa_model, 1.2, x, tol=1e-9)
         assert state.unitarity_defect <= 1e-9
 
     def test_rejects_bad_tol(self, minimal_model):
         with pytest.raises(HierarchyError):
-            propagator_G(minimal_model, 1.0, 0.0, minimal_model.zero_x(), tol=0.0)
+            propagator_G(minimal_model, 1.0, minimal_model.zero_x(), tol=0.0)
 
 
 class TestOrder0:
@@ -178,7 +178,7 @@ class TestBlochSpin0:
     def test_agrees_with_conjugation(self, minimal_model, rng):
         x = random_phase_vector(rng, 4, scale=0.4)
         for t in (0.4, 1.1, 2.0):
-            g = propagator_G(minimal_model, t, 0.0, x, tol=1e-10).matrix
+            g = propagator_G(minimal_model, t, x, tol=1e-10).matrix
             trip = bloch_spin0(minimal_model, t, x, tol=1e-10)[0]
             for m in range(3):
                 ref = g @ minimal_model.spin_ops[0][m] @ g.conj().T

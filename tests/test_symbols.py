@@ -1,19 +1,19 @@
-"""Symbol calculus: heat, quantizations, composition series, C^1 coefficient."""
+"""Symbol calculus: heat, quantizations, composition series, C^1 term."""
 
 import numpy as np
 import pytest
 
 from blochlab.fock import FockBasis, wick_symbol
-from blochlab.model import ModelError, PhaseVector, spin_operator
+from blochlab.hierarchy import _duhamel_forcing
+from blochlab.model import SIGMA, ModelError, PhaseVector, fmap, spin_operator
 from blochlab.symbols import (
     PolySymbol,
     anti_wick_quantize,
-    c1_cross,
+    c1_affine,
     derivative_norm_surrogate,
     heat,
     mizrahi_compose,
     mizrahi_remainder_bound,
-    poly_directional_callback,
     wick_quantize,
 )
 from conftest import random_phase_vector
@@ -308,25 +308,29 @@ def _truncated_mizrahi(f, g, h, m):
     return out
 
 
+def directional(g, v, x):
+    """dG(X)(V) of a polynomial symbol as a matrix (a scalar G as 1x1)."""
+    return np.broadcast_to(g.directional(v).eval(x), g.value_shape() or (1, 1))
+
+
 class TestC1Cross:
     def test_constant_g_vanishes(self, rng):
-        terms = [(random_phase_vector(rng, 2), spin_operator(1, 1, 3))]
-
-        def dg(x, v):
-            return np.zeros((2, 2), dtype=complex)
-
-        x = random_phase_vector(rng, 2)
-        np.testing.assert_allclose(c1_cross(terms, dg, x), 0.0, atol=1e-14)
+        s = spin_operator(1, 1, 3)
+        zero = np.zeros((2, 2), dtype=complex)
+        for side in ("left", "right"):
+            np.testing.assert_allclose(c1_affine(s, zero, zero, side), 0.0, atol=1e-14)
+        with pytest.raises(ModelError):
+            c1_affine(s, zero, zero, "middle")
 
     def test_affine_affine_closed_form(self, rng):
         # scalar affine F, G: C1(F,G) = 1/2 (grad_q F - i grad_p F) .
         # (grad_q G + i grad_p G); matches the order-1 Mizrahi term / h
         bf = random_phase_vector(rng, 2)
         bg = random_phase_vector(rng, 2)
-        sigma = np.eye(1, dtype=complex)
         g_sym = PolySymbol.linear(bg)
-        got = c1_cross([(bf, sigma)], poly_directional_callback(g_sym),
-                       random_phase_vector(rng, 2))
+        x = random_phase_vector(rng, 2)
+        db, dfb = directional(g_sym, bf, x), directional(g_sym, fmap(bf), x)
+        got = c1_affine(np.eye(1), db, dfb, "left")
         want = 0.5 * np.vdot(bf.q + 1j * bf.p, bg.q + 1j * bg.p)
         assert complex(got[0, 0]) == pytest.approx(want, abs=1e-12)
         h = 0.37
@@ -337,43 +341,47 @@ class TestC1Cross:
         )
 
     def test_commutator_consistency(self, rng):
-        # symbol of [Op(phi_V), Op(G)] = h [C1(phi_V, G) - C1(G, phi_V)]
-        # + [phi_V, G] for matrix polynomial G (here [phi_V, G] = 0 since
-        # phi_V is scalar); verified through the Mizrahi series
+        # for affine F = (V . X) S the Mizrahi series ends at first order, so
+        # the symbol of [Op(F), Op(G)] is [F, G] + h [C1(F, G) - C1(G, F)]
+        # exactly.  S = 1 commutes with the matrix polynomial G, a Pauli S
+        # does not; i [C1(F, G) - C1(G, F)] is the hierarchy's Duhamel
+        # forcing, so this checks the forcing of every order_j too
         h = 0.3
         v = random_phase_vector(rng, 2)
         g = random_symbol(rng, 2, 3, matrix_dim=2)
-        phi = PolySymbol.linear(v)
-        comm_sym = mizrahi_compose(phi, g, h) - mizrahi_compose(g, phi, h)
-        dg = poly_directional_callback(g)
-        eye = np.eye(2, dtype=complex)
-        for _ in range(4):
-            x = random_phase_vector(rng, 2, scale=0.6)
-            left = c1_cross([(v, eye)], dg, x, side="left")
-            right = c1_cross([(v, eye)], dg, x, side="right")
-            np.testing.assert_allclose(
-                comm_sym.eval(x), h * (left - right), atol=1e-10
+        for s in (np.eye(2, dtype=complex), SIGMA[0], SIGMA[1]):
+            f = PolySymbol.linear(v, s)
+            comm_sym = (
+                mizrahi_compose(f, g, h) - mizrahi_compose(g, f, h) - (f * g - g * f)
             )
+            for _ in range(4):
+                x = random_phase_vector(rng, 2, scale=0.6)
+                db, dfb = directional(g, v, x), directional(g, fmap(v), x)
+                left = c1_affine(s, db, dfb, side="left")
+                right = c1_affine(s, db, dfb, side="right")
+                want = comm_sym.eval(x)
+                np.testing.assert_allclose(want, h * (left - right), atol=1e-10)
+                np.testing.assert_allclose(
+                    _duhamel_forcing(s, db, dfb), 1j * want / h, atol=1e-9
+                )
 
     def test_matches_mizrahi_for_interaction_symbol(self, minimal_model, rng):
-        # cross-check the affine reduction against the full series for the
-        # spin-field interaction symbol of the minimal model
+        # cross-check the affine reduction, stacked over the coupling terms,
+        # against the full series for the spin-field interaction symbol of
+        # the minimal model
         model = minimal_model
         h = 0.4
         f_sym = PolySymbol(model.D, {})
-        terms = []
+        bs, ss = [], []
         for lam in range(model.N):
             for m in range(3):
-                b = model.couplings[lam][m]
-                s = model.spin_ops[lam][m]
-                terms.append((b, s))
-                f_sym = f_sym + PolySymbol.linear(b) * PolySymbol.constant(
-                    model.D, s
-                )
+                bs.append(model.couplings[lam][m])
+                ss.append(model.spin_ops[lam][m])
+                f_sym = f_sym + PolySymbol.linear(bs[-1], ss[-1])
         g = random_symbol(rng, model.D, 2, matrix_dim=2)
         order1 = (mizrahi_compose(f_sym, g, h) - f_sym * g).scale(1.0 / h)
-        dg = poly_directional_callback(g)
         x = random_phase_vector(rng, model.D, scale=0.5)
-        np.testing.assert_allclose(
-            order1.eval(x), c1_cross(terms, dg, x, side="left"), atol=1e-10
-        )
+        db = np.stack([directional(g, b, x) for b in bs])
+        dfb = np.stack([directional(g, fmap(b), x) for b in bs])
+        got = c1_affine(np.stack(ss), db, dfb, "left").sum(axis=0)
+        np.testing.assert_allclose(order1.eval(x), got, atol=1e-10)
