@@ -108,18 +108,6 @@ class FockBasis:
         return self.annihilator(j).conj().T.tocsr()
 
 
-def dgamma(basis: FockBasis, multiplier: np.ndarray) -> sp.dia_matrix:
-    """Second quantization dGamma(M) of a diagonal one-mode multiplier."""
-    m = np.asarray(multiplier, dtype=float)
-    if m.shape != (basis.D,):
-        raise ModelError("multiplier must have one entry per mode")
-    return sp.diags(basis.occupations @ m).astype(complex)
-
-
-def number_operator(basis: FockBasis) -> sp.dia_matrix:
-    return dgamma(basis, np.ones(basis.D))
-
-
 def gamma_free_phases(basis: FockBasis, slot_omegas: np.ndarray, t: float) -> np.ndarray:
     """Diagonal of Gamma(chi_t): exp(-i t sum_j omega_j alpha_j).
 
@@ -194,22 +182,6 @@ def coherent_state(
     return c, tail
 
 
-def coherent_tail_mass(basis_n_max: int, h: float, x_norm: float) -> float:
-    """Tail mass of a coherent state beyond n_max photons, exact.
-
-    The photon number is Poisson with mean mu = |X|^2 / (2h); the tail is
-    the upper Poisson tail P(K > n_max) = gammainc-style sum, evaluated via
-    the regularized lower incomplete gamma function.
-    """
-    from scipy.special import gammainc
-
-    mu = x_norm**2 / (2.0 * h)
-    if mu == 0.0:
-        return 0.0
-    # P(K <= n) = Gamma(n+1, mu)/n! = 1 - gammainc(n+1, mu)
-    return float(gammainc(basis_n_max + 1, mu))
-
-
 def coherent_overlap(h: float, x: PhaseVector, y: PhaseVector) -> complex:
     """Exact untruncated overlap <C(X), C(Y)>."""
     z = (x.q + 1j * x.p) / np.sqrt(2.0 * h)
@@ -219,24 +191,8 @@ def coherent_overlap(h: float, x: PhaseVector, y: PhaseVector) -> complex:
     )
 
 
-def wick_symbol(
-    basis: FockBasis,
-    h: float,
-    op,
-    x: PhaseVector,
-    spin_dim: int = 1,
-):
-    """Wick (coherent-state lower) symbol of an operator at X.
-
-    For spin_dim == 1 this is <C(X), A C(X)> with the normalized truncated
-    coherent state.  For an operator on Fock x C^s (Fock index major) the
-    result is the s x s matrix with entries <C x e_i, A (C x e_j)>.
-    """
+def wick_symbol(basis: FockBasis, h: float, op, x: PhaseVector) -> complex:
+    """Wick (coherent-state lower) symbol <C(X), A C(X)> of an operator on
+    the Fock space, with the normalized truncated coherent state."""
     c, _ = coherent_state(basis, h, x)
-    if spin_dim == 1:
-        return complex(np.vdot(c, op @ c))
-    n = basis.dim * spin_dim
-    if op.shape != (n, n):
-        raise ModelError("operator shape does not match Fock x spin space")
-    cols = np.kron(c[:, None], np.eye(spin_dim))  # (dim * s, s), col i = C x e_i
-    return cols.conj().T @ (op @ cols)
+    return complex(np.vdot(c, op @ c))

@@ -58,6 +58,7 @@ from .oracle import (
 )
 from .symbols import (
     PolySymbol,
+    anti_wick_quantize,
     heat,
     mizrahi_compose,
     wick_quantize,
@@ -431,7 +432,7 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
                 )
             cutoff = min(2 * cutoff, plan.n_max)
         # Psi_X (x) e_j is W(X) applied to the vacuum frame
-        e0 = ham.energy(coherent_frame(ham, model.zero_x()), x)
+        e0 = ham.energy(coherent_frame(ham), x)
         e_t = ham.energy(frame, y)
         drift = float(np.max(np.abs(e_t - e0) / np.maximum(np.abs(e0), 1.0)))
         hygiene = dict(log.to_dict(), energy_drift=drift, cutoff=cutoff)
@@ -577,6 +578,13 @@ def run_calculus_selftest(seed: int = 20260826) -> SelftestReport:
         np.abs(np.diag(op) - 2.0 * h * basis.occupations[:, 0])
     )
     entries.append(CheckEntry("wick-ordering-2hN", float(res), 1e-12))
+
+    # anti-Wick is anti-normal ordering: Op^aw(q^2 + p^2) = 2h a a* = 2h (N + 1)
+    op = anti_wick_quantize(qq, basis, h).toarray()
+    res = np.max(np.abs(op - np.diag(np.diag(op)))) + np.max(
+        np.abs(np.diag(op) - 2.0 * h * (basis.occupations[:, 0] + 1))
+    )
+    entries.append(CheckEntry("anti-wick-ordering-2h(N+1)", float(res), 1e-12))
 
     # symbol o quantize round-trip on a random degree <= 3 symbol
     g = _random_symbol(rng, D, 3)

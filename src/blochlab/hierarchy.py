@@ -37,7 +37,14 @@ they evaluate their generators on the half-step stage grid and take every
 substep as an RK4 transfer map (blochlab.stepper.rk4_transfer), so a sweep
 multiplies small matrices instead of calling a right-hand side.  The
 Maxwell sweep's mode amplitudes are one recurrence per frequency group,
-summed for all substeps at once.  The adaptive integrations (propagator_G,
+summed for all substeps at once.  The substep is capped at 0.01 whatever
+the tolerance, so the sweeps carry an RK4 error floor of their own that
+grid doubling does not control.  Measured on the desk model against the
+adaptive paths at tol 1e-14: at t = 1 (substep 0.0078) the rotation is off
+by 9.1e-10 and the propagator by 3.1e-11, at t = 4 the rotation by 9.0e-9.
+The crosscheck deviations this leaves on the desk plan (up to 2.9e-9 at
+t <= 2) stay under the 1e-6 gate; choosing the substep from the tolerance
+is ROADMAP.md item 2.  The adaptive integrations (propagator_G,
 the order-0 rotations and their tangents) evaluate the pairing inside the
 right-hand side and run blochlab.stepper.integrate_adaptive with a first
 step of 1e-2.
@@ -80,7 +87,7 @@ from blochlab.symbols import c1_affine
 
 
 class HierarchyError(ModelError):
-    """Grid-refinement failures, residual breaches, invalid arguments."""
+    """Grid-refinement failures and invalid arguments."""
 
 
 # first step of the hierarchy's adaptive integrations
@@ -209,7 +216,9 @@ def _propagator_sweep(model: Model, t: float, x: PhaseVector, n: int) -> np.ndar
     """G(u_i, 0, X) on the uniform grid u_i = i t / n, shape (n+1, sd, sd).
 
     Fixed-substep RK4 between nodes (substep <= 0.01) with polar projection
-    at each node; accurate far below the quadrature tolerances it feeds.
+    at each node.  The substep does not follow the tolerance, so the sweep
+    has an error floor of its own: 3.1e-11 in G at t = 1 on the desk model
+    (see the module docstring; ROADMAP.md item 2 owns the fix).
     """
     sd = model.spin_dim
     out = np.empty((n + 1, sd, sd), dtype=complex)
@@ -482,11 +491,9 @@ def bloch_spin0(
 
 @dataclass
 class TangentBundleState:
-    """Directional derivative along V of an order-0 spin triple, with the
-    relative residual of its finite-difference check."""
+    """The finite-difference check of the order-0 tangent along V: the
+    relative residual of the tangent system against central differences."""
 
-    drotation: np.ndarray
-    dS: np.ndarray  # (3, sd, sd)
     residual: float
 
 
@@ -513,23 +520,21 @@ def tangent_derivatives(
     x: PhaseVector,
     tol: float = 1e-8,
 ) -> TangentBundleState:
-    """Directional derivative of S^{[lam, 0]}(t, X) along V with an
-    independent finite-difference residual check."""
+    """Check the tangent system of the site-lam rotation along V against a
+    central difference of the rotation endpoint.  The residual is returned,
+    not enforced: run_crosscheck's tangent-fd-residual hygiene entry gates
+    it."""
     if not 1 <= lam <= model.N:
         raise HierarchyError(f"site index lam={lam} outside 1..{model.N}")
+    if v.norm() == 0.0:
+        return TangentBundleState(residual=0.0)
     _, d = _rotation_tangent(model, lam - 1, t, x, v, tol)
-    residual = 0.0
-    if v.norm() != 0.0:
-        fd = _central_difference(
-            lambda z: _rotation_endpoint(model, lam - 1, t, z, tol), x, v
-        )
-        residual = float(np.linalg.norm(fd - d) / max(np.linalg.norm(d), 1.0))
-        if residual > max(tol, 1e-6):
-            raise HierarchyError(
-                f"tangent residual breach: {residual:.3e} along |V|={v.norm():.3e}"
-            )
-    dS = _site_spins(d, model.spin_ops[lam - 1])
-    return TangentBundleState(drotation=d, dS=dS, residual=residual)
+    fd = _central_difference(
+        lambda z: _rotation_endpoint(model, lam - 1, t, z, tol), x, v
+    )
+    return TangentBundleState(
+        residual=float(np.linalg.norm(fd - d) / max(np.linalg.norm(d), 1.0))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +653,10 @@ def maxwell_cross_check(
             obs = ObservableSpec(kind="field_B", m=m, x=pt)
             rhs = order_j(model, obs, 1, t, x, tol=min(tol * 0.1, 1e-7))
             scale = np.maximum(np.linalg.norm(rhs), 1e-12)
-            max_dev = np.maximum(max_dev, np.linalg.norm(lhs - rhs) / scale)
+            # an infinite coefficient gives inf / inf: a NaN, and a failed check
+            with np.errstate(invalid="ignore"):
+                dev = np.linalg.norm(lhs - rhs) / scale
+            max_dev = np.maximum(max_dev, dev)
             grads = coupling_B_gradient(model.grid, model.config, m, pt)
             acc_b += _contract_field(grads[m - 1], z)
             acc_e += _contract_field(apply_helicity(model.grid, grads[m - 1]), z)

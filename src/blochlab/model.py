@@ -84,10 +84,6 @@ class PhaseVector:
 
     __rmul__ = __mul__
 
-    @staticmethod
-    def zero(dim: int) -> "PhaseVector":
-        return PhaseVector(np.zeros(dim), np.zeros(dim))
-
 
 def symplectic_form(x: PhaseVector, y: PhaseVector) -> float:
     """sigma(X, Y) = x_p . y_q - x_q . y_p.
@@ -201,7 +197,6 @@ class ModelConfig:
     N: int
     positions: np.ndarray  # (N, 3)
     beta: np.ndarray  # (3,)
-    cutoff_family: str = "gaussian"
     cutoff_lambda: float = 1.0
     cutoff_fn: Callable[[np.ndarray], np.ndarray] | None = None
     grid_radial_nodes: int = 1
@@ -222,11 +217,6 @@ class ModelConfig:
                 if np.allclose(self.positions[i], self.positions[j]):
                     raise ModelError("spin positions must be pairwise distinct")
         if self.cutoff_fn is None:
-            if self.cutoff_family != "gaussian":
-                raise ModelError(
-                    f"unknown cutoff family {self.cutoff_family!r}; "
-                    "pass cutoff_fn for custom cutoffs"
-                )
             self.cutoff_fn = gaussian_cutoff(self.cutoff_lambda)
 
     @staticmethod
@@ -235,11 +225,13 @@ class ModelConfig:
         spins = d["spins"]
         grid = d.get("grid", {})
         cutoff = d.get("cutoff", {})
+        family = cutoff.get("family", "gaussian")
+        if family != "gaussian":
+            raise ModelError(f"unknown cutoff family {family!r}; only 'gaussian'")
         return ModelConfig(
             N=int(spins.get("count", len(spins["positions"]))),
             positions=np.asarray(spins["positions"], dtype=float),
             beta=np.asarray(d["field"]["beta"], dtype=float),
-            cutoff_family=cutoff.get("family", "gaussian"),
             cutoff_lambda=float(cutoff.get("lambda", 1.0)),
             grid_radial_nodes=int(grid.get("radial_nodes", 1)),
             grid_kmax=grid.get("kmax"),
@@ -525,25 +517,11 @@ class Model:
         """B_{m x_lam} in (lam, m) order, the order of sigmas."""
         return [b for row in self.couplings for b in row]
 
-    def zero_x(self) -> PhaseVector:
-        return PhaseVector.zero(self.D)
-
     def spin_matrix(self, coefs) -> np.ndarray:
         """sum_a coefs[..., a] sigma_a over the (lam, m) stack."""
         coefs = np.asarray(coefs)
         flat = coefs @ self.sigmas.reshape(len(self.sigmas), -1)
         return flat.reshape(coefs.shape[:-1] + self.sigmas.shape[1:])
-
-    def h_int_symbol(self, x: PhaseVector) -> np.ndarray:
-        """H_int(X) = sum_{lam,m} (beta_m + B_{m x_lam} . X) sigma_m^[lam]."""
-        return self.spin_matrix(self.site_beta) + self.dh_int(x)
-
-    def dh_int(self, v: PhaseVector) -> np.ndarray:
-        """Constant differential of the affine symbol: beta dropped."""
-        if v.dim != self.D:
-            raise ModelError("dimension mismatch")
-        bq, bp = stack_vectors(self.coupling_list)
-        return self.spin_matrix(bq @ v.q + bp @ v.p)
 
     def q_form(self, t: float, rel_tol: float = 1e-10) -> "QuadFormQ":
         """Quadratic form Q_t(V) = |t| int_0^t |dH_int(chi_s V)|_HS^2 ds.

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from blochlab.fock import FockBasis, coherent_state, gamma_free_phases, segal_field
+from blochlab.fock import FockBasis, gamma_free_phases, segal_field
 from blochlab.model import (
     Model,
     ModelError,
@@ -233,24 +233,6 @@ class Hamiltonian:
             out += term
         return out.reshape(psi.shape)
 
-    def interaction_operator(self, t: float, x: PhaseVector) -> sp.csr_matrix:
-        """Materialized sparse H_int^free(t) + drive(t) of frame point X."""
-        out = self.ops.h0.copy()
-        for w, k, k_adj in self.displaced_groups(x):
-            ph = self.root * np.exp(-1j * w * t)
-            out = out + ph * k + np.conj(ph) * k_adj
-        return out.tocsr()
-
-    def full_operator(self) -> sp.csr_matrix:
-        """H(h) = H_ph (x) I + h H_int as one sparse matrix."""
-        free = sp.kron(
-            sp.diags(self.hph_diag).astype(complex),
-            sp.identity(self.spin_dim, format="csr"),
-            format="csr",
-        )
-        interaction = self.interaction_operator(0.0, self.model.zero_x())
-        return (free + self.h * interaction).tocsr()
-
     def energy(self, psi: np.ndarray, y: PhaseVector) -> np.ndarray:
         """<W(Y) psi_j, H W(Y) psi_j> for each state j of psi, shape (dim, s, n).
 
@@ -352,29 +334,11 @@ def apply_observable(
     return (1j * ham.root * out).reshape(dim, s, n)
 
 
-def coherent_frame(
-    ham: Hamiltonian, x: PhaseVector, tail_tol: float = DEFAULT_TAIL_TOL
-) -> np.ndarray:
-    """The 2^N states Psi_X (x) e_j stacked as (dim, s, s).
-
-    Refuses when the coherent tail mass exceeds tail_tol (the cutoff can
-    not represent the requested (X, h) pair faithfully).  At X = 0 these
-    are the states vac (x) e_j that start the displaced frame.
-    """
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        c, tail = coherent_state(ham.basis, ham.h, x, tail_tol=tail_tol)
-    if tail > tail_tol:
-        raise OracleError(
-            f"coherent tail mass {tail:.3e} exceeds {tail_tol:.1e}; "
-            "increase n_max or h"
-        )
-    s = ham.spin_dim
-    frame = np.zeros((ham.basis.dim, s, s), dtype=complex)
-    for j in range(s):
-        frame[:, j, j] = c
+def coherent_frame(ham: Hamiltonian) -> np.ndarray:
+    """The 2^N states vac (x) e_j stacked as (dim, s, s): the coherent frame
+    Psi_X (x) e_j in the frame displaced by W(X), where it starts."""
+    frame = np.zeros((ham.basis.dim, ham.spin_dim, ham.spin_dim), dtype=complex)
+    frame[0] = np.eye(ham.spin_dim)
     return frame
 
 
@@ -391,28 +355,6 @@ def evolved_frame(
 ) -> tuple[np.ndarray, PhaseVector, PropagationLog]:
     """The forward-evolved coherent frame in the displaced frame: (xi, Y,
     log) with e^{-i(t/h)H}(Psi_X (x) e_j) = W(Y) xi_j and Y = chi_t X."""
-    vacuum = coherent_frame(ham, ham.model.zero_x())
+    vacuum = coherent_frame(ham)
     xi, log = evolve_interaction_picture(ham, vacuum, t, x, tol)
     return xi, chi_flow_vector(ham.model.grid, t, x), log
-
-
-def evolved_wick_symbol(
-    ham: Hamiltonian,
-    obs: ObservableSpec,
-    t: float,
-    x: PhaseVector,
-    tol: float = DEFAULT_TOL,
-) -> np.ndarray:
-    """Exact Wick symbol of the Heisenberg-evolved observable at X.
-
-    Entries <U(t) Psi_i, A U(t) Psi_j> over the coherent spin frame; the
-    conjugated operator is never materialized.
-    """
-    xi, y, _ = evolved_frame(ham, t, x, tol)
-    return frame_symbol(xi, apply_observable(ham, obs, xi, y))
-
-
-def number_expectation(ham: Hamiltonian, frame_t: np.ndarray) -> np.ndarray:
-    """Matrix of <state_i, (N (x) I) state_j> for an undisplaced state frame."""
-    n_diag = np.asarray(ham.basis.totals, dtype=float)
-    return frame_symbol(frame_t, n_diag[:, None, None] * frame_t)

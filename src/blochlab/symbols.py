@@ -31,9 +31,6 @@ import scipy.sparse as sp
 from blochlab.fock import FockBasis
 from blochlab.model import ModelError, PhaseVector
 
-Key = tuple[tuple[int, ...], tuple[int, ...]]
-
-
 def _is_matrix(v) -> bool:
     return isinstance(v, np.ndarray) and v.ndim == 2
 
@@ -225,20 +222,6 @@ class PolySymbol:
                 out[k] = _madd(out.get(k), 4.0 * al[j] * be[j] * v)
         return PolySymbol(self.D, out)
 
-    def translate(self, y: PhaseVector) -> "PolySymbol":
-        """The shifted symbol X -> F(X + Y), exact binomial expansion."""
-        if y.dim != self.D:
-            raise ModelError("dimension mismatch")
-        zy = y.q + 1j * y.p
-        wy = y.q - 1j * y.p
-        out = {}
-        for (al, be), v in self.coeffs.items():
-            for al2, cz in _binomial_shifts(al, zy):
-                for be2, cw in _binomial_shifts(be, wy):
-                    k = (al2, be2)
-                    out[k] = _madd(out.get(k), cz * cw * v)
-        return PolySymbol(self.D, out)
-
 
 def _madd(acc, v):
     return v if acc is None else acc + v
@@ -246,19 +229,6 @@ def _madd(acc, v):
 
 def _unit_key(D: int, j: int) -> tuple[int, ...]:
     return tuple(1 if k == j else 0 for k in range(D))
-
-
-def _binomial_shifts(alpha: tuple, shift: np.ndarray):
-    """(z + s)^alpha expanded: yields (kept exponent, scalar factor)."""
-    from itertools import product
-    from math import comb
-
-    ranges = [range(a + 1) for a in alpha]
-    for kept in product(*ranges):
-        c = 1.0 + 0.0j
-        for a, k, s in zip(alpha, kept, shift):
-            c *= comb(a, k) * s ** (a - k)
-        yield tuple(kept), c
 
 
 def heat(f: PolySymbol, h: float) -> PolySymbol:
@@ -345,30 +315,6 @@ def _multi_indices_up_to(D: int, order: int) -> Iterable[tuple]:
     for gamma in product(range(order + 1), repeat=D):
         if sum(gamma) <= order:
             yield gamma
-
-
-def mizrahi_remainder_bound(
-    f_norm: float, g_norm: float, h: float, trace_q: float, m: int
-) -> float:
-    """Shape of the truncated-composition error bound after m kept orders."""
-    return f_norm * g_norm * (h * trace_q) ** (m + 1) * np.exp(h * trace_q)
-
-
-def derivative_norm_surrogate(f: PolySymbol) -> float:
-    """Degree-limited surrogate for the symbol-class norm.
-
-    max over multi-indices of |(dq - i dp)^gamma (dq + i dp)^delta F(0)|;
-    the true class norm is a sup over all orders and is not computable
-    here, so every use of this value is a surrogate bound input.
-    """
-    best = 0.0
-    for (al, be), v in f.coeffs.items():
-        # value of the matching derivative at 0: al! be! 2^{|al|+|be|} a
-        fac = 2.0 ** (sum(al) + sum(be))
-        for e in al + be:
-            fac *= factorial(e)
-        best = max(best, fac * _norm(v))
-    return best
 
 
 def c1_affine(s, db, dfb, side: str):

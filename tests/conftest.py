@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blochlab.model import Model, ModelConfig, minimal_grid_config
+from blochlab.model import Model, ModelConfig, PhaseVector, minimal_grid_config
 
 
 @pytest.fixture(scope="session")
@@ -31,8 +31,10 @@ def rng():
 
 
 def random_phase_vector(rng, dim, scale=1.0):
-    from blochlab.model import PhaseVector
-
     return PhaseVector(
         scale * rng.standard_normal(dim), scale * rng.standard_normal(dim)
     )
+
+
+def zero_vector(dim):
+    return PhaseVector(np.zeros(dim), np.zeros(dim))

@@ -275,7 +275,7 @@ def test_criterion_7_numerical_hygiene(capsys, desk_report):
     unitarity = max(c.hygiene.get("unitarity_defect", 0.0) for c in report.cells)
     drift = max(c.hygiene.get("energy_drift", 0.0) for c in report.cells)
 
-    # tangent system against a finite-difference probe (raises on breach)
+    # tangent system against a finite-difference probe (returns its residual)
     from blochlab.hierarchy import tangent_derivatives
     from blochlab.model import minimal_grid_config
 

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -384,6 +385,36 @@ class TestConvergence:
         assert again.to_dict() == conv_report.to_dict()
 
 
+def _assert_record_matches(got, want, path="report"):
+    """Equal structure, strings, flags and integers; floats within 1e-12
+    relative, the bound a refactor must keep, so that a one-ulp difference
+    between BLAS builds does not fail."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for k in want:
+            _assert_record_matches(got[k], want[k], f"{path}.{k}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_record_matches(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), path
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (path, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+class TestShippedRecord:
+    def test_converge_reproduces_the_committed_record(self):
+        # `blochlab converge plans/desk_scale.json` writes results/; a change
+        # that moves the report must regenerate the committed record
+        root = Path(__file__).resolve().parent.parent
+        plan = ExperimentPlan.from_file(root / "plans" / "desk_scale.json")
+        got = json.loads(json.dumps(run_convergence(plan).to_dict()))
+        want = json.loads((root / "results" / "desk_scale.json").read_text())
+        _assert_record_matches(got, want)
+
+
 class TestWriters:
     def test_csv_schema_and_determinism(self, conv_report, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -500,6 +531,25 @@ class TestCrosscheck:
         report = run_crosscheck(plan)
         failed = {e["check"] for e in report.entries if not e["passed"]}
         assert failed == {"spin-order1", "field-order1"}
+        assert not report.passed
+
+    def test_tangent_breach_fails_its_hygiene_entry(self, monkeypatch):
+        # a tangent off by 1% used to raise HierarchyError out of the
+        # crosscheck, so no report came back
+        real = blochlab.hierarchy._rotation_tangent
+
+        def scaled(*args):
+            r, d = real(*args)
+            return r, 1.01 * d
+
+        monkeypatch.setattr(blochlab.hierarchy, "_rotation_tangent", scaled)
+        plan = ExperimentPlan.from_dict(small_plan_dict(n_max=8, t=[0.5]))
+        report = run_crosscheck(plan)
+        hygiene = {e["check"]: e for e in report.hygiene}
+        assert hygiene["tangent-fd-residual"]["residual"] > 1e-6
+        assert not hygiene["tangent-fd-residual"]["passed"]
+        assert hygiene["propagator-unitarity"]["passed"]
+        assert all(e["passed"] for e in report.entries)
         assert not report.passed
 
 

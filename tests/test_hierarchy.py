@@ -19,6 +19,8 @@ from blochlab.hierarchy import (
     _order_high,
     _polar_project,
     _propagator_sweep,
+    _rotation_tangent,
+    _site_spins,
     _spin1_on_grid,
     _trap_weights,
     bloch_spin0,
@@ -44,7 +46,7 @@ from blochlab.model import (
 )
 from blochlab.oracle import ObservableSpec
 from blochlab.stepper import _rk4
-from conftest import random_phase_vector
+from conftest import random_phase_vector, zero_vector
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +104,7 @@ class TestPropagator:
     def test_constant_generator_closed_form(self, minimal_model):
         # X = 0, beta = (0, 0, b): G(t, 0, 0) = exp(i t b sigma_3)
         t, b = 0.7, 1.0
-        g = propagator_G(minimal_model, t, minimal_model.zero_x()).matrix
+        g = propagator_G(minimal_model, t, zero_vector(minimal_model.D)).matrix
         expected = expm(1j * t * b * minimal_model.spin_ops[0][2])
         assert _norm(g - expected) <= 1e-9
 
@@ -127,7 +129,7 @@ class TestPropagator:
 
     def test_rejects_bad_tol(self, minimal_model):
         with pytest.raises(HierarchyError):
-            propagator_G(minimal_model, 1.0, minimal_model.zero_x(), tol=0.0)
+            propagator_G(minimal_model, 1.0, zero_vector(minimal_model.D), tol=0.0)
 
 
 class TestOrder0:
@@ -152,7 +154,7 @@ class TestOrder0:
     def test_frozen_precession(self, minimal_model):
         # spin observable, X = 0, beta = e_3, t = pi/4: S_1 -> -sigma_2
         obs = ObservableSpec(kind="spin", m=1, lam=1)
-        a0 = order0(minimal_model, obs, np.pi / 4, minimal_model.zero_x())
+        a0 = order0(minimal_model, obs, np.pi / 4, zero_vector(minimal_model.D))
         assert _norm(a0 + minimal_model.spin_ops[0][1]) <= 1e-9
 
     def test_hermitian(self, octa_model, rng):
@@ -168,7 +170,7 @@ class TestOrder0:
 
 class TestBlochSpin0:
     def test_constant_without_field(self, free_model):
-        x = free_model.zero_x()
+        x = zero_vector(free_model.D)
         trip = bloch_spin0(free_model, 1.4, x)[0]
         for m in range(3):
             np.testing.assert_allclose(
@@ -288,16 +290,19 @@ class TestOrderJ:
 class TestTangent:
     def test_zero_direction(self, minimal_model, rng):
         x = random_phase_vector(rng, 4, scale=0.4)
-        st = tangent_derivatives(minimal_model, 1, PhaseVector.zero(4), 1.0, x)
-        np.testing.assert_allclose(st.dS, 0.0, atol=1e-12)
-        assert st.residual == 0.0
+        zero = zero_vector(4)
+        _, d = _rotation_tangent(minimal_model, 0, 1.0, x, zero, 1e-8)
+        ds = _site_spins(d, minimal_model.spin_ops[0])
+        np.testing.assert_allclose(ds, 0.0, atol=1e-12)
+        assert tangent_derivatives(minimal_model, 1, zero, 1.0, x).residual == 0.0
 
     def test_zero_coupling_insensitive(self, free_model, rng):
         x = random_phase_vector(rng, 4, scale=0.4)
         v = random_phase_vector(rng, 4)
         v = v * (1.0 / v.norm())
-        st = tangent_derivatives(free_model, 1, v, 1.0, x)
-        np.testing.assert_allclose(st.dS, 0.0, atol=1e-10)
+        _, d = _rotation_tangent(free_model, 0, 1.0, x, v, 1e-8)
+        ds = _site_spins(d, free_model.spin_ops[0])
+        np.testing.assert_allclose(ds, 0.0, atol=1e-10)
 
     def test_finite_difference_agreement(self, minimal_model, rng):
         x = random_phase_vector(rng, 4, scale=0.4)
@@ -305,7 +310,8 @@ class TestTangent:
         v = v * (1.0 / v.norm())
         st = tangent_derivatives(minimal_model, 1, v, 1.0, x, tol=1e-9)
         assert st.residual <= 1e-6
-        assert _norm(st.drotation) > 1e-4  # the check is not vacuous
+        _, d = _rotation_tangent(minimal_model, 0, 1.0, x, v, 1e-9)
+        assert _norm(d) > 1e-4  # the check is not vacuous
 
     @pytest.mark.parametrize("lam", [0, 3])
     def test_site_index_out_of_range(self, octa_model, rng, lam):
@@ -653,7 +659,8 @@ class TestSharedSweeps:
 
 class TestPhotonExpansion:
     def test_origin_vanishes(self, minimal_model):
-        n0 = photon_rate_expansion(minimal_model, 0.9, minimal_model.zero_x(), 0)[0]
+        zero = zero_vector(minimal_model.D)
+        n0 = photon_rate_expansion(minimal_model, 0.9, zero, 0)[0]
         np.testing.assert_allclose(n0, 0.0, atol=1e-12)
 
     def test_hermitian_orders(self, minimal_model, rng):

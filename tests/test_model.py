@@ -7,7 +7,6 @@ from blochlab.model import (
     Model,
     ModelConfig,
     ModelError,
-    PhaseVector,
     apply_helicity,
     build_grid,
     chi_flow_vector,
@@ -21,7 +20,8 @@ from blochlab.model import (
     spin_operator,
     symplectic_form,
 )
-from conftest import random_phase_vector
+from conftest import random_phase_vector, zero_vector
+from reference import dh_int, h_int_symbol
 
 TWO_PI_32 = (2.0 * np.pi) ** (-1.5)
 
@@ -61,6 +61,17 @@ class TestGrid:
     def test_rejects_coincident_spins(self):
         with pytest.raises(ModelError):
             ModelConfig(N=2, positions=[[0, 0, 0], [0, 0, 0]], beta=(0, 0, 1))
+
+    def test_config_file_refuses_unknown_cutoff_family(self):
+        d = {
+            "spins": {"positions": [[0.0, 0.0, 0.0]]},
+            "field": {"beta": [0.0, 0.0, 1.0]},
+            "cutoff": {"family": "lorentzian", "lambda": 1.0},
+        }
+        with pytest.raises(ModelError, match="cutoff family 'lorentzian'"):
+            ModelConfig.from_dict(d)
+        d["cutoff"]["family"] = "gaussian"
+        assert ModelConfig.from_dict(d).cutoff_lambda == 1.0
 
 
 class TestCouplings:
@@ -139,7 +150,7 @@ class TestHelicity:
 
     def test_zero_maps_to_zero(self, minimal_model):
         g = minimal_model.grid
-        z = PhaseVector.zero(g.D)
+        z = zero_vector(g.D)
         assert apply_helicity(g, z).norm() == 0.0
 
 
@@ -272,7 +283,7 @@ class TestSpinOperators:
 
 class TestHIntSymbol:
     def test_zero_field_part(self, octa_model):
-        h0 = octa_model.h_int_symbol(octa_model.zero_x())
+        h0 = h_int_symbol(octa_model, zero_vector(octa_model.D))
         expected = sum(
             octa_model.beta[m] * octa_model.spin_ops[lam][m]
             for lam in range(octa_model.N)
@@ -282,23 +293,23 @@ class TestHIntSymbol:
 
     def test_hermitian(self, octa_model, rng):
         x = random_phase_vector(rng, octa_model.D)
-        h = octa_model.h_int_symbol(x)
+        h = h_int_symbol(octa_model, x)
         np.testing.assert_allclose(h, h.conj().T, atol=1e-13)
 
     def test_single_spin_eigenvalues(self):
         cfg = minimal_grid_config(N=1, beta=(0.0, 0.0, 0.7))
         model = Model(cfg)
-        h = model.h_int_symbol(model.zero_x())
+        h = h_int_symbol(model, zero_vector(model.D))
         np.testing.assert_allclose(sorted(np.linalg.eigvalsh(h)), [-0.7, 0.7])
 
     def test_exactly_affine(self, octa_model, rng):
         x1 = random_phase_vector(rng, octa_model.D)
         x2 = random_phase_vector(rng, octa_model.D, scale=2.0)
         v = random_phase_vector(rng, octa_model.D)
-        d1 = octa_model.h_int_symbol(x1 + v) - octa_model.h_int_symbol(x1)
-        d2 = octa_model.h_int_symbol(x2 + v) - octa_model.h_int_symbol(x2)
+        d1 = h_int_symbol(octa_model, x1 + v) - h_int_symbol(octa_model, x1)
+        d2 = h_int_symbol(octa_model, x2 + v) - h_int_symbol(octa_model, x2)
         np.testing.assert_allclose(d1, d2, atol=1e-12)
-        np.testing.assert_allclose(d1, octa_model.dh_int(v), atol=1e-12)
+        np.testing.assert_allclose(d1, dh_int(octa_model, v), atol=1e-12)
 
 
 class TestFlow:
