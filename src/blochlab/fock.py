@@ -23,6 +23,10 @@ import scipy.sparse as sp
 from blochlab.model import ModelError, PhaseVector
 
 
+# coherent_state warns when the cutoff loses more than this mass
+COHERENT_TAIL_TOL = 1e-10
+
+
 class TruncationWarning(UserWarning):
     """Emitted when a coherent state loses visible mass to the cutoff."""
 
@@ -126,35 +130,40 @@ def segal_field(basis: FockBasis, h: float, v: PhaseVector) -> sp.csr_matrix:
     Phi_S(V) = sum_j (v_q - i v_p)_j / sqrt(2) a_j
              + (v_q + i v_p)_j / sqrt(2) a*_j,
     the unique self-adjoint combination whose Wick symbol is h^{-1/2} V.X.
+    The terms of distinct modes, and a_j and a*_j, have disjoint patterns,
+    so the field is one sparse constructor over the cached annihilators.
     """
     if h <= 0:
         raise ModelError("h must be positive")
     if v.dim != basis.D:
         raise ModelError("dimension mismatch")
-    out = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
     sq = np.sqrt(h / 2.0)
-    for j in range(basis.D):
-        cj = v.q[j] - 1j * v.p[j]
-        if cj == 0:
-            continue
-        aj = basis.annihilator(j)
-        out = out + sq * (cj * aj + np.conj(cj) * aj.conj().T)
-    return out.tocsr()
+    c = v.q - 1j * v.p
+    rows, cols, vals = [], [], []
+    for j in np.nonzero(c)[0]:
+        a = basis.annihilator(j).tocoo()
+        rows += [a.row, a.col]
+        cols += [a.col, a.row]
+        vals += [sq * (c[j] * a.data), sq * (np.conj(c[j]) * a.data.conj())]
+    if not vals:
+        return sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(basis.dim, basis.dim),
+    )
 
 
 def coherent_state(
-    basis: FockBasis,
-    h: float,
-    x: PhaseVector,
-    normalize: bool = True,
-    tail_tol: float = 1e-10,
+    basis: FockBasis, h: float, x: PhaseVector
 ) -> tuple[np.ndarray, float]:
-    """Truncated coherent state at phase point X, with its lost tail mass.
+    """Normalized truncated coherent state at phase point X, with its lost
+    tail mass.
 
     Amplitudes z_j = (q_j + i p_j)/sqrt(2h); coefficients
     e^{-|z|^2/2} z^alpha / sqrt(alpha!) computed by the parent recurrence
-    c_alpha = c_{alpha - e_j} z_j / sqrt(alpha_j).  Returns (vector,
-    tail_mass) where tail_mass = 1 - |truncated|^2; warns above tail_tol.
+    c_alpha = c_{alpha - e_j} z_j / sqrt(alpha_j), then divided by their
+    truncated norm.  Returns (vector, tail_mass) where tail_mass = 1 -
+    |truncated|^2; warns above COHERENT_TAIL_TOL.
     """
     if h <= 0:
         raise ModelError("h must be positive")
@@ -170,15 +179,14 @@ def coherent_state(
     c *= np.exp(-0.5 * float((z.conj() @ z).real))
     mass = float(np.vdot(c, c).real)
     tail = 1.0 - mass
-    if tail > tail_tol:
+    if tail > COHERENT_TAIL_TOL:
         warnings.warn(
-            f"coherent state tail mass {tail:.3e} exceeds {tail_tol:.1e}; "
+            f"coherent state tail mass {tail:.3e} exceeds {COHERENT_TAIL_TOL:.1e}; "
             "increase n_max or reduce |X|^2 / h",
             TruncationWarning,
             stacklevel=2,
         )
-    if normalize:
-        c /= np.sqrt(mass)
+    c /= np.sqrt(mass)
     return c, tail
 
 

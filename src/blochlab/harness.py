@@ -117,7 +117,10 @@ class ExperimentPlan:
     """One sweep: a model, observables, samples, and an h ladder.
 
     n_max caps the photon cutoff of the oracle's fluctuation basis; each
-    frame starts at FIRST_CUTOFF and doubles it until its leakage fits.
+    frame starts at FIRST_CUTOFF and doubles it until its leakage fits.  A
+    run below the cap stops at its first leakage breach, since it will be
+    discarded; a run at the cap goes to t, so a failure reports its full
+    leakage.
     """
 
     config: ModelConfig
@@ -392,8 +395,9 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
 
     # one propagated frame per (h, t, X), in the frame displaced by W(X):
     # the fluctuation cutoff starts at FIRST_CUTOFF and doubles, up to
-    # n_max, until the frame's leakage fits DEFAULT_TAIL_TOL.  Bases and
-    # Hamiltonians are built on first use, under a lock, and shared.
+    # n_max, until the frame's leakage fits DEFAULT_TAIL_TOL.  Below the cap
+    # a run stops at its first breach, since it is discarded anyway.  Bases
+    # and Hamiltonians are built on first use, under a lock, and shared.
     bases, hams = {}, {}
     build_lock = threading.Lock()
 
@@ -418,8 +422,11 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
         cutoff = min(FIRST_CUTOFF, plan.n_max)
         while True:
             ham = _hamiltonian(cutoff, h)
+            stop = None if cutoff == plan.n_max else DEFAULT_TAIL_TOL
             try:
-                frame, y, log = evolved_frame(ham, t, x, tol=plan.oracle_tol)
+                frame, y, log = evolved_frame(
+                    ham, t, x, tol=plan.oracle_tol, stop_leakage=stop
+                )
             except (OracleError, ModelError) as exc:
                 return (h, t, x_id), (None, f"failed:{exc}")
             if log.leakage <= DEFAULT_TAIL_TOL:

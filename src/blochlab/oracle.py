@@ -28,8 +28,12 @@ I (x) K_g[a -> z].  The drive sqrt(h/2) sum_g (e^{-i w_g s} K_g[a -> z] + h.c.)
 matrix per group and does not depend on h; at X = 0 it vanishes and the
 propagation is that of the undisplaced state.  H0, K_g and K_g^H do not
 depend on h or X: they are assembled once per (model, basis) as CSR matrices
-and shared by the Hamiltonians of every h.  One generator application is
-1 + 2G CSR matvecs for G frequency groups.  The stepper is the package's
+and shared by the Hamiltonians of every h.  Per frame point X the blocks
+[H0; L_1; L_1^H; ...; L_G; L_G^H] are stacked in one CSR matrix, so one
+generator application is a single sparse product whose row blocks are then
+combined with the phases of time s; each row is summed as by a product
+with its own block.  The propagation, the energy and the number_rate
+observable all apply the generator this way.  The stepper is the package's
 step-doubling RK4 (blochlab.stepper, local Richardson error control, first
 step 0.1); the generator is bounded uniformly in h, so steps do not shrink
 as h does.
@@ -44,7 +48,8 @@ Cutoff sizing: the basis cutoff bounds the photon number of xi, not of
 Psi_X.  evolve_interaction_picture records the leakage, the largest
 population of the top photon layer over the initial state and every
 accepted step; the caller picks a cutoff whose leakage stays within
-DEFAULT_TAIL_TOL.
+DEFAULT_TAIL_TOL.  The leakage is a running maximum, so a caller that will
+discard a breaching run can ask for it to stop at the breach.
 
 States are arrays of shape (fock_dim, spin_dim, n_states) so a whole frame
 (the 2^N states xi_j) evolves in one integration; the operators act on its
@@ -143,7 +148,7 @@ class TensorOperators:
     K_g = sum_{lam,m} sum_{j in g} c_{lam m, j} a_j (x) sigma_m^[lam],
     with K_g^H kept as a CSR matrix of its own, and the group's
     coefficients c_{lam m, j} (zero off the group), from which
-    Hamiltonian.displaced_groups builds the drive.  Groups whose couplings
+    Hamiltonian.generator builds the drive.  Groups whose couplings
     all vanish are dropped.
     """
 
@@ -202,33 +207,43 @@ class Hamiltonian:
 
     # -- generator application -----------------------------------------
 
-    def displaced_groups(self, x: PhaseVector) -> list:
-        """Per frequency group (w_g, L_g, L_g^H) with L_g = W(X)* K_g W(X)
-        = K_g + I (x) K_g[a -> z]; at X = 0 the values of K_g, K_g^H.
+    def generator(self, x: PhaseVector) -> sp.csr_matrix:
+        """[h0; L_1; L_1^H; ...; L_G; L_G^H] stacked in one CSR matrix, with
+        L_g = W(X)* K_g W(X) = K_g + I (x) K_g[a -> z] per frequency group
+        of ops.groups; at X = 0 the L_g are the K_g.
 
         K_g[a -> z] = sum_{lam,m} (c_{lam m} . z) sigma_m^[lam] is the
         group's s x s drive matrix over sqrt(h/2).
         """
         z = (x.q + 1j * x.p) / np.sqrt(2.0 * self.h)
-        out = []
-        for w, k, k_adj, coeff in self.ops.groups:
+        blocks = [self.ops.h0]
+        for _, k, k_adj, coeff in self.ops.groups:
             k_z = self.model.spin_matrix(coeff @ z)
             shift = sp.kron(self.ops.eye, sp.csr_matrix(k_z), format="csr")
-            out.append((w, (k + shift).tocsr(), (k_adj + shift.conj().T).tocsr()))
-        return out
+            blocks += [(k + shift).tocsr(), (k_adj + shift.conj().T).tocsr()]
+        return sp.vstack(blocks, format="csr")
 
-    def _interaction_apply(self, t: float, psi: np.ndarray, groups: list) -> np.ndarray:
-        """(H_int^free(t) + drive(t)) psi for psi of shape (dim, s, n), with
-        groups = displaced_groups(X)."""
+    @staticmethod
+    def generator_blocks(gen: sp.csr_matrix, psi: np.ndarray) -> np.ndarray:
+        """The blocks of gen applied to psi of shape (dim, s, n), in one
+        product: shape (1 + 2G, dim * s, n), in gen's block order."""
         flat = psi.reshape(-1, psi.shape[2])
-        out = self.ops.h0 @ flat
-        # scaled in place: each state-sized temporary is a fresh allocation
-        for w, k, k_adj in groups:
+        return (gen @ flat).reshape(-1, *flat.shape)
+
+    def _interaction_apply(
+        self, t: float, psi: np.ndarray, gen: sp.csr_matrix
+    ) -> np.ndarray:
+        """(H_int^free(t) + drive(t)) psi for psi of shape (dim, s, n), with
+        gen = generator(X)."""
+        blocks = self.generator_blocks(gen, psi)
+        out = blocks[0]
+        # scaled in place: the blocks are a fresh array
+        for g, (w, *_) in enumerate(self.ops.groups):
             ph = self.root * np.exp(-1j * w * t)
-            term = k @ flat
+            term = blocks[2 * g + 1]
             term *= ph
             out += term
-            term = k_adj @ flat
+            term = blocks[2 * g + 2]
             term *= np.conj(ph)
             out += term
         return out.reshape(psi.shape)
@@ -246,7 +261,7 @@ class Hamiltonian:
         hpsi = (
             self.hph_diag[:, None, None] * psi
             + (shift @ psi.reshape(dim, s * n)).reshape(psi.shape)
-            + self.h * self._interaction_apply(0.0, psi, self.displaced_groups(y))
+            + self.h * self._interaction_apply(0.0, psi, self.generator(y))
         )
         classical = 0.5 * float(om @ (y.q**2 + y.p**2))
         return np.einsum("fsn,fsn->n", psi.conj(), hpsi).real + classical * np.sum(
@@ -263,6 +278,7 @@ def evolve_interaction_picture(
     t: float,
     x: PhaseVector,
     tol: float = DEFAULT_TOL,
+    stop_leakage: float | None = None,
 ) -> tuple[np.ndarray, PropagationLog]:
     """xi(t) with e^{-i (t/h) H(h)} W(X) psi0 = W(chi_t X) xi(t), for states
     of shape (dim, s, n); at X = 0 this is e^{-i (t/h) H(h)} psi0.
@@ -271,7 +287,9 @@ def evolve_interaction_picture(
     drive(s)] phi with an adaptive RK4 (step-doubling local error <= tol per
     step), then applies the exact free phase.  The log's leakage is the
     largest top-photon-layer population of any state, over psi0 and every
-    accepted step.
+    accepted step.  With stop_leakage given, the integration stops at the
+    first accepted step whose leakage exceeds it: the run is then known to
+    breach, its log covers the steps taken, and its state is not xi(t).
     """
     psi0 = np.asarray(psi0, dtype=complex)
     squeeze = psi0.ndim == 2
@@ -280,11 +298,11 @@ def evolve_interaction_picture(
     if psi0.shape[0] != ham.basis.dim or psi0.shape[1] != ham.spin_dim:
         raise OracleError("state shape does not match the Hamiltonian")
     norms0 = np.sqrt(np.sum(np.abs(psi0) ** 2, axis=(0, 1)))
-    groups = ham.displaced_groups(x)
+    gen = ham.generator(x)
     top = ham.basis.totals == ham.basis.n_max
 
     def rhs(s, phi):
-        return -1j * ham._interaction_apply(s, phi, groups)
+        return -1j * ham._interaction_apply(s, phi, gen)
 
     def top_population(phi):
         return float(np.max(np.sum(np.abs(phi[top]) ** 2, axis=(0, 1))))
@@ -296,7 +314,12 @@ def evolve_interaction_picture(
         leakage = max(leakage, top_population(phi))
         return phi
 
-    phi, log = integrate_adaptive(rhs, psi0, 0.0, t, tol, dt0=0.1, postprocess=monitor)
+    def breached(phi):
+        return stop_leakage is not None and leakage > stop_leakage
+
+    phi, log = integrate_adaptive(
+        rhs, psi0, 0.0, t, tol, dt0=0.1, postprocess=monitor, stop=breached
+    )
     psi_t = ham.free_phases(t)[:, None, None] * phi
     norms = np.sqrt(np.sum(np.abs(psi_t) ** 2, axis=(0, 1)))
     log.unitarity_defect = float(np.max(np.abs(norms - norms0)))
@@ -326,11 +349,11 @@ def apply_observable(
     # number_rate generator: (i/h)[H, N (x) I] = - sum_{lam,m}
     # Phi_{S,h}(F B_{m x_lam}) (x) sigma_m^[lam].  F B has coefficients
     # -i c, so this is i sqrt(h/2) sum_g (K_g - K_g^H), conjugated by W(Y).
-    flat = psi.reshape(dim * s, n)
+    blocks = ham.generator_blocks(ham.generator(y), psi)
     out = np.zeros((dim * s, n), dtype=complex)
-    for _, k, k_adj in ham.displaced_groups(y):
-        out += k @ flat
-        out -= k_adj @ flat
+    for g in range(len(ham.ops.groups)):
+        out += blocks[2 * g + 1]
+        out -= blocks[2 * g + 2]
     return (1j * ham.root * out).reshape(dim, s, n)
 
 
@@ -352,9 +375,11 @@ def evolved_frame(
     t: float,
     x: PhaseVector,
     tol: float = DEFAULT_TOL,
+    stop_leakage: float | None = None,
 ) -> tuple[np.ndarray, PhaseVector, PropagationLog]:
     """The forward-evolved coherent frame in the displaced frame: (xi, Y,
-    log) with e^{-i(t/h)H}(Psi_X (x) e_j) = W(Y) xi_j and Y = chi_t X."""
+    log) with e^{-i(t/h)H}(Psi_X (x) e_j) = W(Y) xi_j and Y = chi_t X.
+    stop_leakage is evolve_interaction_picture's."""
     vacuum = coherent_frame(ham)
-    xi, log = evolve_interaction_picture(ham, vacuum, t, x, tol)
+    xi, log = evolve_interaction_picture(ham, vacuum, t, x, tol, stop_leakage)
     return xi, chi_flow_vector(ham.model.grid, t, x), log

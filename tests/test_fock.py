@@ -1,5 +1,7 @@
 """Truncated Fock layer: basis, ladder algebra, coherent states, symbols."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from blochlab.model import (
     symplectic_form,
 )
 from conftest import random_phase_vector, zero_vector
-from reference import coherent_tail_mass, dgamma, number_operator
+from reference import coherent_tail_mass, dgamma, number_operator, segal_field_per_mode
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +146,20 @@ class TestSegalField:
         expected = -1j * h * symplectic_form(u, v) * np.eye(int(keep.sum()))
         np.testing.assert_allclose(block, expected, atol=1e-12)
 
+    def test_one_constructor_matches_per_mode_sum(self, octa_model, rng):
+        # the per-mode terms have disjoint patterns, so the entries, and the
+        # order of each row's entries in the products, are the same
+        basis = FockBasis(octa_model.D, 2)
+        v = random_phase_vector(rng, octa_model.D)
+        v.q[5] = v.p[5] = 0.0
+        got = segal_field(basis, 0.3, v)
+        want = segal_field_per_mode(basis, 0.3, v)
+        assert np.array_equal(got.toarray(), want.toarray())
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        empty = segal_field(basis, 0.3, zero_vector(octa_model.D))
+        assert empty.shape == (basis.dim, basis.dim) and empty.nnz == 0
+
     def test_vacuum_expectation_and_variance(self, small_basis, rng):
         # <0|Phi|0> = 0 and <0|Phi^2|0> = h |V|^2 / 2
         h = 0.25
@@ -170,15 +186,17 @@ class TestCoherentState:
         h = 0.5
         q, p = 0.4, -0.3
         z = (q + 1j * p) / np.sqrt(2 * h)
-        c, tail = coherent_state(
-            basis, h, PhaseVector(np.array([q]), np.array([p])), normalize=False
-        )
+        c, tail = coherent_state(basis, h, PhaseVector(np.array([q]), np.array([p])))
         assert tail < 1e-12
         from math import factorial
 
+        def coefficient(n):
+            return np.exp(-0.5 * abs(z) ** 2) * z**n / np.sqrt(float(factorial(n)))
+
+        # the state comes divided by its truncated norm
+        norm = np.sqrt(sum(abs(coefficient(n)) ** 2 for n in range(basis.n_max + 1)))
         for n in (0, 1, 2, 5, 9):
-            expected = np.exp(-0.5 * abs(z) ** 2) * z**n / np.sqrt(factorial(n))
-            assert c[n] == pytest.approx(expected, abs=1e-14)
+            assert c[n] == pytest.approx(coefficient(n) / norm, abs=1e-14)
 
     def test_eigenvector_of_annihilator(self, med_basis, rng):
         b = med_basis
@@ -219,7 +237,10 @@ class TestCoherentState:
         basis = FockBasis(D=1, n_max=8)
         h = 0.2
         x = PhaseVector(np.array([0.9]), np.array([0.4]))
-        _, tail = coherent_state(basis, h, x, tail_tol=1.0)
+        with warnings.catch_warnings():
+            # the tail is far above the warning threshold on purpose
+            warnings.simplefilter("ignore", TruncationWarning)
+            _, tail = coherent_state(basis, h, x)
         assert tail == pytest.approx(
             coherent_tail_mass(basis.n_max, h, x.norm()), rel=1e-10
         )

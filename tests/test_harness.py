@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import blochlab.cli as cli
+import blochlab.fock
 import blochlab.harness
 import blochlab.hierarchy
 import blochlab.oracle
@@ -366,6 +367,35 @@ class TestConvergence:
         for c in conv_report.cells:
             assert c.hygiene["cutoff"] == 4
             assert c.hygiene["leakage"] <= 1e-10
+
+    def test_stopped_runs_leave_no_trace(self, monkeypatch):
+        # the desk frames breach at cutoff 2 and stop early there; starting
+        # at cutoff 4 skips those runs and must give the same report
+        plan = ExperimentPlan.from_dict(small_plan_dict(n_max=8))
+        default = run_convergence(plan).to_dict()
+        monkeypatch.setattr(blochlab.harness, "FIRST_CUTOFF", 4)
+        assert run_convergence(plan).to_dict() == default
+        assert all(c["hygiene"]["cutoff"] == 4 for c in default["cells"])
+
+    def test_failure_at_the_cap_reports_the_full_run(self):
+        # at the cap the run goes to t: the status carries the leakage of
+        # the whole run, not of a run stopped at its breach
+        plan = ExperimentPlan.from_dict(small_plan_dict(n_max=2))
+        report = run_convergence(plan)
+        x = plan.x_samples[0][1]
+        basis = blochlab.fock.FockBasis(plan.model.D, 2)
+        for c in report.cells:
+            ham = blochlab.oracle.Hamiltonian(plan.model, basis, c.h)
+            _, _, log = blochlab.oracle.evolved_frame(ham, 1.0, x, plan.oracle_tol)
+            assert c.status == (
+                f"failed:leakage {log.leakage:.3e} exceeds 1.0e-10 "
+                "at the cap n_max = 2"
+            )
+        # the strings the sweep wrote before runs could stop early
+        assert [c.status for c in report.cells] == [
+            f"failed:leakage {v} exceeds 1.0e-10 at the cap n_max = 2"
+            for v in ("5.916e-08", "1.479e-08", "3.698e-09", "9.246e-10")
+        ]
 
     def test_step_stall_recorded_not_raised(self):
         # no step can meet oracle_tol = 1e-30, so every frame stalls; the

@@ -17,6 +17,7 @@ from blochlab.model import (
     minimal_grid_config,
 )
 from blochlab.oracle import (
+    DEFAULT_TAIL_TOL,
     Hamiltonian,
     ObservableSpec,
     apply_observable,
@@ -31,8 +32,10 @@ from reference import (
     coherent_spin_frame,
     evolved_wick_symbol,
     full_operator,
+    interaction_apply_per_group,
     interaction_operator,
     number_expectation,
+    number_rate_per_group,
 )
 
 
@@ -118,9 +121,9 @@ class TestTensorOperators:
         assert len(ham.ops.groups) == 2
         psi = _unit_columns(rng, basis.dim * 4, 3).reshape(basis.dim, 4, 3)
         for x in (zero_vector(model.D), random_phase_vector(rng, model.D, scale=0.3)):
-            groups = ham.displaced_groups(x)
+            gen = ham.generator(x)
             for t in self.T_SAMPLES:
-                got = ham._interaction_apply(t, psi, groups)
+                got = ham._interaction_apply(t, psi, gen)
                 want = interaction_operator(ham, t, x) @ psi.reshape(basis.dim * 4, 3)
                 assert np.max(np.abs(got.reshape(-1, 3) - want)) <= 1e-13
 
@@ -140,6 +143,21 @@ class TestTensorOperators:
                         field = shift * eye + segal_field(basis, ham.h, b)
                         want = want + sp.kron(field, model.spin_ops[lam][m])
                 assert abs(interaction_operator(ham, t, x) - want).max() <= 1e-13
+
+    def test_stacked_generator_matches_per_group_products(self, octa_setup, rng):
+        # one product with [h0; L_1; L_1^H; L_2; L_2^H] sums every row as the
+        # product with its own block does, so the right-hand side, the
+        # energy's interaction part and number_rate are bitwise unchanged
+        model, basis, ham = octa_setup
+        psi = _unit_columns(rng, basis.dim * 4, 4).reshape(basis.dim, 4, 4)
+        for x in (zero_vector(model.D), random_phase_vector(rng, model.D, scale=0.3)):
+            gen = ham.generator(x)
+            assert gen.shape == (5 * basis.dim * 4, basis.dim * 4)
+            for t in self.T_SAMPLES:
+                got = ham._interaction_apply(t, psi, gen)
+                assert np.array_equal(got, interaction_apply_per_group(ham, t, psi, x))
+            got = apply_observable(ham, NUMBER_RATE, psi, x)
+            assert np.array_equal(got, number_rate_per_group(ham, psi, x))
 
     def test_operators_shared_across_h(self, octa_model, octa_setup):
         _, basis, ham = octa_setup
@@ -499,3 +517,32 @@ class TestDisplacedFrame:
         got = small.energy(vacuum, x)
         assert got.shape == (model.spin_dim,)
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+class TestLeakageStop:
+    """A run asked to stop at a leakage breach ends at its first breaching
+    accepted step; the harness discards such runs below its cutoff cap."""
+
+    def test_desk_cutoff_two_stops_at_its_breach(self, desk_setup):
+        # h = 0.4, t = 1: the full cutoff-2 run leaks 5.9e-8 over 40
+        # accepted steps and first exceeds 1e-10 at step 8
+        model, x, _ = desk_setup
+        ham = Hamiltonian(model, FockBasis(model.D, 2), 0.4)
+        full_frame, _, full = evolved_frame(ham, 1.0, x, 1e-9)
+        frame, _, log = evolved_frame(ham, 1.0, x, 1e-9, stop_leakage=DEFAULT_TAIL_TOL)
+        assert log.leakage > DEFAULT_TAIL_TOL
+        assert log.n_accepted < full.n_accepted
+        assert (log.n_accepted, full.n_accepted) == (8, 40)
+        assert log.leakage <= full.leakage
+        assert log.step_sizes == full.step_sizes[: log.n_accepted]
+        # still a frame: the benchmark's tracer reads its size
+        assert frame.shape == full_frame.shape and frame.nbytes == full_frame.nbytes
+
+    def test_no_stop_without_a_breach(self, desk_setup):
+        # at cutoff 4 the leakage stays near 5e-16: the stop never fires
+        model, x, _ = desk_setup
+        ham = Hamiltonian(model, FockBasis(model.D, 4), 0.4)
+        full_frame, _, full = evolved_frame(ham, 1.0, x, 1e-9)
+        frame, _, log = evolved_frame(ham, 1.0, x, 1e-9, stop_leakage=DEFAULT_TAIL_TOL)
+        assert np.array_equal(frame, full_frame)
+        assert log.to_dict() == full.to_dict()

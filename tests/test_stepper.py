@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from blochlab.model import ModelError
-from blochlab.stepper import StepStallError, _rk4, integrate_adaptive, rk4_transfer
+from blochlab.stepper import (
+    PropagationLog,
+    StepStallError,
+    _rk4,
+    integrate_adaptive,
+    rk4_transfer,
+)
 
 
 def _cos_rhs(t, y):
@@ -62,6 +68,114 @@ class TestAdaptive:
                 0.1,
             )
         assert isinstance(info.value, ModelError)
+
+
+def _three_rk4_integrate(rhs, y0, t0, t1, tol, dt0):
+    """The adaptive loop with the full step and the two half steps as three
+    separate RK4 steps, each evaluating its own first stage."""
+
+    def rk4(s, y, dt):
+        k1 = rhs(s, y)
+        k2 = rhs(s + dt / 2, y + dt / 2 * k1)
+        k3 = rhs(s + dt / 2, y + dt / 2 * k2)
+        k4 = rhs(s + dt, y + dt * k3)
+        return y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    y = np.array(y0, dtype=complex)
+    log = PropagationLog()
+    span = t1 - t0
+    direction = 1.0 if span > 0 else -1.0
+    remaining = abs(span)
+    s = t0
+    dt = min(dt0, remaining)
+    while remaining > 0.0:
+        dt = min(dt, remaining)
+        step = direction * dt
+        big = rk4(s, y, step)
+        half = rk4(s, y, step / 2)
+        small = rk4(s + step / 2, half, step / 2)
+        err = float(np.max(np.abs(small - big)))
+        if err <= tol:
+            y = small + (small - big) / 15.0
+            s += step
+            remaining -= dt
+            log.n_accepted += 1
+            log.step_sizes.append(dt)
+            log.local_errors.append(err)
+            if err < tol / 64.0:
+                dt *= 2.0
+        else:
+            log.n_rejected += 1
+            dt *= 0.5
+    return y, log
+
+
+# a linear system with a time-dependent complex generator; from dt0 = 1 at
+# tol 1e-10 it rejects its first steps
+_GEN = np.array([[0.3j, 1.1], [-0.8, -0.2 + 0.5j]])
+
+
+def _linear_rhs(t, y):
+    return (1.0 + 0.5 * np.sin(3.0 * t)) * (_GEN @ y)
+
+
+class TestSharedFirstStage:
+    def test_eleven_evaluations_and_the_same_arithmetic(self):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return _linear_rhs(t, y)
+
+        y0 = np.array([1.0, 0.5 - 0.2j])
+        y, log = integrate_adaptive(rhs, y0, 0.0, 2.0, 1e-10, 1.0)
+        assert log.n_rejected > 0
+        assert len(calls) == 11 * (log.n_accepted + log.n_rejected)
+        want, want_log = _three_rk4_integrate(_linear_rhs, y0, 0.0, 2.0, 1e-10, 1.0)
+        assert np.array_equal(y, want)
+        assert log == want_log
+
+
+class TestStop:
+    def test_ends_at_the_first_accepted_step_where_it_holds(self):
+        # postprocess records each accepted state; stop sees the state after
+        # postprocess and holds from the third accepted step on
+        seen, calls = [], []
+
+        def rhs(t, y):
+            calls.append(t)
+            return _linear_rhs(t, y)
+
+        def record(y):
+            seen.append(y.copy())
+            return 2.0 * y
+
+        y0 = np.array([1.0, 0.5 - 0.2j])
+        y, log = integrate_adaptive(
+            rhs,
+            y0,
+            0.0,
+            2.0,
+            1e-10,
+            1.0,
+            postprocess=record,
+            stop=lambda y: len(seen) >= 3 and np.array_equal(y, 2.0 * seen[-1]),
+        )
+        full_y, full = integrate_adaptive(_linear_rhs, y0, 0.0, 2.0, 1e-10, 1.0)
+        assert log.n_accepted == len(seen) == 3 < full.n_accepted
+        assert np.array_equal(y, 2.0 * seen[-1])
+        assert log.n_rejected > 0
+        assert len(calls) == 11 * (log.n_accepted + log.n_rejected)
+        assert sum(log.step_sizes) < 2.0
+        assert len(log.step_sizes) == len(log.local_errors) == 3
+
+    def test_never_holding_runs_to_the_end(self):
+        y0 = np.array([1.0, 0.5 - 0.2j])
+        y, log = integrate_adaptive(
+            _linear_rhs, y0, 0.0, 2.0, 1e-10, 1.0, stop=lambda y: False
+        )
+        want, want_log = integrate_adaptive(_linear_rhs, y0, 0.0, 2.0, 1e-10, 1.0)
+        assert np.array_equal(y, want) and log == want_log
 
 
 class TestTransfer:
