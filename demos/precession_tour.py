@@ -28,7 +28,7 @@ x = PhaseVector(np.array([0.25, 0.0, 0.1, 0.0]), np.array([0.0, 0.2, 0.0, 0.0]))
 # coefficient against each Pauli axis.
 print("\norder-0 spin components, site 1 (rows: t; cols: sigma_1..sigma_3)")
 for t in (0.0, np.pi / 8, np.pi / 4, np.pi / 2):
-    triple = bloch_spin0(model, t, x, tol=1e-10)[0]
+    triple = bloch_spin0(model, t, x)[0]
     # triple.rotation is the SO(3) matrix; row m gives sigma_m(t) in the
     # fixed Pauli basis
     print(f"  t={t:5.3f}  " + "  ".join(f"{v:+.3f}" for v in triple.rotation[0]))
@@ -36,7 +36,7 @@ for t in (0.0, np.pi / 8, np.pi / 4, np.pi / 2):
 # the same numbers through the Duhamel path
 t = np.pi / 4
 direct = order0(model, ObservableSpec(kind="spin", m=1, lam=1), t, x)
-triple = bloch_spin0(model, t, x, tol=1e-10)[0]
+triple = bloch_spin0(model, t, x)[0]
 dev = np.max(np.abs(direct - triple.matrices[0]))
 print(f"\nDuhamel vs precession path at t=pi/4: max deviation {dev:.2e}")
 

@@ -23,8 +23,8 @@ i (C1(sigma, A) - C1(A, sigma)) of it (_duhamel_forcing), and the
 photon-rate term C1(E^0, S^0) takes it the two rotation tangents.  The
 cross-product matrix of the precession (_cross_mat) and the contraction
 of a site rotation with the site's spin operators (_site_spins) are
-batched over leading axes, so the adaptive right-hand sides and the grid
-sweeps share them.
+batched over leading axes, so the grid sweeps, the tangent system and the
+order-0 reads share them.
 
 Both first-order paths are trapezoid quadratures on uniform grids of n
 nodes, refined by doubling.  Their pairing kernels separate in the two
@@ -37,24 +37,43 @@ they evaluate their generators on the half-step stage grid and take every
 substep as an RK4 transfer map (blochlab.stepper.rk4_transfer), so a sweep
 multiplies small matrices instead of calling a right-hand side.  The
 Maxwell sweep's mode amplitudes are one recurrence per frequency group,
-summed for all substeps at once.  The substep is capped at 0.01 whatever
-the tolerance, so the sweeps carry an RK4 error floor of their own that
-grid doubling does not control.  Measured on the desk model against the
-adaptive paths at tol 1e-14: at t = 1 (substep 0.0078) the rotation is off
-by 9.1e-10 and the propagator by 3.1e-11, at t = 4 the rotation by 9.0e-9.
-The crosscheck deviations this leaves on the desk plan (up to 2.9e-9 at
-t <= 2) stay under the 1e-6 gate; choosing the substep from the tolerance
-is ROADMAP.md item 2.  The adaptive integrations (propagator_G,
-the order-0 rotations and their tangents) evaluate the pairing inside the
-right-hand side and run blochlab.stepper.integrate_adaptive with a first
-step of 1e-2.
+summed for all substeps at once.
 
-Every first-order object at a point (t, X) reads the same grid sweeps, so
-a shared_sweeps(model, t, X) scope integrates each sweep (kind, n) once
-and hands the stored, read-only arrays to every later consumer at that
-(t, X): the spin and field order_j calls of all axes, spin_correction1 of
-every site and first_order_modes.  A sweep for another model, t or X (the
-inner points of _order_high) integrates as usual.  The table lives in a
+The sweeps are the module's only classical integrator.  Order 0 reads
+them on _refine's first grid (_N0 panels): propagator_G is the propagator
+sweep's endpoint and bloch_spin0 the Maxwell sweep's rotations.  The
+rotation tangents of the photon-rate C^1 term step the linearized system
+on the same stage grid (_rotation_tangent), so they are the derivative of
+that rotation endpoint.  G and R still solve different equations, so the
+order-0 dual check stays independent.  The substep is capped at _SUBSTEP
+whatever the tolerance, so the sweeps carry an RK4 error floor of their
+own that grid doubling does not control.  Measured against adaptive RK4
+at tol 1e-13 (tests/reference.py), as the largest entry error relative to
+the largest reference entry, for the desk plan's model and X and for two
+spins on an octahedral grid (the tests' octa_model, X with normal
+components of scale 0.5), with dR along the six photon-rate directions of
+each site:
+
+    model  t      R        G        dR
+    desk   0.5    2.3e-13  8.5e-15  3.1e-13
+    desk   1      6.1e-13  2.0e-14  4.8e-13
+    desk   2      1.0e-12  6.2e-14  8.3e-13
+    octa   0.5    4.5e-14  5.2e-14  3.5e-13
+    octa   1      1.6e-13  1.4e-13  5.1e-13
+    octa   2      3.1e-13  3.0e-13  5.7e-13
+
+The floor falls like the fourth power of the substep: at a cap of 0.01
+the desk rotation is off by 9.1e-10 at t = 1, at 0.01/4 by 8.1e-12, and
+at 0.01/16 by 5.6e-14.  Choosing the substep from the tolerance is
+ROADMAP.md item 2.
+
+Every order-0 and first-order object at a point (t, X) reads the same
+grid sweeps, so a shared_sweeps(model, t, X) scope integrates each sweep
+(kind, n) once and hands the stored, read-only arrays to every later
+consumer at that (t, X): order0, bloch_spin0, the spin and field order_j
+calls of all axes, spin_correction1 of every site and first_order_modes.
+A sweep for another model, t or X (the inner points of _order_high, the
+tangent probe's shifted points) integrates as usual.  The table lives in a
 context variable, so each pool thread has its own, and it is dropped when
 the scope exits; compute_hierarchy and each t job of run_crosscheck open
 one.
@@ -82,7 +101,7 @@ from blochlab.model import (
     stack_vectors,
 )
 from blochlab.oracle import ObservableSpec, field_coupling
-from blochlab.stepper import PropagationLog, integrate_adaptive, rk4_transfer
+from blochlab.stepper import rk4_transfer
 from blochlab.symbols import c1_affine
 
 
@@ -90,8 +109,12 @@ class HierarchyError(ModelError):
     """Grid-refinement failures and invalid arguments."""
 
 
-# first step of the hierarchy's adaptive integrations
-_DT0 = 1e-2
+# largest RK4 substep of the grid sweeps; the floor it leaves is measured
+# in the module docstring
+_SUBSTEP = 0.01 / 8
+
+# panels of the order-0 reads and the rotation tangents: _refine's first grid
+_N0 = 32
 
 # resolved empirically against the exact photon-rate oracle; see the
 # commutator (i/h)[H, N (x) I] = - sum Phi_{S,h}(F B) (x) sigma
@@ -121,10 +144,9 @@ def _site_spins(r: np.ndarray, ops: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PropagatorState:
-    """Unitary spin propagator G(t, 0, X) with its integration log."""
+    """Unitary spin propagator G(t, 0, X)."""
 
     matrix: np.ndarray
-    log: PropagationLog
 
     @property
     def unitarity_defect(self) -> float:
@@ -137,32 +159,17 @@ def _polar_project(g: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def propagator_G(
-    model: Model, t: float, x: PhaseVector, tol: float = 1e-8
-) -> PropagatorState:
-    """Solve dG/dt = i G H_int(chi_t X), G(0, 0) = I."""
-    if tol <= 0:
-        raise HierarchyError("tol must be positive")
-    eye = np.eye(model.spin_dim, dtype=complex)
-    pairing = flow_pairing(model.grid, model.coupling_list, [x])
-
-    def rhs(u, g):
-        return 1j * (g @ model.spin_matrix(model.site_beta + pairing(u)[:, 0]))
-
-    def post(g):
-        if np.linalg.norm(g.conj().T @ g - eye) > tol / 10.0:
-            return _polar_project(g)
-        return g
-
-    g, log = integrate_adaptive(rhs, eye, 0.0, t, tol, _DT0, postprocess=post)
-    return PropagatorState(matrix=g, log=log)
+def propagator_G(model: Model, t: float, x: PhaseVector) -> PropagatorState:
+    """G(t, 0, X) of dG/dt = i G H_int(chi_t X), G(0, 0) = I: the endpoint
+    of the propagator sweep on _N0 panels."""
+    return PropagatorState(matrix=_propagator_sweep(model, t, x, _N0)[-1])
 
 
 def _panel_stages(t: float, n: int):
-    """Substeps per panel (substep <= 0.01), the substep and the half-step
-    stage times of n panels over [0, t]."""
+    """Substeps per panel (substep <= _SUBSTEP), the substep and the
+    half-step stage times of n panels over [0, t]."""
     panel = t / n
-    sub = max(1, int(np.ceil(abs(panel) / 0.01)))
+    sub = max(1, int(np.ceil(abs(panel) / _SUBSTEP)))
     dt = panel / sub
     return sub, dt, 0.5 * dt * np.arange(2 * n * sub + 1)
 
@@ -215,10 +222,10 @@ def _shared(sweep):
 def _propagator_sweep(model: Model, t: float, x: PhaseVector, n: int) -> np.ndarray:
     """G(u_i, 0, X) on the uniform grid u_i = i t / n, shape (n+1, sd, sd).
 
-    Fixed-substep RK4 between nodes (substep <= 0.01) with polar projection
-    at each node.  The substep does not follow the tolerance, so the sweep
-    has an error floor of its own: 3.1e-11 in G at t = 1 on the desk model
-    (see the module docstring; ROADMAP.md item 2 owns the fix).
+    Fixed-substep RK4 between nodes (substep <= _SUBSTEP) with polar
+    projection at each node.  The substep does not follow the tolerance, so
+    the sweep has an error floor of its own: 2.0e-14 in G at t = 1 on the
+    desk model (see the module docstring; ROADMAP.md item 2).
     """
     sd = model.spin_dim
     out = np.empty((n + 1, sd, sd), dtype=complex)
@@ -259,9 +266,7 @@ def observable_form(model: Model, obs: ObservableSpec):
     )
 
 
-def order0(
-    model: Model, obs: ObservableSpec, t: float, x: PhaseVector, tol: float = 1e-8
-) -> np.ndarray:
+def order0(model: Model, obs: ObservableSpec, t: float, x: PhaseVector) -> np.ndarray:
     """A^[0](t, X) = (F_A . chi_t X) I + G(t,0,X) S_A G(t,0,X)*."""
     f_a, s_a = observable_form(model, obs)
     sd = model.spin_dim
@@ -269,7 +274,7 @@ def order0(
     if f_a is not None:
         out += f_a.dot(chi_flow_vector(model.grid, t, x)) * np.eye(sd)
     if s_a is not None:
-        g = propagator_G(model, t, x, tol).matrix
+        g = propagator_G(model, t, x).matrix
         out += g @ s_a @ g.conj().T
     return out
 
@@ -284,7 +289,7 @@ def _trap_weights(n: int, dt: float) -> np.ndarray:
     return w
 
 
-def _refine(compute, tol, n0=32, nmax=4096, label="quadrature"):
+def _refine(compute, tol, n0=_N0, nmax=4096, label="quadrature"):
     """Double the grid until the trapezoid result settles, then extrapolate."""
     prev = compute(n0)
     n = n0
@@ -418,7 +423,7 @@ def _directional_prev(model, obs, jm1, s, y, vs, tol):
 
     def prev(z):
         if jm1 == 0:
-            return order0(model, obs, s, z, tol)
+            return order0(model, obs, s, z)
         return order_j(model, obs, jm1, s, z, tol)
 
     zero = np.zeros((model.spin_dim, model.spin_dim), dtype=complex)
@@ -463,30 +468,15 @@ class SpinTriple:
     matrices: np.ndarray  # (3, sd, sd)
 
 
-def _rotation_endpoint(model, lam, t, x, tol) -> np.ndarray:
-    """R(t) of dR/du = 2 C(b(u)) R, with the site field b_m(u) = beta_m +
-    B_{m x_lam} . chi_u X."""
-    pairing = flow_pairing(model.grid, model.couplings[lam], [x])
-
-    def rhs(u, r):
-        return 2.0 * _cross_mat(model.beta + pairing(u)[:, 0]) @ r
-
-    r, _ = integrate_adaptive(rhs, np.eye(3), 0.0, t, tol, _DT0)
-    return np.real(r)
-
-
-def bloch_spin0(
-    model: Model, t: float, x: PhaseVector, tol: float = 1e-8
-) -> list[SpinTriple]:
-    """Integrate dS/dt = 2 (beta + B^[0](x_lam, t, X)) x S, S(0) = sigma."""
-    if tol <= 0:
-        raise HierarchyError("tol must be positive")
-    out = []
-    for lam in range(model.N):
-        r = _rotation_endpoint(model, lam, t, x, tol)
-        mats = _site_spins(r, model.spin_ops[lam])
-        out.append(SpinTriple(lam=lam + 1, rotation=r, matrices=mats))
-    return out
+def bloch_spin0(model: Model, t: float, x: PhaseVector) -> list[SpinTriple]:
+    """S^{[lam, 0]}(t, X) = R^lam(t) . sigma^[lam] with dR/du = 2 C(b(u)) R,
+    b_m(u) = beta_m + B_{m x_lam} . chi_u X: the Maxwell sweep's rotations
+    on _N0 panels."""
+    rots = _maxwell_sweep(model, t, x, _N0)[0][-1]
+    return [
+        SpinTriple(lam=lam + 1, rotation=r, matrices=_site_spins(r, ops))
+        for lam, (r, ops) in enumerate(zip(rots, model.spin_ops))
+    ]
 
 
 @dataclass
@@ -497,40 +487,48 @@ class TangentBundleState:
     residual: float
 
 
-def _rotation_tangent(model, lam, t, x, v, tol):
-    """Joint (R, dR) integration of the linearized site-Bloch system."""
-    pairing = flow_pairing(model.grid, model.couplings[lam], [x, v])
+def _rotation_tangent(model, lam, t, x, vs) -> np.ndarray:
+    """Tangents dR^lam(t)[V] of the site rotation along each V of vs, shape
+    (len(vs), 3, 3).
 
-    def rhs(u, y):
-        r, d = y[0], y[1]
-        b = pairing(u)  # (3, 2): B_m . chi_u X, B_m . chi_u V
-        om = 2.0 * _cross_mat(model.beta + b[:, 0])
-        return np.stack([om @ r, om @ d + 2.0 * _cross_mat(b[:, 1]) @ r])
-
-    y0 = np.stack([np.eye(3), np.zeros((3, 3))])
-    y, _ = integrate_adaptive(rhs, y0, 0.0, t, tol, _DT0)
-    return np.real(y[0]), np.real(y[1])
+    The linearized system (R, dR)' = [[2C(b), 0], [2C(B . chi_u V), 2C(b)]]
+    (R, dR), b = beta + B^lam . chi_u X, is stepped by RK4 transfer maps on
+    the stage grid of the sweeps on _N0 panels, one panel's generators at a
+    time, for every V at once.  RK4 commutes with linearization, so this is
+    the derivative along V of the Maxwell sweep's rotation endpoint, up to
+    rounding."""
+    pairing = flow_pairing(model.grid, model.couplings[lam], [x, *vs])
+    sub, dt, stage = _panel_stages(t, _N0)
+    y = np.zeros((len(vs), 6, 3))
+    y[:, :3] = np.eye(3)
+    for i in range(_N0):
+        # B_m . chi_u X, then B_m . chi_u V, on the panel's stages
+        fields = pairing(stage[2 * i * sub : 2 * (i + 1) * sub + 1])
+        gen = np.zeros((len(fields), len(vs), 6, 6))
+        gen[:, :, :3, :3] = gen[:, :, 3:, 3:] = 2.0 * _cross_mat(
+            model.beta + fields[:, :, 0]
+        )[:, None]
+        gen[:, :, 3:, :3] = 2.0 * _cross_mat(fields[:, :, 1:].swapaxes(1, 2))
+        phi, _ = rk4_transfer(*_panel_split(gen, 1, sub), dt)
+        for step in phi[0]:
+            y = step @ y
+    return y[:, 3:]
 
 
 def tangent_derivatives(
-    model: Model,
-    lam: int,
-    v: PhaseVector,
-    t: float,
-    x: PhaseVector,
-    tol: float = 1e-8,
+    model: Model, lam: int, v: PhaseVector, t: float, x: PhaseVector
 ) -> TangentBundleState:
     """Check the tangent system of the site-lam rotation along V against a
-    central difference of the rotation endpoint.  The residual is returned,
-    not enforced: run_crosscheck's tangent-fd-residual hygiene entry gates
-    it."""
+    central difference of the Maxwell sweep's rotation endpoint.  The
+    residual is returned, not enforced: run_crosscheck's tangent-fd-residual
+    hygiene entry gates it."""
     if not 1 <= lam <= model.N:
         raise HierarchyError(f"site index lam={lam} outside 1..{model.N}")
     if v.norm() == 0.0:
         return TangentBundleState(residual=0.0)
-    _, d = _rotation_tangent(model, lam - 1, t, x, v, tol)
+    d = _rotation_tangent(model, lam - 1, t, x, [v])[0]
     fd = _central_difference(
-        lambda z: _rotation_endpoint(model, lam - 1, t, z, tol), x, v
+        lambda z: _maxwell_sweep(model, t, z, _N0)[0][-1, lam - 1], x, v
     )
     return TangentBundleState(
         residual=float(np.linalg.norm(fd - d) / max(np.linalg.norm(d), 1.0))
@@ -548,8 +546,8 @@ def _maxwell_sweep(model: Model, t: float, x: PhaseVector, n: int):
 
     dZ_q = omega Z_p, dZ_p = -omega Z_q, sourced by - sum_a (F B_a) S_a^0(u).
     The site fields beta + B . chi_u X are evaluated once on the half-step
-    stage grid of the fixed-substep RK4 (substep <= 0.01), and the RK4 steps
-    of the joint linear system are taken as transfer maps.
+    stage grid of the fixed-substep RK4 (substep <= _SUBSTEP), and the RK4
+    steps of the joint linear system are taken as transfer maps.
     Returns (R_path (n+1, N, 3, 3), Z_path (n+1, 2, D, sd, sd))."""
     D, sd, N = model.D, model.spin_dim, model.N
     bs = model.coupling_list
@@ -634,7 +632,7 @@ def first_order_modes(
         _, z = _maxwell_sweep(model, t, x, n)
         return z[-1]
 
-    return _refine(endpoint, tol, n0=32, label="sourced Maxwell integration")
+    return _refine(endpoint, tol, label="sourced Maxwell integration")
 
 
 def maxwell_cross_check(
@@ -758,7 +756,7 @@ def photon_rate_expansion(
         raise HierarchyError("photon-rate expansion is provided to order 1")
     sd = model.spin_dim
     y = chi_flow_vector(model.grid, t, x)
-    spins0 = bloch_spin0(model, t, x, tol=min(tol, 1e-9))
+    spins0 = bloch_spin0(model, t, x)
     n0 = np.zeros((sd, sd), dtype=complex)
     for lam in range(model.N):
         for m in range(3):
@@ -773,6 +771,16 @@ def photon_rate_expansion(
     spins1 = spin_correction1(model, t, x, tol=max(tol, 1e-7))
     for lam in range(model.N):
         pos = model.config.positions[lam]
+        # C^1(E^0, S^0) below: the polarized field is affine in X with
+        # gradient along the transported coupling W = chi_{-t} F B, so it
+        # reads the site tangents along W and F W of each axis.  Only dS is
+        # read, so this skips tangent_derivatives' finite-difference probe;
+        # run_crosscheck's tangent-fd-residual hygiene check runs it
+        ws = [chi_flow_vector(model.grid, -t, fmap(b)) for b in model.couplings[lam]]
+        tangents = _rotation_tangent(
+            model, lam, t, x, [v for w in ws for v in (w, fmap(w))]
+        )
+        dspins = _site_spins(tangents, model.spin_ops[lam])  # (6, 3, sd, sd)
         for m in range(3):
             fb = fmap(model.couplings[lam][m])
             e0 = fb.dot(y)
@@ -782,16 +790,8 @@ def photon_rate_expansion(
             n1 += e1 @ spins0[lam].matrices[m]
             # C^0(E^0, S^1)
             n1 += PHOTON_RATE_SIGN * e0 * spins1[lam].matrices[m]
-            # C^1(E^0, S^0): the polarized field is affine in X with
-            # gradient along the transported coupling.  Only dS is read, so
-            # the tangent skips tangent_derivatives' finite-difference probe;
-            # run_crosscheck's tangent-fd-residual hygiene check runs it
-            wvec = chi_flow_vector(model.grid, -t, fb)
-            tangents = [
-                _rotation_tangent(model, lam, t, x, v, min(tol, 1e-8))[1]
-                for v in (wvec, fmap(wvec))
-            ]
-            db, dfb = _site_spins(np.stack(tangents), model.spin_ops[lam])[:, m]
+            # C^1(E^0, S^0)
+            db, dfb = dspins[2 * m : 2 * m + 2, m]
             n1 += c1_affine(PHOTON_RATE_SIGN * eye, db, dfb, "left")
     orders.append(n1)
     return orders
@@ -814,7 +814,7 @@ def compute_hierarchy(
     with shared_sweeps(model, t, x):
         if obs.kind == "number_rate":
             return photon_rate_expansion(model, t, x, M, tol=tol)
-        orders = [order0(model, obs, t, x, tol=min(tol, 1e-9))]
+        orders = [order0(model, obs, t, x)]
         for j in range(1, M + 1):
             orders.append(order_j(model, obs, j, t, x, tol=tol))
         return orders

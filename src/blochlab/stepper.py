@@ -8,13 +8,15 @@ extrapolated value and doubles the step after a very accurate one.  The
 full step and the first half step start from the same state, so they share
 their first stage: 11 right-hand-side evaluations per attempted step.  A
 caller-supplied stop condition can end the integration early, at the first
-accepted step where it holds.  The oracle and the hierarchy's adaptive
-integrations use it, each with its own first step dt0.
+accepted step where it holds.  Only the oracle uses it; the hierarchy's
+adaptive G, R and (R, dR) integrations survive as test oracles in
+tests/reference.py.
 
 rk4_transfer writes the same step on a linear system y' = A(u) y as a
 matrix, y -> Phi y, for a whole stack of steps in one batched product
-chain.  The hierarchy's fixed-substep grid sweeps use it: they tabulate A
-on the half-step stage grid once and then only multiply matrices.
+chain.  The hierarchy's fixed-substep grid sweeps and its rotation
+tangents use it for every classical object: they tabulate A on the
+half-step stage grid once and then only multiply matrices.
 """
 
 from __future__ import annotations

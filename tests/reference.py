@@ -5,8 +5,10 @@ another way and never needs itself: the Segal field summed mode by mode
 instead of built in one constructor, the generator applied block by block
 instead of in one stacked product, the materialized Hamiltonian, the
 coherent frame Psi_X (x) e_j propagated as it stands instead of in the
-displaced frame, the affine interaction symbol as a matrix, and the number
-operator and its second-quantized relatives as diagonal matrices.
+displaced frame, the affine interaction symbol as a matrix, the number
+operator and its second-quantized relatives as diagonal matrices, and the
+hierarchy's order-0 propagator, rotations and rotation tangents integrated
+adaptively to a tolerance instead of read from the fixed-substep sweeps.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from blochlab.fock import FockBasis, coherent_state
-from blochlab.model import Model, ModelError, PhaseVector, stack_vectors
+from blochlab.hierarchy import _cross_mat, _polar_project
+from blochlab.model import Model, ModelError, PhaseVector, flow_pairing, stack_vectors
 from blochlab.oracle import (
     DEFAULT_TAIL_TOL,
     DEFAULT_TOL,
@@ -28,6 +31,7 @@ from blochlab.oracle import (
     evolved_frame,
     frame_symbol,
 )
+from blochlab.stepper import integrate_adaptive
 from conftest import zero_vector
 
 # -- Fock space --------------------------------------------------------
@@ -199,3 +203,49 @@ def number_expectation(ham: Hamiltonian, frame_t: np.ndarray) -> np.ndarray:
     """Matrix of <state_i, (N (x) I) state_j> for an undisplaced state frame."""
     n_diag = np.asarray(ham.basis.totals, dtype=float)
     return frame_symbol(frame_t, n_diag[:, None, None] * frame_t)
+
+
+# -- hierarchy ---------------------------------------------------------
+
+# first step of the adaptive integrations
+_DT0 = 1e-2
+
+
+def propagator_adaptive(
+    model: Model, t: float, x: PhaseVector, tol: float
+) -> np.ndarray:
+    """G(t, 0, X) of dG/dt = i G H_int(chi_t X), G(0, 0) = I, by adaptive
+    RK4, polar-projected whenever its unitarity defect exceeds tol / 10."""
+    eye = np.eye(model.spin_dim, dtype=complex)
+    pairing = flow_pairing(model.grid, model.coupling_list, [x])
+
+    def rhs(u, g):
+        return 1j * (g @ model.spin_matrix(model.site_beta + pairing(u)[:, 0]))
+
+    def post(g):
+        if np.linalg.norm(g.conj().T @ g - eye) > tol / 10.0:
+            return _polar_project(g)
+        return g
+
+    g, _ = integrate_adaptive(rhs, eye, 0.0, t, tol, _DT0, postprocess=post)
+    return g
+
+
+def rotation_adaptive(
+    model: Model, lam: int, t: float, x: PhaseVector, vs, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """R(t) of dR/du = 2 C(b(u)) R, b_m(u) = beta_m + B_{m x_lam} . chi_u X,
+    and its tangents dR along each V of vs, shape (len(vs), 3, 3), from one
+    joint adaptive integration of the linearized site-Bloch system."""
+    pairing = flow_pairing(model.grid, model.couplings[lam], [x, *vs])
+
+    def rhs(u, y):
+        b = pairing(u)  # (3, 1 + K): B_m . chi_u X, then B_m . chi_u V
+        om = 2.0 * _cross_mat(model.beta + b[:, 0])
+        r = y[0]
+        return np.concatenate([[om @ r], om @ y[1:] + 2.0 * _cross_mat(b[:, 1:].T) @ r])
+
+    y0 = np.zeros((1 + len(vs), 3, 3))
+    y0[0] = np.eye(3)
+    y, _ = integrate_adaptive(rhs, y0, 0.0, t, tol, _DT0)
+    return np.real(y[0]), np.real(y[1:])

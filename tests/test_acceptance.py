@@ -242,7 +242,7 @@ def test_criterion_6_photon_rate_law(capsys, desk_plan, desk_report):
         xb = polarization_project(model.grid, branch, x)
         n0 = photon_rate_expansion(model, t, xb, 0, tol=1e-8)[0]
         eps = PHOTON_RATE_SIGN * branch
-        triples = bloch_spin0(model, t, xb, tol=1e-10)
+        triples = bloch_spin0(model, t, xb)
         want = np.zeros_like(n0)
         moved = chi_flow_vector(model.grid, t, xb)
         for tr in triples:
@@ -282,7 +282,7 @@ def test_criterion_7_numerical_hygiene(capsys, desk_report):
     model = Model(minimal_grid_config())
     v = PhaseVector(np.ones(4) * 0.5, np.zeros(4))
     x = PhaseVector(np.array([0.2, 0.0, 0.1, 0.0]), np.array([0.0, 0.3, 0.0, 0.0]))
-    tb = tangent_derivatives(model, 1, v, 1.3, x, tol=1e-8)
+    tb = tangent_derivatives(model, 1, v, 1.3, x)
 
     # determinism: rebuilt plan, fresh sweep, bitwise-equal report payloads
     d = default_plan_dict()

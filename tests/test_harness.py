@@ -509,6 +509,13 @@ class TestCrosscheck:
         assert all(e["deviation"] <= 1e-6 for e in report.entries)
         assert all(e["residual"] <= 1e-6 for e in report.hygiene)
 
+    def test_negative_time_runs_every_check(self):
+        # t < 0 used to report its spin-order0 entry only
+        report = run_crosscheck(ExperimentPlan.from_dict(small_plan_dict(t=[-1.0])))
+        checks = [e["check"] for e in report.entries]
+        assert checks == ["spin-order0", "spin-order1", "field-order1"]
+        assert report.passed
+
     def test_deterministic_across_workers(self, monkeypatch):
         # each pool thread opens its own sweep table for its t sample
         plan = ExperimentPlan.from_dict(small_plan_dict(t=[0.5, 1.0, 1.5]))
@@ -536,7 +543,7 @@ class TestCrosscheck:
     def test_non_finite_order0_fails_its_entry(self, monkeypatch, bad):
         # an infinite coefficient used to pass with deviation 0.0, because the
         # max over axes dropped the NaN deviation; a NaN one raised LinAlgError
-        def spoiled(model, obs, t, x, tol):
+        def spoiled(model, obs, t, x):
             return np.full((model.spin_dim,) * 2, bad, dtype=complex)
 
         monkeypatch.setattr(blochlab.harness, "order0", spoiled)
@@ -569,8 +576,7 @@ class TestCrosscheck:
         real = blochlab.hierarchy._rotation_tangent
 
         def scaled(*args):
-            r, d = real(*args)
-            return r, 1.01 * d
+            return 1.01 * real(*args)
 
         monkeypatch.setattr(blochlab.hierarchy, "_rotation_tangent", scaled)
         plan = ExperimentPlan.from_dict(small_plan_dict(n_max=8, t=[0.5]))

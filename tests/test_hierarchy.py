@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 import blochlab.hierarchy as hierarchy
+from blochlab.harness import ExperimentPlan, default_plan_dict
 from blochlab.hierarchy import (
     _EPS3,
     HierarchyError,
@@ -47,6 +48,7 @@ from blochlab.model import (
 from blochlab.oracle import ObservableSpec
 from blochlab.stepper import _rk4
 from conftest import random_phase_vector, zero_vector
+from reference import propagator_adaptive, rotation_adaptive
 
 
 @pytest.fixture(scope="module")
@@ -116,20 +118,16 @@ class TestPropagator:
     def test_group_law(self, minimal_model, rng):
         x = random_phase_vector(rng, 4, scale=0.4)
         s, t = 0.3, 0.9
-        gs = propagator_G(minimal_model, s, x, tol=1e-10).matrix
-        gt = propagator_G(minimal_model, t, x, tol=1e-10).matrix
+        gs = propagator_G(minimal_model, s, x).matrix
+        gt = propagator_G(minimal_model, t, x).matrix
         xs = chi_flow_vector(minimal_model.grid, s, x)
-        rel = propagator_G(minimal_model, t - s, xs, tol=1e-10).matrix
+        rel = propagator_G(minimal_model, t - s, xs).matrix
         assert _norm(gs.conj().T @ gt - rel) <= 1e-8
 
     def test_unitary(self, octa_model, rng):
         x = random_phase_vector(rng, octa_model.D, scale=0.3)
-        state = propagator_G(octa_model, 1.2, x, tol=1e-9)
+        state = propagator_G(octa_model, 1.2, x)
         assert state.unitarity_defect <= 1e-9
-
-    def test_rejects_bad_tol(self, minimal_model):
-        with pytest.raises(HierarchyError):
-            propagator_G(minimal_model, 1.0, zero_vector(minimal_model.D), tol=0.0)
 
 
 class TestOrder0:
@@ -180,15 +178,15 @@ class TestBlochSpin0:
     def test_agrees_with_conjugation(self, minimal_model, rng):
         x = random_phase_vector(rng, 4, scale=0.4)
         for t in (0.4, 1.1, 2.0):
-            g = propagator_G(minimal_model, t, x, tol=1e-10).matrix
-            trip = bloch_spin0(minimal_model, t, x, tol=1e-10)[0]
+            g = propagator_G(minimal_model, t, x).matrix
+            trip = bloch_spin0(minimal_model, t, x)[0]
             for m in range(3):
                 ref = g @ minimal_model.spin_ops[0][m] @ g.conj().T
                 assert _norm(trip.matrices[m] - ref) <= 1e-6
 
     def test_casimir(self, octa_model, rng):
         x = random_phase_vector(rng, octa_model.D, scale=0.3)
-        for trip in bloch_spin0(octa_model, 1.3, x, tol=1e-10):
+        for trip in bloch_spin0(octa_model, 1.3, x):
             total = sum(trip.matrices[m] @ trip.matrices[m] for m in range(3))
             np.testing.assert_allclose(total, 3.0 * np.eye(4), atol=1e-8)
 
@@ -291,7 +289,7 @@ class TestTangent:
     def test_zero_direction(self, minimal_model, rng):
         x = random_phase_vector(rng, 4, scale=0.4)
         zero = zero_vector(4)
-        _, d = _rotation_tangent(minimal_model, 0, 1.0, x, zero, 1e-8)
+        d = _rotation_tangent(minimal_model, 0, 1.0, x, [zero])[0]
         ds = _site_spins(d, minimal_model.spin_ops[0])
         np.testing.assert_allclose(ds, 0.0, atol=1e-12)
         assert tangent_derivatives(minimal_model, 1, zero, 1.0, x).residual == 0.0
@@ -300,7 +298,7 @@ class TestTangent:
         x = random_phase_vector(rng, 4, scale=0.4)
         v = random_phase_vector(rng, 4)
         v = v * (1.0 / v.norm())
-        _, d = _rotation_tangent(free_model, 0, 1.0, x, v, 1e-8)
+        d = _rotation_tangent(free_model, 0, 1.0, x, [v])[0]
         ds = _site_spins(d, free_model.spin_ops[0])
         np.testing.assert_allclose(ds, 0.0, atol=1e-10)
 
@@ -308,9 +306,9 @@ class TestTangent:
         x = random_phase_vector(rng, 4, scale=0.4)
         v = random_phase_vector(rng, 4)
         v = v * (1.0 / v.norm())
-        st = tangent_derivatives(minimal_model, 1, v, 1.0, x, tol=1e-9)
+        st = tangent_derivatives(minimal_model, 1, v, 1.0, x)
         assert st.residual <= 1e-6
-        _, d = _rotation_tangent(minimal_model, 0, 1.0, x, v, 1e-9)
+        d = _rotation_tangent(minimal_model, 0, 1.0, x, [v])[0]
         assert _norm(d) > 1e-4  # the check is not vacuous
 
     @pytest.mark.parametrize("lam", [0, 3])
@@ -319,6 +317,36 @@ class TestTangent:
         x = random_phase_vector(rng, octa_model.D, scale=0.1)
         with pytest.raises(HierarchyError, match="site index"):
             tangent_derivatives(octa_model, lam, x, 0.5, x)
+
+
+class TestSweepFloor:
+    """The sweeps' RK4 floor at the _SUBSTEP cap: G, every site rotation R
+    and its tangents along the six photon-rate directions against adaptive
+    RK4 at tol 1e-13, relative to the largest reference entry."""
+
+    @pytest.fixture(params=["desk", "octa"])
+    def point(self, request, octa_model, rng):
+        if request.param == "desk":
+            plan = ExperimentPlan.from_dict(default_plan_dict())
+            return plan.model, plan.x_samples[0][1]
+        return octa_model, random_phase_vector(rng, octa_model.D, scale=0.5)
+
+    @staticmethod
+    def _rel(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_matches_adaptive_reference(self, point, t):
+        model, x = point
+        g = propagator_adaptive(model, t, x, 1e-13)
+        assert self._rel(propagator_G(model, t, x).matrix, g) <= 1e-11
+        for lam, trip in enumerate(bloch_spin0(model, t, x)):
+            bs = model.couplings[lam]
+            ws = [chi_flow_vector(model.grid, -t, fmap(b)) for b in bs]
+            vs = [v for w in ws for v in (w, fmap(w))]
+            r, d = rotation_adaptive(model, lam, t, x, vs, 1e-13)
+            assert self._rel(trip.rotation, r) <= 1e-11
+            assert self._rel(_rotation_tangent(model, lam, t, x, vs), d) <= 1e-11
 
 
 class TestDualPaths:
@@ -387,7 +415,7 @@ def _propagator_reference(model, t, x, n):
     out = np.empty((n + 1, sd, sd), dtype=complex)
     g = np.eye(sd, dtype=complex)
     out[0] = g
-    sub = max(1, int(np.ceil(abs(t / n) / 0.01)))
+    sub = max(1, int(np.ceil(abs(t / n) / hierarchy._SUBSTEP)))
     dt = t / n / sub
 
     def rhs(u, g):
@@ -414,7 +442,7 @@ def _maxwell_reference(model, t, x, n):
     rr = np.stack([np.eye(3) for _ in range(N)]).astype(complex)
     zz = np.zeros((2, D, sd, sd), dtype=complex)
     r_path[0] = np.eye(3)
-    sub = max(1, int(np.ceil(abs(t / n) / 0.01)))
+    sub = max(1, int(np.ceil(abs(t / n) / hierarchy._SUBSTEP)))
     dt = t / n / sub
 
     def rhs(u, rr, zz):
@@ -678,7 +706,7 @@ class TestPhotonExpansion:
         for branch, eps in ((+1, -1.0), (-1, +1.0)):
             xp = polarization_project(minimal_model.grid, branch, x)
             n0 = photon_rate_expansion(minimal_model, t, xp, 0)[0]
-            trip = bloch_spin0(minimal_model, t, xp, tol=1e-10)[0]
+            trip = bloch_spin0(minimal_model, t, xp)[0]
             y = chi_flow_vector(minimal_model.grid, t, xp)
             alt = sum(
                 eps * minimal_model.couplings_E[0][m].dot(y) * trip.matrices[m]
