@@ -703,9 +703,12 @@ def run_crosscheck(plan: ExperimentPlan) -> CrosscheckReport:
                 devs.append(_rel_dev(tr.matrices[m - 1], direct(obs), floor))
         return float(np.max(devs))
 
+    t_max = max(plan.t_samples)
+    v = PhaseVector(np.ones(model.D), np.zeros(model.D)) * (1.0 / np.sqrt(model.D))
+
     def _one_t(t):
-        out = []
-        # every path at this t reads the same grid sweeps
+        out, probes = [], []
+        # every path at this t reads the same chains
         with shared_sweeps(model, t, x):
             # order 0: Duhamel path vs precession path, all sites and axes
             dev0 = _spin_dev(
@@ -714,42 +717,39 @@ def run_crosscheck(plan: ExperimentPlan) -> CrosscheckReport:
                 1e-30,
             )
             out.append({"check": "spin-order0", "t": t, "deviation": dev0})
-            if t == 0.0:
-                return out
+            if t != 0.0:
+                # order 1 spin: variation-of-constants vs Duhamel recursion
+                dev1 = _spin_dev(
+                    spin_correction1(model, t, x, tol=tol * 0.3),
+                    lambda obs: order_j(model, obs, 1, t, x, tol=tol * 0.3),
+                    1.0,
+                )
+                out.append({"check": "spin-order1", "t": t, "deviation": dev1})
 
-            # order 1 spin: variation-of-constants vs Duhamel recursion
-            dev1 = _spin_dev(
-                spin_correction1(model, t, x, tol=tol * 0.3),
-                lambda obs: order_j(model, obs, 1, t, x, tol=tol * 0.3),
-                1.0,
-            )
-            out.append({"check": "spin-order1", "t": t, "deviation": dev1})
+                # order 1 field: sourced modes vs Duhamel recursion
+                mx = maxwell_cross_check(model, t, x, tol=tol)
+                out.append(
+                    {
+                        "check": "field-order1",
+                        "t": t,
+                        "deviation": mx.max_rel_dev,
+                        "div_b": mx.div_b_residual,
+                        "div_e": mx.div_e_residual,
+                    }
+                )
+            if t == t_max:
+                # hygiene probes at the last t, on its chains: the unitarity
+                # defect of the unprojected propagator, and the tangent
+                # against central differences
+                defect = propagator_G(model, t, x).unitarity_defect
+                probes.append({"check": "propagator-unitarity", "residual": defect})
+                tb = tangent_derivatives(model, 1, v, t, x)
+                probes.append({"check": "tangent-fd-residual", "residual": tb.residual})
+        return out, probes
 
-            # order 1 field: sourced modes vs Duhamel recursion
-            mx = maxwell_cross_check(model, t, x, tol=tol)
-            out.append(
-                {
-                    "check": "field-order1",
-                    "t": t,
-                    "deviation": mx.max_rel_dev,
-                    "div_b": mx.div_b_residual,
-                    "div_e": mx.div_e_residual,
-                }
-            )
-        return out
-
-    for group in _pool_map(_one_t, list(plan.t_samples)):
+    for group, probes in _pool_map(_one_t, list(plan.t_samples)):
         entries.extend(group)
-
-    # hygiene probes: propagator unitarity and tangent-vs-FD residuals
-    t_max = max(plan.t_samples)
-    state = propagator_G(model, t_max, x)
-    hygiene.append(
-        {"check": "propagator-unitarity", "residual": state.unitarity_defect}
-    )
-    v = PhaseVector(np.ones(model.D), np.zeros(model.D)) * (1.0 / np.sqrt(model.D))
-    tb = tangent_derivatives(model, 1, v, t_max, x)
-    hygiene.append({"check": "tangent-fd-residual", "residual": tb.residual})
+        hygiene.extend(probes)
 
     for e in entries:
         e["tol"] = tol

@@ -23,60 +23,71 @@ i (C1(sigma, A) - C1(A, sigma)) of it (_duhamel_forcing), and the
 photon-rate term C1(E^0, S^0) takes it the two rotation tangents.  The
 cross-product matrix of the precession (_cross_mat) and the contraction
 of a site rotation with the site's spin operators (_site_spins) are
-batched over leading axes, so the grid sweeps, the tangent system and the
-order-0 reads share them.
+batched over leading axes, so the chains, their node reads and the
+rotation tangents share them.
 
 Both first-order paths are trapezoid quadratures on uniform grids of n
 nodes, refined by doubling.  Their pairing kernels separate in the two
 time arguments, so both reduce to one flow-kernel convolution
 (_lag_convolution): suffix integrals for the inner layer of the order-1
 recursion, prefix integrals for the tangent contraction of the Bloch
-correction, each O(n) per grid.  The fixed-substep RK4 sweeps that
-feed them (_propagator_sweep, _maxwell_sweep) integrate linear systems:
-they evaluate their generators on the half-step stage grid and take every
-substep as an RK4 transfer map (blochlab.stepper.rk4_transfer), so a sweep
-multiplies small matrices instead of calling a right-hand side.  The
-Maxwell sweep's mode amplitudes are one recurrence per frequency group,
-summed for all substeps at once.
+correction, each O(n) per grid.
 
-The sweeps are the module's only classical integrator.  Order 0 reads
-them on _refine's first grid (_N0 panels): propagator_G is the propagator
-sweep's endpoint and bloch_spin0 the Maxwell sweep's rotations.  The
-rotation tangents of the photon-rate C^1 term step the linearized system
-on the same stage grid (_rotation_tangent), so they are the derivative of
-that rotation endpoint.  G and R still solve different equations, so the
-order-0 dual check stays independent.  The substep is capped at _SUBSTEP
-whatever the tolerance, so the sweeps carry an RK4 error floor of their
-own that grid doubling does not control.  Measured against adaptive RK4
-at tol 1e-13 (tests/reference.py), as the largest entry error relative to
-the largest reference entry, for the desk plan's model and X and for two
-spins on an octahedral grid (the tests' octa_model, X with normal
-components of scale 0.5), with dR along the six photon-rate directions of
-each site:
+The classical objects they read come from two RK4 chains per (t, X), the
+module's only classical integrator.  _propagator_chain holds G and
+_maxwell_chain holds the site rotations R and the rotation-space partial
+sums of the first-order mode recurrence, at every substep of one fixed
+grid of steps = max(2^ceil(log2(|t| / _SUBSTEP)), n) substeps
+(_chain_steps).  The grid doubles with n, so every refinement grid of
+n <= steps panels reads its nodes as every (steps/n)-th chain state, and
+a refinement's cur - prev measures quadrature error alone.  Each chain
+evaluates its generator on the half-step stage grid once, takes every
+substep as an RK4 transfer map (blochlab.stepper.rk4_transfer) and
+chains the maps by recursive doubling (_prefix_products), so no Python
+loop runs over substeps.  The reads are cheap: _propagator_sweep
+polar-projects the nodes it takes in one batched SVD, and _maxwell_sweep
+takes the mode products at its nodes only.
+
+Order 0 reads the chains' endpoints at _refine's first grid (_N0 panels):
+propagator_G is the projected propagator endpoint, with the unprojected
+endpoint's unitarity defect (2.5e-14 on the desk model at t = 2), and
+bloch_spin0 the Maxwell chain's rotations.  The rotation tangents of the
+photon-rate C^1 term differentiate the chain's RK4 maps
+(_rotation_tangent), so they are the derivative of that rotation
+endpoint.  G and R still solve different equations, so the order-0 dual
+check stays independent.  The substep is capped at _SUBSTEP whatever the
+tolerance, so the chains carry an RK4 error floor of their own that grid
+doubling does not control.  Measured against adaptive RK4 at tol 1e-13
+(tests/reference.py), as the largest entry error relative to the largest
+reference entry, for the desk plan's model and X and for two spins on an
+octahedral grid (the tests' octa_model, X with normal components of scale
+0.5), with dR along the six photon-rate directions of each site, on
+chains of 512, 1024 and 2048 substeps:
 
     model  t      R        G        dR
-    desk   0.5    2.3e-13  8.5e-15  3.1e-13
-    desk   1      6.1e-13  2.0e-14  4.8e-13
-    desk   2      1.0e-12  6.2e-14  8.3e-13
-    octa   0.5    4.5e-14  5.2e-14  3.5e-13
-    octa   1      1.6e-13  1.4e-13  5.1e-13
-    octa   2      3.1e-13  3.0e-13  5.7e-13
+    desk   0.5    1.0e-13  6.4e-15  1.3e-13
+    desk   1      2.4e-13  1.5e-14  1.9e-13
+    desk   2      4.2e-13  4.7e-14  3.3e-13
+    octa   0.5    1.9e-14  2.1e-14  1.5e-13
+    octa   1      6.9e-14  5.9e-14  2.0e-13
+    octa   2      1.5e-13  1.4e-13  2.3e-13
 
 The floor falls like the fourth power of the substep: at a cap of 0.01
 the desk rotation is off by 9.1e-10 at t = 1, at 0.01/4 by 8.1e-12, and
 at 0.01/16 by 5.6e-14.  Choosing the substep from the tolerance is
 ROADMAP.md item 2.
 
-Every order-0 and first-order object at a point (t, X) reads the same
-grid sweeps, so a shared_sweeps(model, t, X) scope integrates each sweep
-(kind, n) once and hands the stored, read-only arrays to every later
-consumer at that (t, X): order0, bloch_spin0, the spin and field order_j
-calls of all axes, spin_correction1 of every site and first_order_modes.
-A sweep for another model, t or X (the inner points of _order_high, the
-tangent probe's shifted points) integrates as usual.  The table lives in a
-context variable, so each pool thread has its own, and it is dropped when
-the scope exits; compute_hierarchy and each t job of run_crosscheck open
-one.
+Every order-0 and first-order object at a point (t, X) reads the same two
+chains, so a shared_sweeps(model, t, X) scope integrates each chain once
+and keeps every node read taken from it, and hands the stored, read-only
+arrays to every later consumer at that (t, X): order0, bloch_spin0, the
+spin and field order_j calls of all axes, spin_correction1 of every site,
+first_order_modes and the rotation tangents.  A refinement past steps
+panels reads a chain of n substeps of its own.  A chain for another
+model, t or X (the inner points of _order_high, the tangent probe's
+shifted points) integrates as usual.  The table lives in a context
+variable, so each pool thread has its own, and it is dropped when the
+scope exits; compute_hierarchy and each t job of run_crosscheck open one.
 """
 
 from __future__ import annotations
@@ -109,8 +120,8 @@ class HierarchyError(ModelError):
     """Grid-refinement failures and invalid arguments."""
 
 
-# largest RK4 substep of the grid sweeps; the floor it leaves is measured
-# in the module docstring
+# largest RK4 substep of the chains; the floor it leaves is measured in the
+# module docstring
 _SUBSTEP = 0.01 / 8
 
 # panels of the order-0 reads and the rotation tangents: _refine's first grid
@@ -125,6 +136,9 @@ for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
     _EPS3[_i, _j, _k], _EPS3[_i, _k, _j] = 1.0, -1.0
 # C_ij = -eps_ijk x_k as the linear map x_k -> (i, j)
 _CROSS_MAP = -_EPS3.reshape(9, 3).T
+# the cyclic successors n+1 and n+2 of each axis n: eps_{n, a, b} is +1 at
+# (a, b) = (_NEXT[n], _LAST[n]) and -1 at the swapped pair
+_NEXT, _LAST = [1, 2, 0], [2, 0, 1]
 
 
 def _cross_mat(x: np.ndarray) -> np.ndarray:
@@ -135,7 +149,8 @@ def _cross_mat(x: np.ndarray) -> np.ndarray:
 def _site_spins(r: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """Spin matrices sum_k r[..., m, k] ops[k] of a site rotation (or of its
     tangent) against the site's spin operators, batched over leading axes."""
-    return np.einsum("...mk,kab->...mab", r, ops)
+    flat = r @ ops.reshape(len(ops), -1)
+    return flat.reshape(r.shape[:-1] + ops.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -144,52 +159,79 @@ def _site_spins(r: np.ndarray, ops: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PropagatorState:
-    """Unitary spin propagator G(t, 0, X)."""
+    """Spin propagator G(t, 0, X), polar-projected onto the unitaries, and
+    the unitarity defect |G* G - I| of the chain endpoint it was projected
+    from: the integrator's own defect, not the projection's."""
 
     matrix: np.ndarray
-
-    @property
-    def unitarity_defect(self) -> float:
-        g = self.matrix
-        return float(np.linalg.norm(g.conj().T @ g - np.eye(g.shape[0])))
+    unitarity_defect: float
 
 
 def _polar_project(g: np.ndarray) -> np.ndarray:
+    """Unitary polar factor, batched over leading axes."""
     u, _, vh = np.linalg.svd(g)
     return u @ vh
 
 
 def propagator_G(model: Model, t: float, x: PhaseVector) -> PropagatorState:
-    """G(t, 0, X) of dG/dt = i G H_int(chi_t X), G(0, 0) = I: the endpoint
-    of the propagator sweep on _N0 panels."""
-    return PropagatorState(matrix=_propagator_sweep(model, t, x, _N0)[-1])
+    """G(t, 0, X) of dG/dt = i G H_int(chi_t X), G(0, 0) = I: the projected
+    endpoint of the propagator chain that serves _N0 panels."""
+    raw = _propagator_chain(model, t, x, _chain_steps(t, _N0))[-1]
+    defect = np.linalg.norm(raw.conj().T @ raw - np.eye(model.spin_dim))
+    return PropagatorState(matrix=_polar_project(raw), unitarity_defect=float(defect))
 
 
-def _panel_stages(t: float, n: int):
-    """Substeps per panel (substep <= _SUBSTEP), the substep and the
-    half-step stage times of n panels over [0, t]."""
-    panel = t / n
-    sub = max(1, int(np.ceil(abs(panel) / _SUBSTEP)))
-    dt = panel / sub
-    return sub, dt, 0.5 * dt * np.arange(2 * n * sub + 1)
+def _chain_steps(t: float, n: int) -> int:
+    """Substeps of the chain that serves n panels over [0, t]: n times the
+    least power of two that keeps the substep <= _SUBSTEP.  For a power of
+    two n this is max(2^ceil(log2(|t| / _SUBSTEP)), n), one chain for every
+    n up to it."""
+    cap = max(1, int(np.ceil(abs(t) / _SUBSTEP)))
+    sub = -(-cap // n)  # ceil(cap / n)
+    return n << (sub - 1).bit_length()
 
 
-def _panel_split(table, n, sub):
+def _chain_stages(t: float, steps: int):
+    """The substep and the half-step stage times of a chain over [0, t]."""
+    dt = t / steps
+    return dt, 0.5 * dt * np.arange(2 * steps + 1)
+
+
+def _stage_split(table):
     """Start, middle and end stages of every substep from a half-step stage
-    table, each of shape (n, sub, ...): stage j of substep k in panel i is
-    2 (i sub + k) + {0, 1, 2}."""
-    shape = (n, sub) + table.shape[1:]
-    return tuple(table[j : j + 2 * n * sub : 2].reshape(shape) for j in range(3))
+    table, each of shape (steps, ...)."""
+    return table[:-1:2], table[1::2], table[2::2]
 
 
-# (model, t, X, {(kind, n): sweep}) of the innermost shared_sweeps scope
+def _site_fields(model: Model, x: PhaseVector, stage: np.ndarray) -> np.ndarray:
+    """beta_m + B_{m x_lam} . chi_u X at the stage times, in (lam, m) order."""
+    pairing = flow_pairing(model.grid, model.coupling_list, [x])
+    return model.site_beta + pairing(stage)[:, :, 0]
+
+
+def _prefix_products(phi: np.ndarray) -> np.ndarray:
+    """The ordered products phi_{k-1} ... phi_0 for k = 0 .. len(phi), by
+    recursive doubling: log2(len(phi)) batched products, no loop over the
+    factors."""
+    out = np.empty((len(phi) + 1,) + phi.shape[1:], dtype=phi.dtype)
+    out[0] = np.eye(phi.shape[-1])
+    out[1:] = phi
+    span = 1
+    while span < len(phi):
+        out[span + 1 :] = out[span + 1 :] @ out[1:-span]
+        span *= 2
+    return out
+
+
+# (model, t, X, {(name, size): arrays}) of the innermost shared_sweeps scope
 _SWEEPS = contextvars.ContextVar("blochlab_hierarchy_sweeps", default=None)
 
 
 @contextmanager
 def shared_sweeps(model: Model, t: float, x: PhaseVector):
-    """Integrate each grid sweep of (model, t, X) at most once per n inside
-    the block.  Model and X are matched by identity."""
+    """Integrate each chain of (model, t, X) at most once inside the block,
+    and keep every node read taken from it.  Model and X are matched by
+    identity."""
     token = _SWEEPS.set((model, t, x, {}))
     try:
         yield
@@ -197,19 +239,19 @@ def shared_sweeps(model: Model, t: float, x: PhaseVector):
         _SWEEPS.reset(token)
 
 
-def _shared(sweep):
-    """Serve sweep(model, t, x, n) from the open scope's table, integrating
+def _shared(build):
+    """Serve build(model, t, x, size) from the open scope's table, building
     on a miss; a call for another model, t or X bypasses the table.  The
     returned arrays are read-only, since later consumers read them too."""
 
-    @functools.wraps(sweep)
-    def lookup(model, t, x, n):
+    @functools.wraps(build)
+    def lookup(model, t, x, size):
         scope = _SWEEPS.get()
         hit = scope and scope[0] is model and scope[1] == t and scope[2] is x
         table = scope[3] if hit else {}
-        key = (sweep.__name__, n)
+        key = (build.__name__, size)
         if key not in table:
-            out = sweep(model, t, x, n)
+            out = build(model, t, x, size)
             for a in out if isinstance(out, tuple) else (out,):
                 a.setflags(write=False)
             table[key] = out
@@ -219,36 +261,36 @@ def _shared(sweep):
 
 
 @_shared
-def _propagator_sweep(model: Model, t: float, x: PhaseVector, n: int) -> np.ndarray:
-    """G(u_i, 0, X) on the uniform grid u_i = i t / n, shape (n+1, sd, sd).
+def _propagator_chain(model: Model, t: float, x: PhaseVector, steps: int) -> np.ndarray:
+    """G(u_k, 0, X) at every substep u_k = k t / steps, unprojected, shape
+    (steps+1, sd, sd).
 
-    Fixed-substep RK4 between nodes (substep <= _SUBSTEP) with polar
-    projection at each node.  The substep does not follow the tolerance, so
-    the sweep has an error floor of its own: 2.0e-14 in G at t = 1 on the
-    desk model (see the module docstring; ROADMAP.md item 2).
-    """
+    RK4 transfer maps of G^T' = (i H)^T G^T on the half-step stage grid,
+    in the real form [[Re, -Im], [Im, Re]] of the complex matrices, where
+    numpy's batched products are several times faster, and chained by
+    _prefix_products."""
     sd = model.spin_dim
-    out = np.empty((n + 1, sd, sd), dtype=complex)
-    g = np.eye(sd, dtype=complex)
-    out[:] = g
-    if t == 0.0 or n == 0:
-        return out
-    sub, dt, stage = _panel_stages(t, n)
+    dt, stage = _chain_stages(t, steps)
+    ht = model.spin_matrix(_site_fields(model, x, stage)).swapaxes(1, 2)
+    # the generator i H^T = -Im H^T + i Re H^T in real form
+    neg = -ht.imag
+    gen = np.block([[neg, -ht.real], [ht.real, neg]])
+    phi, _ = rk4_transfer(*_stage_split(gen), dt)
+    y = _prefix_products(phi)
+    gt = np.empty((steps + 1, sd, sd), dtype=complex)
+    gt.real, gt.imag = y[:, :sd, :sd], y[:, sd:, :sd]
+    return gt.swapaxes(1, 2)
 
-    # H_int(chi_u X) on the half-step grid, assembled in one vectorized pass
-    pairing = flow_pairing(model.grid, model.coupling_list, [x])
-    h_stage = model.spin_matrix(model.site_beta + pairing(stage)[:, :, 0])
-    # dG/du = G (i H) steps as G -> G psi, psi the transposed transfer map
-    # of the transposed generator; then the substep product of each panel
-    phi, _ = rk4_transfer(*_panel_split(1j * h_stage.swapaxes(1, 2), n, sub), dt)
-    psi = phi.swapaxes(-1, -2)
-    panel = psi[:, 0]
-    for k in range(1, sub):
-        panel = panel @ psi[:, k]
-    for i in range(n):
-        g = _polar_project(g @ panel[i])
-        out[i + 1] = g
-    return out
+
+@_shared
+def _propagator_sweep(model: Model, t: float, x: PhaseVector, n: int) -> np.ndarray:
+    """G(u_i, 0, X) on the uniform grid u_i = i t / n, shape (n+1, sd, sd):
+    every (steps/n)-th state of the propagator chain, polar-projected in one
+    batched SVD."""
+    if t == 0.0 or n == 0:
+        return np.tile(np.eye(model.spin_dim, dtype=complex), (n + 1, 1, 1))
+    steps = _chain_steps(t, n)
+    return _polar_project(_propagator_chain(model, t, x, steps)[:: steps // n])
 
 
 # ---------------------------------------------------------------------------
@@ -353,27 +395,27 @@ def _lag_convolution(omegas, dt, f, suffix):
 
 def _order1_on_grid(model, obs, t, x, n):
     f_a, s_a = observable_form(model, obs)
+    sd = model.spin_dim
     bs = model.coupling_list
     fbs = [fmap(b) for b in bs]
     T = _propagator_sweep(model, t, x, n)
     dt = t / n
     w = _trap_weights(n, dt)
     # conjugated coupling spins Sig[i, a] = T_i sigma_a T_i*
-    Sig = np.einsum("iab,qbc,idc->iqad", T, model.sigmas, T.conj())
+    Sig = T[:, None] @ model.sigmas @ T.conj().swapaxes(1, 2)[:, None]
 
     if s_a is None:
         # pure field: Phi^[0](s) = - sum_a (F_A . chi_s F B_a) sigma_a,
         # X-independent, so only the conjugated spins enter.
         r = t - dt * np.arange(n + 1)
         ctab = flow_pairing(model.grid, [f_a], fbs)(r)[:, 0]  # (n+1, A)
-        return -np.einsum("i,ia,iacd->cd", w, ctab, Sig)
+        return -((w[:, None] * ctab).ravel() @ Sig.reshape(-1, sd * sd)).reshape(sd, sd)
 
     # spin observable.  The inner Duhamel layer needs, for every u and both
     # pairings P of B with B and with F B,
     #   N_P(u) = i int_u^t P_{a'a}(w - u) Sig_{a'}(w) dw,
     # a suffix flow-kernel convolution: the stacked [cos; sin] parts against
     # the stacked [alpha; beta] of both pairings, one product for the pair.
-    sd = model.spin_dim
     K = T[n] @ s_a @ T[n].conj().T
     pair_b = flow_pairing(model.grid, bs, bs)
     pair_f = flow_pairing(model.grid, bs, fbs)
@@ -385,7 +427,7 @@ def _order1_on_grid(model, obs, t, x, n):
     both = rows @ coef.reshape(rows.shape[1], -1)  # ((n+1) sd^2, 2A)
     nb, nf = 1j * both.reshape(n + 1, sd, sd, 2, -1).transpose(3, 0, 4, 1, 2)
     term = _duhamel_forcing(Sig, nb @ K - K @ nb, nf @ K - K @ nf)
-    return np.einsum("i,icd->cd", w, term.sum(axis=1))
+    return (w @ term.sum(axis=1).reshape(n + 1, -1)).reshape(sd, sd)
 
 
 def order_j(
@@ -470,9 +512,9 @@ class SpinTriple:
 
 def bloch_spin0(model: Model, t: float, x: PhaseVector) -> list[SpinTriple]:
     """S^{[lam, 0]}(t, X) = R^lam(t) . sigma^[lam] with dR/du = 2 C(b(u)) R,
-    b_m(u) = beta_m + B_{m x_lam} . chi_u X: the Maxwell sweep's rotations
-    on _N0 panels."""
-    rots = _maxwell_sweep(model, t, x, _N0)[0][-1]
+    b_m(u) = beta_m + B_{m x_lam} . chi_u X: the endpoint of the Maxwell
+    chain that serves _N0 panels."""
+    rots = _maxwell_chain(model, t, x, _chain_steps(t, _N0))[0][-1]
     return [
         SpinTriple(lam=lam + 1, rotation=r, matrices=_site_spins(r, ops))
         for lam, (r, ops) in enumerate(zip(rots, model.spin_ops))
@@ -489,37 +531,55 @@ class TangentBundleState:
 
 def _rotation_tangent(model, lam, t, x, vs) -> np.ndarray:
     """Tangents dR^lam(t)[V] of the site rotation along each V of vs, shape
-    (len(vs), 3, 3).
+    (len(vs), 3, 3): the derivative along V of the endpoint of the Maxwell
+    chain that serves _N0 panels.
 
     The linearized system (R, dR)' = [[2C(b), 0], [2C(B . chi_u V), 2C(b)]]
-    (R, dR), b = beta + B^lam . chi_u X, is stepped by RK4 transfer maps on
-    the stage grid of the sweeps on _N0 panels, one panel's generators at a
-    time, for every V at once.  RK4 commutes with linearization, so this is
-    the derivative along V of the Maxwell sweep's rotation endpoint, up to
-    rounding."""
-    pairing = flow_pairing(model.grid, model.couplings[lam], [x, *vs])
-    sub, dt, stage = _panel_stages(t, _N0)
-    y = np.zeros((len(vs), 6, 3))
-    y[:, :3] = np.eye(3)
-    for i in range(_N0):
-        # B_m . chi_u X, then B_m . chi_u V, on the panel's stages
-        fields = pairing(stage[2 * i * sub : 2 * (i + 1) * sub + 1])
-        gen = np.zeros((len(fields), len(vs), 6, 6))
-        gen[:, :, :3, :3] = gen[:, :, 3:, 3:] = 2.0 * _cross_mat(
-            model.beta + fields[:, :, 0]
-        )[:, None]
-        gen[:, :, 3:, :3] = 2.0 * _cross_mat(fields[:, :, 1:].swapaxes(1, 2))
-        phi, _ = rk4_transfer(*_panel_split(gen, 1, sub), dt)
-        for step in phi[0]:
-            y = step @ y
-    return y[:, 3:]
+    (R, dR), b = beta + B^lam . chi_u X, is block-triangular, and so is its
+    RK4 transfer map [[phi, 0], [psi_V, phi]]: phi is the chain's own map
+    and psi_V its derivative along the off-diagonal block.  The product
+    rule on rk4_transfer's stages makes psi_V linear in the stage values
+    E = 2 C(B . chi_u V),
+
+        psi = dt/6 (l0 E0 + l2 Eh m2 + l3 Eh m3 + E1 m4),
+
+    with direction-free l0, l2, l3 and the chain's stage maps m2, m3, m4,
+    so every V costs four products per substep.  Then
+    dR_{k+1} = phi_k dR_k + psi_k R_k over the chain's R, summed by pairwise
+    reduction."""
+    steps = _chain_steps(t, _N0)
+    dt, stage = _chain_stages(t, steps)
+    r = _maxwell_chain(model, t, x, steps)[0][:, lam]
+    fields = _site_fields(model, x, stage).reshape(-1, model.N, 3)[:, lam]
+    a0, ah, a1 = _stage_split(2.0 * _cross_mat(fields))
+    phi, (m2, m3, m4) = rk4_transfer(a0, ah, a1, dt)
+    eye = np.eye(3)
+    ah2 = ah @ ah
+    l0 = eye + dt * ah + dt**2 / 2 * ah2 + dt**3 / 4 * (a1 @ ah2)
+    l2 = 2 * eye + dt * ah + dt**2 / 2 * (a1 @ ah)
+    l3 = 2 * eye + dt * a1
+    # B_m . chi_u V at the start, middle and end of every substep, (steps, V, 3)
+    pairing = flow_pairing(model.grid, model.couplings[lam], vs)
+    p0, ph, p1 = _stage_split(pairing(stage).swapaxes(1, 2))
+    eh = 2.0 * _cross_mat(ph)
+    psi = l0[:, None] @ (2.0 * _cross_mat(p0))
+    psi += l2[:, None] @ (eh @ m2[:, None])
+    psi += l3[:, None] @ (eh @ m3[:, None])
+    psi += 2.0 * _cross_mat(p1) @ m4[:, None]
+    # steps is _N0 times a power of two, so every level pairs up evenly:
+    # two steps (phi, q) then (phi', q') make one, (phi' phi, phi' q + q')
+    q = dt / 6 * psi @ r[:-1, None]
+    while len(phi) > 1:
+        q = phi[1::2, None] @ q[::2] + q[1::2]
+        phi = phi[1::2] @ phi[::2]
+    return q[0]
 
 
 def tangent_derivatives(
     model: Model, lam: int, v: PhaseVector, t: float, x: PhaseVector
 ) -> TangentBundleState:
     """Check the tangent system of the site-lam rotation along V against a
-    central difference of the Maxwell sweep's rotation endpoint.  The
+    central difference of the Maxwell chain's rotation endpoint.  The
     residual is returned, not enforced: run_crosscheck's tangent-fd-residual
     hygiene entry gates it."""
     if not 1 <= lam <= model.N:
@@ -527,8 +587,9 @@ def tangent_derivatives(
     if v.norm() == 0.0:
         return TangentBundleState(residual=0.0)
     d = _rotation_tangent(model, lam - 1, t, x, [v])[0]
+    steps = _chain_steps(t, _N0)
     fd = _central_difference(
-        lambda z: _maxwell_sweep(model, t, z, _N0)[0][-1, lam - 1], x, v
+        lambda z: _maxwell_chain(model, t, z, steps)[0][-1, lam - 1], x, v
     )
     return TangentBundleState(
         residual=float(np.linalg.norm(fd - d) / max(np.linalg.norm(d), 1.0))
@@ -540,73 +601,77 @@ def tangent_derivatives(
 
 
 @_shared
-def _maxwell_sweep(model: Model, t: float, x: PhaseVector, n: int):
-    """Jointly integrate per-site rotations R^mu and the matrix-valued
-    first-order mode amplitudes Z on a uniform grid.
+def _maxwell_chain(model: Model, t: float, x: PhaseVector, steps: int):
+    """Per-site rotations R^lam and the rotation-space partial sums of the
+    first-order mode recurrence at every substep u_k = k t / steps.
 
-    dZ_q = omega Z_p, dZ_p = -omega Z_q, sourced by - sum_a (F B_a) S_a^0(u).
-    The site fields beta + B . chi_u X are evaluated once on the half-step
-    stage grid of the fixed-substep RK4 (substep <= _SUBSTEP), and the RK4
-    steps of the joint linear system are taken as transfer maps.
-    Returns (R_path (n+1, N, 3, 3), Z_path (n+1, 2, D, sd, sd))."""
-    D, sd, N = model.D, model.spin_dim, model.N
-    bs = model.coupling_list
-    # source weights [F B_a]_q and [F B_a]_p, shape (2, D, A)
-    fq, fp = np.stack(stack_vectors([fmap(b) for b in bs])).transpose(0, 2, 1)
+    R' = 2 C(b^lam(u)) R, b_m = beta_m + B_{m x_lam} . chi_u X, is stepped by
+    RK4 transfer maps on the half-step stage grid and chained by
+    _prefix_products.  The mode amplitudes Z of dZ_q = omega Z_p,
+    dZ_p = -omega Z_q, sourced by - sum_a (F B_a) S_a^0(u), are, per
+    frequency group on W = Z_q + i Z_p, W' = (x / dt) W - src(R) with
+    x = -i w_g dt and src = (F B)_{q + i p} S(R) linear in R.  One RK4 step
+    is W -> mu(x) W - dt/6 sum_i c_i(x) src(y_i) over the stage states y_i
+    of R, with mu = 1 + x + x^2/2 + x^3/6 + x^4/24 and
+    c = (1 + x + x^2/2 + x^3/4, 2 + x + x^2/2, 2 + x, 1).  The stages are
+    combined, and the recurrence summed, in rotation space; the spin
+    matrices and mode weights enter only at the nodes a read takes
+    (_maxwell_sweep).  Returns (R (steps+1, N, 3, 3),
+    sums (G, steps+1, N, 3, 3)), sums[:, k] the combined source of W(u_k)."""
+    N = model.N
+    dt, stage = _chain_stages(t, steps)
+    gen = 2.0 * _cross_mat(_site_fields(model, x, stage).reshape(-1, N, 3))
+    phi, maps = rk4_transfer(*_stage_split(gen), dt)
+    r = _prefix_products(phi)
 
-    r_path = np.empty((n + 1, N, 3, 3))
-    r_path[:] = np.eye(3)
-    z_path = np.zeros((n + 1, 2, D, sd, sd), dtype=complex)
-    if t == 0.0 or n == 0:
-        return r_path, z_path
-    sub, dt, stage = _panel_stages(t, n)
-    steps = n * sub
-
-    # 2 C(b^lam(u)) on the half-step grid, with b_m = beta_m + B_{m x_lam} . chi_u X
-    fields = model.site_beta + flow_pairing(model.grid, bs, [x])(stage)[:, :, 0]
-    gen = 2.0 * _cross_mat(fields.reshape(-1, N, 3))
-    phi, maps = rk4_transfer(*_panel_split(gen, n, sub), dt)
-
-    # R: one 3x3 product per site and substep
-    phi = phi.reshape(steps, N, 3, 3)
-    r = np.empty((steps + 1, N, 3, 3))
-    r[0] = np.eye(3)
-    for k in range(steps):
-        np.matmul(phi[k], r[k], out=r[k + 1])
-    r_path[1:] = r[sub::sub]
-
-    # Z, per frequency group on W = Z_q + i Z_p: W' = (x / dt) W - src(R),
-    # x = -i w_g dt, src = (F B)_{q + i p} S(R) linear in R.  One RK4 step is
-    # W -> mu(x) W - dt/6 sum_i c_i(x) src(y_i) over the stage states y_i of
-    # R, with mu = 1 + x + x^2/2 + x^3/6 + x^4/24 and
-    # c = (1 + x + x^2/2 + x^3/4, 2 + x + x^2/2, 2 + x, 1).  The stages are
-    # combined, and the recurrence summed, in rotation space; the spin
-    # matrices and mode weights enter only at the nodes.
-    y1 = r[:steps]
-    y2, y3, y4 = (m.reshape(steps, N, 3, 3) @ y1 for m in maps)
-    uniq, group_of = model.grid.frequency_groups
+    y1 = r[:-1]
+    y2, y3, y4 = (m @ y1 for m in maps)
+    uniq, _ = model.grid.frequency_groups
     xg = (-1j * dt * uniq)[:, None, None, None, None]
     comb = y1 / 4 * xg + (y1 + y2) / 2
     comb = (comb * xg + (y1 + y2 + y3)) * xg + (y1 + 2 * (y2 + y3) + y4)
+    sums = np.zeros((len(uniq), steps + 1, N, 3, 3), dtype=complex)
+    sums[:, 1:] = dt / 6 * comb
     mu = 1 + xg * (1 + xg * (1 / 2 + xg * (1 / 6 + xg / 24)))
     # a_{k+1} = mu a_k + comb_k by recursive doubling: the partial sums only
     # ever carry powers of mu, |mu| <= 1, so no weight grows
     span, power = 1, mu
-    while span < steps:
-        comb[:, span:] += power * comb[:, :-span]
+    while span <= steps:
+        sums[:, span:] += power * sums[:, :-span]
         span, power = 2 * span, power * power
-    acc = dt / 6 * comb[:, sub - 1 :: sub]  # (G, n, N, 3, 3)
-    # Z_q = -(F B)_q S(Re acc) + (F B)_p S(Im acc),
-    # Z_p = -(F B)_p S(Re acc) - (F B)_q S(Im acc), one real product per group
-    sig = model.sigmas.reshape(N, 3, sd * sd)
-    weights = np.stack([np.hstack([-fq, fp]), np.hstack([-fp, -fq])])  # (2, D, 2A)
-    for g in range(len(uniq)):
-        parts = np.stack([acc[g].real @ sig, acc[g].imag @ sig])  # (2, n, N, 3, sd^2)
-        rows = parts.reshape(2, n, 3 * N, -1).transpose(0, 2, 1, 3).reshape(6 * N, -1)
+    return r, sums
+
+
+@_shared
+def _maxwell_sweep(model: Model, t: float, x: PhaseVector, n: int):
+    """Per-site rotations R^mu and the matrix-valued first-order mode
+    amplitudes Z on the uniform grid u_i = i t / n: every (steps/n)-th state
+    of the Maxwell chain, with the mode products taken at those nodes only.
+    Returns (R_path (n+1, N, 3, 3), Z_path (n+1, 2, D, sd, sd))."""
+    D, sd, N = model.D, model.spin_dim, model.N
+    z_path = np.zeros((n + 1, 2, D, sd, sd), dtype=complex)
+    if t == 0.0 or n == 0:
+        return np.tile(np.eye(3), (n + 1, N, 1, 1)), z_path
+    steps = _chain_steps(t, n)
+    r, sums = _maxwell_chain(model, t, x, steps)
+    nodes = sums[:, :: steps // n]
+    # (Re, Im) x (lam, m, k) of every node, a row vector per node and group
+    rows = np.stack([nodes.real, nodes.imag], axis=2).reshape(len(sums), n + 1, 1, -1)
+    # Z_q = -(F B)_q S(Re W) + (F B)_p S(Im W),
+    # Z_p = -(F B)_p S(Re W) - (F B)_q S(Im W), S(V)_a = sum_k V_ak sigma^lam_k:
+    # one real matrix per group from the rows to (q/p, mode, sd, sd)
+    fq, fp = stack_vectors([fmap(b) for b in model.coupling_list])  # (A, D) each
+    weights = np.stack([np.vstack([-fq, fp]), np.vstack([-fp, -fq])])  # (2, 2A, D)
+    weights = weights.reshape(2, 2, N, 3, D)
+    _, group_of = model.grid.frequency_groups
+    for g, row in enumerate(rows):
         modes = group_of == g
-        zg = (weights[:, modes].reshape(-1, 6 * N) @ rows.view(float)).view(complex)
-        z_path[1:, :, modes] = zg.reshape(2, -1, n, sd, sd).transpose(2, 0, 1, 3, 4)
-    return r_path, z_path
+        m_g = np.einsum("srlmj,lkcd->rlmksjcd", weights[..., modes], model.spin_ops)
+        # one vector-matrix product per node, so a node's value does not
+        # depend on how many nodes the read takes
+        z_g = (row @ m_g.reshape(rows.shape[-1], -1).view(float)).view(complex)
+        z_path[:, :, modes] = z_g.reshape(n + 1, 2, -1, sd, sd)
+    return r[:: steps // n], z_path
 
 
 def _contract_field(vec: PhaseVector, z: np.ndarray) -> np.ndarray:
@@ -681,40 +746,43 @@ def _spin1_on_grid(model, lam, t, x, n):
     u <= w,
 
         kappa(w) = -2 eps[n,c,a] R_w[a,r] sum_u pbb[c,m,w-u] Y_u[m,r,q],
-        Y_u[m,r,q] = R_u[p,r] eps[m,p,k] R_u[k,q],
+        Y_u[m] = R_u^T E_m R_u,  (E_m)_pk = eps[m,p,k],
 
     whose kernel pbb[c,m,s] = B_c . chi_s B_m is a finite cosine/sine sum
-    over the distinct mode frequencies (_lag_convolution)."""
+    over the distinct mode frequencies (_lag_convolution).  Every
+    contraction with eps is a difference over the cyclic index pairs."""
     r_all, z_path = _maxwell_sweep(model, t, x, n)
     r_path = r_all[:, lam]  # (n+1, 3, 3)
+    D, sd = model.D, model.spin_dim
     dt = t / n
     w = _trap_weights(n, dt)
     sig = model.spin_ops[lam]
     bsl = model.couplings[lam]
 
-    # radiated-field coupling, symmetrized: eps_{nab} {B^1_a, S^0_b}
-    bq, bp = stack_vectors(bsl)
-    b1 = np.einsum("aj,ijcd->iacd", bq, z_path[:, 0]) + np.einsum(
-        "aj,ijcd->iacd", bp, z_path[:, 1]
-    )
+    # radiated-field coupling B^1_a = B_a . Z, symmetrized:
+    # eps_{nab} {B^1_a, S^0_b} = {B^1_{n+1}, S^0_{n+2}} - {B^1_{n+2}, S^0_{n+1}}
+    bqp = np.hstack(stack_vectors(bsl))  # (3, 2D)
+    b1 = (bqp @ z_path.reshape(n + 1, 2 * D, -1)).reshape(n + 1, 3, sd, sd)
     s0 = _site_spins(r_path, sig)
-    cpl = np.einsum("nab,iacd,ibde->ince", _EPS3, b1, s0) + np.einsum(
-        "nab,ibcd,iade->ince", _EPS3, s0, b1
-    )
+    b1_1, b1_2, s0_1, s0_2 = b1[:, _NEXT], b1[:, _LAST], s0[:, _NEXT], s0[:, _LAST]
+    cpl = b1_1 @ s0_2 + s0_2 @ b1_1 - b1_2 @ s0_1 - s0_1 @ b1_2
 
     # K(w): same-site contraction of coupling pairings with the rotation
     # transport; pbb[c,m,w-u] = sum_g alpha cos(g(w-u)) + beta sin(g(w-u))
     pairing = flow_pairing(model.grid, bsl, bsl)
-    y = np.einsum("upr,mpk,ukq->umrq", r_path, _EPS3, r_path)
+    y = r_path.swapaxes(1, 2)[:, None] @ _EPS3 @ r_path[:, None]  # (n+1, 3, 3, 3)
     lag = _lag_convolution(pairing.omegas, dt, y, suffix=False)  # (2, G, n+1, ...)
     coef = np.stack([pairing.alpha, pairing.beta])  # (2, G, 3, 3)
-    conv = np.einsum("kgcm,kgwmrq->wcrq", coef, lag)
-    kappa = -2.0 * np.einsum("nca,war,wcrq->wnq", _EPS3, r_path, conv)
+    conv = coef.reshape(-1, 1, 3, 3) @ lag.reshape(-1, n + 1, 3, 9)
+    conv = conv.sum(axis=0).reshape(n + 1, 3, 3, 3)  # [w, c, r, q]
+    p = r_path[:, None] @ conv  # [w, c, a, q] = R_w[a, r] conv[w, c, r, q]
+    kappa = -2.0 * (p[:, _NEXT, _LAST] - p[:, _LAST, _NEXT])  # (n+1, 3, 3)
 
     # out = sum_w w_w (R_t R_w^T) (cpl(w) + kappa(w) . sigma)
-    trans = w[:, None, None] * (r_path[n] @ r_path.transpose(0, 2, 1))
-    return np.einsum("wnp,wpcd->ncd", trans, cpl) + np.einsum(
-        "nq,qcd->ncd", np.einsum("wnp,wpq->nq", trans, kappa), sig
+    frc = cpl.reshape(n + 1, 3, -1) + kappa @ sig.reshape(3, -1)
+    trans = w[:, None, None] * (r_path[n] @ r_path.swapaxes(1, 2))
+    return (trans.swapaxes(0, 1).reshape(3, -1) @ frc.reshape(-1, sd * sd)).reshape(
+        3, sd, sd
     )
 
 

@@ -14,9 +14,10 @@ tests/reference.py.
 
 rk4_transfer writes the same step on a linear system y' = A(u) y as a
 matrix, y -> Phi y, for a whole stack of steps in one batched product
-chain.  The hierarchy's fixed-substep grid sweeps and its rotation
-tangents use it for every classical object: they tabulate A on the
-half-step stage grid once and then only multiply matrices.
+chain.  The hierarchy's two fixed-substep chains per (t, X) take every
+classical object from it: they tabulate A on the half-step stage grid
+once and then only multiply matrices, and the rotation tangents
+differentiate its stage maps.
 """
 
 from __future__ import annotations

@@ -516,6 +516,22 @@ class TestCrosscheck:
         assert checks == ["spin-order0", "spin-order1", "field-order1"]
         assert report.passed
 
+    def test_each_chain_integrated_once(self, monkeypatch):
+        # every path at a t, the hygiene probes at the last t included, reads
+        # that t's two chains: no RK4 transfer maps are taken twice on the
+        # same generator table.  The probe's shifted points integrate chains
+        # of their own, on tables of their own.
+        real = blochlab.hierarchy.rk4_transfer
+        seen = []
+
+        def counting(a0, ah, a1, dt):
+            seen.append((a0.shape, dt, a0.tobytes()))
+            return real(a0, ah, a1, dt)
+
+        monkeypatch.setattr(blochlab.hierarchy, "rk4_transfer", counting)
+        run_crosscheck(ExperimentPlan.from_dict(small_plan_dict(t=[0.0, 0.5, 1.0])))
+        assert len(seen) == len(set(seen))
+
     def test_deterministic_across_workers(self, monkeypatch):
         # each pool thread opens its own sweep table for its t sample
         plan = ExperimentPlan.from_dict(small_plan_dict(t=[0.5, 1.0, 1.5]))

@@ -2,6 +2,7 @@
 the dual-path equivalences."""
 
 import copy
+import functools
 
 import numpy as np
 import pytest
@@ -14,12 +15,16 @@ from blochlab.hierarchy import (
     HierarchyError,
     MaxwellCheckReport,
     PHOTON_RATE_SIGN,
+    _chain_steps,
     _contract_field,
     _cross_mat,
     _maxwell_sweep,
+    _order1_on_grid,
     _order_high,
     _polar_project,
+    _propagator_chain,
     _propagator_sweep,
+    _refine,
     _rotation_tangent,
     _site_spins,
     _spin1_on_grid,
@@ -128,6 +133,35 @@ class TestPropagator:
         x = random_phase_vector(rng, octa_model.D, scale=0.3)
         state = propagator_G(octa_model, 1.2, x)
         assert state.unitarity_defect <= 1e-9
+
+    def test_defect_is_read_before_projection(self, octa_model, rng):
+        # the defect is the integrator's, read before the polar projection
+        # that makes the matrix unitary to rounding
+        x = random_phase_vector(rng, octa_model.D, scale=0.3)
+        state = propagator_G(octa_model, 1.2, x)
+        raw = _propagator_chain(octa_model, 1.2, x, _chain_steps(1.2, 32))[-1]
+        assert state.unitarity_defect == _norm(raw.conj().T @ raw - np.eye(4))
+        np.testing.assert_array_equal(state.matrix, _polar_project(raw))
+        assert 1e-15 < state.unitarity_defect <= 1e-12
+
+
+class TestChainGrid:
+    @pytest.mark.parametrize(
+        "t, steps", [(0.5, 512), (1.0, 1024), (1.5, 2048), (2.0, 2048)]
+    )
+    def test_desk_times(self, t, steps):
+        # one chain for every power-of-two grid up to it, substep <= _SUBSTEP
+        for n in (32, 64, 128, 256, 512):
+            assert _chain_steps(t, n) == steps
+        assert _chain_steps(t, 4096) == 4096
+        assert t / steps <= hierarchy._SUBSTEP
+
+    @pytest.mark.parametrize("n", [1, 3, 48])
+    def test_any_panel_count(self, n):
+        steps = _chain_steps(0.7, n)
+        assert steps % n == 0 and 0.7 / steps <= hierarchy._SUBSTEP
+        # the least power of two per panel: half of it would break the cap
+        assert steps == n or 0.7 / (steps // 2) > hierarchy._SUBSTEP
 
 
 class TestOrder0:
@@ -401,11 +435,17 @@ class TestDualPaths:
         assert rep.max_rel_dev <= 1e-8
 
 
-def _site_fields(model, x, u):
-    """beta_m + B_{m x_lam} . chi_u X in (lam, m) order, through the free flow
-    itself."""
-    y = chi_flow_vector(model.grid, u, x)
-    return model.site_beta + np.array([b.dot(y) for b in model.coupling_list])
+def _site_fields(model, x):
+    """u -> beta_m + B_{m x_lam} . chi_u X in (lam, m) order, through the free
+    flow itself, memoized per stage time: RK4 reads each middle stage twice
+    and each step's end again as the next step's start."""
+
+    @functools.lru_cache(maxsize=None)
+    def fields(u):
+        y = chi_flow_vector(model.grid, u, x)
+        return model.site_beta + np.array([b.dot(y) for b in model.coupling_list])
+
+    return fields
 
 
 def _propagator_reference(model, t, x, n):
@@ -415,16 +455,19 @@ def _propagator_reference(model, t, x, n):
     out = np.empty((n + 1, sd, sd), dtype=complex)
     g = np.eye(sd, dtype=complex)
     out[0] = g
-    sub = max(1, int(np.ceil(abs(t / n) / hierarchy._SUBSTEP)))
+    sub = _chain_steps(t, n) // n
     dt = t / n / sub
+    fields = _site_fields(model, x)
 
     def rhs(u, g):
-        return 1j * (g @ model.spin_matrix(_site_fields(model, x, u)))
+        return 1j * (g @ model.spin_matrix(fields(u)))
 
     for i in range(n):
         for k in range(sub):
-            u = (i * sub + k) * dt
-            g = _rk4(rhs, g, dt, u, u + 0.5 * dt, u + dt)
+            # stage times from the step index, so that a step's end is the
+            # next step's start to the bit and the memo serves it
+            j = i * sub + k
+            g = _rk4(rhs, g, dt, j * dt, (j + 0.5) * dt, (j + 1) * dt)
         g = _polar_project(g)
         out[i + 1] = g
     return out
@@ -442,11 +485,12 @@ def _maxwell_reference(model, t, x, n):
     rr = np.stack([np.eye(3) for _ in range(N)]).astype(complex)
     zz = np.zeros((2, D, sd, sd), dtype=complex)
     r_path[0] = np.eye(3)
-    sub = max(1, int(np.ceil(abs(t / n) / hierarchy._SUBSTEP)))
+    sub = _chain_steps(t, n) // n
     dt = t / n / sub
+    site_fields = _site_fields(model, x)
 
     def rhs(u, rr, zz):
-        fields = _site_fields(model, x, u).reshape(N, 3)
+        fields = site_fields(u).reshape(N, 3)
         drr = np.stack([2.0 * _cross_mat(fields[lam]) @ rr[lam] for lam in range(N)])
         s_mats = np.stack(
             [
@@ -462,11 +506,11 @@ def _maxwell_reference(model, t, x, n):
 
     for i in range(n):
         for k in range(sub):
-            u = (i * sub + k) * dt
-            k1r, k1z = rhs(u, rr, zz)
-            k2r, k2z = rhs(u + 0.5 * dt, rr + 0.5 * dt * k1r, zz + 0.5 * dt * k1z)
-            k3r, k3z = rhs(u + 0.5 * dt, rr + 0.5 * dt * k2r, zz + 0.5 * dt * k2z)
-            k4r, k4z = rhs(u + dt, rr + dt * k3r, zz + dt * k3z)
+            j = i * sub + k
+            k1r, k1z = rhs(j * dt, rr, zz)
+            k2r, k2z = rhs((j + 0.5) * dt, rr + 0.5 * dt * k1r, zz + 0.5 * dt * k1z)
+            k3r, k3z = rhs((j + 0.5) * dt, rr + 0.5 * dt * k2r, zz + 0.5 * dt * k2z)
+            k4r, k4z = rhs((j + 1) * dt, rr + dt * k3r, zz + dt * k3z)
             rr = rr + (dt / 6.0) * (k1r + 2 * k2r + 2 * k3r + k4r)
             zz = zz + (dt / 6.0) * (k1z + 2 * k2z + 2 * k3z + k4z)
         r_path[i + 1] = np.real(rr)
@@ -595,22 +639,24 @@ class TestGridKernels:
 
 
 class TestSharedSweeps:
-    """A shared_sweeps scope integrates each grid sweep (kind, n) of its
-    (t, X) once and serves the stored arrays to every consumer, on two
-    sites, two frequency groups and cross-site sine terms."""
+    """A shared_sweeps scope integrates each chain (kind, steps) of its
+    (t, X) once and serves the stored arrays, and the node reads taken from
+    them, to every consumer, on two sites, two frequency groups and
+    cross-site sine terms."""
 
     T = 0.7
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        # (kind, n) of every integrated sweep: each takes its RK4 transfer
-        # maps in one call on (n, sub, ...) stage generators, (sd, sd) for
-        # the propagator sweep and (N, 3, 3) for the Maxwell sweep
+        # (kind, steps) of every integrated chain: each takes its RK4
+        # transfer maps in one call on (steps, ...) stage generators, the
+        # real (2 sd, 2 sd) form for the propagator chain and (N, 3, 3) for
+        # the Maxwell chain
         seen = []
         real = hierarchy.rk4_transfer
 
         def counting(a0, ah, a1, dt):
-            seen.append(("propagator" if a0.ndim == 4 else "maxwell", len(a0)))
+            seen.append(("maxwell" if a0.shape[-1] == 3 else "propagator", len(a0)))
             return real(a0, ah, a1, dt)
 
         monkeypatch.setattr(hierarchy, "rk4_transfer", counting)
@@ -658,8 +704,44 @@ class TestSharedSweeps:
                 _propagator_sweep(other, self.T, x, 16)
                 _maxwell_sweep(octa_model, self.T, x, 16)
                 _maxwell_sweep(octa_model, 0.5, x, 16)
-        assert calls.count(("propagator", 16)) == 1 + 2 * 3
-        assert calls.count(("maxwell", 16)) == 1 + 2
+        kinds = [kind for kind, _ in calls]
+        assert kinds.count("propagator") == 1 + 2 * 3
+        assert kinds.count("maxwell") == 1 + 2
+        steps = {_chain_steps(self.T, 16), _chain_steps(0.5, 16)}
+        assert {n for _, n in calls} == steps
+
+    def test_refinement_integrates_each_chain_once(self, octa_model, rng, calls):
+        # every grid of a refinement from n = 32 to 1024 at t = 1 reads its
+        # nodes from one chain of 1024 substeps per kind
+        x = random_phase_vector(rng, octa_model.D, scale=0.5)
+        spin = ObservableSpec(kind="spin", m=1, lam=2)
+        seen = []
+
+        def both(n):
+            seen.append(n)
+            a1 = _order1_on_grid(octa_model, spin, 1.0, x, n)
+            return np.concatenate([a1[None], _spin1_on_grid(octa_model, 1, 1.0, x, n)])
+
+        with shared_sweeps(octa_model, 1.0, x):
+            with pytest.raises(HierarchyError):
+                _refine(both, 0.0, nmax=1024)
+        assert seen == [32, 64, 128, 256, 512, 1024]
+        assert sorted(calls) == [("maxwell", 1024), ("propagator", 1024)]
+
+    @pytest.mark.parametrize("n", [16, 512])
+    def test_reads_nest_bitwise(self, octa_model, rng, n):
+        # node i of n panels is node 2i of 2n panels: the same chain state,
+        # with the same per-node projection and mode products
+        x = random_phase_vector(rng, octa_model.D, scale=0.5)
+        assert _chain_steps(self.T, 2 * n) == _chain_steps(self.T, n)
+        with shared_sweeps(octa_model, self.T, x):
+            g, g2 = (_propagator_sweep(octa_model, self.T, x, k) for k in (n, 2 * n))
+            (r, z), (r2, z2) = (
+                _maxwell_sweep(octa_model, self.T, x, k) for k in (n, 2 * n)
+            )
+        np.testing.assert_array_equal(g, g2[::2])
+        np.testing.assert_array_equal(r, r2[::2])
+        np.testing.assert_array_equal(z, z2[::2])
 
     def test_stored_arrays_read_only(self, octa_model, rng):
         x = random_phase_vector(rng, octa_model.D, scale=0.5)
