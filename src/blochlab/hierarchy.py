@@ -20,18 +20,29 @@ at a time or on a grid of times.
 Each shared formula has one implementation.  The C^1 composition term is
 blochlab.symbols.c1_affine: the Duhamel forcing of every order is
 i (C1(sigma, A) - C1(A, sigma)) of it (_duhamel_forcing), and the
-photon-rate term C1(E^0, S^0) takes it the two rotation tangents.  The
-cross-product matrix of the precession (_cross_mat) and the contraction
-of a site rotation with the site's spin operators (_site_spins) are
-batched over leading axes, so the chains, their node reads and the
-rotation tangents share them.
+photon-rate term C1(E^0, S^0) takes it the two rotation tangents.  Order
+1 sums that forcing without evaluating it node by node: it is linear in
+K = T_n S_A T_n*, so _order1_contraction folds the weighted node sum into
+one linear map of K, and the tests hold it to 1e-13 of the per-node
+_duhamel_forcing sum (tests/reference.py), on two sites with sine terms
+in every pairing.  The cross-product matrix of the precession
+(_cross_mat) and the contraction of a site rotation with the site's spin
+operators (_site_spins) are batched over leading axes, so the chains,
+their node reads and the rotation tangents share them.
 
 Both first-order paths are trapezoid quadratures on uniform grids of n
 nodes, refined by doubling.  Their pairing kernels separate in the two
 time arguments, so both reduce to one flow-kernel convolution
 (_lag_convolution): suffix integrals for the inner layer of the order-1
 recursion, prefix integrals for the tangent contraction of the Bloch
-correction, each O(n) per grid.
+correction, each O(n) per grid.  The recursion's forcing
+i/2 (Sig [P, K] - [Q, K] Sig), with Sig the conjugated coupling spins and
+P, Q the suffix integrals against them, is linear in K, so its node sum
+is i/2 (U K - C1.K - C2.K + K V) with C1 = sum w Sig (x) P and
+C2 = sum w Q (x) Sig: two GEMMs over the (n+1) A node rows, once per
+(t, X, n).  A spin axis then costs one sd^2-vector product against that
+map, and a field axis one product of its pairing table with the stored
+Sig.
 
 The classical objects they read come from two RK4 chains per (t, X), the
 module's only classical integrator.  _propagator_chain holds G and
@@ -79,7 +90,8 @@ ROADMAP.md item 2.
 
 Every order-0 and first-order object at a point (t, X) reads the same two
 chains, so a shared_sweeps(model, t, X) scope integrates each chain once
-and keeps every node read taken from it, and hands the stored, read-only
+and keeps every node read taken from it, the conjugated coupling spins
+and the order-1 contraction among them, and hands the stored, read-only
 arrays to every later consumer at that (t, X): order0, bloch_spin0, the
 spin and field order_j calls of all axes, spin_correction1 of every site,
 first_order_modes and the rotation tangents.  A refinement past steps
@@ -393,41 +405,85 @@ def _lag_convolution(omegas, dt, f, suffix):
     return out
 
 
-def _order1_on_grid(model, obs, t, x, n):
-    f_a, s_a = observable_form(model, obs)
+@_shared
+def _conjugated_couplings(model: Model, t: float, x: PhaseVector, n: int) -> np.ndarray:
+    """The conjugated coupling spins Sig[i, a] = T_i sigma_a T_i* at the
+    nodes of the propagator read on n panels, shape (n+1, A, sd, sd)."""
+    T = _propagator_sweep(model, t, x, n)
+    return T[:, None] @ model.sigmas @ T.conj().swapaxes(1, 2)[:, None]
+
+
+@_shared
+def _order1_contraction(model: Model, t: float, x: PhaseVector, n: int) -> np.ndarray:
+    """The order-1 spin quadrature on n panels as a linear map of
+    K = T_n S_A T_n*: A^[1] = (K.ravel() @ L).reshape(sd, sd), L of shape
+    (sd^2, sd^2).
+
+    The inner Duhamel layer needs, for every node u and both pairings P of
+    B with B and with F B,
+
+        N_P(u) = i int_u^t P_{a'a}(w - u) Sig_{a'}(w) dw,
+
+    a suffix flow-kernel convolution: the stacked [cos; sin] parts against
+    the stacked [alpha; beta] of both pairings, one product for the pair.
+    The forcing _duhamel_forcing(Sig, [N_B, K], [N_FB, K]) is
+    i/2 (Sig [P, K] - [Q, K] Sig) with P, Q = N_B +- i N_FB, linear in K,
+    so its weighted node sum is
+
+        A^[1] = i/2 (U K - C1.K - C2.K + K V),
+        C1[p,q,r,s] = sum_{i,a} w_i Sig[p,q] P[r,s],
+        C2[p,q,r,s] = sum_{i,a} w_i Q[p,q] Sig[r,s],
+
+    (C.K)[p,s] = sum_{q,r} C[p,q,r,s] K[q,r], U = sum_q C1[:,q,q,:] and
+    V = sum_q C2[:,q,q,:]: two GEMMs over the (n+1) A node rows, and no
+    observable enters until K."""
     sd = model.spin_dim
     bs = model.coupling_list
     fbs = [fmap(b) for b in bs]
-    T = _propagator_sweep(model, t, x, n)
     dt = t / n
-    w = _trap_weights(n, dt)
-    # conjugated coupling spins Sig[i, a] = T_i sigma_a T_i*
-    Sig = T[:, None] @ model.sigmas @ T.conj().swapaxes(1, 2)[:, None]
-
-    if s_a is None:
-        # pure field: Phi^[0](s) = - sum_a (F_A . chi_s F B_a) sigma_a,
-        # X-independent, so only the conjugated spins enter.
-        r = t - dt * np.arange(n + 1)
-        ctab = flow_pairing(model.grid, [f_a], fbs)(r)[:, 0]  # (n+1, A)
-        return -((w[:, None] * ctab).ravel() @ Sig.reshape(-1, sd * sd)).reshape(sd, sd)
-
-    # spin observable.  The inner Duhamel layer needs, for every u and both
-    # pairings P of B with B and with F B,
-    #   N_P(u) = i int_u^t P_{a'a}(w - u) Sig_{a'}(w) dw,
-    # a suffix flow-kernel convolution: the stacked [cos; sin] parts against
-    # the stacked [alpha; beta] of both pairings, one product for the pair.
-    K = T[n] @ s_a @ T[n].conj().T
+    sig = _conjugated_couplings(model, t, x, n)
     pair_b = flow_pairing(model.grid, bs, bs)
     pair_f = flow_pairing(model.grid, bs, fbs)
-    rows = _lag_convolution(pair_b.omegas, dt, Sig, suffix=True)
+    rows = _lag_convolution(pair_b.omegas, dt, sig, suffix=True)
     rows = rows.transpose(2, 4, 5, 0, 1, 3).reshape((n + 1) * sd * sd, -1)
     coef = np.concatenate(
         [np.concatenate([p.alpha, p.beta]) for p in (pair_b, pair_f)], axis=2
     )  # (2G, A, 2A)
     both = rows @ coef.reshape(rows.shape[1], -1)  # ((n+1) sd^2, 2A)
     nb, nf = 1j * both.reshape(n + 1, sd, sd, 2, -1).transpose(3, 0, 4, 1, 2)
-    term = _duhamel_forcing(Sig, nb @ K - K @ nb, nf @ K - K @ nf)
-    return (w @ term.sum(axis=1).reshape(n + 1, -1)).reshape(sd, sd)
+    # node rows (i, a), each weighted by w_i on the Sig side
+    p = (nb + 1j * nf).reshape(-1, sd * sd)
+    q = (nb - 1j * nf).reshape(-1, sd * sd)
+    ws = np.repeat(_trap_weights(n, dt), len(bs))[:, None] * sig.reshape(-1, sd * sd)
+    c1 = (ws.T @ p).reshape((sd,) * 4)
+    c2 = (q.T @ ws).reshape((sd,) * 4)
+    eye = np.eye(sd)
+    u = np.einsum("pqqs->ps", c1)
+    v = np.einsum("pqqs->ps", c2)
+    # L[p,q,r,s] with A^[1][p,s] = sum_{q,r} L[p,q,r,s] K[q,r]
+    lin = 0.5j * (
+        np.einsum("pq,rs->pqrs", u, eye) - c1 - c2 + np.einsum("pq,rs->pqrs", eye, v)
+    )
+    return lin.transpose(1, 2, 0, 3).reshape(sd * sd, sd * sd)
+
+
+def _order1_on_grid(model, obs, t, x, n):
+    """A^[1](t, X) by trapezoid quadrature on n panels, from the node reads
+    that every observable at (t, X, n) shares."""
+    f_a, s_a = observable_form(model, obs)
+    sd = model.spin_dim
+    if s_a is None:
+        # pure field: Phi^[0](s) = - sum_a (F_A . chi_s F B_a) sigma_a,
+        # X-independent, so only the conjugated spins enter.
+        dt = t / n
+        r = t - dt * np.arange(n + 1)
+        fbs = [fmap(b) for b in model.coupling_list]
+        ctab = flow_pairing(model.grid, [f_a], fbs)(r)[:, 0]  # (n+1, A)
+        sig = _conjugated_couplings(model, t, x, n).reshape(-1, sd * sd)
+        return -((_trap_weights(n, dt)[:, None] * ctab).ravel() @ sig).reshape(sd, sd)
+    g = _propagator_sweep(model, t, x, n)[n]
+    k = g @ s_a @ g.conj().T
+    return (k.ravel() @ _order1_contraction(model, t, x, n)).reshape(sd, sd)
 
 
 def order_j(

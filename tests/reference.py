@@ -8,7 +8,9 @@ coherent frame Psi_X (x) e_j propagated as it stands instead of in the
 displaced frame, the affine interaction symbol as a matrix, the number
 operator and its second-quantized relatives as diagonal matrices, and the
 hierarchy's order-0 propagator, rotations and rotation tangents integrated
-adaptively to a tolerance instead of read from the fixed-substep sweeps.
+adaptively to a tolerance instead of read from the fixed-substep sweeps,
+and the order-1 Duhamel quadrature with its forcing built node by node
+instead of contracted once per grid.
 """
 
 from __future__ import annotations
@@ -19,8 +21,23 @@ import numpy as np
 import scipy.sparse as sp
 
 from blochlab.fock import FockBasis, coherent_state
-from blochlab.hierarchy import _cross_mat, _polar_project
-from blochlab.model import Model, ModelError, PhaseVector, flow_pairing, stack_vectors
+from blochlab.hierarchy import (
+    _cross_mat,
+    _duhamel_forcing,
+    _lag_convolution,
+    _polar_project,
+    _propagator_sweep,
+    _trap_weights,
+    observable_form,
+)
+from blochlab.model import (
+    Model,
+    ModelError,
+    PhaseVector,
+    flow_pairing,
+    fmap,
+    stack_vectors,
+)
 from blochlab.oracle import (
     DEFAULT_TAIL_TOL,
     DEFAULT_TOL,
@@ -249,3 +266,37 @@ def rotation_adaptive(
     y0[0] = np.eye(3)
     y, _ = integrate_adaptive(rhs, y0, 0.0, t, tol, _DT0)
     return np.real(y[0]), np.real(y[1:])
+
+
+def order1_nodes(model: Model, obs: ObservableSpec, t: float, x: PhaseVector, n: int):
+    """A^[1](t, X) on n trapezoid panels with the Duhamel forcing
+    _duhamel_forcing(Sig, [N_B, K], [N_FB, K]) evaluated at every node and
+    coupling, then summed: the per-node form of the order-1 quadrature."""
+    f_a, s_a = observable_form(model, obs)
+    sd = model.spin_dim
+    bs = model.coupling_list
+    fbs = [fmap(b) for b in bs]
+    T = _propagator_sweep(model, t, x, n)
+    dt = t / n
+    w = _trap_weights(n, dt)
+    # conjugated coupling spins Sig[i, a] = T_i sigma_a T_i*
+    Sig = T[:, None] @ model.sigmas @ T.conj().swapaxes(1, 2)[:, None]
+
+    if s_a is None:
+        r = t - dt * np.arange(n + 1)
+        ctab = flow_pairing(model.grid, [f_a], fbs)(r)[:, 0]  # (n+1, A)
+        return -((w[:, None] * ctab).ravel() @ Sig.reshape(-1, sd * sd)).reshape(sd, sd)
+
+    # N_P(u) = i int_u^t P_{a'a}(w - u) Sig_{a'}(w) dw for P = B.B and B.FB
+    K = T[n] @ s_a @ T[n].conj().T
+    pair_b = flow_pairing(model.grid, bs, bs)
+    pair_f = flow_pairing(model.grid, bs, fbs)
+    rows = _lag_convolution(pair_b.omegas, dt, Sig, suffix=True)
+    rows = rows.transpose(2, 4, 5, 0, 1, 3).reshape((n + 1) * sd * sd, -1)
+    coef = np.concatenate(
+        [np.concatenate([p.alpha, p.beta]) for p in (pair_b, pair_f)], axis=2
+    )  # (2G, A, 2A)
+    both = rows @ coef.reshape(rows.shape[1], -1)  # ((n+1) sd^2, 2A)
+    nb, nf = 1j * both.reshape(n + 1, sd, sd, 2, -1).transpose(3, 0, 4, 1, 2)
+    term = _duhamel_forcing(Sig, nb @ K - K @ nb, nf @ K - K @ nf)
+    return (w @ term.sum(axis=1).reshape(n + 1, -1)).reshape(sd, sd)

@@ -532,6 +532,42 @@ class TestCrosscheck:
         run_crosscheck(ExperimentPlan.from_dict(small_plan_dict(t=[0.0, 0.5, 1.0])))
         assert len(seen) == len(set(seen))
 
+    # the crosscheck-desk t samples: 14 refinement grids (t, n) in all
+    DESK_T = [0.0, 0.5, 1.0, 1.5, 2.0]
+
+    def test_order1_convolution_once_per_grid(self, monkeypatch):
+        # the order-1 spin check of every axis reads one suffix convolution
+        # per (t, n); built once per axis, these t samples made 40 of them
+        real = blochlab.hierarchy._lag_convolution
+        grids = []
+
+        def counting(omegas, dt, f, suffix):
+            if suffix:
+                grids.append((dt, len(f)))
+            return real(omegas, dt, f, suffix)
+
+        monkeypatch.setattr(blochlab.hierarchy, "_lag_convolution", counting)
+        run_crosscheck(ExperimentPlan.from_dict(small_plan_dict(t=self.DESK_T)))
+        assert grids and len(grids) == len(set(grids))
+
+    def test_conjugated_spins_once_per_grid(self, monkeypatch):
+        # the spin and field order-1 checks of every axis at a (t, n) read
+        # the one stored table of conjugated coupling spins
+        real = blochlab.hierarchy._conjugated_couplings
+        reads = {}
+
+        def recording(model, t, x, n):
+            out = real(model, t, x, n)
+            reads.setdefault((t, n), []).append(out)
+            return out
+
+        monkeypatch.setattr(blochlab.hierarchy, "_conjugated_couplings", recording)
+        run_crosscheck(ExperimentPlan.from_dict(small_plan_dict(t=self.DESK_T)))
+        assert reads
+        assert all(all(a is got[0] for a in got) for got in reads.values())
+        # the spin contraction and the three field axes read the same grids
+        assert max(len(got) for got in reads.values()) >= 4
+
     def test_deterministic_across_workers(self, monkeypatch):
         # each pool thread opens its own sweep table for its t sample
         plan = ExperimentPlan.from_dict(small_plan_dict(t=[0.5, 1.0, 1.5]))

@@ -45,6 +45,7 @@ from blochlab.model import (
     Model,
     PhaseVector,
     chi_flow_vector,
+    flow_pairing,
     fmap,
     minimal_grid_config,
     polarization_project,
@@ -53,7 +54,7 @@ from blochlab.model import (
 from blochlab.oracle import ObservableSpec
 from blochlab.stepper import _rk4
 from conftest import random_phase_vector, zero_vector
-from reference import propagator_adaptive, rotation_adaptive
+from reference import order1_nodes, propagator_adaptive, rotation_adaptive
 
 
 @pytest.fixture(scope="module")
@@ -518,10 +519,13 @@ def _maxwell_reference(model, t, x, n):
     return r_path, z_path
 
 
-def _spin1_reference(model, lam, t, x, n):
-    """_spin1_on_grid with K(w) rebuilt at every node: O(n^2) in the grid."""
+def _spin1_reference(model, lam, t, sweep):
+    """_spin1_on_grid with K(w) rebuilt at every node: O(n^2) in the grid.
+    sweep is the (R, Z) of _maxwell_reference on n panels, stepped once per
+    (t, X) for every site."""
     sd = model.spin_dim
-    r_all, z_path = _maxwell_reference(model, t, x, n)
+    r_all, z_path = sweep
+    n = len(r_all) - 1
     r_path = r_all[:, lam]
     dt = t / n
     w = _trap_weights(n, dt)
@@ -578,9 +582,10 @@ class TestGridKernels:
     @pytest.mark.parametrize("t", [0.37, 1.9])
     def test_spin1_matches_quadratic_reference(self, octa_model, rng, t):
         x = random_phase_vector(rng, octa_model.D, scale=0.5)
+        sweep = _maxwell_reference(octa_model, t, x, 16)
         for lam in range(octa_model.N):
             got = _spin1_on_grid(octa_model, lam, t, x, 16)
-            ref = _spin1_reference(octa_model, lam, t, x, 16)
+            ref = _spin1_reference(octa_model, lam, t, sweep)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("t, n", [(0.37, 16), (0.37, 64), (1.9, 16), (1.9, 64)])
@@ -610,9 +615,10 @@ class TestGridKernels:
             for _ in range(model.N)
         ]
         x = random_phase_vector(rng, model.D, scale=0.5)
+        sweep = _maxwell_reference(model, 1.9, x, 16)
         for lam in range(model.N):
             got = _spin1_on_grid(model, lam, 1.9, x, 16)
-            ref = _spin1_reference(model, lam, 1.9, x, 16)
+            ref = _spin1_reference(model, lam, 1.9, sweep)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_time_zero(self, octa_model, rng):
@@ -636,6 +642,34 @@ class TestGridKernels:
         np.testing.assert_array_equal(r, np.broadcast_to(np.eye(3), (1, 2, 3, 3)))
         assert z.shape == (1, 2, octa_model.D, sd, sd)
         np.testing.assert_array_equal(z, 0.0)
+
+
+class TestOrder1Contraction:
+    """The order-1 quadrature, contracted once per (t, X, n) into a linear
+    map of K = T_n S_A T_n*, against the per-node Duhamel forcing of
+    tests/reference.py, on two sites and two frequency groups."""
+
+    @pytest.mark.parametrize("t, n", [(0.37, 16), (0.37, 64), (1.9, 16), (1.9, 64)])
+    def test_matches_per_node_forcing(self, octa_model, rng, t, n):
+        # generic coupling vectors, so the pairings carry sine coefficients
+        model = copy.copy(octa_model)
+        model.couplings = [
+            [random_phase_vector(rng, model.D, scale=0.3) for _ in range(3)]
+            for _ in range(model.N)
+        ]
+        bs = model.coupling_list
+        assert np.any(flow_pairing(model.grid, bs, bs).beta != 0.0)
+        assert np.any(flow_pairing(model.grid, bs, [fmap(b) for b in bs]).beta != 0.0)
+        x = random_phase_vector(rng, model.D, scale=0.5)
+        axes = [
+            ObservableSpec(kind="spin", m=m, lam=lam) for lam in (1, 2) for m in (1, 2, 3)
+        ]
+        axes.append(ObservableSpec(kind="field_B", m=2, x=np.array([0.3, -0.1, 0.2])))
+        with shared_sweeps(model, t, x):
+            for obs in axes:
+                got = _order1_on_grid(model, obs, t, x, n)
+                ref = order1_nodes(model, obs, t, x, n)
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestSharedSweeps:
