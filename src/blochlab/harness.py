@@ -194,6 +194,9 @@ class ExperimentPlan:
         if isinstance(xs_spec, dict):
             rng = np.random.default_rng(seed)
             norm = float(xs_spec.get("norm", 0.5))
+            # a negative norm would be used as its absolute value
+            if not (math.isfinite(norm) and norm >= 0.0):
+                raise HarnessError(f"X.norm must be finite and >= 0, got {norm}")
             for i in range(int(xs_spec.get("count", 1))):
                 v = rng.standard_normal(2 * grid_D)
                 v *= norm / np.linalg.norm(v)
@@ -378,20 +381,16 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
     model = plan.model
     zero_coupling = _coupling_norm(model) == 0.0
 
-    # coefficients are h-independent: one hierarchy run per (obs, t, X)
-    coeff_jobs = [
-        (obs, t, x_id, x)
-        for obs in plan.observables
-        for t in plan.t_samples
-        for (x_id, x) in plan.x_samples
-    ]
+    # coefficients are h-independent: one hierarchy build per (t, X) reads
+    # every observable, keyed by (label, t, X id)
+    coeff_jobs = [(t, x_id, x) for t in plan.t_samples for (x_id, x) in plan.x_samples]
 
     def _coeffs(job):
-        obs, t, x_id, x = job
-        orders = compute_hierarchy(model, obs, t, x, plan.M, tol=plan.tol)
-        return (obs.label(), t, x_id), orders
+        t, x_id, x = job
+        orders = compute_hierarchy(model, plan.observables, t, x, plan.M, tol=plan.tol)
+        return [((obs.label(), t, x_id), o) for obs, o in zip(plan.observables, orders)]
 
-    coefficients = dict(_pool_map(_coeffs, coeff_jobs))
+    coefficients = dict(kv for job in _pool_map(_coeffs, coeff_jobs) for kv in job)
 
     # one propagated frame per (h, t, X), in the frame displaced by W(X):
     # the fluctuation cutoff starts at FIRST_CUTOFF and doubles, up to

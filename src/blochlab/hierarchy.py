@@ -9,7 +9,9 @@ the interaction symbol with directional derivatives of the previous order.
 Two independent computational paths exist for the first-order objects:
 the recursion (order_j) and the sourced Maxwell / corrected Bloch systems
 (maxwell_cross_check, spin_correction1).  Their agreement is the main
-internal consistency check of the module.
+internal consistency check of the module.  Every coefficient the sweep
+reports, the photon rate's included, comes from the recursion;
+spin_correction1 is only the dual path of run_crosscheck.
 
 Every coupling pairing of the module, the site fields beta + B_a . chi_u X
 that drive the precession as well as the kernels B_a . chi_s B_b of the
@@ -99,7 +101,10 @@ panels reads a chain of n substeps of its own.  A chain for another
 model, t or X (the inner points of _order_high, the tangent probe's
 shifted points) integrates as usual.  The table lives in a context
 variable, so each pool thread has its own, and it is dropped when the
-scope exits; compute_hierarchy and each t job of run_crosscheck open one.
+scope exits.  Two callers open a scope: compute_hierarchy, once per
+(t, X) for every observable of a plan, and each t job of run_crosscheck.
+No function below opens one, photon_rate_expansion included: a nested
+scope starts an empty table, so it would integrate the chains again.
 """
 
 from __future__ import annotations
@@ -873,7 +878,12 @@ def photon_rate_expansion(
 
     N^[0] = sign * sum_a (F B_a . chi_t X) S_a^{[0]}(t, X); the first
     correction collects the three order-one cross terms of the composition
-    of the polarized-field and spin expansions."""
+    of the polarized-field and spin expansions.  Every term reads the
+    recursion's maps at (t, X): S^[1] of each site and axis is order_j of
+    that spin, the spin observables' order-1 contraction, and E^[1] the
+    field order_j.  It opens no scope of its own, so inside
+    compute_hierarchy it shares the chains and node reads of the other
+    observables at (t, X)."""
     if M < 0:
         raise HierarchyError("expansion order must be nonnegative")
     if M > 1:
@@ -892,7 +902,6 @@ def photon_rate_expansion(
 
     n1 = np.zeros((sd, sd), dtype=complex)
     eye = np.eye(sd)
-    spins1 = spin_correction1(model, t, x, tol=max(tol, 1e-7))
     for lam in range(model.N):
         pos = model.config.positions[lam]
         # C^1(E^0, S^0) below: the polarized field is affine in X with
@@ -913,7 +922,8 @@ def photon_rate_expansion(
             e1 = PHOTON_RATE_SIGN * order_j(model, obs, 1, t, x, tol=tol)
             n1 += e1 @ spins0[lam].matrices[m]
             # C^0(E^0, S^1)
-            n1 += PHOTON_RATE_SIGN * e0 * spins1[lam].matrices[m]
+            spin = ObservableSpec(kind="spin", m=m + 1, lam=lam + 1)
+            n1 += PHOTON_RATE_SIGN * e0 * order_j(model, spin, 1, t, x, tol=tol)
             # C^1(E^0, S^0)
             db, dfb = dspins[2 * m : 2 * m + 2, m]
             n1 += c1_affine(PHOTON_RATE_SIGN * eye, db, dfb, "left")
@@ -922,23 +932,26 @@ def photon_rate_expansion(
 
 
 # ---------------------------------------------------------------------------
-# one observable's expansion
+# every observable's expansion at one (t, X)
 
 
 def compute_hierarchy(
     model: Model,
-    obs: ObservableSpec,
+    observables,
     t: float,
     x: PhaseVector,
     M: int,
     tol: float = 1e-7,
-) -> list[np.ndarray]:
-    """Coefficients A^[0..M](t, X) of the evolved-symbol expansion for one
-    observable."""
-    with shared_sweeps(model, t, x):
+) -> list[list[np.ndarray]]:
+    """Coefficients A^[0..M](t, X) of the evolved-symbol expansion of each
+    observable, in the order given, all read from one shared_sweeps scope."""
+
+    def expansion(obs):
         if obs.kind == "number_rate":
             return photon_rate_expansion(model, t, x, M, tol=tol)
-        orders = [order0(model, obs, t, x)]
-        for j in range(1, M + 1):
-            orders.append(order_j(model, obs, j, t, x, tol=tol))
-        return orders
+        return [order0(model, obs, t, x)] + [
+            order_j(model, obs, j, t, x, tol=tol) for j in range(1, M + 1)
+        ]
+
+    with shared_sweeps(model, t, x):
+        return [expansion(obs) for obs in observables]

@@ -98,13 +98,17 @@ class ObservableSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ModelError(f"unknown observable kind {self.kind!r}")
+        # plain ints only: a JSON true would pass as index 1, and a 1.0 load
+        # and then fail as an array index mid-sweep
+        if any(type(v) not in (int, type(None)) for v in (self.m, self.lam)):
+            raise ModelError(f"indices must be ints, got m={self.m}, lam={self.lam}")
         if self.kind.startswith("field"):
             if self.m not in (1, 2, 3) or self.x is None:
                 raise ModelError("field observables need axis m and point x")
             object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-            if self.x.shape != (3,):
+            if self.x.shape != (3,) or not np.isfinite(self.x).all():
                 raise ModelError(
-                    f"field point must have 3 entries, got shape {self.x.shape}"
+                    f"field point must have 3 entries, all finite, got {self.x}"
                 )
         elif self.kind == "spin":
             if self.m not in (1, 2, 3) or self.lam is None or self.lam < 1:

@@ -98,15 +98,35 @@ class TestPlan:
         assert report.passed
         assert all(c.hygiene["cutoff"] <= 8 for c in report.cells)
 
-    def test_spin_site_out_of_range(self):
-        # the desk model has one spin; site 2 used to raise IndexError mid-sweep
-        with pytest.raises(HarnessError, match="site 2"):
-            ExperimentPlan.from_dict(
-                small_plan_dict(observables=[{"kind": "spin", "axis": 1, "spin": 2}])
-            )
+    @pytest.mark.parametrize(
+        "obs, error, match",
+        [
+            # the desk model has one spin; site 2 used to raise IndexError
+            # mid-sweep
+            ({"kind": "spin", "axis": 1, "spin": 2}, HarnessError, "site 2"),
+            # JSON true used to load as index 1, labelled spin[m=True,lam=1]
+            ({"kind": "spin", "axis": 1, "spin": True}, ModelError, "lam=True"),
+            ({"kind": "spin", "axis": True, "spin": 1}, ModelError, "m=True"),
+            ({"kind": "field_B", "axis": True, "point": [0] * 3}, ModelError, "m=True"),
+            # a float index used to load and then fail as an array index
+            ({"kind": "spin", "axis": 1.0, "spin": 1}, ModelError, "m=1.0"),
+        ],
+        ids=["site-2", "spin-true", "axis-true", "field-axis-true", "axis-float"],
+    )
+    def test_spin_site_out_of_range(self, obs, error, match):
+        with pytest.raises(error, match=match):
+            ExperimentPlan.from_dict(small_plan_dict(observables=[obs]))
 
     @pytest.mark.parametrize(
-        "point", [[0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [[0.0, 0.0, 0.0]]]
+        "point",
+        [
+            [0.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [[0.0, 0.0, 0.0]],
+            # a NaN point used to load and then stop the sweep in coupling_B
+            [0.0, 0.0, float("nan")],
+            [float("inf"), 0.0, 0.0],
+        ],
     )
     def test_field_point_needs_three_entries(self, point):
         obs = [{"kind": "field_B", "axis": 2, "point": point}]
@@ -152,6 +172,10 @@ class TestPlan:
             ExperimentPlan.from_dict(small_plan_dict(X=short))
         with pytest.raises(HarnessError, match="X sample 'X0'"):
             ExperimentPlan.from_dict(small_plan_dict(X=[{"q": [0.1, 0, 0, 0]}]))
+        # a negative norm of random samples used to load as its absolute value
+        for norm in (-0.5, float("nan")):
+            with pytest.raises(HarnessError, match="X.norm must be finite"):
+                ExperimentPlan.from_dict(small_plan_dict(X={"count": 1, "norm": norm}))
 
     def test_observable_needs_kind(self):
         obs = [{"kind": "spin", "axis": 1, "spin": 1}, {"axis": 2}]
@@ -324,6 +348,41 @@ class TestConvergence:
                 assert f["max_error"] <= 1e-8
             else:
                 assert f["status"] == "pass"
+
+    # spin, field_B and number_rate at one (t, X), one h: the hierarchy's
+    # share of the sweep with the fewest frames
+    ALL_KINDS = dict(
+        n_max=8,
+        h=[0.4],
+        observables=default_plan_dict()["observables"] + [{"kind": "number_rate"}],
+    )
+
+    def test_each_chain_integrated_once(self, monkeypatch):
+        # every observable at (t, X) reads the same two chains: no RK4
+        # transfer maps are taken twice on the same generator table.  One
+        # scope per observable integrated the propagator chain once for each.
+        real = blochlab.hierarchy.rk4_transfer
+        seen = []
+
+        def counting(a0, ah, a1, dt):
+            seen.append((a0.shape, dt, a0.tobytes()))
+            return real(a0, ah, a1, dt)
+
+        monkeypatch.setattr(blochlab.hierarchy, "rk4_transfer", counting)
+        run_convergence(ExperimentPlan.from_dict(small_plan_dict(**self.ALL_KINDS)))
+        assert seen and len(seen) == len(set(seen))
+
+    def test_number_rate_reads_the_recursion(self, monkeypatch):
+        # the photon rate's S^[1] is the spin observables' order-1 map; the
+        # Bloch correction is only run_crosscheck's dual path
+        def second_route(*args, **kwargs):
+            raise AssertionError("spin_correction1 called by run_convergence")
+
+        monkeypatch.setattr(blochlab.hierarchy, "spin_correction1", second_route)
+        monkeypatch.setattr(blochlab.harness, "spin_correction1", second_route)
+        rate = dict(self.ALL_KINDS, observables=[{"kind": "number_rate"}])
+        report = run_convergence(ExperimentPlan.from_dict(small_plan_dict(**rate)))
+        assert [c.status for c in report.cells] == ["ok"]
 
     def test_truncation_failures_recorded_not_fitted(self):
         # a cap of one fluctuation photon leaks above the tail tolerance at

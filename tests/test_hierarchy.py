@@ -572,17 +572,14 @@ class TestGridKernels:
 
     @pytest.mark.parametrize("t", [0.37, 1.9])
     def test_maxwell_sweep_matches_stepwise(self, octa_model, rng, t):
+        # one step-by-step reference serves the sweep's R and Z and the
+        # Bloch correction of both sites, against its quadratic reference
         assert len(np.unique(octa_model.grid.slot_omegas)) == 2
         x = random_phase_vector(rng, octa_model.D, scale=0.5)
         r, z = _maxwell_sweep(octa_model, t, x, 16)
-        r_ref, z_ref = _maxwell_reference(octa_model, t, x, 16)
+        sweep = r_ref, z_ref = _maxwell_reference(octa_model, t, x, 16)
         assert np.max(np.abs(r - r_ref)) <= 1e-13 * np.max(np.abs(r_ref))
         assert np.max(np.abs(z - z_ref)) <= 1e-13 * np.max(np.abs(z_ref))
-
-    @pytest.mark.parametrize("t", [0.37, 1.9])
-    def test_spin1_matches_quadratic_reference(self, octa_model, rng, t):
-        x = random_phase_vector(rng, octa_model.D, scale=0.5)
-        sweep = _maxwell_reference(octa_model, t, x, 16)
         for lam in range(octa_model.N):
             got = _spin1_on_grid(octa_model, lam, t, x, 16)
             ref = _spin1_reference(octa_model, lam, t, sweep)
@@ -840,14 +837,25 @@ class TestPhotonExpansion:
 class TestComputeHierarchy:
     def test_returns_hermitian_orders(self, minimal_model, rng):
         x = random_phase_vector(rng, 4, scale=0.4)
-        orders = compute_hierarchy(
-            minimal_model,
-            ObservableSpec(kind="spin", m=1, lam=1),
-            0.8,
-            x,
-            M=1,
-            tol=1e-7,
-        )
+        spin = ObservableSpec(kind="spin", m=1, lam=1)
+        (orders,) = compute_hierarchy(minimal_model, [spin], 0.8, x, M=1, tol=1e-7)
         assert len(orders) == 2
         for a in orders:
             assert _norm(a - a.conj().T) <= 1e-8
+
+    def test_one_scope_keeps_order_and_values(self, octa_model, rng):
+        # every observable at (t, X) built in one scope, in the order given,
+        # bitwise equal to a build of that observable alone
+        x = random_phase_vector(rng, octa_model.D, scale=0.5)
+        observables = [
+            ObservableSpec(kind="number_rate"),
+            ObservableSpec(kind="field_B", m=2, x=np.array([0.3, -0.1, 0.2])),
+            ObservableSpec(kind="spin", m=3, lam=2),
+        ]
+        together = compute_hierarchy(octa_model, observables, 0.7, x, M=1)
+        assert len(together) == len(observables)
+        for obs, orders in zip(observables, together):
+            (alone,) = compute_hierarchy(octa_model, [obs], 0.7, x, M=1)
+            assert len(orders) == len(alone) == 2
+            for a, b in zip(orders, alone):
+                np.testing.assert_array_equal(a, b)
