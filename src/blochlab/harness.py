@@ -7,8 +7,9 @@ raw (h, error) pairs kept alongside, and CSV/JSON writers whose output is
 bitwise-stable under a fixed seed.
 
 There is one sweep, run_convergence: each (h, t, X) frame is propagated
-once and every observable of the plan, number_rate included, is read from
-it.  The photon-rate measurement is that sweep on a number_rate plan.
+once, every h of a (t, X) together in one frame group, and every observable
+of the plan, number_rate included, is read from it.  The photon-rate
+measurement is that sweep on a number_rate plan.
 """
 
 from __future__ import annotations
@@ -52,10 +53,11 @@ from .oracle import (
     ObservableSpec,
     OracleError,
     coherent_frame,
-    evolved_frame,
+    evolved_frames,
     frame_symbol,
     apply_observable,
 )
+from .stepper import StepStallError
 from .symbols import (
     PolySymbol,
     anti_wick_quantize,
@@ -116,11 +118,12 @@ def _pool_map(fn, jobs):
 class ExperimentPlan:
     """One sweep: a model, observables, samples, and an h ladder.
 
-    n_max caps the photon cutoff of the oracle's fluctuation basis; each
-    frame starts at FIRST_CUTOFF and doubles it until its leakage fits.  A
-    run below the cap stops at its first leakage breach, since it will be
-    discarded; a run at the cap goes to t, so a failure reports its full
-    leakage.
+    n_max caps the photon cutoff of the oracle's fluctuation basis.  The
+    frames of every h at one (t, X) start together at FIRST_CUTOFF; those
+    whose leakage does not fit move on together to the doubled cutoff.  A
+    group below the cap stops once every frame has breached, since those
+    frames will be discarded; a group at the cap goes to t, so a failure
+    reports its full leakage.
     """
 
     config: ModelConfig
@@ -381,22 +384,22 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
     model = plan.model
     zero_coupling = _coupling_norm(model) == 0.0
 
+    points = [(t, x_id, x) for t in plan.t_samples for (x_id, x) in plan.x_samples]
+
     # coefficients are h-independent: one hierarchy build per (t, X) reads
     # every observable, keyed by (label, t, X id)
-    coeff_jobs = [(t, x_id, x) for t in plan.t_samples for (x_id, x) in plan.x_samples]
-
-    def _coeffs(job):
-        t, x_id, x = job
+    def _coeffs(point):
+        t, x_id, x = point
         orders = compute_hierarchy(model, plan.observables, t, x, plan.M, tol=plan.tol)
         return [((obs.label(), t, x_id), o) for obs, o in zip(plan.observables, orders)]
 
-    coefficients = dict(kv for job in _pool_map(_coeffs, coeff_jobs) for kv in job)
-
-    # one propagated frame per (h, t, X), in the frame displaced by W(X):
-    # the fluctuation cutoff starts at FIRST_CUTOFF and doubles, up to
-    # n_max, until the frame's leakage fits DEFAULT_TAIL_TOL.  Below the cap
-    # a run stops at its first breach, since it is discarded anyway.  Bases
-    # and Hamiltonians are built on first use, under a lock, and shared.
+    # one propagated frame per (h, t, X), in the frame displaced by W(X),
+    # all h of one (t, X) integrated together as a frame group.  The
+    # fluctuation cutoff starts at FIRST_CUTOFF and doubles, up to n_max,
+    # for the frames whose leakage does not fit DEFAULT_TAIL_TOL.  Below the
+    # cap a group stops once every frame has breached, since its breaching
+    # frames are discarded anyway.  Bases and Hamiltonians are built on
+    # first use, under a lock, and shared.
     bases, hams = {}, {}
     build_lock = threading.Lock()
 
@@ -408,43 +411,58 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
                 hams[(cutoff, h)] = Hamiltonian(model, bases[cutoff], h)
             return hams[(cutoff, h)]
 
-    frame_jobs = [
-        (h, t, x_id, x)
-        for h in plan.h_list
-        for t in plan.t_samples
-        for (x_id, x) in plan.x_samples
-    ]
-
-    def _frame(job):
-        """(frame, Y, Hamiltonian, hygiene) and None, or None and a failure."""
-        h, t, x_id, x = job
+    def _frames(point):
+        """Per h: (frame, Y, Hamiltonian, hygiene) and None, or None and a
+        failure."""
+        t, x_id, x = point
+        out, pending = [], list(plan.h_list)
         cutoff = min(FIRST_CUTOFF, plan.n_max)
-        while True:
-            ham = _hamiltonian(cutoff, h)
+        while pending:
+            group = [_hamiltonian(cutoff, h) for h in pending]
             stop = None if cutoff == plan.n_max else DEFAULT_TAIL_TOL
             try:
-                frame, y, log = evolved_frame(
-                    ham, t, x, tol=plan.oracle_tol, stop_leakage=stop
+                xi, y, log = evolved_frames(
+                    group, t, x, tol=plan.oracle_tol, stop_leakage=stop
                 )
+            except StepStallError as exc:
+                # only the frames that stalled fail; the others run again
+                failed = [pending[i] for i in exc.frames]
+                out += [((h, t, x_id), (None, f"failed:{exc}")) for h in failed]
+                pending = [h for h in pending if h not in failed]
+                continue
             except (OracleError, ModelError) as exc:
-                return (h, t, x_id), (None, f"failed:{exc}")
-            if log.leakage <= DEFAULT_TAIL_TOL:
+                out += [((h, t, x_id), (None, f"failed:{exc}")) for h in pending]
                 break
-            if cutoff == plan.n_max:
-                return (h, t, x_id), (
-                    None,
-                    f"failed:leakage {log.leakage:.3e} exceeds "
-                    f"{DEFAULT_TAIL_TOL:.1e} at the cap n_max = {cutoff}",
-                )
-            cutoff = min(2 * cutoff, plan.n_max)
-        # Psi_X (x) e_j is W(X) applied to the vacuum frame
-        e0 = ham.energy(coherent_frame(ham), x)
-        e_t = ham.energy(frame, y)
-        drift = float(np.max(np.abs(e_t - e0) / np.maximum(np.abs(e0), 1.0)))
-        hygiene = dict(log.to_dict(), energy_drift=drift, cutoff=cutoff)
-        return (h, t, x_id), ((frame, y, ham, hygiene), None)
+            breached = []
+            for ham, frame, frame_log in zip(group, xi, log.frames):
+                leakage = frame_log.leakage
+                if leakage > DEFAULT_TAIL_TOL and cutoff < plan.n_max:
+                    breached.append(ham.h)
+                    continue
+                if leakage > DEFAULT_TAIL_TOL:
+                    evolved, status = None, (
+                        f"failed:leakage {leakage:.3e} exceeds "
+                        f"{DEFAULT_TAIL_TOL:.1e} at the cap n_max = {cutoff}"
+                    )
+                else:
+                    # Psi_X (x) e_j is W(X) applied to the vacuum frame
+                    e0 = ham.energy(coherent_frame(ham), x)
+                    e_t = ham.energy(frame, y)
+                    scale = np.maximum(np.abs(e0), 1.0)
+                    drift = float(np.max(np.abs(e_t - e0) / scale))
+                    hygiene = frame_log.to_dict()
+                    hygiene.update(energy_drift=drift, cutoff=cutoff)
+                    evolved, status = (frame, y, ham, hygiene), None
+                out.append(((ham.h, t, x_id), (evolved, status)))
+            pending, cutoff = breached, min(2 * cutoff, plan.n_max)
+        return out
 
-    frames = dict(_pool_map(_frame, frame_jobs))
+    # the hierarchy and oracle jobs share one pool, so that on a single
+    # (t, X) the coefficients and the frame group run side by side
+    jobs = [(_coeffs, p) for p in points] + [(_frames, p) for p in points]
+    done = _pool_map(lambda job: job[0](job[1]), jobs)
+    coefficients = dict(kv for kvs in done[: len(points)] for kv in kvs)
+    frames = dict(kv for kvs in done[len(points) :] for kv in kvs)
 
     # per (observable, t, X) group: one table of partial-sum errors, a row
     # per h whose frame exists and whose errors are finite, a column per

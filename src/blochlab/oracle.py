@@ -27,16 +27,25 @@ I (x) K_g[a -> z].  The drive sqrt(h/2) sum_g (e^{-i w_g s} K_g[a -> z] + h.c.)
 = sum_{lam,m} (B_{m x lam} . chi_s X) sigma_m^[lam] is one s x s spin
 matrix per group and does not depend on h; at X = 0 it vanishes and the
 propagation is that of the undisplaced state.  H0, K_g and K_g^H do not
-depend on h or X: they are assembled once per (model, basis) as CSR matrices
-and shared by the Hamiltonians of every h.  Per frame point X the blocks
-[H0; L_1; L_1^H; ...; L_G; L_G^H] are stacked in one CSR matrix, so one
+depend on h or X: the blocks [H0; L_1; L_1^H; ...; L_G; L_G^H] are stacked
+in one CSR matrix whose sparsity pattern and constant values are built once
+per (model, basis) and shared by the Hamiltonians of every h; per frame
+point X only the drive entries are written into a copy of the values.  One
 generator application is a single sparse product whose row blocks are then
 combined with the phases of time s; each row is summed as by a product
 with its own block.  The propagation, the energy and the number_rate
-observable all apply the generator this way.  The stepper is the package's
-step-doubling RK4 (blochlab.stepper, local Richardson error control, first
-step 0.1); the generator is bounded uniformly in h, so steps do not shrink
-as h does.
+observable all apply the generator this way.
+
+The frames of every h at one (t, X) differ only in sqrt(h/2) and the drive
+entries, so they are propagated together as one frame group: states carry
+a leading frame axis, shape (F, dim, s, n), and the group's generators are
+stacked block-diagonally, so one sparse product applies every h.  The
+stepper is the package's step-doubling RK4 (blochlab.stepper, local
+Richardson error control, first step 0.1) with joint step control, so each
+frame meets its own local error bound and keeps its own log.  The generator
+is bounded uniformly in h, so steps do not shrink as h does; on the desk
+plan every h takes the same steps alone, and the group reproduces each
+frame bitwise.
 
 Observables are read in the same frame: with Y = chi_t X,
 <W(Y) xi_i, A W(Y) xi_j> = <xi_i, W(Y)* A W(Y) xi_j>, where W(Y)* A W(Y) is
@@ -44,16 +53,18 @@ sigma for a spin, Phi_h(F_A) + (F_A . Y) for a field, and the number_rate
 generator with K_g -> L_g.  The photon-number rate is the number_rate
 observable read from the same evolved frame as every other observable.
 
-Cutoff sizing: the basis cutoff bounds the photon number of xi, not of
-Psi_X.  evolve_interaction_picture records the leakage, the largest
-population of the top photon layer over the initial state and every
-accepted step; the caller picks a cutoff whose leakage stays within
+Cutoff sizing, per group: the basis cutoff bounds the photon number of xi,
+not of Psi_X.  evolve_interaction_picture records each frame's leakage, the
+largest population of the top photon layer over the initial state and
+every accepted step; the caller picks a cutoff whose leakage stays within
 DEFAULT_TAIL_TOL.  The leakage is a running maximum, so a caller that will
-discard a breaching run can ask for it to stop at the breach.
+discard the breaching frames can ask the group to stop once every frame
+has breached, and moves those frames on together to a larger cutoff.
 
-States are arrays of shape (fock_dim, spin_dim, n_states) so a whole frame
-(the 2^N states xi_j) evolves in one integration; the operators act on its
-Fock-major view of shape (fock_dim * spin_dim, n_states).
+A frame (the 2^N states xi_j of one h) is an array of shape (fock_dim,
+spin_dim, n_states); a group stacks its frames on a leading axis and
+evolves them in one integration.  The operators act on a frame's Fock-major
+view of shape (fock_dim * spin_dim, n_states).
 """
 
 from __future__ import annotations
@@ -73,7 +84,7 @@ from blochlab.model import (
     coupling_B,
     fmap,
 )
-from blochlab.stepper import PropagationLog, integrate_adaptive
+from blochlab.stepper import GroupLog, integrate_adaptive
 
 DEFAULT_TOL = 1e-9
 DEFAULT_TAIL_TOL = 1e-10
@@ -149,20 +160,30 @@ class TensorOperators:
 
     On the Fock-major space, with c = b_q - i b_p per coupling vector:
     h0 = I (x) sum beta_m sigma_m^[lam], and per frequency group g
-    K_g = sum_{lam,m} sum_{j in g} c_{lam m, j} a_j (x) sigma_m^[lam],
-    with K_g^H kept as a CSR matrix of its own, and the group's
-    coefficients c_{lam m, j} (zero off the group), from which
-    Hamiltonian.generator builds the drive.  Groups whose couplings
-    all vanish are dropped.
+    K_g = sum_{lam,m} sum_{j in g} c_{lam m, j} a_j (x) sigma_m^[lam] with
+    the group's coefficients c_{lam m, j} (zero off the group), from which
+    Hamiltonian.generator builds the drive.  Groups whose couplings all
+    vanish are dropped.  pattern is the generator's stacked CSR matrix
+    [h0; K_1 + I (x) E; K_1^H + I (x) E; ...] with E the s x s
+    spin_pattern, where some spin matrix of the model is nonzero: K_g is
+    off-diagonal in photon number and the drive is diagonal, so no entry is
+    a sum.  Its values are the constant entries, zero at the data positions
+    drive, which run over the drive blocks in order, each in (photon, row,
+    column) order.
     """
 
     def __init__(self, model: Model, basis: FockBasis):
-        self.eye = sp.identity(basis.dim, dtype=complex, format="csr")
+        eye = sp.identity(basis.dim, dtype=complex, format="csr")
         spin_const = model.spin_matrix(model.site_beta)
-        self.h0 = sp.kron(self.eye, sp.csr_matrix(spin_const), format="csr")
+        self.h0 = sp.kron(eye, sp.csr_matrix(spin_const), format="csr")
+        # the drive's entries, marked NaN until located in the stack
+        self.spin_pattern = np.any(model.sigmas != 0, axis=0)
+        marks = np.where(self.spin_pattern, np.nan, 0.0)
+        marks = sp.kron(eye, sp.csr_matrix(marks), format="csr")
         # one row of c per sigma_m^[lam] of model.sigmas, in (lam, m) order
         coeffs = np.array([b.q - 1j * b.p for b in model.coupling_list])
-        self.groups = []  # (omega, k, k_adj, coeff) per coupled frequency group
+        self.groups = []  # (omega, coeff) per coupled frequency group
+        blocks = [self.h0]
         values, group_of = model.grid.frequency_groups
         for g, w in enumerate(values):
             members = np.nonzero(group_of == g)[0]
@@ -177,7 +198,11 @@ class TensorOperators:
                 k = sum(terms).tocsr()
                 group_coeff = np.zeros_like(coeffs)
                 group_coeff[:, members] = coeffs[:, members]
-                self.groups.append((float(w), k, k.conj().T.tocsr(), group_coeff))
+                self.groups.append((float(w), group_coeff))
+                blocks += [k + marks, k.conj().T.tocsr() + marks]
+        self.pattern = sp.vstack(blocks, format="csr")
+        self.drive = np.flatnonzero(np.isnan(self.pattern.data))
+        self.pattern.data[self.drive] = 0.0
 
 
 def _shared_operators(model: Model, basis: FockBasis) -> TensorOperators:
@@ -217,40 +242,20 @@ class Hamiltonian:
         of ops.groups; at X = 0 the L_g are the K_g.
 
         K_g[a -> z] = sum_{lam,m} (c_{lam m} . z) sigma_m^[lam] is the
-        group's s x s drive matrix over sqrt(h/2).
+        group's s x s drive matrix over sqrt(h/2), written into a copy of
+        the shared pattern's values.
         """
         z = (x.q + 1j * x.p) / np.sqrt(2.0 * self.h)
-        blocks = [self.ops.h0]
-        for _, k, k_adj, coeff in self.ops.groups:
+        drives = []
+        for _, coeff in self.ops.groups:
             k_z = self.model.spin_matrix(coeff @ z)
-            shift = sp.kron(self.ops.eye, sp.csr_matrix(k_z), format="csr")
-            blocks += [(k + shift).tocsr(), (k_adj + shift.conj().T).tocsr()]
-        return sp.vstack(blocks, format="csr")
-
-    @staticmethod
-    def generator_blocks(gen: sp.csr_matrix, psi: np.ndarray) -> np.ndarray:
-        """The blocks of gen applied to psi of shape (dim, s, n), in one
-        product: shape (1 + 2G, dim * s, n), in gen's block order."""
-        flat = psi.reshape(-1, psi.shape[2])
-        return (gen @ flat).reshape(-1, *flat.shape)
-
-    def _interaction_apply(
-        self, t: float, psi: np.ndarray, gen: sp.csr_matrix
-    ) -> np.ndarray:
-        """(H_int^free(t) + drive(t)) psi for psi of shape (dim, s, n), with
-        gen = generator(X)."""
-        blocks = self.generator_blocks(gen, psi)
-        out = blocks[0]
-        # scaled in place: the blocks are a fresh array
-        for g, (w, *_) in enumerate(self.ops.groups):
-            ph = self.root * np.exp(-1j * w * t)
-            term = blocks[2 * g + 1]
-            term *= ph
-            out += term
-            term = blocks[2 * g + 2]
-            term *= np.conj(ph)
-            out += term
-        return out.reshape(psi.shape)
+            for block in (k_z, k_z.conj().T):
+                drives.append(np.tile(block[self.ops.spin_pattern], self.basis.dim))
+        pattern = self.ops.pattern
+        data = pattern.data.copy()
+        if drives:
+            data[self.ops.drive] = np.concatenate(drives)
+        return sp.csr_matrix((data, pattern.indices, pattern.indptr), pattern.shape)
 
     def energy(self, psi: np.ndarray, y: PhaseVector) -> np.ndarray:
         """<W(Y) psi_j, H W(Y) psi_j> for each state j of psi, shape (dim, s, n).
@@ -262,10 +267,11 @@ class Hamiltonian:
         dim, s, n = psi.shape
         om = self.slot_omegas
         shift = segal_field(self.basis, self.h, PhaseVector(om * y.q, om * y.p))
+        interaction = _interaction_apply([self], 0.0, psi[None], self.generator(y))
         hpsi = (
             self.hph_diag[:, None, None] * psi
             + (shift @ psi.reshape(dim, s * n)).reshape(psi.shape)
-            + self.h * self._interaction_apply(0.0, psi, self.generator(y))
+            + self.h * interaction[0]
         )
         classical = 0.5 * float(om @ (y.q**2 + y.p**2))
         return np.einsum("fsn,fsn->n", psi.conj(), hpsi).real + classical * np.sum(
@@ -276,59 +282,104 @@ class Hamiltonian:
         return gamma_free_phases(self.basis, self.slot_omegas, t)
 
 
+def _stacked_generator(hams: list, x: PhaseVector) -> sp.csr_matrix:
+    """The generators of hams at X stacked block-diagonally, one frame each,
+    with the rows taken block by block: block b of every frame, then block
+    b + 1.  Each row keeps its entries, so it sums as in its own generator.
+    For one frame this is its generator."""
+    gen = sp.block_diag([ham.generator(x) for ham in hams], format="csr")
+    rows = np.arange(gen.shape[0]).reshape(len(hams), -1, hams[0].ops.h0.shape[0])
+    return gen[rows.transpose(1, 0, 2).ravel()]
+
+
+def _generator_blocks(gen: sp.csr_matrix, psi: np.ndarray) -> np.ndarray:
+    """The blocks of gen = _stacked_generator(hams, X) applied to frames psi
+    of shape (F, dim, s, n) in one product: shape (1 + 2G, F, dim * s, n),
+    in each generator's block order."""
+    f, dim, s, n = psi.shape
+    return (gen @ psi.reshape(-1, n)).reshape(-1, f, dim * s, n)
+
+
+def _interaction_apply(
+    hams: list, t: float, psi: np.ndarray, gen: sp.csr_matrix
+) -> np.ndarray:
+    """(H_int^free(t) + drive(t)) psi for frames psi of shape (F, dim, s, n),
+    frame f under hams[f], with gen = _stacked_generator(hams, X); each row
+    is summed as by a product with its own Hamiltonian's block."""
+    blocks = _generator_blocks(gen, psi)
+    out = blocks[0]
+    roots = np.array([ham.root for ham in hams])[:, None, None]
+    # scaled in place: the blocks are a fresh array
+    for g, (w, _) in enumerate(hams[0].ops.groups):
+        ph = roots * np.exp(-1j * w * t)
+        term = blocks[2 * g + 1]
+        term *= ph
+        out += term
+        term = blocks[2 * g + 2]
+        term *= np.conj(ph)
+        out += term
+    return out.reshape(psi.shape)
+
+
 def evolve_interaction_picture(
-    ham: Hamiltonian,
+    hams: list,
     psi0: np.ndarray,
     t: float,
     x: PhaseVector,
     tol: float = DEFAULT_TOL,
     stop_leakage: float | None = None,
-) -> tuple[np.ndarray, PropagationLog]:
-    """xi(t) with e^{-i (t/h) H(h)} W(X) psi0 = W(chi_t X) xi(t), for states
-    of shape (dim, s, n); at X = 0 this is e^{-i (t/h) H(h)} psi0.
+) -> tuple[np.ndarray, GroupLog]:
+    """xi(t) with e^{-i (t/h) H(h)} W(X) psi0 = W(chi_t X) xi(t) for a frame
+    group: psi0 has shape (F, dim, s, n), frame f evolves under hams[f],
+    and all hams share one basis.  At X = 0 this is e^{-i (t/h) H(h)} psi0.
 
     Integrates the interaction-picture ODE i phi' = [H_int^free(s) +
-    drive(s)] phi with an adaptive RK4 (step-doubling local error <= tol per
-    step), then applies the exact free phase.  The log's leakage is the
-    largest top-photon-layer population of any state, over psi0 and every
-    accepted step.  With stop_leakage given, the integration stops at the
-    first accepted step whose leakage exceeds it: the run is then known to
-    breach, its log covers the steps taken, and its state is not xi(t).
+    drive(s)] phi of every frame in one adaptive RK4 loop, with joint step
+    control that keeps each frame's local error <= tol per step, then
+    applies the exact free phase.  Each frame's log holds its leakage, the
+    largest top-photon-layer population of any of its states over psi0 and
+    every accepted step, and its unitarity defect.  With stop_leakage
+    given, the integration stops at the first accepted step where every
+    frame's leakage exceeds it: the runs are then known to breach, the logs
+    cover the steps taken, and the states are not xi(t).
     """
     psi0 = np.asarray(psi0, dtype=complex)
-    squeeze = psi0.ndim == 2
-    if squeeze:
-        psi0 = psi0[:, :, None]
-    if psi0.shape[0] != ham.basis.dim or psi0.shape[1] != ham.spin_dim:
-        raise OracleError("state shape does not match the Hamiltonian")
-    norms0 = np.sqrt(np.sum(np.abs(psi0) ** 2, axis=(0, 1)))
-    gen = ham.generator(x)
-    top = ham.basis.totals == ham.basis.n_max
+    basis, spin_dim = hams[0].basis, hams[0].spin_dim
+    if psi0.ndim != 4 or psi0.shape[:3] != (len(hams), basis.dim, spin_dim):
+        raise OracleError("state shape does not match the Hamiltonians")
+    if any(ham.ops is not hams[0].ops for ham in hams):
+        raise OracleError("a frame group needs one model and one basis")
+    gen = _stacked_generator(hams, x)
+    top = basis.totals == basis.n_max
 
     def rhs(s, phi):
-        return -1j * ham._interaction_apply(s, phi, gen)
+        return -1j * _interaction_apply(hams, s, phi, gen)
 
     def top_population(phi):
-        return float(np.max(np.sum(np.abs(phi[top]) ** 2, axis=(0, 1))))
+        return np.max(np.sum(np.abs(phi[:, top]) ** 2, axis=(1, 2)), axis=1)
+
+    def norms(phi):
+        return np.sqrt(np.sum(np.abs(phi) ** 2, axis=(1, 2)))
 
     leakage = top_population(psi0)
 
     def monitor(phi):
         nonlocal leakage
-        leakage = max(leakage, top_population(phi))
+        leakage = np.maximum(leakage, top_population(phi))
         return phi
 
     def breached(phi):
-        return stop_leakage is not None and leakage > stop_leakage
+        return stop_leakage is not None and bool(np.all(leakage > stop_leakage))
 
     phi, log = integrate_adaptive(
         rhs, psi0, 0.0, t, tol, dt0=0.1, postprocess=monitor, stop=breached
     )
-    psi_t = ham.free_phases(t)[:, None, None] * phi
-    norms = np.sqrt(np.sum(np.abs(psi_t) ** 2, axis=(0, 1)))
-    log.unitarity_defect = float(np.max(np.abs(norms - norms0)))
-    log.leakage = leakage
-    return (psi_t[:, :, 0] if squeeze else psi_t), log
+    psi_t = hams[0].free_phases(t)[:, None, None] * phi
+    defects = np.max(np.abs(norms(psi_t) - norms(psi0)), axis=1)
+    for frame_log, defect, leak in zip(log.frames, defects, leakage):
+        frame_log.unitarity_defect = float(defect)
+        frame_log.leakage = float(leak)
+    return psi_t, log
 
 
 # -- observables ------------------------------------------------------
@@ -353,7 +404,7 @@ def apply_observable(
     # number_rate generator: (i/h)[H, N (x) I] = - sum_{lam,m}
     # Phi_{S,h}(F B_{m x_lam}) (x) sigma_m^[lam].  F B has coefficients
     # -i c, so this is i sqrt(h/2) sum_g (K_g - K_g^H), conjugated by W(Y).
-    blocks = ham.generator_blocks(ham.generator(y), psi)
+    blocks = _generator_blocks(ham.generator(y), psi[None])[:, 0]
     out = np.zeros((dim * s, n), dtype=complex)
     for g in range(len(ham.ops.groups)):
         out += blocks[2 * g + 1]
@@ -374,16 +425,17 @@ def frame_symbol(frame_t: np.ndarray, applied: np.ndarray) -> np.ndarray:
     return np.einsum("fsi,fsj->ij", frame_t.conj(), applied)
 
 
-def evolved_frame(
-    ham: Hamiltonian,
+def evolved_frames(
+    hams: list,
     t: float,
     x: PhaseVector,
     tol: float = DEFAULT_TOL,
     stop_leakage: float | None = None,
-) -> tuple[np.ndarray, PhaseVector, PropagationLog]:
-    """The forward-evolved coherent frame in the displaced frame: (xi, Y,
-    log) with e^{-i(t/h)H}(Psi_X (x) e_j) = W(Y) xi_j and Y = chi_t X.
-    stop_leakage is evolve_interaction_picture's."""
-    vacuum = coherent_frame(ham)
-    xi, log = evolve_interaction_picture(ham, vacuum, t, x, tol, stop_leakage)
-    return xi, chi_flow_vector(ham.model.grid, t, x), log
+) -> tuple[np.ndarray, PhaseVector, GroupLog]:
+    """The forward-evolved coherent frames of hams in the displaced frame:
+    (xi, Y, log) with e^{-i(t/h)H}(Psi_X (x) e_j) = W(Y) xi[f, ..., j] at
+    h = hams[f].h and Y = chi_t X.  stop_leakage is
+    evolve_interaction_picture's."""
+    vacuum = np.stack([coherent_frame(ham) for ham in hams])
+    xi, log = evolve_interaction_picture(hams, vacuum, t, x, tol, stop_leakage)
+    return xi, chi_flow_vector(hams[0].model.grid, t, x), log

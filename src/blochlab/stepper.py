@@ -1,10 +1,14 @@
 """The one classical RK4 of the package: an adaptive loop and, for linear
 systems, its transfer maps.
 
-integrate_adaptive is step doubling with local Richardson error control:
-each attempted step compares one RK4 step with two half steps, accepts when
-their largest entrywise difference is at most tol, updates with the
-extrapolated value and doubles the step after a very accurate one.  The
+integrate_adaptive is step doubling with local Richardson error control
+on a group of frames, the entries of the state's leading axis, integrated
+together.  Each attempted step compares one RK4 step with two half steps;
+a frame's local error is their largest entrywise difference on that frame.
+Step control is joint: the step is accepted only if every frame's error is
+at most tol, and doubled after it only if every frame's error is below
+tol/64, so each frame meets its own local-error bound.  The update is the
+extrapolated value, and every frame keeps its own PropagationLog.  The
 full step and the first half step start from the same state, so they share
 their first stage: 11 right-hand-side evaluations per attempted step.  A
 caller-supplied stop condition can end the integration early, at the first
@@ -30,7 +34,12 @@ from blochlab.model import ModelError
 
 
 class StepStallError(ModelError):
-    """The adaptive step size fell below its floor."""
+    """The adaptive step size fell below its floor; frames holds the
+    indices of the frames whose last local error exceeded tol."""
+
+    def __init__(self, message: str, frames: list):
+        super().__init__(message)
+        self.frames = frames
 
 
 @dataclass
@@ -55,6 +64,23 @@ class PropagationLog:
         }
 
 
+@dataclass
+class GroupLog:
+    """Step record of one adaptive integration of a frame group: one
+    PropagationLog per frame.  The frames share their steps, so every
+    frame log holds the same counts and step sizes."""
+
+    frames: list
+
+    @property
+    def n_accepted(self) -> int:
+        return self.frames[0].n_accepted
+
+    @property
+    def n_rejected(self) -> int:
+        return self.frames[0].n_rejected
+
+
 def _rk4(rhs, y, dt, start, mid, end, k1=None):
     """One RK4 step of length dt; rhs is called at start, mid (twice), end.
 
@@ -69,56 +95,66 @@ def _rk4(rhs, y, dt, start, mid, end, k1=None):
 
 
 def integrate_adaptive(rhs, y0, t0, t1, tol, dt0, postprocess=None, stop=None):
-    """y(t1) for dy/dt = rhs(t, y), y(t0) = y0, and the step log.
+    """y(t1) for dy/dt = rhs(t, y), y(t0) = y0, and the GroupLog of the
+    frames along y0's leading axis.
 
     postprocess, if given, is applied to y after every accepted step.
     stop, if given, is called with y after postprocess; when it returns
     true, the integration ends there and returns that y, short of t1, with
-    the log of the steps taken so far.  Raises StepStallError when the
-    step size falls below 1e-12 max(|t1 - t0|, 1).
+    the log of the steps taken so far.  The integration ends on the last
+    step that leaves no more than round-off of the span.  Raises
+    StepStallError when the step size falls below 1e-12 max(|t1 - t0|, 1).
     """
 
     def rk4(s, y, dt, k1=None):
         return _rk4(rhs, y, dt, s, s + dt / 2, s + dt, k1)
 
     y = np.array(y0, dtype=complex)
-    log = PropagationLog()
+    logs = [PropagationLog() for _ in y]
     span = t1 - t0
     direction = 1.0 if span > 0 else -1.0
     remaining = abs(span)
+    # what remains below this is round-off of the remaining -= dt updates
+    end = remaining * 1e-12
     s = t0
     dt = min(dt0, remaining)
     floor = max(remaining, 1.0) * 1e-12
-    while remaining > 0.0:
+    while remaining > end:
         dt = min(dt, remaining)
         step = direction * dt
         k1 = rhs(s, y)
         big = rk4(s, y, step, k1)
         half = rk4(s, y, step / 2, k1)
         small = rk4(s + step / 2, half, step / 2)
-        err = float(np.max(np.abs(small - big)))
-        if err <= tol:
+        err = np.abs(small - big).reshape(len(y), -1).max(axis=1)
+        worst = err.max()
+        if worst <= tol:
             # Richardson extrapolation from the halved solution
             y = small + (small - big) / 15.0
             if postprocess is not None:
                 y = postprocess(y)
             s += step
             remaining -= dt
-            log.n_accepted += 1
-            log.step_sizes.append(dt)
-            log.local_errors.append(err)
+            for log, e in zip(logs, err):
+                log.n_accepted += 1
+                log.step_sizes.append(dt)
+                log.local_errors.append(float(e))
             if stop is not None and stop(y):
                 break
-            if err < tol / 64.0:
+            if worst < tol / 64.0:
                 dt *= 2.0
         else:
-            log.n_rejected += 1
+            for log in logs:
+                log.n_rejected += 1
             dt *= 0.5
             if dt < floor:
+                stalled = [i for i, e in enumerate(err) if not e <= tol]
                 raise StepStallError(
-                    f"step control stalled at dt={dt:.3e}; log={log.to_dict()}"
+                    f"step control stalled at dt={dt:.3e}; "
+                    f"log={logs[stalled[0]].to_dict()}",
+                    stalled,
                 )
-    return y, log
+    return y, GroupLog(logs)
 
 
 def rk4_transfer(a0, ah, a1, dt):

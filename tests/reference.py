@@ -45,7 +45,8 @@ from blochlab.oracle import (
     ObservableSpec,
     OracleError,
     apply_observable,
-    evolved_frame,
+    evolve_interaction_picture,
+    evolved_frames,
     frame_symbol,
 )
 from blochlab.stepper import integrate_adaptive
@@ -177,6 +178,22 @@ def full_operator(ham: Hamiltonian) -> sp.csr_matrix:
     return (free + ham.h * interaction).tocsr()
 
 
+def evolve_one(ham: Hamiltonian, psi0, t, x, tol=DEFAULT_TOL, stop_leakage=None):
+    """evolve_interaction_picture on a group of one frame, the states psi0
+    of shape (dim, s) or (dim, s, n): the evolved states in psi0's shape and
+    the frame's own PropagationLog."""
+    psi0 = np.asarray(psi0)
+    states = psi0[None] if psi0.ndim == 3 else psi0[None, :, :, None]
+    psi_t, log = evolve_interaction_picture([ham], states, t, x, tol, stop_leakage)
+    return psi_t[0].reshape(psi0.shape), log.frames[0]
+
+
+def evolved_one(ham: Hamiltonian, t, x, tol=DEFAULT_TOL, stop_leakage=None):
+    """evolved_frames on a group of one: (xi, Y, the frame's log)."""
+    xi, y, log = evolved_frames([ham], t, x, tol, stop_leakage)
+    return xi[0], y, log.frames[0]
+
+
 def coherent_spin_frame(
     ham: Hamiltonian, x: PhaseVector, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> np.ndarray:
@@ -212,7 +229,7 @@ def evolved_wick_symbol(
     Entries <U(t) Psi_i, A U(t) Psi_j> over the coherent spin frame; the
     conjugated operator is never materialized.
     """
-    xi, y, _ = evolved_frame(ham, t, x, tol)
+    xi, y, _ = evolved_one(ham, t, x, tol)
     return frame_symbol(xi, apply_observable(ham, obs, xi, y))
 
 

@@ -38,6 +38,7 @@ from blochlab.model import (
     polarization_project,
 )
 from blochlab.oracle import ObservableSpec
+from reference import evolved_one
 
 
 def small_plan_dict(**overrides):
@@ -445,7 +446,7 @@ class TestConvergence:
         basis = blochlab.fock.FockBasis(plan.model.D, 2)
         for c in report.cells:
             ham = blochlab.oracle.Hamiltonian(plan.model, basis, c.h)
-            _, _, log = blochlab.oracle.evolved_frame(ham, 1.0, x, plan.oracle_tol)
+            _, _, log = evolved_one(ham, 1.0, x, plan.oracle_tol)
             assert c.status == (
                 f"failed:leakage {log.leakage:.3e} exceeds 1.0e-10 "
                 "at the cap n_max = 2"
@@ -472,6 +473,55 @@ class TestConvergence:
         monkeypatch.setenv("BLOCHLAB_WORKERS", "3")
         again = run_convergence(small_plan)
         assert again.to_dict() == conv_report.to_dict()
+
+    def test_one_propagation_per_group(self, small_plan, monkeypatch):
+        # every h of the desk (t, X) is one frame group: one run at cutoff 2,
+        # where all four breach, and one at cutoff 4, where 8 runs were made
+        # when each frame was integrated alone
+        real = blochlab.oracle.evolve_interaction_picture
+        calls = []
+
+        def counting(hams, *args, **kwargs):
+            calls.append([ham.h for ham in hams])
+            return real(hams, *args, **kwargs)
+
+        monkeypatch.setattr(blochlab.oracle, "evolve_interaction_picture", counting)
+        run_convergence(small_plan)
+        assert calls == [list(small_plan.h_list)] * 2
+
+    def test_mixed_breach_ladder_matches_frames_alone(self):
+        # at cutoff 2, h = 0.0125 leaks 5.8e-11 and stays there, while
+        # h >= 0.025 leak >= 2.3e-10 and move on together to cutoff 4.
+        # Every cell equals the sweep of its h alone, a group of one.
+        ladder = [0.4, 0.2, 0.1, 0.05, 0.025, 0.0125]
+        report = run_convergence(ExperimentPlan.from_dict(small_plan_dict(h=ladder)))
+        assert [c.h for c in report.cells] == ladder
+        assert [c.hygiene["cutoff"] for c in report.cells] == [4] * 5 + [2]
+        for cell in report.cells:
+            plan = ExperimentPlan.from_dict(small_plan_dict(h=[cell.h]))
+            assert run_convergence(plan).cells == (cell,)
+
+    def test_stall_fails_only_its_frames(self, monkeypatch):
+        # a non-finite generator at h = 0.1 stalls its group: that cell
+        # fails, and the other frames run again and equal the clean sweep
+        plan = ExperimentPlan.from_dict(small_plan_dict(n_max=8))
+        want = run_convergence(plan).cells
+        real = blochlab.oracle.Hamiltonian.generator
+
+        def spoiled(self, x):
+            gen = real(self, x)
+            if self.h == 0.1:
+                gen.data[:] = np.nan
+            return gen
+
+        monkeypatch.setattr(blochlab.oracle.Hamiltonian, "generator", spoiled)
+        got = run_convergence(plan).cells
+        for cell, clean in zip(got, want):
+            if cell.h == 0.1:
+                assert cell.status.startswith("failed:step control stalled")
+                assert cell.error is None
+            else:
+                assert cell == clean
 
 
 def _assert_record_matches(got, want, path="report"):
@@ -716,15 +766,21 @@ class TestCrosscheckCommand:
         assert not json_out.exists() and not csv_out.exists()
 
 
+def _load_tracing(monkeypatch):
+    """The benchmark's tracing module, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # for its dataclasses
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 class TestTraceTargets:
     def test_wrapped_targets_resolve(self, monkeypatch):
         # the benchmark's tracer wraps these module globals by name; one
         # that disappears breaks every traced benchmark run
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, tracing)  # for its dataclasses
-        spec.loader.exec_module(tracing)
+        tracing = _load_tracing(monkeypatch)
         owners = {
             "harness": blochlab.harness,
             "hierarchy": blochlab.hierarchy,
@@ -739,6 +795,29 @@ class TestTraceTargets:
         assert missing == []
         with tracing.Tracer().patched():
             pass
+
+    def test_traced_sweep_counts_the_group_runs(self, small_plan, monkeypatch):
+        # the tracer reads each propagation's return as (states, log) with
+        # log.n_accepted, log.n_rejected and states.nbytes: a change of that
+        # shape must fail here, not in the benchmark's traced run
+        tracing = _load_tracing(monkeypatch)
+        real = blochlab.oracle.evolve_interaction_picture
+        logs = []
+
+        def recording(*args, **kwargs):
+            out = real(*args, **kwargs)
+            logs.append(out[1])
+            return out
+
+        monkeypatch.setattr(blochlab.oracle, "evolve_interaction_picture", recording)
+        tracer = tracing.Tracer()
+        with tracer.patched(), tracer.span("harness.sweep") as sweep:
+            run_convergence(small_plan)
+        metrics = tracing.layer_metrics(tracer.spans, sweep, 1)
+        assert metrics["oracle.frames"] == len(logs) == 2
+        assert metrics["oracle.steps_accepted"] == sum(g.n_accepted for g in logs)
+        assert metrics["oracle.steps_rejected"] == sum(g.n_rejected for g in logs)
+        assert metrics["oracle.state_mb"] > 0.0
 
     def test_benchmark_imports_resolve(self):
         # every name the benchmark imports from blochlab, and the pool it

@@ -1,5 +1,7 @@
 """Exact propagation: Hamiltonian assembly, stepper, evolved symbols, rates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -20,16 +22,19 @@ from blochlab.oracle import (
     DEFAULT_TAIL_TOL,
     Hamiltonian,
     ObservableSpec,
+    OracleError,
     apply_observable,
+    _interaction_apply,
     coherent_frame,
-    evolve_interaction_picture,
-    evolved_frame,
+    evolved_frames,
     frame_symbol,
 )
 from blochlab.model import ModelError
 from conftest import random_phase_vector, zero_vector
 from reference import (
     coherent_spin_frame,
+    evolve_one,
+    evolved_one,
     evolved_wick_symbol,
     full_operator,
     interaction_apply_per_group,
@@ -123,7 +128,7 @@ class TestTensorOperators:
         for x in (zero_vector(model.D), random_phase_vector(rng, model.D, scale=0.3)):
             gen = ham.generator(x)
             for t in self.T_SAMPLES:
-                got = ham._interaction_apply(t, psi, gen)
+                got = _interaction_apply([ham], t, psi[None], gen)[0]
                 want = interaction_operator(ham, t, x) @ psi.reshape(basis.dim * 4, 3)
                 assert np.max(np.abs(got.reshape(-1, 3) - want)) <= 1e-13
 
@@ -154,10 +159,25 @@ class TestTensorOperators:
             gen = ham.generator(x)
             assert gen.shape == (5 * basis.dim * 4, basis.dim * 4)
             for t in self.T_SAMPLES:
-                got = ham._interaction_apply(t, psi, gen)
+                got = _interaction_apply([ham], t, psi[None], gen)[0]
                 assert np.array_equal(got, interaction_apply_per_group(ham, t, psi, x))
             got = apply_observable(ham, NUMBER_RATE, psi, x)
             assert np.array_equal(got, number_rate_per_group(ham, psi, x))
+
+    def test_generator_writes_only_the_drive(self, octa_setup, rng):
+        # every X shares the pattern built once per (model, basis): its
+        # generator differs from it only at the drive entries, the 12 spin
+        # entries that one spin flip reaches, per photon state in each of
+        # the 2G coupling blocks
+        model, basis, ham = octa_setup
+        pattern = ham.ops.pattern
+        assert len(ham.ops.drive) == 2 * len(ham.ops.groups) * basis.dim * 12
+        assert not pattern.data[ham.ops.drive].any()
+        gen = ham.generator(random_phase_vector(rng, model.D, scale=0.3))
+        assert np.array_equal(gen.indices, pattern.indices)
+        assert np.array_equal(gen.indptr, pattern.indptr)
+        changed = np.flatnonzero(gen.data != pattern.data)
+        assert np.array_equal(changed, ham.ops.drive)
 
     def test_operators_shared_across_h(self, octa_model, octa_setup):
         _, basis, ham = octa_setup
@@ -234,7 +254,7 @@ def _undisplaced_frame(ham, t, x, tol):
     """The coherent frame propagated as it stands, in the frame X = 0."""
     zero = zero_vector(ham.model.D)
     frame = coherent_spin_frame(ham, x)
-    frame_t, _ = evolve_interaction_picture(ham, frame, t, zero, tol)
+    frame_t, _ = evolve_one(ham, frame, t, zero, tol)
     return frame_t
 
 
@@ -243,7 +263,7 @@ class TestEvolution:
         model, basis, ham, h = free_setup
         psi0 = _random_states(rng, basis.dim)
         t = 1.3
-        psi_t, log = evolve_interaction_picture(ham, psi0, t, zero_vector(model.D))
+        psi_t, log = evolve_one(ham, psi0, t, zero_vector(model.D))
         expected = ham.free_phases(t)[:, None] * psi0
         np.testing.assert_allclose(psi_t, expected, atol=1e-9)
 
@@ -251,7 +271,7 @@ class TestEvolution:
         model, basis, ham, _ = small_setup
         psi0 = _random_states(rng, basis.dim)
         x = random_phase_vector(rng, 4, scale=0.2)
-        psi_t, log = evolve_interaction_picture(ham, psi0, 2.0, x, tol=1e-9)
+        psi_t, log = evolve_one(ham, psi0, 2.0, x, tol=1e-9)
         assert abs(np.linalg.norm(psi_t) - 1.0) < 1e-7
         assert log.unitarity_defect < 1e-7
 
@@ -267,7 +287,7 @@ class TestEvolution:
         cases = ((psi0, zero_vector(4)), (few, random_phase_vector(rng, 4, scale=0.2)))
         for psi0, x in cases:
             e0 = ham.energy(psi0[:, :, None], x)[0]
-            psi_t, _ = evolve_interaction_picture(ham, psi0, 1.7, x, tol=1e-10)
+            psi_t, _ = evolve_one(ham, psi0, 1.7, x, tol=1e-10)
             y = chi_flow_vector(model.grid, 1.7, x)
             assert ham.energy(psi_t[:, :, None], y)[0] == pytest.approx(e0, abs=1e-7)
 
@@ -276,20 +296,32 @@ class TestEvolution:
         model, basis, ham, _ = small_setup
         psi0 = _random_states(rng, basis.dim)
         for x in (zero_vector(model.D), random_phase_vector(rng, 4, scale=0.2)):
-            one, _ = evolve_interaction_picture(ham, psi0, 1.1, x, tol=1e-10)
-            a, _ = evolve_interaction_picture(ham, psi0, 0.6, x, tol=1e-10)
+            one, _ = evolve_one(ham, psi0, 1.1, x, tol=1e-10)
+            a, _ = evolve_one(ham, psi0, 0.6, x, tol=1e-10)
             y = chi_flow_vector(model.grid, 0.6, x)
-            b, _ = evolve_interaction_picture(ham, a, 0.5, y, tol=1e-10)
+            b, _ = evolve_one(ham, a, 0.5, y, tol=1e-10)
             np.testing.assert_allclose(one, b, atol=1e-8)
 
     def test_backward_inverts(self, small_setup, rng):
         model, basis, ham, _ = small_setup
         psi0 = _random_states(rng, basis.dim)
         for x in (zero_vector(model.D), random_phase_vector(rng, 4, scale=0.2)):
-            fwd, _ = evolve_interaction_picture(ham, psi0, 0.9, x, tol=1e-10)
+            fwd, _ = evolve_one(ham, psi0, 0.9, x, tol=1e-10)
             y = chi_flow_vector(model.grid, 0.9, x)
-            back, _ = evolve_interaction_picture(ham, fwd, -0.9, y, tol=1e-10)
+            back, _ = evolve_one(ham, fwd, -0.9, y, tol=1e-10)
             np.testing.assert_allclose(back, psi0, atol=1e-8)
+
+
+    @pytest.mark.parametrize("t", [0.3, 1.9, 2.0])
+    def test_ends_without_a_round_off_step(self, desk_setup, t):
+        # remaining -= dt used to leave 6.9e-18 (t = 0.3), 2.5e-15 (1.9) or
+        # 2.9e-15 (2.0) of the span, and the stepper took one more step of
+        # that length: 11 wasted evaluations, reported as the min_step
+        model, x, _ = desk_setup
+        ham = Hamiltonian(model, FockBasis(model.D, 4), 0.1)
+        _, _, log = evolved_one(ham, t, x, 1e-9)
+        assert min(log.step_sizes) >= 1e-9 * t
+        assert sum(log.step_sizes) == pytest.approx(t, rel=1e-12, abs=0.0)
 
 
 class TestEvolvedSymbol:
@@ -467,7 +499,7 @@ def _max_disagreement(displaced, undisplaced, t, x, observables, tol):
     """Largest entry gap between the symbols of the displaced oracle and
     of the coherent frame propagated as it stands, and the displaced
     frame's leakage."""
-    xi, y, log = evolved_frame(displaced, t, x, tol)
+    xi, y, log = evolved_one(displaced, t, x, tol)
     frame_t = _undisplaced_frame(undisplaced, t, x, tol)
     zero = zero_vector(undisplaced.model.D)
     gap = 0.0
@@ -528,8 +560,8 @@ class TestLeakageStop:
         # accepted steps and first exceeds 1e-10 at step 8
         model, x, _ = desk_setup
         ham = Hamiltonian(model, FockBasis(model.D, 2), 0.4)
-        full_frame, _, full = evolved_frame(ham, 1.0, x, 1e-9)
-        frame, _, log = evolved_frame(ham, 1.0, x, 1e-9, stop_leakage=DEFAULT_TAIL_TOL)
+        full_frame, _, full = evolved_one(ham, 1.0, x, 1e-9)
+        frame, _, log = evolved_one(ham, 1.0, x, 1e-9, stop_leakage=DEFAULT_TAIL_TOL)
         assert log.leakage > DEFAULT_TAIL_TOL
         assert log.n_accepted < full.n_accepted
         assert (log.n_accepted, full.n_accepted) == (8, 40)
@@ -542,7 +574,68 @@ class TestLeakageStop:
         # at cutoff 4 the leakage stays near 5e-16: the stop never fires
         model, x, _ = desk_setup
         ham = Hamiltonian(model, FockBasis(model.D, 4), 0.4)
-        full_frame, _, full = evolved_frame(ham, 1.0, x, 1e-9)
-        frame, _, log = evolved_frame(ham, 1.0, x, 1e-9, stop_leakage=DEFAULT_TAIL_TOL)
+        full_frame, _, full = evolved_one(ham, 1.0, x, 1e-9)
+        frame, _, log = evolved_one(ham, 1.0, x, 1e-9, stop_leakage=DEFAULT_TAIL_TOL)
         assert np.array_equal(frame, full_frame)
         assert log.to_dict() == full.to_dict()
+
+
+class TestFrameGroup:
+    """Every h of one (t, X) integrated as one frame group, with joint step
+    control, against each frame integrated alone."""
+
+    @pytest.mark.parametrize("cutoff", [2, 4])
+    def test_desk_group_matches_groups_of_one(self, desk_setup, cutoff):
+        # alone, every desk h takes the same steps, so the group reproduces
+        # each frame and its log bitwise
+        model, x, _ = desk_setup
+        basis = FockBasis(model.D, cutoff)
+        hams = [Hamiltonian(model, basis, h) for h in (0.4, 0.2, 0.1, 0.05)]
+        xi, _, log = evolved_frames(hams, 1.0, x, 1e-9)
+        assert xi.shape == (4, basis.dim, 2, 2) and log.n_accepted == 40
+        for ham, frame, frame_log in zip(hams, xi, log.frames):
+            alone, _, alone_log = evolved_one(ham, 1.0, x, 1e-9)
+            assert np.array_equal(frame, alone)
+            assert frame_log == alone_log
+
+    def test_frames_with_their_own_steps_keep_their_bounds(self, rng):
+        # a flat coupling cutoff of 3 makes the h-dependent K_g terms
+        # compete with the drive, so alone h = 1, 0.1 and 0.001 take 160,
+        # 80 and 41 steps.  Joint control holds every frame's local error
+        # to tol.  Each run is within the sum of its step errors of the
+        # exact flow, which preserves the norm, so a frame and its run alone
+        # differ by at most (n_group + n_alone) tol (measured: 3.2e-11,
+        # against 2.0e-7 at h = 0.001).
+        cfg = ModelConfig(
+            N=2,
+            positions=[[0.0, 0.0, 0.0], [1.0, 0.3, -0.2]],
+            beta=(0.2, 0.0, 0.7),
+            grid_radial_nodes=2,
+            grid_kmax=3.0,
+            grid_directions="octahedral",
+        )
+        cfg.cutoff_fn = lambda r: np.full_like(np.asarray(r, dtype=float), 3.0)
+        model = Model(cfg)
+        basis = FockBasis(model.D, 1)
+        x = random_phase_vector(rng, model.D, scale=0.05)
+        hams = [Hamiltonian(model, basis, h) for h in (1.0, 0.1, 1e-3)]
+        tol = 1e-9
+        xi, _, log = evolved_frames(hams, 1.0, x, tol)
+        steps_alone = set()
+        for ham, frame, frame_log in zip(hams, xi, log.frames):
+            assert max(frame_log.local_errors) <= tol
+            alone, _, alone_log = evolved_one(ham, 1.0, x, tol)
+            steps_alone.add(alone_log.n_accepted)
+            bound = (log.n_accepted + alone_log.n_accepted) * tol
+            assert np.max(np.abs(frame - alone)) <= bound
+        assert len(steps_alone) == 3
+
+    def test_one_model_and_basis_per_group(self, desk_setup):
+        # the frames share the phases of one set of frequency groups and the
+        # free phases of one basis
+        model, x, _ = desk_setup
+        basis = FockBasis(model.D, 2)
+        other = Model(dataclasses.replace(model.config, beta=(0.0, 0.3, 1.0)))
+        hams = [Hamiltonian(m, basis, 0.1) for m in (model, other)]
+        with pytest.raises(OracleError, match="one model and one basis"):
+            evolved_frames(hams, 1.0, x)
