@@ -44,7 +44,15 @@ is i/2 (U K - C1.K - C2.K + K V) with C1 = sum w Sig (x) P and
 C2 = sum w Q (x) Sig: two GEMMs over the (n+1) A node rows, once per
 (t, X, n).  A spin axis then costs one sd^2-vector product against that
 map, and a field axis one product of its pairing table with the stored
-Sig.
+Sig.  The Bloch correction's node work is real arithmetic on the Maxwell
+chain: its radiated coupling B^lam . Z is a real combination beta1 of the
+spin operators S_{l,k} of all sites, read from the chain's node sums
+through one real table per frequency group, so no mode amplitude Z is
+built; its symmetrized coupling eps {B^lam . Z, S^0} is real coefficients
+against one fixed anticommutator table {S_{l,k}, sigma^lam_k'}.  The
+transport R_t R_w^T is contracted with those coefficients and with the
+tangent contraction over the nodes first, so a call ends in one
+(3, 9N + 3) by (9N + 3, sd^2) complex product.
 
 The classical objects they read come from two RK4 chains per (t, X), the
 module's only classical integrator.  _propagator_chain holds G and
@@ -58,8 +66,10 @@ evaluates its generator on the half-step stage grid once, takes every
 substep as an RK4 transfer map (blochlab.stepper.rk4_transfer) and
 chains the maps by recursive doubling (_prefix_products), so no Python
 loop runs over substeps.  The reads are cheap: _propagator_sweep
-polar-projects the nodes it takes in one batched SVD, and _maxwell_sweep
-takes the mode products at its nodes only.
+polar-projects the nodes it takes in one batched SVD, _maxwell_nodes
+takes the rotations and the (Re, Im) of the node sums as strided reads,
+and _maxwell_sweep takes the mode products Z at its nodes only, for
+first_order_modes, which reads Z at the endpoint of its _N0 panels.
 
 Order 0 reads the chains' endpoints at _refine's first grid (_N0 panels):
 propagator_G is the projected propagator endpoint, with the unprojected
@@ -95,13 +105,13 @@ chains, so a shared_sweeps(model, t, X) scope integrates each chain once
 and keeps every node read taken from it, the conjugated coupling spins
 and the order-1 contraction among them, and hands the stored, read-only
 arrays to every later consumer at that (t, X): order0, bloch_spin0, the
-spin and field order_j calls of all axes, spin_correction1 of every site,
-first_order_modes and the rotation tangents.  A refinement past steps
-panels reads a chain of n substeps of its own.  A chain for another
-model, t or X (the inner points of _order_high, the tangent probe's
-shifted points) integrates as usual.  The table lives in a context
-variable, so each pool thread has its own, and it is dropped when the
-scope exits.  Two callers open a scope: compute_hierarchy, once per
+spin and field order_j calls of all axes, spin_correction1 of every site
+(from _maxwell_nodes), first_order_modes (from _maxwell_sweep) and the
+rotation tangents.  A refinement past steps panels reads a chain of n
+substeps of its own.  A chain for another model, t or X (the inner
+points of _order_high, the tangent probe's shifted points) integrates as
+usual.  The table lives in a context variable, so each pool thread has
+its own, and it is dropped when the scope exits.  Two callers open a scope: compute_hierarchy, once per
 (t, X) for every observable of a plan, and each t job of run_crosscheck.
 No function below opens one, photon_rate_expansion included: a nested
 scope starts an empty table, so it would integrate the chains again.
@@ -703,27 +713,46 @@ def _maxwell_chain(model: Model, t: float, x: PhaseVector, steps: int):
     return r, sums
 
 
+def _mode_weights(model: Model) -> np.ndarray:
+    """The real map from a node's (Re, Im) x (lam, m) combined source of
+    W = Z_q + i Z_p to the (q, p) parts of every mode amplitude:
+
+        Z_q = -(F B)_q S(Re W) + (F B)_p S(Im W),
+        Z_p = -(F B)_p S(Re W) - (F B)_q S(Im W),
+
+    S(V)_a = sum_k V_ak sigma^lam_k, as weights[s, r, lam, m, j] of shape
+    (2, 2, N, 3, D): output part s, input part r, mode j."""
+    fq, fp = stack_vectors([fmap(b) for b in model.coupling_list])  # (A, D) each
+    weights = np.stack([np.vstack([-fq, fp]), np.vstack([-fp, -fq])])  # (2, 2A, D)
+    return weights.reshape(2, 2, model.N, 3, model.D)
+
+
+@_shared
+def _maxwell_nodes(model: Model, t: float, x: PhaseVector, n: int):
+    """Every (steps/n)-th state of the Maxwell chain, the nodes u_i = i t / n:
+    (R (n+1, N, 3, 3), rows (G, n+1, 2, N, 3, 3)), rows the (Re, Im) of the
+    combined sources, real part first."""
+    steps = _chain_steps(t, n)
+    r, sums = _maxwell_chain(model, t, x, steps)
+    nodes = sums[:, :: steps // n]
+    return r[:: steps // n], np.stack([nodes.real, nodes.imag], axis=2)
+
+
 @_shared
 def _maxwell_sweep(model: Model, t: float, x: PhaseVector, n: int):
     """Per-site rotations R^mu and the matrix-valued first-order mode
-    amplitudes Z on the uniform grid u_i = i t / n: every (steps/n)-th state
-    of the Maxwell chain, with the mode products taken at those nodes only.
-    Returns (R_path (n+1, N, 3, 3), Z_path (n+1, 2, D, sd, sd))."""
+    amplitudes Z on the uniform grid u_i = i t / n: the Maxwell chain's
+    node reads (_maxwell_nodes), with the mode products taken at those
+    nodes only.  Returns (R_path (n+1, N, 3, 3), Z_path (n+1, 2, D, sd, sd))."""
     D, sd, N = model.D, model.spin_dim, model.N
     z_path = np.zeros((n + 1, 2, D, sd, sd), dtype=complex)
     if t == 0.0 or n == 0:
         return np.tile(np.eye(3), (n + 1, N, 1, 1)), z_path
-    steps = _chain_steps(t, n)
-    r, sums = _maxwell_chain(model, t, x, steps)
-    nodes = sums[:, :: steps // n]
-    # (Re, Im) x (lam, m, k) of every node, a row vector per node and group
-    rows = np.stack([nodes.real, nodes.imag], axis=2).reshape(len(sums), n + 1, 1, -1)
-    # Z_q = -(F B)_q S(Re W) + (F B)_p S(Im W),
-    # Z_p = -(F B)_p S(Re W) - (F B)_q S(Im W), S(V)_a = sum_k V_ak sigma^lam_k:
+    r, rows = _maxwell_nodes(model, t, x, n)
+    # a (Re, Im) x (lam, m, k) row vector per node and group
+    rows = rows.reshape(len(rows), n + 1, 1, -1)
     # one real matrix per group from the rows to (q/p, mode, sd, sd)
-    fq, fp = stack_vectors([fmap(b) for b in model.coupling_list])  # (A, D) each
-    weights = np.stack([np.vstack([-fq, fp]), np.vstack([-fp, -fq])])  # (2, 2A, D)
-    weights = weights.reshape(2, 2, N, 3, D)
+    weights = _mode_weights(model)
     _, group_of = model.grid.frequency_groups
     for g, row in enumerate(rows):
         modes = group_of == g
@@ -732,7 +761,7 @@ def _maxwell_sweep(model: Model, t: float, x: PhaseVector, n: int):
         # depend on how many nodes the read takes
         z_g = (row @ m_g.reshape(rows.shape[-1], -1).view(float)).view(complex)
         z_path[:, :, modes] = z_g.reshape(n + 1, 2, -1, sd, sd)
-    return r[:: steps // n], z_path
+    return r, z_path
 
 
 def _contract_field(vec: PhaseVector, z: np.ndarray) -> np.ndarray:
@@ -749,16 +778,12 @@ class MaxwellCheckReport:
     div_e_residual: float
 
 
-def first_order_modes(
-    model: Model, t: float, x: PhaseVector, tol: float = 1e-7
-) -> np.ndarray:
-    """Matrix-valued mode amplitudes Z(t) of the sourced Maxwell system."""
-
-    def endpoint(n):
-        _, z = _maxwell_sweep(model, t, x, n)
-        return z[-1]
-
-    return _refine(endpoint, tol, label="sourced Maxwell integration")
+def first_order_modes(model: Model, t: float, x: PhaseVector) -> np.ndarray:
+    """Matrix-valued mode amplitudes Z(t) of the sourced Maxwell system: the
+    endpoint of the Maxwell chain that serves _N0 panels.  Z(t) is a chain
+    state, not a quadrature, so no refinement runs: a finer grid on the
+    same chain would read the same state again."""
+    return _maxwell_sweep(model, t, x, _N0)[1][-1]
 
 
 def maxwell_cross_check(
@@ -767,7 +792,7 @@ def maxwell_cross_check(
     """Compare B^[1] from the sourced mode system against the recursion at
     every spin site, with the analytic divergence of the reconstructed
     first-order fields."""
-    z = first_order_modes(model, t, x, tol=min(tol, 1e-7))
+    z = first_order_modes(model, t, x)
     max_dev = div_b = div_e = 0.0
     for pt in (np.asarray(p, dtype=float) for p in model.config.positions):
         acc_b = np.zeros((model.spin_dim,) * 2, dtype=complex)
@@ -800,33 +825,56 @@ def maxwell_cross_check(
 
 def _spin1_on_grid(model, lam, t, x, n):
     """S^{[lam, 1]}(t, X) by variation of constants around the order-0
-    rotation, with the radiated-field coupling and the tangent contraction
-    K built from dB^[0] pairings along the coupling directions.
+    rotation: the trapezoid sum over nodes w of R_t R_w^T (cpl(w) +
+    kappa(w) . sigma^lam), in real coefficients on the Maxwell chain's
+    node reads, with one complex product at the end.
 
-    The contraction at node w is a prefix flow-kernel convolution over
-    u <= w,
+    The radiated-field coupling b1_a = B^lam_a . Z is a real combination of
+    the spin operators S_{l,k} of all sites,
+
+        beta1[w, a, l, k] = sum_{g,r,m} rows[g, w, r, l, m, k] P[g, a, r, l, m],
+
+    rows the (Re, Im) of the chain's node sums and P = B^lam . _mode_weights
+    summed over each frequency group, so no mode amplitude Z is built.  With
+    s0_b = sum_k' R_w[b, k'] sigma^lam_k', the symmetrized coupling
+    eps_{nab} {b1_a, s0_b} = {b1_{n+1}, s0_{n+2}} - {b1_{n+2}, s0_{n+1}} is
+    sum C[w, n, l, k, k'] {S_{l,k}, sigma^lam_k'} with real C: one fixed
+    anticommutator table of 9N matrices.
+
+    The tangent contraction at node w is a prefix flow-kernel convolution
+    over u <= w,
 
         kappa(w) = -2 eps[n,c,a] R_w[a,r] sum_u pbb[c,m,w-u] Y_u[m,r,q],
         Y_u[m] = R_u^T E_m R_u,  (E_m)_pk = eps[m,p,k],
 
     whose kernel pbb[c,m,s] = B_c . chi_s B_m is a finite cosine/sine sum
     over the distinct mode frequencies (_lag_convolution).  Every
-    contraction with eps is a difference over the cyclic index pairs."""
-    r_all, z_path = _maxwell_sweep(model, t, x, n)
+    contraction with eps is a difference over the cyclic index pairs.  The
+    transport w_w R_t R_w^T is contracted with C and kappa over the nodes
+    first, so the only complex product is the (3, 9N + 3) real result
+    against the anticommutator table stacked on sigma^lam."""
+    r_all, rows = _maxwell_nodes(model, t, x, n)
     r_path = r_all[:, lam]  # (n+1, 3, 3)
-    D, sd = model.D, model.spin_dim
+    N, sd = model.N, model.spin_dim
     dt = t / n
     w = _trap_weights(n, dt)
     sig = model.spin_ops[lam]
     bsl = model.couplings[lam]
 
-    # radiated-field coupling B^1_a = B_a . Z, symmetrized:
-    # eps_{nab} {B^1_a, S^0_b} = {B^1_{n+1}, S^0_{n+2}} - {B^1_{n+2}, S^0_{n+1}}
-    bqp = np.hstack(stack_vectors(bsl))  # (3, 2D)
-    b1 = (bqp @ z_path.reshape(n + 1, 2 * D, -1)).reshape(n + 1, 3, sd, sd)
-    s0 = _site_spins(r_path, sig)
-    b1_1, b1_2, s0_1, s0_2 = b1[:, _NEXT], b1[:, _LAST], s0[:, _NEXT], s0[:, _LAST]
-    cpl = b1_1 @ s0_2 + s0_2 @ b1_1 - b1_2 @ s0_1 - s0_1 @ b1_2
+    # P[l, a, (g, r, m)] = sum_{s, j in g} B^lam[a, s, j] weights[s, r, l, m, j]
+    _, group_of = model.grid.frequency_groups
+    groups = group_of[:, None] == np.arange(len(rows))  # (D, G)
+    bqp = np.stack(stack_vectors(bsl), axis=1)  # (3, 2, D)
+    ptab = np.einsum("asj,srlmj,jg->lagrm", bqp, _mode_weights(model), groups)
+    # beta1[a, l, k, w], node index last, so the products below run along it
+    src = rows.transpose(3, 0, 2, 4, 5, 1).reshape(N, -1, 3 * (n + 1))
+    beta1 = (ptab.reshape(N, 3, -1) @ src).reshape(N, 3, 3, n + 1).swapaxes(0, 1)
+    # C[n, l, k, k', w] = beta1[n+1, l, k, w] R_w[n+2, k'] - (n+1 <-> n+2)
+    rt = r_path.transpose(1, 2, 0)  # [b, k', w]
+    cpl = (
+        beta1[_NEXT, :, :, None] * rt[_LAST, None, None]
+        - beta1[_LAST, :, :, None] * rt[_NEXT, None, None]
+    ).reshape(3, 9 * N, n + 1)
 
     # K(w): same-site contraction of coupling pairings with the rotation
     # transport; pbb[c,m,w-u] = sum_g alpha cos(g(w-u)) + beta sin(g(w-u))
@@ -839,12 +887,20 @@ def _spin1_on_grid(model, lam, t, x, n):
     p = r_path[:, None] @ conv  # [w, c, a, q] = R_w[a, r] conv[w, c, r, q]
     kappa = -2.0 * (p[:, _NEXT, _LAST] - p[:, _LAST, _NEXT])  # (n+1, 3, 3)
 
-    # out = sum_w w_w (R_t R_w^T) (cpl(w) + kappa(w) . sigma)
-    frc = cpl.reshape(n + 1, 3, -1) + kappa @ sig.reshape(3, -1)
-    trans = w[:, None, None] * (r_path[n] @ r_path.swapaxes(1, 2))
-    return (trans.swapaxes(0, 1).reshape(3, -1) @ frc.reshape(-1, sd * sd)).reshape(
-        3, sd, sd
-    )
+    # transport first: sum_w w_w R_t R_w^T [C | kappa](w) in real
+    # coefficients, then one complex product with the stacked table
+    # [{S_{l,k}, sigma^lam_k'}; sigma^lam]
+    wrt = w * rt  # [b, c, w] = w_w R_w[b, c]
+    real = np.hstack(
+        [
+            (wrt @ cpl.swapaxes(1, 2)).sum(axis=0),
+            wrt.transpose(1, 2, 0).reshape(3, -1) @ kappa.reshape(-1, 3),
+        ]
+    )  # (3, 9N + 3)
+    ops = model.spin_ops[:, :, None]
+    anti = ops @ sig + sig @ ops  # (N, 3, 3, sd, sd)
+    table = np.concatenate([anti.reshape(9 * N, -1), sig.reshape(3, -1)])
+    return ((r_path[n] @ real) @ table).reshape(3, sd, sd)
 
 
 def spin_correction1(

@@ -9,8 +9,10 @@ displaced frame, the affine interaction symbol as a matrix, the number
 operator and its second-quantized relatives as diagonal matrices, and the
 hierarchy's order-0 propagator, rotations and rotation tangents integrated
 adaptively to a tolerance instead of read from the fixed-substep sweeps,
-and the order-1 Duhamel quadrature with its forcing built node by node
-instead of contracted once per grid.
+the order-1 Duhamel quadrature with its forcing built node by node
+instead of contracted once per grid, and the first-order Bloch correction
+summed from the full mode amplitudes Z and complex matrix products at
+every node instead of in real coefficients on the Maxwell chain.
 """
 
 from __future__ import annotations
@@ -22,11 +24,16 @@ import scipy.sparse as sp
 
 from blochlab.fock import FockBasis, coherent_state
 from blochlab.hierarchy import (
+    _EPS3,
+    _LAST,
+    _NEXT,
     _cross_mat,
     _duhamel_forcing,
     _lag_convolution,
+    _maxwell_sweep,
     _polar_project,
     _propagator_sweep,
+    _site_spins,
     _trap_weights,
     observable_form,
 )
@@ -317,3 +324,40 @@ def order1_nodes(model: Model, obs: ObservableSpec, t: float, x: PhaseVector, n:
     nb, nf = 1j * both.reshape(n + 1, sd, sd, 2, -1).transpose(3, 0, 4, 1, 2)
     term = _duhamel_forcing(Sig, nb @ K - K @ nb, nf @ K - K @ nf)
     return (w @ term.sum(axis=1).reshape(n + 1, -1)).reshape(sd, sd)
+
+
+def spin1_products(model: Model, lam: int, t: float, x: PhaseVector, n: int):
+    """S^{[lam, 1]}(t, X) on n trapezoid panels from the full mode
+    amplitudes Z of _maxwell_sweep: the radiated coupling b1 = B^lam . Z and
+    the symmetrized eps_{nab} {b1_a, S^0_b} as complex matrix products at
+    every node, then transported node by node."""
+    r_all, z_path = _maxwell_sweep(model, t, x, n)
+    r_path = r_all[:, lam]  # (n+1, 3, 3)
+    D, sd = model.D, model.spin_dim
+    dt = t / n
+    w = _trap_weights(n, dt)
+    sig = model.spin_ops[lam]
+    bsl = model.couplings[lam]
+
+    # {B^1_{n+1}, S^0_{n+2}} - {B^1_{n+2}, S^0_{n+1}}
+    bqp = np.hstack(stack_vectors(bsl))  # (3, 2D)
+    b1 = (bqp @ z_path.reshape(n + 1, 2 * D, -1)).reshape(n + 1, 3, sd, sd)
+    s0 = _site_spins(r_path, sig)
+    b1_1, b1_2, s0_1, s0_2 = b1[:, _NEXT], b1[:, _LAST], s0[:, _NEXT], s0[:, _LAST]
+    cpl = b1_1 @ s0_2 + s0_2 @ b1_1 - b1_2 @ s0_1 - s0_1 @ b1_2
+
+    # kappa(w) from the prefix flow-kernel convolution of R_u^T E_m R_u
+    pairing = flow_pairing(model.grid, bsl, bsl)
+    y = r_path.swapaxes(1, 2)[:, None] @ _EPS3 @ r_path[:, None]
+    lag = _lag_convolution(pairing.omegas, dt, y, suffix=False)
+    coef = np.stack([pairing.alpha, pairing.beta])
+    conv = coef.reshape(-1, 1, 3, 3) @ lag.reshape(-1, n + 1, 3, 9)
+    conv = conv.sum(axis=0).reshape(n + 1, 3, 3, 3)
+    p = r_path[:, None] @ conv
+    kappa = -2.0 * (p[:, _NEXT, _LAST] - p[:, _LAST, _NEXT])
+
+    frc = cpl.reshape(n + 1, 3, -1) + kappa @ sig.reshape(3, -1)
+    trans = w[:, None, None] * (r_path[n] @ r_path.swapaxes(1, 2))
+    return (trans.swapaxes(0, 1).reshape(3, -1) @ frc.reshape(-1, sd * sd)).reshape(
+        3, sd, sd
+    )

@@ -54,7 +54,12 @@ from blochlab.model import (
 from blochlab.oracle import ObservableSpec
 from blochlab.stepper import _rk4
 from conftest import random_phase_vector, zero_vector
-from reference import order1_nodes, propagator_adaptive, rotation_adaptive
+from reference import (
+    order1_nodes,
+    propagator_adaptive,
+    rotation_adaptive,
+    spin1_products,
+)
 
 
 @pytest.fixture(scope="module")
@@ -684,6 +689,54 @@ class TestOrder1Contraction:
                 got = _order1_on_grid(model, obs, t, x, n)
                 ref = order1_nodes(model, obs, t, x, n)
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestSpin1Coefficients:
+    """The first-order Bloch correction in real coefficients on the Maxwell
+    chain against the full-Z, complex-product form of tests/reference.py,
+    on two sites and two frequency groups."""
+
+    @pytest.mark.parametrize("t, n", [(0.37, 16), (0.37, 256), (1.9, 16), (1.9, 256)])
+    def test_matches_complex_products(self, octa_model, rng, t, n):
+        # generic coupling vectors, so the pairings carry sine coefficients
+        model = copy.copy(octa_model)
+        model.couplings = [
+            [random_phase_vector(rng, model.D, scale=0.3) for _ in range(3)]
+            for _ in range(model.N)
+        ]
+        bsl = model.couplings[1]
+        assert np.any(flow_pairing(model.grid, bsl, bsl).beta != 0.0)
+        x = random_phase_vector(rng, model.D, scale=0.5)
+        with shared_sweeps(model, t, x):
+            for lam in range(model.N):
+                got = _spin1_on_grid(model, lam, t, x, n)
+                ref = spin1_products(model, lam, t, x, n)
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_reads_no_mode_amplitudes(self, octa_model, rng, monkeypatch):
+        # B . Z comes straight from the chain's node sums: no Z is built
+        def refuse(*args):
+            raise AssertionError("spin_correction1 read _maxwell_sweep")
+
+        monkeypatch.setattr(hierarchy, "_maxwell_sweep", refuse)
+        x = random_phase_vector(rng, octa_model.D, scale=0.5)
+        with shared_sweeps(octa_model, 1.0, x):
+            triples = spin_correction1(octa_model, 1.0, x, tol=1e-6)
+        assert [tr.lam for tr in triples] == [1, 2]
+
+    def test_maxwell_check_reads_one_node_grid(self, octa_model, rng, monkeypatch):
+        # Z(t) is the chain's endpoint, read once on _N0 panels, not refined
+        seen = []
+        real = hierarchy._maxwell_sweep
+
+        def counting(model, t, x, n):
+            seen.append(n)
+            return real(model, t, x, n)
+
+        monkeypatch.setattr(hierarchy, "_maxwell_sweep", counting)
+        x = random_phase_vector(rng, octa_model.D, scale=0.5)
+        maxwell_cross_check(octa_model, 1.0, x, tol=1e-6)
+        assert seen == [32]
 
 
 class TestSharedSweeps:
