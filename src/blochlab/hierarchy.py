@@ -46,9 +46,8 @@ C2 = sum w Q (x) Sig: two GEMMs over the (n+1) A node rows, once per
 map, and a field axis one product of its pairing table with the stored
 Sig.  The Bloch correction's node work is real arithmetic on the Maxwell
 chain: its radiated coupling B^lam . Z is a real combination beta1 of the
-spin operators S_{l,k} of all sites, read from the chain's node sums
-through one real table per frequency group, so no mode amplitude Z is
-built; its symmetrized coupling eps {B^lam . Z, S^0} is real coefficients
+spin operators S_{l,k} of all sites (_radiated, below); its symmetrized
+coupling eps {B^lam . Z, S^0} is real coefficients
 against one fixed anticommutator table {S_{l,k}, sigma^lam_k'}.  The
 transport R_t R_w^T is contracted with those coefficients and with the
 tangent contraction over the nodes first, so a call ends in one
@@ -66,10 +65,16 @@ evaluates its generator on the half-step stage grid once, takes every
 substep as an RK4 transfer map (blochlab.stepper.rk4_transfer) and
 chains the maps by recursive doubling (_prefix_products), so no Python
 loop runs over substeps.  The reads are cheap: _propagator_sweep
-polar-projects the nodes it takes in one batched SVD, _maxwell_nodes
-takes the rotations and the (Re, Im) of the node sums as strided reads,
-and _maxwell_sweep takes the mode products Z at its nodes only, for
-first_order_modes, which reads Z at the endpoint of its _N0 panels.
+polar-projects the nodes it takes in one batched SVD, and _maxwell_nodes
+takes the rotations and the (Re, Im) of the node sums as strided reads.
+
+Every read of the radiated field vec . Z goes through one projection of
+those node sums, _radiated: real coefficients of vec . Z against the spin
+operators S_{l,k} of all sites, from one real table per frequency group,
+so no mode amplitude Z is built.  The Bloch correction reads B^lam . Z at
+every node; maxwell_cross_check reads B_m and the divergence terms at
+every site, and first_order_modes the 2D unit mode vectors, both at the
+endpoint of the chain that serves _N0 panels.
 
 Order 0 reads the chains' endpoints at _refine's first grid (_N0 panels):
 propagator_G is the projected propagator endpoint, with the unprojected
@@ -105,14 +110,15 @@ chains, so a shared_sweeps(model, t, X) scope integrates each chain once
 and keeps every node read taken from it, the conjugated coupling spins
 and the order-1 contraction among them, and hands the stored, read-only
 arrays to every later consumer at that (t, X): order0, bloch_spin0, the
-spin and field order_j calls of all axes, spin_correction1 of every site
-(from _maxwell_nodes), first_order_modes (from _maxwell_sweep) and the
-rotation tangents.  A refinement past steps panels reads a chain of n
+spin and field order_j calls of all axes, spin_correction1 of every site,
+maxwell_cross_check and first_order_modes (all from _maxwell_nodes), and
+the rotation tangents.  A refinement past steps panels reads a chain of n
 substeps of its own.  A chain for another model, t or X (the inner
 points of _order_high, the tangent probe's shifted points) integrates as
 usual.  The table lives in a context variable, so each pool thread has
-its own, and it is dropped when the scope exits.  Two callers open a scope: compute_hierarchy, once per
-(t, X) for every observable of a plan, and each t job of run_crosscheck.
+its own, and it is dropped when the scope exits.  Two callers open a
+scope: compute_hierarchy, once per (t, X) for every observable of a
+plan, and each t job of run_crosscheck.
 No function below opens one, photon_rate_expansion included: a nested
 scope starts an empty table, so it would integrate the chains again.
 """
@@ -314,8 +320,6 @@ def _propagator_sweep(model: Model, t: float, x: PhaseVector, n: int) -> np.ndar
     """G(u_i, 0, X) on the uniform grid u_i = i t / n, shape (n+1, sd, sd):
     every (steps/n)-th state of the propagator chain, polar-projected in one
     batched SVD."""
-    if t == 0.0 or n == 0:
-        return np.tile(np.eye(model.spin_dim, dtype=complex), (n + 1, 1, 1))
     steps = _chain_steps(t, n)
     return _polar_project(_propagator_chain(model, t, x, steps)[:: steps // n])
 
@@ -685,9 +689,9 @@ def _maxwell_chain(model: Model, t: float, x: PhaseVector, steps: int):
     is W -> mu(x) W - dt/6 sum_i c_i(x) src(y_i) over the stage states y_i
     of R, with mu = 1 + x + x^2/2 + x^3/6 + x^4/24 and
     c = (1 + x + x^2/2 + x^3/4, 2 + x + x^2/2, 2 + x, 1).  The stages are
-    combined, and the recurrence summed, in rotation space; the spin
-    matrices and mode weights enter only at the nodes a read takes
-    (_maxwell_sweep).  Returns (R (steps+1, N, 3, 3),
+    combined, and the recurrence summed, in rotation space; the mode
+    weights and the read's vectors enter only at the nodes a read takes
+    (_radiated).  Returns (R (steps+1, N, 3, 3),
     sums (G, steps+1, N, 3, 3)), sums[:, k] the combined source of W(u_k)."""
     N = model.N
     dt, stage = _chain_stages(t, steps)
@@ -713,20 +717,6 @@ def _maxwell_chain(model: Model, t: float, x: PhaseVector, steps: int):
     return r, sums
 
 
-def _mode_weights(model: Model) -> np.ndarray:
-    """The real map from a node's (Re, Im) x (lam, m) combined source of
-    W = Z_q + i Z_p to the (q, p) parts of every mode amplitude:
-
-        Z_q = -(F B)_q S(Re W) + (F B)_p S(Im W),
-        Z_p = -(F B)_p S(Re W) - (F B)_q S(Im W),
-
-    S(V)_a = sum_k V_ak sigma^lam_k, as weights[s, r, lam, m, j] of shape
-    (2, 2, N, 3, D): output part s, input part r, mode j."""
-    fq, fp = stack_vectors([fmap(b) for b in model.coupling_list])  # (A, D) each
-    weights = np.stack([np.vstack([-fq, fp]), np.vstack([-fp, -fq])])  # (2, 2A, D)
-    return weights.reshape(2, 2, model.N, 3, model.D)
-
-
 @_shared
 def _maxwell_nodes(model: Model, t: float, x: PhaseVector, n: int):
     """Every (steps/n)-th state of the Maxwell chain, the nodes u_i = i t / n:
@@ -738,35 +728,46 @@ def _maxwell_nodes(model: Model, t: float, x: PhaseVector, n: int):
     return r[:: steps // n], np.stack([nodes.real, nodes.imag], axis=2)
 
 
-@_shared
-def _maxwell_sweep(model: Model, t: float, x: PhaseVector, n: int):
-    """Per-site rotations R^mu and the matrix-valued first-order mode
-    amplitudes Z on the uniform grid u_i = i t / n: the Maxwell chain's
-    node reads (_maxwell_nodes), with the mode products taken at those
-    nodes only.  Returns (R_path (n+1, N, 3, 3), Z_path (n+1, 2, D, sd, sd))."""
-    D, sd, N = model.D, model.spin_dim, model.N
-    z_path = np.zeros((n + 1, 2, D, sd, sd), dtype=complex)
-    if t == 0.0 or n == 0:
-        return np.tile(np.eye(3), (n + 1, N, 1, 1)), z_path
-    r, rows = _maxwell_nodes(model, t, x, n)
-    # a (Re, Im) x (lam, m, k) row vector per node and group
-    rows = rows.reshape(len(rows), n + 1, 1, -1)
-    # one real matrix per group from the rows to (q/p, mode, sd, sd)
-    weights = _mode_weights(model)
+def _radiated(model: Model, rows: np.ndarray, vecs) -> np.ndarray:
+    """Real coefficients c[v, l, k, i] of the radiated field vecs[v] . Z
+    against the spin operators S_{l,k} of every site, at each node i of
+    rows, a node slice of _maxwell_nodes: vecs[v] . Z(u_i) = sum_{l,k}
+    c[v, l, k, i] S_{l,k}.  No mode amplitude Z is built.
+
+    Per frequency group, W = Z_q + i Z_p has the combined source C of the
+    node's rows, and
+
+        Z_q = -(F B)_q S(Re C) + (F B)_p S(Im C),
+        Z_p = -(F B)_p S(Re C) - (F B)_q S(Im C),
+
+    S(C)_a = sum_k C_ak sigma^lam_k, as weights[s, r, l, m, j]: output part
+    s, input part r, mode j.  Contracted with vecs over the modes of each
+    group g, they make one real table P[l, v, (g, r, m)] against the rows."""
+    N, nodes = model.N, rows.shape[1]
+    fq, fp = stack_vectors([fmap(b) for b in model.coupling_list])  # (A, D) each
+    weights = np.stack([np.vstack([-fq, fp]), np.vstack([-fp, -fq])])
+    weights = weights.reshape(2, 2, N, 3, model.D)
     _, group_of = model.grid.frequency_groups
-    for g, row in enumerate(rows):
+    vqp = np.stack(stack_vectors(vecs), axis=1)  # (V, 2, D)
+    ptab = np.empty((N, len(vecs), len(rows), 2, 3))
+    for g in range(len(rows)):
         modes = group_of == g
-        m_g = np.einsum("srlmj,lkcd->rlmksjcd", weights[..., modes], model.spin_ops)
-        # one vector-matrix product per node, so a node's value does not
-        # depend on how many nodes the read takes
-        z_g = (row @ m_g.reshape(rows.shape[-1], -1).view(float)).view(complex)
-        z_path[:, :, modes] = z_g.reshape(n + 1, 2, -1, sd, sd)
-    return r, z_path
+        ptab[:, :, g] = np.einsum(
+            "vsj,srlmj->lvrm", vqp[..., modes], weights[..., modes]
+        )
+    # node index last, so the product runs along it
+    src = rows.transpose(3, 0, 2, 4, 5, 1).reshape(N, -1, 3 * nodes)
+    c = (ptab.reshape(N, len(vecs), -1) @ src).reshape(N, len(vecs), 3, nodes)
+    return c.swapaxes(0, 1)
 
 
-def _contract_field(vec: PhaseVector, z: np.ndarray) -> np.ndarray:
-    """(vec . Z) for matrix-valued mode amplitudes Z of shape (2, D, sd, sd)."""
-    return np.einsum("j,jcd->cd", vec.q, z[0]) + np.einsum("j,jcd->cd", vec.p, z[1])
+def _radiated_endpoint(model: Model, t: float, x: PhaseVector, vecs) -> np.ndarray:
+    """The spin matrices vecs[v] . Z(t), shape (V, sd, sd), at the endpoint
+    of the Maxwell chain that serves _N0 panels.  Z(t) is a chain state,
+    not a quadrature, so no refinement runs: a finer grid on the same chain
+    would read the same state again."""
+    rows = _maxwell_nodes(model, t, x, _N0)[1][:, -1:]
+    return model.spin_matrix(_radiated(model, rows, vecs).reshape(len(vecs), -1))
 
 
 @dataclass
@@ -779,11 +780,13 @@ class MaxwellCheckReport:
 
 
 def first_order_modes(model: Model, t: float, x: PhaseVector) -> np.ndarray:
-    """Matrix-valued mode amplitudes Z(t) of the sourced Maxwell system: the
-    endpoint of the Maxwell chain that serves _N0 panels.  Z(t) is a chain
-    state, not a quadrature, so no refinement runs: a finer grid on the
-    same chain would read the same state again."""
-    return _maxwell_sweep(model, t, x, _N0)[1][-1]
+    """Matrix-valued mode amplitudes Z(t) of the sourced Maxwell system,
+    shape (2, D, sd, sd): the radiated field read along the 2D unit mode
+    vectors, q part first."""
+    D, sd = model.D, model.spin_dim
+    eye, zero = np.eye(D), np.zeros(D)
+    units = [PhaseVector(e, zero) for e in eye] + [PhaseVector(zero, e) for e in eye]
+    return _radiated_endpoint(model, t, x, units).reshape(2, D, sd, sd)
 
 
 def maxwell_cross_check(
@@ -792,25 +795,28 @@ def maxwell_cross_check(
     """Compare B^[1] from the sourced mode system against the recursion at
     every spin site, with the analytic divergence of the reconstructed
     first-order fields."""
-    z = first_order_modes(model, t, x)
+    grid, config = model.grid, model.config
+    vecs = []
+    for pt in config.positions:
+        grads = [coupling_B_gradient(grid, config, m, pt)[m - 1] for m in (1, 2, 3)]
+        vecs += [coupling_B(grid, config, m, pt) for m in (1, 2, 3)] + grads
+        vecs += [apply_helicity(grid, g) for g in grads]
+    # [site, (B_m, d_m B_m, J d_m B_m), m] . Z, each term of the divergences
+    # of B^[1] and E^[1] read on its own
+    sd = model.spin_dim
+    fields = _radiated_endpoint(model, t, x, vecs).reshape(model.N, 3, 3, sd, sd)
     max_dev = div_b = div_e = 0.0
-    for pt in (np.asarray(p, dtype=float) for p in model.config.positions):
-        acc_b = np.zeros((model.spin_dim,) * 2, dtype=complex)
-        acc_e = np.zeros_like(acc_b)
+    for pt, (lhs, d_b, d_e) in zip(config.positions, fields):
         for m in (1, 2, 3):
-            lhs = _contract_field(coupling_B(model.grid, model.config, m, pt), z)
             obs = ObservableSpec(kind="field_B", m=m, x=pt)
             rhs = order_j(model, obs, 1, t, x, tol=min(tol * 0.1, 1e-7))
             scale = np.maximum(np.linalg.norm(rhs), 1e-12)
             # an infinite coefficient gives inf / inf: a NaN, and a failed check
             with np.errstate(invalid="ignore"):
-                dev = np.linalg.norm(lhs - rhs) / scale
+                dev = np.linalg.norm(lhs[m - 1] - rhs) / scale
             max_dev = np.maximum(max_dev, dev)
-            grads = coupling_B_gradient(model.grid, model.config, m, pt)
-            acc_b += _contract_field(grads[m - 1], z)
-            acc_e += _contract_field(apply_helicity(model.grid, grads[m - 1]), z)
-        div_b = np.maximum(div_b, np.linalg.norm(acc_b))
-        div_e = np.maximum(div_e, np.linalg.norm(acc_e))
+        div_b = np.maximum(div_b, np.linalg.norm(d_b.sum(axis=0)))
+        div_e = np.maximum(div_e, np.linalg.norm(d_e.sum(axis=0)))
     # np.maximum keeps a NaN, so a non-finite comparison fails its check
     return MaxwellCheckReport(
         max_rel_dev=float(max_dev),
@@ -829,13 +835,9 @@ def _spin1_on_grid(model, lam, t, x, n):
     kappa(w) . sigma^lam), in real coefficients on the Maxwell chain's
     node reads, with one complex product at the end.
 
-    The radiated-field coupling b1_a = B^lam_a . Z is a real combination of
-    the spin operators S_{l,k} of all sites,
-
-        beta1[w, a, l, k] = sum_{g,r,m} rows[g, w, r, l, m, k] P[g, a, r, l, m],
-
-    rows the (Re, Im) of the chain's node sums and P = B^lam . _mode_weights
-    summed over each frequency group, so no mode amplitude Z is built.  With
+    The radiated-field coupling b1_a = B^lam_a . Z is a real combination
+    beta1[a, l, k, w] of the spin operators S_{l,k} of all sites, read from
+    the chain's node sums by _radiated, so no mode amplitude Z is built.  With
     s0_b = sum_k' R_w[b, k'] sigma^lam_k', the symmetrized coupling
     eps_{nab} {b1_a, s0_b} = {b1_{n+1}, s0_{n+2}} - {b1_{n+2}, s0_{n+1}} is
     sum C[w, n, l, k, k'] {S_{l,k}, sigma^lam_k'} with real C: one fixed
@@ -861,14 +863,7 @@ def _spin1_on_grid(model, lam, t, x, n):
     sig = model.spin_ops[lam]
     bsl = model.couplings[lam]
 
-    # P[l, a, (g, r, m)] = sum_{s, j in g} B^lam[a, s, j] weights[s, r, l, m, j]
-    _, group_of = model.grid.frequency_groups
-    groups = group_of[:, None] == np.arange(len(rows))  # (D, G)
-    bqp = np.stack(stack_vectors(bsl), axis=1)  # (3, 2, D)
-    ptab = np.einsum("asj,srlmj,jg->lagrm", bqp, _mode_weights(model), groups)
-    # beta1[a, l, k, w], node index last, so the products below run along it
-    src = rows.transpose(3, 0, 2, 4, 5, 1).reshape(N, -1, 3 * (n + 1))
-    beta1 = (ptab.reshape(N, 3, -1) @ src).reshape(N, 3, 3, n + 1).swapaxes(0, 1)
+    beta1 = _radiated(model, rows, bsl)  # [a, l, k, w]
     # C[n, l, k, k', w] = beta1[n+1, l, k, w] R_w[n+2, k'] - (n+1 <-> n+2)
     rt = r_path.transpose(1, 2, 0)  # [b, k', w]
     cpl = (
@@ -879,7 +874,9 @@ def _spin1_on_grid(model, lam, t, x, n):
     # K(w): same-site contraction of coupling pairings with the rotation
     # transport; pbb[c,m,w-u] = sum_g alpha cos(g(w-u)) + beta sin(g(w-u))
     pairing = flow_pairing(model.grid, bsl, bsl)
-    y = r_path.swapaxes(1, 2)[:, None] @ _EPS3 @ r_path[:, None]  # (n+1, 3, 3, 3)
+    # Y_u[m, r, q] = R_u[m+1, r] R_u[m+2, q] - R_u[m+2, r] R_u[m+1, q]
+    nxt, lst = r_path[:, _NEXT], r_path[:, _LAST]  # [u, m, r]
+    y = nxt[..., None] * lst[:, :, None] - lst[..., None] * nxt[:, :, None]
     lag = _lag_convolution(pairing.omegas, dt, y, suffix=False)  # (2, G, n+1, ...)
     coef = np.stack([pairing.alpha, pairing.beta])  # (2, G, 3, 3)
     conv = coef.reshape(-1, 1, 3, 3) @ lag.reshape(-1, n + 1, 3, 9)

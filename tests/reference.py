@@ -30,9 +30,10 @@ from blochlab.hierarchy import (
     _cross_mat,
     _duhamel_forcing,
     _lag_convolution,
-    _maxwell_sweep,
+    _maxwell_nodes,
     _polar_project,
     _propagator_sweep,
+    _radiated,
     _site_spins,
     _trap_weights,
     observable_form,
@@ -326,12 +327,25 @@ def order1_nodes(model: Model, obs: ObservableSpec, t: float, x: PhaseVector, n:
     return (w @ term.sum(axis=1).reshape(n + 1, -1)).reshape(sd, sd)
 
 
+def maxwell_modes(model: Model, t: float, x: PhaseVector, n: int):
+    """The rotations and the full mode amplitudes Z at the nodes of n
+    panels, (R (n+1, N, 3, 3), Z (n+1, 2, D, sd, sd)): the Maxwell chain's
+    node reads projected along the 2D unit mode vectors, q part first."""
+    D, sd = model.D, model.spin_dim
+    eye, zero = np.eye(D), np.zeros(D)
+    units = [PhaseVector(e, zero) for e in eye] + [PhaseVector(zero, e) for e in eye]
+    r, rows = _maxwell_nodes(model, t, x, n)
+    c = _radiated(model, rows, units).reshape(2 * D, -1, n + 1)  # [v, (l, k), i]
+    z = model.spin_matrix(c.swapaxes(1, 2))  # (2D, n+1, sd, sd)
+    return r, z.reshape(2, D, n + 1, sd, sd).transpose(2, 0, 1, 3, 4)
+
+
 def spin1_products(model: Model, lam: int, t: float, x: PhaseVector, n: int):
     """S^{[lam, 1]}(t, X) on n trapezoid panels from the full mode
-    amplitudes Z of _maxwell_sweep: the radiated coupling b1 = B^lam . Z and
+    amplitudes Z of maxwell_modes: the radiated coupling b1 = B^lam . Z and
     the symmetrized eps_{nab} {b1_a, S^0_b} as complex matrix products at
     every node, then transported node by node."""
-    r_all, z_path = _maxwell_sweep(model, t, x, n)
+    r_all, z_path = maxwell_modes(model, t, x, n)
     r_path = r_all[:, lam]  # (n+1, 3, 3)
     D, sd = model.D, model.spin_dim
     dt = t / n

@@ -16,9 +16,8 @@ from blochlab.hierarchy import (
     MaxwellCheckReport,
     PHOTON_RATE_SIGN,
     _chain_steps,
-    _contract_field,
     _cross_mat,
-    _maxwell_sweep,
+    _maxwell_nodes,
     _order1_on_grid,
     _order_high,
     _polar_project,
@@ -31,6 +30,7 @@ from blochlab.hierarchy import (
     _trap_weights,
     bloch_spin0,
     compute_hierarchy,
+    first_order_modes,
     maxwell_cross_check,
     observable_form,
     order0,
@@ -43,8 +43,10 @@ from blochlab.hierarchy import (
 )
 from blochlab.model import (
     Model,
+    ModelConfig,
     PhaseVector,
     chi_flow_vector,
+    coupling_B_gradient,
     flow_pairing,
     fmap,
     minimal_grid_config,
@@ -55,11 +57,27 @@ from blochlab.oracle import ObservableSpec
 from blochlab.stepper import _rk4
 from conftest import random_phase_vector, zero_vector
 from reference import (
+    maxwell_modes,
     order1_nodes,
     propagator_adaptive,
     rotation_adaptive,
     spin1_products,
 )
+
+
+@pytest.fixture(scope="module")
+def skew_model():
+    """Two spins on a grid of three non-axis directions, where the
+    divergence terms d_m B_m of the couplings do not vanish."""
+    cfg = ModelConfig(
+        N=2,
+        positions=[[0.0, 0.0, 0.0], [1.0, 0.3, -0.2]],
+        beta=(0.2, 0.0, 0.7),
+        grid_radial_nodes=2,
+        grid_kmax=3.0,
+        grid_directions=[[1.0, 0.4, -0.3], [-0.2, 1.0, 0.5], [0.3, -0.6, 1.0]],
+    )
+    return Model(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -427,9 +445,20 @@ class TestDualPaths:
         s1 = spin_correction1(free_model, 1.0, x)[0]
         np.testing.assert_allclose(s1.matrices, 0.0, atol=1e-12)
 
-    def test_maxwell_cross_check(self, minimal_model, rng):
-        x = random_phase_vector(rng, 4, scale=0.4)
-        rep = maxwell_cross_check(minimal_model, 0.9, x, tol=1e-6)
+    @pytest.mark.parametrize("name", ["minimal_model", "octa_model", "skew_model"])
+    def test_maxwell_cross_check(self, request, rng, name):
+        # on the z and octahedral grids every d_m B_m vanishes, so only the
+        # skew grid gives the divergence residuals something to cancel
+        model = request.getfixturevalue(name)
+        if name == "skew_model":
+            grads = [
+                coupling_B_gradient(model.grid, model.config, m, pt)[m - 1]
+                for pt in model.config.positions
+                for m in (1, 2, 3)
+            ]
+            assert max(np.max(np.abs(g.q)) for g in grads) > 0.01
+        x = random_phase_vector(rng, model.D, scale=0.4)
+        rep = maxwell_cross_check(model, 0.9, x, tol=1e-6)
         assert isinstance(rep, MaxwellCheckReport)
         assert rep.max_rel_dev <= 1e-6
         assert rep.div_b_residual <= 1e-10
@@ -480,7 +509,9 @@ def _propagator_reference(model, t, x, n):
 
 
 def _maxwell_reference(model, t, x, n):
-    """_maxwell_sweep with the site fields evaluated step by step."""
+    """The Maxwell chain's rotations and mode amplitudes Z at the nodes of n
+    panels (reference.maxwell_modes), with the site fields evaluated step
+    by step."""
     D, sd, N = model.D, model.spin_dim, model.N
     om = model.grid.slot_omegas
     fbs = [fmap(model.couplings[lam][m]) for lam in range(N) for m in range(3)]
@@ -552,7 +583,10 @@ def _spin1_reference(model, lam, t, sweep):
     out = np.zeros((3, sd, sd), dtype=complex)
     for iw in range(n + 1):
         rw = r_path[iw]
-        b1 = np.stack([_contract_field(bsl[a], z_path[iw]) for a in range(3)])
+        zq, zp = z_path[iw]
+        b1 = np.stack(
+            [np.tensordot(b.q, zq, 1) + np.tensordot(b.p, zp, 1) for b in bsl]
+        )
         s0 = np.einsum("bk,kcd->bcd", rw, sig)
         frc = np.einsum("nab,acd,bde->nce", _EPS3, b1, s0) + np.einsum(
             "nab,bcd,ade->nce", _EPS3, s0, b1
@@ -593,10 +627,14 @@ class TestGridKernels:
     def test_maxwell_sweep_matches_stepwise(self, octa_model, rng, t):
         assert len(np.unique(octa_model.grid.slot_omegas)) == 2
         x = random_phase_vector(rng, octa_model.D, scale=0.5)
-        r, z = _maxwell_sweep(octa_model, t, x, 16)
+        r, z = maxwell_modes(octa_model, t, x, 16)
         r_ref, z_ref = _shared_maxwell_reference(octa_model, t, x, 16)
         assert np.max(np.abs(r - r_ref)) <= 1e-13 * np.max(np.abs(r_ref))
         assert np.max(np.abs(z - z_ref)) <= 1e-13 * np.max(np.abs(z_ref))
+        # Z(t) on _N0 panels: the same chain as 16 panels at these t
+        assert _chain_steps(t, 32) == _chain_steps(t, 16)
+        z_end = first_order_modes(octa_model, t, x)
+        assert np.max(np.abs(z_end - z_ref[-1])) <= 1e-13 * np.max(np.abs(z_ref[-1]))
 
     @pytest.mark.parametrize("t", [0.37, 1.9])
     def test_spin1_matches_quadratic_reference(self, octa_model, rng, t):
@@ -620,7 +658,7 @@ class TestGridKernels:
         g = _propagator_sweep(model, t, x, n)
         g_ref = _propagator_reference(model, t, x, n)
         assert np.max(np.abs(g - g_ref)) <= 1e-13
-        r, z = _maxwell_sweep(model, t, x, n)
+        r, z = maxwell_modes(model, t, x, n)
         r_ref, z_ref = _maxwell_reference(model, t, x, n)
         assert np.max(np.abs(r - r_ref)) <= 1e-13
         assert np.max(np.abs(z - z_ref)) <= 1e-13 * np.max(np.abs(z_ref))
@@ -645,22 +683,12 @@ class TestGridKernels:
         sd = octa_model.spin_dim
         g = _propagator_sweep(octa_model, 0.0, x, 32)
         np.testing.assert_array_equal(g, np.broadcast_to(np.eye(sd), (33, sd, sd)))
-        r, z = _maxwell_sweep(octa_model, 0.0, x, 32)
+        r, z = maxwell_modes(octa_model, 0.0, x, 32)
         np.testing.assert_array_equal(r, np.broadcast_to(np.eye(3), (33, 2, 3, 3)))
         np.testing.assert_array_equal(z, 0.0)
+        np.testing.assert_array_equal(first_order_modes(octa_model, 0.0, x), 0.0)
         for trip in spin_correction1(octa_model, 0.0, x):
             np.testing.assert_array_equal(trip.matrices, 0.0)
-
-    def test_no_panels(self, octa_model, rng):
-        # n = 0 at t > 0: the sweeps hold their initial rows only
-        x = random_phase_vector(rng, octa_model.D, scale=0.5)
-        sd = octa_model.spin_dim
-        g = _propagator_sweep(octa_model, 0.7, x, 0)
-        np.testing.assert_array_equal(g, np.eye(sd)[None])
-        r, z = _maxwell_sweep(octa_model, 0.7, x, 0)
-        np.testing.assert_array_equal(r, np.broadcast_to(np.eye(3), (1, 2, 3, 3)))
-        assert z.shape == (1, 2, octa_model.D, sd, sd)
-        np.testing.assert_array_equal(z, 0.0)
 
 
 class TestOrder1Contraction:
@@ -713,27 +741,16 @@ class TestSpin1Coefficients:
                 ref = spin1_products(model, lam, t, x, n)
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    def test_reads_no_mode_amplitudes(self, octa_model, rng, monkeypatch):
-        # B . Z comes straight from the chain's node sums: no Z is built
-        def refuse(*args):
-            raise AssertionError("spin_correction1 read _maxwell_sweep")
-
-        monkeypatch.setattr(hierarchy, "_maxwell_sweep", refuse)
-        x = random_phase_vector(rng, octa_model.D, scale=0.5)
-        with shared_sweeps(octa_model, 1.0, x):
-            triples = spin_correction1(octa_model, 1.0, x, tol=1e-6)
-        assert [tr.lam for tr in triples] == [1, 2]
-
     def test_maxwell_check_reads_one_node_grid(self, octa_model, rng, monkeypatch):
         # Z(t) is the chain's endpoint, read once on _N0 panels, not refined
         seen = []
-        real = hierarchy._maxwell_sweep
+        real = hierarchy._maxwell_nodes
 
         def counting(model, t, x, n):
             seen.append(n)
             return real(model, t, x, n)
 
-        monkeypatch.setattr(hierarchy, "_maxwell_sweep", counting)
+        monkeypatch.setattr(hierarchy, "_maxwell_nodes", counting)
         x = random_phase_vector(rng, octa_model.D, scale=0.5)
         maxwell_cross_check(octa_model, 1.0, x, tol=1e-6)
         assert seen == [32]
@@ -803,8 +820,8 @@ class TestSharedSweeps:
                 _propagator_sweep(octa_model, 0.5, x, 16)
                 _propagator_sweep(octa_model, self.T, twin, 16)
                 _propagator_sweep(other, self.T, x, 16)
-                _maxwell_sweep(octa_model, self.T, x, 16)
-                _maxwell_sweep(octa_model, 0.5, x, 16)
+                _maxwell_nodes(octa_model, self.T, x, 16)
+                _maxwell_nodes(octa_model, 0.5, x, 16)
         kinds = [kind for kind, _ in calls]
         assert kinds.count("propagator") == 1 + 2 * 3
         assert kinds.count("maxwell") == 1 + 2
@@ -832,13 +849,13 @@ class TestSharedSweeps:
     @pytest.mark.parametrize("n", [16, 512])
     def test_reads_nest_bitwise(self, octa_model, rng, n):
         # node i of n panels is node 2i of 2n panels: the same chain state,
-        # with the same per-node projection and mode products
+        # with the same per-node projection and mode read
         x = random_phase_vector(rng, octa_model.D, scale=0.5)
         assert _chain_steps(self.T, 2 * n) == _chain_steps(self.T, n)
         with shared_sweeps(octa_model, self.T, x):
             g, g2 = (_propagator_sweep(octa_model, self.T, x, k) for k in (n, 2 * n))
             (r, z), (r2, z2) = (
-                _maxwell_sweep(octa_model, self.T, x, k) for k in (n, 2 * n)
+                maxwell_modes(octa_model, self.T, x, k) for k in (n, 2 * n)
             )
         np.testing.assert_array_equal(g, g2[::2])
         np.testing.assert_array_equal(r, r2[::2])
@@ -848,8 +865,8 @@ class TestSharedSweeps:
         x = random_phase_vector(rng, octa_model.D, scale=0.5)
         with shared_sweeps(octa_model, self.T, x):
             g = _propagator_sweep(octa_model, self.T, x, 16)
-            r, z = _maxwell_sweep(octa_model, self.T, x, 16)
-            for a in (g, r, z, r[:, 1]):
+            r, rows = _maxwell_nodes(octa_model, self.T, x, 16)
+            for a in (g, r, rows, r[:, 1]):
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 0.0
 
