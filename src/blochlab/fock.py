@@ -8,6 +8,9 @@ vacuum is index 0 and dim = binom(D + n_max, D).
 Complex mode coordinates are z_j = (q_j + i p_j) / sqrt(2 h); the free flow
 acts as z -> e^{-i omega t} z, matching the phase-space rotation used in
 the model layer.
+
+scipy.sparse is imported inside the functions that build CSR matrices
+(annihilator, segal_field), so importing this module loads no sparse stack.
 """
 
 from __future__ import annotations
@@ -16,11 +19,14 @@ import warnings
 import weakref
 from dataclasses import dataclass
 from math import comb
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from blochlab.model import ModelError, PhaseVector
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 # coherent_state warns when the cutoff loses more than this mass
@@ -90,6 +96,8 @@ class FockBasis:
         cached = self._ladder_cache.get(j)
         if cached is not None:
             return cached
+        import scipy.sparse as sp
+
         occ = self.occupations
         cols = np.nonzero(occ[:, j] > 0)[0]
         data = np.sqrt(occ[cols, j].astype(float))
@@ -137,6 +145,8 @@ def segal_field(basis: FockBasis, h: float, v: PhaseVector) -> sp.csr_matrix:
         raise ModelError("h must be positive")
     if v.dim != basis.D:
         raise ModelError("dimension mismatch")
+    import scipy.sparse as sp
+
     sq = np.sqrt(h / 2.0)
     c = v.q - 1j * v.p
     rows, cols, vals = [], [], []

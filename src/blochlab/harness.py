@@ -28,6 +28,7 @@ from .fock import (
     FockBasis,
     coherent_overlap,
     coherent_state,
+    wick_symbol,
 )
 from .hierarchy import (
     bloch_spin0,
@@ -65,7 +66,6 @@ from .symbols import (
     mizrahi_compose,
     wick_quantize,
 )
-from .fock import wick_symbol
 
 WORKERS_ENV = "BLOCHLAB_WORKERS"
 

@@ -794,7 +794,14 @@ def maxwell_cross_check(
 ) -> MaxwellCheckReport:
     """Compare B^[1] from the sourced mode system against the recursion at
     every spin site, with the analytic divergence of the reconstructed
-    first-order fields."""
+    first-order fields.
+
+    What it does not check: every B_m and d_m B_m is a pure q-vector, so
+    the B^[1] comparison reads only the q half of Z; and sum_m d_m B_m
+    vanishes as a phase vector, so the residuals div_b and div_e cancel
+    for any linear read of Z, right or wrong.  The p half Z_p is held only
+    by the step-by-step Z tests, test_maxwell_sweep_matches_stepwise and
+    test_sweeps_match_stepwise_sine_terms."""
     grid, config = model.grid, model.config
     vecs = []
     for pt in config.positions:

@@ -65,14 +65,18 @@ A frame (the 2^N states xi_j of one h) is an array of shape (fock_dim,
 spin_dim, n_states); a group stacks its frames on a leading axis and
 evolves them in one integration.  The operators act on a frame's Fock-major
 view of shape (fock_dim * spin_dim, n_states).
+
+scipy.sparse is imported only where a CSR matrix is built (TensorOperators,
+Hamiltonian.generator, _stacked_generator), so a hierarchy-only run such as
+the crosscheck never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from blochlab.fock import FockBasis, gamma_free_phases, segal_field
 from blochlab.model import (
@@ -85,6 +89,9 @@ from blochlab.model import (
     fmap,
 )
 from blochlab.stepper import GroupLog, integrate_adaptive
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_TOL = 1e-9
 DEFAULT_TAIL_TOL = 1e-10
@@ -173,6 +180,8 @@ class TensorOperators:
     """
 
     def __init__(self, model: Model, basis: FockBasis):
+        import scipy.sparse as sp
+
         eye = sp.identity(basis.dim, dtype=complex, format="csr")
         spin_const = model.spin_matrix(model.site_beta)
         self.h0 = sp.kron(eye, sp.csr_matrix(spin_const), format="csr")
@@ -245,6 +254,8 @@ class Hamiltonian:
         group's s x s drive matrix over sqrt(h/2), written into a copy of
         the shared pattern's values.
         """
+        import scipy.sparse as sp
+
         z = (x.q + 1j * x.p) / np.sqrt(2.0 * self.h)
         drives = []
         for _, coeff in self.ops.groups:
@@ -287,6 +298,8 @@ def _stacked_generator(hams: list, x: PhaseVector) -> sp.csr_matrix:
     with the rows taken block by block: block b of every frame, then block
     b + 1.  Each row keeps its entries, so it sums as in its own generator.
     For one frame this is its generator."""
+    import scipy.sparse as sp
+
     gen = sp.block_diag([ham.generator(x) for ham in hams], format="csr")
     rows = np.arange(gen.shape[0]).reshape(len(hams), -1, hams[0].ops.h0.shape[0])
     return gen[rows.transpose(1, 0, 2).ravel()]

@@ -26,7 +26,6 @@ from math import factorial
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from blochlab.fock import FockBasis
 from blochlab.model import ModelError, PhaseVector
@@ -258,6 +257,8 @@ def wick_quantize(f: PolySymbol, basis: FockBasis, h: float):
         raise ModelError("dimension mismatch")
     if f.degree > basis.n_max:
         raise ModelError("symbol degree exceeds photon cutoff")
+    import scipy.sparse as sp
+
     shape = f.value_shape()
     sdim = shape[0] if shape else 1
     n = basis.dim * sdim

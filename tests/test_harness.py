@@ -5,6 +5,8 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -764,6 +766,31 @@ class TestCrosscheckCommand:
         assert cli.main(["crosscheck", str(plan_path), "--json", str(given)]) == 0
         assert json.loads(given.read_text())["kind"] == "crosscheck"
         assert not json_out.exists() and not csv_out.exists()
+
+    def test_loads_no_sparse_stack(self):
+        # the crosscheck builds no Fock operator, so a fresh process that
+        # runs it never imports scipy.sparse; this session has loaded it
+        # already (tests/reference.py), hence the subprocess
+        root = Path(__file__).resolve().parent.parent
+        script = (
+            "import json, sys\n"
+            "import blochlab.cli\n"
+            "from blochlab.harness import ExperimentPlan, run_crosscheck\n"
+            f"d = json.loads(open({str(root / 'plans' / 'desk_scale.json')!r}).read())\n"
+            f"d['t'] = {TestCrosscheck.DESK_T!r}\n"
+            "report = run_crosscheck(ExperimentPlan.from_dict(d))\n"
+            "assert report.passed\n"
+            "assert 'scipy.sparse' not in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 def _load_tracing(monkeypatch):
