@@ -8,12 +8,7 @@ Run as: python3 demos/precession_tour.py
 import numpy as np
 
 from blochlab import Model, PhaseVector, minimal_grid_config
-from blochlab.hierarchy import (
-    bloch_spin0,
-    first_order_modes,
-    maxwell_cross_check,
-    order0,
-)
+from blochlab.hierarchy import bloch_spin0, maxwell_cross_check, order0, order_j
 from blochlab.oracle import ObservableSpec
 
 model = Model(minimal_grid_config(beta=(0.0, 0.0, 1.0)))
@@ -48,6 +43,9 @@ print(f"  max relative deviation vs recursion: {report.max_rel_dev:.2e}")
 print(f"  analytic divergence (B, E): {report.div_b_residual:.2e}, "
       f"{report.div_e_residual:.2e}")
 
-z = first_order_modes(model, 1.0, x)
-print("  sourced mode amplitude norms:",
-      ", ".join(f"{np.linalg.norm(z[i]):.3f}" for i in range(2)))
+# the radiated field B^[1] at the spin itself, one 2x2 matrix per axis
+spot = np.zeros(3)
+b1 = [order_j(model, ObservableSpec(kind="field_B", m=m, x=spot), 1, 1.0, x)
+      for m in (1, 2, 3)]
+print("  radiated field at the spin, |B^[1]_m|:",
+      ", ".join(f"{np.linalg.norm(b):.2e}" for b in b1))

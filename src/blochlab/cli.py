@@ -54,7 +54,8 @@ def _cmd_selftest(args) -> int:
 def _report_convergence(plan: ExperimentPlan, args, command: str) -> int:
     report = run_convergence(plan)
     for f in report.fits:
-        slope = "exact" if f["slope"] is None else f"{f['slope']:.3f}"
+        slope = "-" if f["slope"] is None else f"{f['slope']:.3f}"
+        slope = "exact" if f["status"] == "exact" else slope
         print(
             f"{f['status']:>6s}  {f['observable']:30s} t={f['t']:g} "
             f"{f['X_id']} M={f['M']}  slope {slope}"
@@ -75,7 +76,6 @@ def _cmd_photon(args) -> int:
     plan = dataclasses.replace(
         plan,
         observables=(ObservableSpec(kind="number_rate"),),
-        M=min(plan.M, 1),
         json_path=None,
         csv_path=None,
     )

@@ -31,6 +31,7 @@ from .fock import (
     wick_symbol,
 )
 from .hierarchy import (
+    HierarchyError,
     bloch_spin0,
     compute_hierarchy,
     maxwell_cross_check,
@@ -147,8 +148,9 @@ class ExperimentPlan:
             raise HarnessError("every h must lie in (0, 1]")
         if np.any(np.diff(hs) >= 0.0):
             raise HarnessError("h list must be strictly decreasing")
-        if self.M < 0:
-            raise HarnessError("expansion order M must be >= 0")
+        # order_j stops at order 1, the last order whose values are checked
+        if self.M not in (0, 1):
+            raise HarnessError(f"expansion order M must be 0 or 1, got {self.M}")
         if self.n_max < 1:
             raise HarnessError("n_max must be positive")
         for name in ("tol", "oracle_tol"):
@@ -173,10 +175,6 @@ class ExperimentPlan:
             if obs.kind == "spin" and obs.lam > self.config.N:
                 raise HarnessError(
                     f"{obs.label()}: site {obs.lam} outside 1..{self.config.N}"
-                )
-            if obs.kind == "number_rate" and self.M > 1:
-                raise HarnessError(
-                    f"number_rate is expanded to order 1, the plan asks M = {self.M}"
                 )
 
     @property
@@ -387,11 +385,16 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
     points = [(t, x_id, x) for t in plan.t_samples for (x_id, x) in plan.x_samples]
 
     # coefficients are h-independent: one hierarchy build per (t, X) reads
-    # every observable, keyed by (label, t, X id)
+    # every observable, keyed by (label, t, X id).  A build that fails fails
+    # only the groups of its (t, X): their orders are the failure status.
     def _coeffs(point):
         t, x_id, x = point
-        orders = compute_hierarchy(model, plan.observables, t, x, plan.M, tol=plan.tol)
-        return [((obs.label(), t, x_id), o) for obs, o in zip(plan.observables, orders)]
+        observables = plan.observables
+        try:
+            orders = compute_hierarchy(model, observables, t, x, plan.M, tol=plan.tol)
+        except HierarchyError as exc:
+            orders = [f"failed:{exc}"] * len(observables)
+        return [((obs.label(), t, x_id), o) for obs, o in zip(observables, orders)]
 
     # one propagated frame per (h, t, X), in the frame displaced by W(X),
     # all h of one (t, X) integrated together as a frame group.  The
@@ -475,11 +478,14 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
             exact_group = zero_coupling or t == 0.0
             for x_id, _ in plan.x_samples:
                 orders = coefficients[(label, t, x_id)]
+                failure = orders if isinstance(orders, str) else None
                 hs, table = [], []
                 for h in plan.h_list:
                     evolved, status = frames[(h, t, x_id)]
                     error, hygiene = None, {}
-                    if evolved is not None:
+                    if evolved is not None and failure:
+                        hygiene, status = evolved[3], failure
+                    elif evolved is not None:
                         frame, y, ham, hygiene = evolved
                         exact = np.atleast_2d(
                             frame_symbol(frame, apply_observable(ham, obs, frame, y))
@@ -497,7 +503,8 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
                 # every partial sum gets a fit row, even with no cell left
                 for j in range(plan.M + 1):
                     column = [row[j] for row in table]
-                    fits.append(_fit_row(label, t, x_id, j, hs, column, exact_group))
+                    fit = _fit_row(label, t, x_id, j, hs, column, exact_group)
+                    fits.append(dict(fit, status=failure) if failure else fit)
 
     cells.sort(key=_cell_sort_key)
     fits.sort(key=lambda f: (f["observable"], f["t"], f["X_id"], f["M"]))

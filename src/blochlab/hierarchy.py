@@ -2,9 +2,11 @@
 
 For affine observables A(X) = (F_A . X) I + S_A the evolved symbol expands
 in powers of h.  Order 0 is classical transport of the field part plus
-conjugation of the spin part by the propagator G(t, 0, X); higher orders
-follow a Duhamel recursion whose forcing pairs the constant gradient of
-the interaction symbol with directional derivatives of the previous order.
+conjugation of the spin part by the propagator G(t, 0, X); order 1
+follows a Duhamel recursion whose forcing pairs the constant gradient of
+the interaction symbol with directional derivatives of order 0.  Orders
+j >= 2 are refused (order_j) until they come with checks of their own
+(ROADMAP.md item 3).
 
 Two independent computational paths exist for the first-order objects:
 the recursion (order_j) and the sourced Maxwell / corrected Bloch systems
@@ -73,8 +75,7 @@ those node sums, _radiated: real coefficients of vec . Z against the spin
 operators S_{l,k} of all sites, from one real table per frequency group,
 so no mode amplitude Z is built.  The Bloch correction reads B^lam . Z at
 every node; maxwell_cross_check reads B_m and the divergence terms at
-every site, and first_order_modes the 2D unit mode vectors, both at the
-endpoint of the chain that serves _N0 panels.
+every site, at the endpoint of the chain that serves _N0 panels.
 
 Order 0 reads the chains' endpoints at _refine's first grid (_N0 panels):
 propagator_G is the projected propagator endpoint, with the unprojected
@@ -111,14 +112,13 @@ and keeps every node read taken from it, the conjugated coupling spins
 and the order-1 contraction among them, and hands the stored, read-only
 arrays to every later consumer at that (t, X): order0, bloch_spin0, the
 spin and field order_j calls of all axes, spin_correction1 of every site,
-maxwell_cross_check and first_order_modes (all from _maxwell_nodes), and
-the rotation tangents.  A refinement past steps panels reads a chain of n
-substeps of its own.  A chain for another model, t or X (the inner
-points of _order_high, the tangent probe's shifted points) integrates as
-usual.  The table lives in a context variable, so each pool thread has
-its own, and it is dropped when the scope exits.  Two callers open a
-scope: compute_hierarchy, once per (t, X) for every observable of a
-plan, and each t job of run_crosscheck.
+maxwell_cross_check (from _maxwell_nodes), and the rotation tangents.  A
+refinement past steps panels reads a chain of n substeps of its own.  A
+chain for another model, t or X (the tangent probe's shifted points)
+integrates as usual.  The table lives in a context variable, so each pool
+thread has its own, and it is dropped when the scope exits.  Two callers
+open a scope: compute_hierarchy, once per (t, X) for every observable of
+a plan, and each t job of run_crosscheck.
 No function below opens one, photon_rate_expansion included: a nested
 scope starts an empty table, so it would integrate the chains again.
 """
@@ -362,10 +362,11 @@ def _trap_weights(n: int, dt: float) -> np.ndarray:
     return w
 
 
-def _refine(compute, tol, n0=_N0, nmax=4096, label="quadrature"):
-    """Double the grid until the trapezoid result settles, then extrapolate."""
-    prev = compute(n0)
-    n = n0
+def _refine(compute, tol, nmax=4096, label="quadrature"):
+    """Double the grid from _N0 panels until the trapezoid result settles,
+    then extrapolate."""
+    n = _N0
+    prev = compute(n)
     while n < nmax:
         n *= 2
         cur = compute(n)
@@ -378,7 +379,7 @@ def _refine(compute, tol, n0=_N0, nmax=4096, label="quadrature"):
 
 
 # ---------------------------------------------------------------------------
-# order j >= 1 via the Duhamel recursion
+# order 1 via the Duhamel recursion
 
 
 def _duhamel_forcing(sig, db, dfb):
@@ -513,63 +514,18 @@ def order_j(
     x: PhaseVector,
     tol: float = 1e-7,
 ) -> np.ndarray:
-    """j-th hierarchy coefficient A^[j](t, X) of an affine observable."""
-    if j < 1:
-        raise HierarchyError("order_j handles j >= 1; use order0")
-    sd = model.spin_dim
+    """j-th hierarchy coefficient A^[j](t, X) of an affine observable, for
+    j = 1 only: order 0 is order0, and no order past 1 has its values
+    checked yet (ROADMAP.md item 3 brings order 2 with its checks)."""
+    if j != 1:
+        raise HierarchyError(f"order_j handles j = 1 only, got {j} (ROADMAP.md item 3)")
     if t == 0.0:
-        return np.zeros((sd, sd), dtype=complex)
-    if j == 1:
-        return _refine(
-            lambda n: _order1_on_grid(model, obs, t, x, n),
-            tol,
-            label="order-1 Duhamel quadrature",
-        )
-    return _order_high(model, obs, j, t, x, tol)
-
-
-def _central_difference(f, x: PhaseVector, v: PhaseVector):
-    """(f(X + s V) - f(X - s V)) / 2s with s = 1e-5 / |V|, for V != 0."""
-    step = 1e-5 / v.norm()
-    return (f(x + step * v) - f(x - step * v)) / (2.0 * step)
-
-
-def _directional_prev(model, obs, jm1, s, y, vs, tol):
-    """Central-difference directional derivatives of A^[j-1](s, .) at y
-    along each V of vs, stacked."""
-
-    def prev(z):
-        if jm1 == 0:
-            return order0(model, obs, s, z)
-        return order_j(model, obs, jm1, s, z, tol)
-
-    zero = np.zeros((model.spin_dim, model.spin_dim), dtype=complex)
-    return np.stack([_central_difference(prev, y, v) if v.norm() else zero for v in vs])
-
-
-def _order_high(model, obs, j, t, x, tol):
-    """Orders j >= 2: the same Duhamel integral with finite-difference
-    tangents of the previous order.  Accurate to the FD floor (~1e-8)."""
-    bs = model.coupling_list
-    fbs = [fmap(b) for b in bs]
-
-    def on_grid(n):
-        T = _propagator_sweep(model, t, x, n)
-        dt = t / n
-        w = _trap_weights(n, dt)
-        acc = np.zeros((model.spin_dim, model.spin_dim), dtype=complex)
-        for i in range(n + 1):
-            u = i * dt
-            y = chi_flow_vector(model.grid, u, x)
-            db, dfb = (
-                _directional_prev(model, obs, j - 1, t - u, y, vs, tol * 0.1)
-                for vs in (bs, fbs)
-            )
-            phi = _duhamel_forcing(model.sigmas, db, dfb).sum(axis=0)
-            acc += w[i] * (T[i] @ phi @ T[i].conj().T)
-        return acc
-
-    return _refine(on_grid, max(tol, 1e-6), n0=16, nmax=256, label="order-j quadrature")
+        return np.zeros((model.spin_dim,) * 2, dtype=complex)
+    return _refine(
+        lambda n: _order1_on_grid(model, obs, t, x, n),
+        tol,
+        label="order-1 Duhamel quadrature",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +604,12 @@ def _rotation_tangent(model, lam, t, x, vs) -> np.ndarray:
         q = phi[1::2, None] @ q[::2] + q[1::2]
         phi = phi[1::2] @ phi[::2]
     return q[0]
+
+
+def _central_difference(f, x: PhaseVector, v: PhaseVector):
+    """(f(X + s V) - f(X - s V)) / 2s with s = 1e-5 / |V|, for V != 0."""
+    step = 1e-5 / v.norm()
+    return (f(x + step * v) - f(x - step * v)) / (2.0 * step)
 
 
 def tangent_derivatives(
@@ -777,16 +739,6 @@ class MaxwellCheckReport:
     max_rel_dev: float
     div_b_residual: float
     div_e_residual: float
-
-
-def first_order_modes(model: Model, t: float, x: PhaseVector) -> np.ndarray:
-    """Matrix-valued mode amplitudes Z(t) of the sourced Maxwell system,
-    shape (2, D, sd, sd): the radiated field read along the 2D unit mode
-    vectors, q part first."""
-    D, sd = model.D, model.spin_dim
-    eye, zero = np.eye(D), np.zeros(D)
-    units = [PhaseVector(e, zero) for e in eye] + [PhaseVector(zero, e) for e in eye]
-    return _radiated_endpoint(model, t, x, units).reshape(2, D, sd, sd)
 
 
 def maxwell_cross_check(
@@ -944,10 +896,8 @@ def photon_rate_expansion(
     field order_j.  It opens no scope of its own, so inside
     compute_hierarchy it shares the chains and node reads of the other
     observables at (t, X)."""
-    if M < 0:
-        raise HierarchyError("expansion order must be nonnegative")
-    if M > 1:
-        raise HierarchyError("photon-rate expansion is provided to order 1")
+    if M not in (0, 1):
+        raise HierarchyError(f"photon-rate expansion order must be 0 or 1, asked {M}")
     sd = model.spin_dim
     y = chi_flow_vector(model.grid, t, x)
     spins0 = bloch_spin0(model, t, x)

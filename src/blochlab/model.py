@@ -27,7 +27,7 @@ grid of times.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -522,63 +522,6 @@ class Model:
         coefs = np.asarray(coefs)
         flat = coefs @ self.sigmas.reshape(len(self.sigmas), -1)
         return flat.reshape(coefs.shape[:-1] + self.sigmas.shape[1:])
-
-    def q_form(self, t: float, rel_tol: float = 1e-10) -> "QuadFormQ":
-        """Quadratic form Q_t(V) = |t| int_0^t |dH_int(chi_s V)|_HS^2 ds.
-
-        By Hilbert-Schmidt orthogonality of the sigma_m^[lam] family this is
-        2^N |t| int_0^t sum_{lam,m} (B_{m x_lam} . chi_s V)^2 ds, assembled
-        as a PSD matrix via Gauss quadrature in s (order doubled until the
-        relative change drops below rel_tol).
-        """
-        D = self.D
-        if t == 0.0:
-            return QuadFormQ(np.zeros((2 * D, 2 * D)))
-
-        def assemble(order: int) -> np.ndarray:
-            nodes, wts = np.polynomial.legendre.leggauss(order)
-            s_nodes = 0.5 * t * (nodes + 1.0)
-            s_wts = 0.5 * t * wts
-            acc = np.zeros((2 * D, 2 * D))
-            for s, ws in zip(s_nodes, s_wts):
-                for b0 in self.coupling_list:
-                    # B . chi_s V = (chi_{-s} B) . V
-                    b = chi_flow_vector(self.grid, -s, b0)
-                    vec = np.concatenate([b.q, b.p])
-                    acc += ws * np.outer(vec, vec)
-            return (2**self.N) * abs(t) * acc if t > 0 else -(2**self.N) * abs(t) * acc
-
-        order = 8
-        prev = assemble(order)
-        while order <= 256:
-            order *= 2
-            cur = assemble(order)
-            denom = max(np.linalg.norm(cur), 1e-300)
-            if np.linalg.norm(cur - prev) <= rel_tol * denom:
-                return QuadFormQ(cur)
-            prev = cur
-        return QuadFormQ(prev)
-
-
-@dataclass(frozen=True)
-class QuadFormQ:
-    """Symmetric PSD quadratic-form matrix on R^{2D}."""
-
-    A: np.ndarray
-    trace: float = field(init=False)
-
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        if np.max(np.abs(A - A.T), initial=0.0) > 1e-12:
-            raise ModelError("quadratic form matrix not symmetric")
-        if A.size and np.min(np.linalg.eigvalsh(A)) < -1e-12:
-            raise ModelError("quadratic form matrix not PSD")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "trace", float(np.trace(A)))
-
-    def __call__(self, v: PhaseVector) -> float:
-        vec = np.concatenate([v.q, v.p])
-        return float(vec @ self.A @ vec)
 
 
 def grid_debug_dump(model: Model) -> dict:

@@ -34,6 +34,7 @@ from blochlab.hierarchy import (
     _polar_project,
     _propagator_sweep,
     _radiated,
+    _radiated_endpoint,
     _site_spins,
     _trap_weights,
     observable_form,
@@ -327,17 +328,30 @@ def order1_nodes(model: Model, obs: ObservableSpec, t: float, x: PhaseVector, n:
     return (w @ term.sum(axis=1).reshape(n + 1, -1)).reshape(sd, sd)
 
 
+def _unit_mode_vectors(D: int) -> list[PhaseVector]:
+    """The 2D unit vectors of phase space, q part first."""
+    eye, zero = np.eye(D), np.zeros(D)
+    return [PhaseVector(e, zero) for e in eye] + [PhaseVector(zero, e) for e in eye]
+
+
 def maxwell_modes(model: Model, t: float, x: PhaseVector, n: int):
     """The rotations and the full mode amplitudes Z at the nodes of n
     panels, (R (n+1, N, 3, 3), Z (n+1, 2, D, sd, sd)): the Maxwell chain's
     node reads projected along the 2D unit mode vectors, q part first."""
     D, sd = model.D, model.spin_dim
-    eye, zero = np.eye(D), np.zeros(D)
-    units = [PhaseVector(e, zero) for e in eye] + [PhaseVector(zero, e) for e in eye]
     r, rows = _maxwell_nodes(model, t, x, n)
-    c = _radiated(model, rows, units).reshape(2 * D, -1, n + 1)  # [v, (l, k), i]
+    c = _radiated(model, rows, _unit_mode_vectors(D))  # [v, (l, k), i]
+    c = c.reshape(2 * D, -1, n + 1)
     z = model.spin_matrix(c.swapaxes(1, 2))  # (2D, n+1, sd, sd)
     return r, z.reshape(2, D, n + 1, sd, sd).transpose(2, 0, 1, 3, 4)
+
+
+def endpoint_modes(model: Model, t: float, x: PhaseVector) -> np.ndarray:
+    """Z(t), shape (2, D, sd, sd): _radiated_endpoint, the chain endpoint
+    that serves _N0 panels, read along the 2D unit mode vectors."""
+    D, sd = model.D, model.spin_dim
+    z = _radiated_endpoint(model, t, x, _unit_mode_vectors(D))
+    return z.reshape(2, D, sd, sd)
 
 
 def spin1_products(model: Model, lam: int, t: float, x: PhaseVector, n: int):

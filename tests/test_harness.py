@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import importlib.util
 import json
 import math
@@ -41,6 +42,11 @@ from blochlab.model import (
 )
 from blochlab.oracle import ObservableSpec
 from reference import evolved_one
+
+
+# a refinement that stops at its first grid: every order-1 quadrature at
+# t != 0 fails
+_refine_to_32 = functools.partial(blochlab.hierarchy._refine, nmax=32)
 
 
 def small_plan_dict(**overrides):
@@ -162,10 +168,16 @@ class TestPlan:
         # the photon-rate expansion stops at order 1; M = 2 used to load and
         # then raise inside the coefficient pool
         rate = [{"kind": "number_rate"}]
-        with pytest.raises(HarnessError, match="number_rate"):
+        with pytest.raises(HarnessError, match="M must be 0 or 1"):
             ExperimentPlan.from_dict(small_plan_dict(observables=rate, M=2))
         assert ExperimentPlan.from_dict(small_plan_dict(observables=rate, M=1)).M == 1
-        assert ExperimentPlan.from_dict(small_plan_dict(M=2)).M == 2
+
+    @pytest.mark.parametrize("order", [-1, 2, 3])
+    def test_unchecked_orders_refused(self, order):
+        # a spin-only plan at M = 2 used to load and report unchecked
+        # finite-difference A[2] values
+        with pytest.raises(HarnessError, match="M must be 0 or 1"):
+            ExperimentPlan.from_dict(small_plan_dict(M=order))
 
     def test_x_sample_length_must_match_grid(self):
         # a length-2 X on the desk grid (D = 4) used to load and then fail
@@ -397,6 +409,29 @@ class TestConvergence:
         assert failed and all("leakage" in c.status for c in failed)
         assert all(f["status"] == "insufficient-data" for f in report.fits)
 
+    def test_coefficient_failure_recorded_per_group(self, monkeypatch):
+        # a quadrature that cannot converge used to raise out of the sweep
+        # and write no report; now only its (t, X) groups fail.  At t = 0
+        # order_j returns its zero before any quadrature runs.
+        monkeypatch.setattr(blochlab.hierarchy, "_refine", _refine_to_32)
+        observables = default_plan_dict()["observables"]
+        d = small_plan_dict(t=[0.0, 1.0], observables=observables)
+        report = run_convergence(ExperimentPlan.from_dict(d))
+        assert not report.passed
+        at_zero = [c.status for c in report.cells if c.t == 0.0]
+        assert at_zero == ["exact"] * 8
+        assert [f["status"] for f in report.fits if f["t"] == 0.0] == ["exact"] * 4
+        reason = "failed:order-1 Duhamel quadrature did not converge"
+        at_one = [c for c in report.cells if c.t == 1.0]
+        assert len(at_one) == 8
+        for c in at_one:
+            # the frame still ran: its hygiene stays in the cell
+            assert c.status.startswith(reason) and c.error is None
+            assert c.hygiene["cutoff"] >= 2
+        fits = [f for f in report.fits if f["t"] == 1.0]
+        assert len(fits) == 4
+        assert all(f["status"].startswith(reason) and f["slope"] is None for f in fits)
+
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_non_finite_exact_symbol_recorded_not_fitted(self, monkeypatch, bad):
         # an infinite exact symbol at h = 0.4 used to read as an ok cell of
@@ -577,9 +612,7 @@ class TestWriters:
 class TestPhotonRate:
     def test_sweep(self, small_plan):
         plan = dataclasses.replace(
-            small_plan,
-            observables=(ObservableSpec(kind="number_rate"),),
-            M=min(small_plan.M, 1),
+            small_plan, observables=(ObservableSpec(kind="number_rate"),)
         )
         report = run_convergence(plan)
         assert report.passed
@@ -608,6 +641,47 @@ class TestPhotonCommand:
         assert cli.main(["photon", str(plan_path), "--json", str(given)]) == 0
         assert json.loads(given.read_text())["plan"]["observables"] == ["number_rate"]
         assert not json_out.exists() and not csv_out.exists()
+
+
+class TestConvergeCommand:
+    @staticmethod
+    def _desk_plan(tmp_path, **overrides):
+        root = Path(__file__).resolve().parent.parent
+        d = json.loads((root / "plans" / "desk_scale.json").read_text())
+        d.update(overrides, output={})
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(d))
+        return str(path)
+
+    def test_fits_without_slope_print_a_dash(self, tmp_path, capsys):
+        # at n_max 2 every frame leaks over the tail tolerance, so no fit
+        # has a slope; these rows used to print "slope exact"
+        plan = self._desk_plan(tmp_path, n_max=2)
+        assert cli.main(["converge", plan]) == 1
+        rows = [r for r in capsys.readouterr().out.splitlines() if " M=" in r]
+        assert len(rows) == 4
+        assert all(r.startswith("insufficient-data") for r in rows)
+        assert all(r.endswith("slope -") for r in rows)
+
+    def test_coefficient_failure_writes_the_report(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(blochlab.hierarchy, "_refine", _refine_to_32)
+        out = tmp_path / "report.json"
+        plan = self._desk_plan(tmp_path)
+        assert cli.main(["converge", plan, "--json", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["passed"] is False
+        assert all(c["status"].startswith("failed:") for c in report["cells"])
+        assert all(f["status"].startswith("failed:") for f in report["fits"])
+
+
+class TestDumpModelCommand:
+    def test_default_model(self, capsys):
+        assert cli.main(["dump-model", "default"]) == 0
+        dump = json.loads(capsys.readouterr().out)
+        assert dump["version"] == 1
+        rows = dump["couplings_B"]
+        assert len(rows) == 1 and len(rows[0]) == 3
+        assert all(len(c["q"]) == 4 for c in rows[0])
 
 
 class TestCrosscheck:

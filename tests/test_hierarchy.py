@@ -19,7 +19,6 @@ from blochlab.hierarchy import (
     _cross_mat,
     _maxwell_nodes,
     _order1_on_grid,
-    _order_high,
     _polar_project,
     _propagator_chain,
     _propagator_sweep,
@@ -30,7 +29,6 @@ from blochlab.hierarchy import (
     _trap_weights,
     bloch_spin0,
     compute_hierarchy,
-    first_order_modes,
     maxwell_cross_check,
     observable_form,
     order0,
@@ -57,6 +55,7 @@ from blochlab.oracle import ObservableSpec
 from blochlab.stepper import _rk4
 from conftest import random_phase_vector, zero_vector
 from reference import (
+    endpoint_modes,
     maxwell_modes,
     order1_nodes,
     propagator_adaptive,
@@ -252,11 +251,8 @@ class TestBlochSpin0:
 class TestOrderJ:
     def test_time_zero_vanishes(self, minimal_model, rng):
         x = random_phase_vector(rng, 4, scale=0.4)
-        for j in (1, 2, 3):
-            a = order_j(
-                minimal_model, ObservableSpec(kind="spin", m=1, lam=1), j, 0.0, x
-            )
-            np.testing.assert_allclose(a, 0.0, atol=1e-15)
+        a = order_j(minimal_model, ObservableSpec(kind="spin", m=1, lam=1), 1, 0.0, x)
+        np.testing.assert_allclose(a, 0.0, atol=1e-15)
 
     def test_zero_coupling_vanishes(self, free_model, rng):
         x = random_phase_vector(rng, 4, scale=0.4)
@@ -269,6 +265,14 @@ class TestOrderJ:
         with pytest.raises(HierarchyError):
             order_j(minimal_model, ObservableSpec(kind="spin", m=1, lam=1), 0, 1.0, x)
 
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_refuses_order_two(self, minimal_model, rng, t):
+        # no order-2 value is checked, so none is reported, not even the
+        # t = 0 zero
+        x = random_phase_vector(rng, 4)
+        with pytest.raises(HierarchyError, match="ROADMAP.md item 3"):
+            order_j(minimal_model, ObservableSpec(kind="spin", m=1, lam=1), 2, t, x)
+
     def test_hermitian(self, minimal_model, rng):
         x = random_phase_vector(rng, 4, scale=0.4)
         for obs in (
@@ -277,22 +281,6 @@ class TestOrderJ:
         ):
             a1 = order_j(minimal_model, obs, 1, 0.9, x)
             assert _norm(a1 - a1.conj().T) <= 1e-10 * max(1.0, _norm(a1))
-
-    @pytest.mark.parametrize(
-        "obs",
-        [
-            ObservableSpec(kind="spin", m=1, lam=1),
-            ObservableSpec(kind="field_B", m=2, x=np.array([0.0, 0.0, 0.0])),
-        ],
-        ids=["spin", "field_B"],
-    )
-    def test_high_order_path_at_order_one(self, minimal_model, rng, obs):
-        # the j >= 2 recursion (finite-difference tangents of order 0)
-        # against the analytic order-1 path; 1e-6 is its quadrature floor
-        x = random_phase_vector(rng, 4, scale=0.4)
-        want = order_j(minimal_model, obs, 1, 0.5, x)
-        got = _order_high(minimal_model, obs, 1, 0.5, x, 1e-7)
-        assert _norm(got - want) <= 1e-6 * _norm(want)
 
     def test_field_order1_reduction(self, minimal_model, rng):
         # for a pure field observable the forcing is X-independent, so the
@@ -633,7 +621,7 @@ class TestGridKernels:
         assert np.max(np.abs(z - z_ref)) <= 1e-13 * np.max(np.abs(z_ref))
         # Z(t) on _N0 panels: the same chain as 16 panels at these t
         assert _chain_steps(t, 32) == _chain_steps(t, 16)
-        z_end = first_order_modes(octa_model, t, x)
+        z_end = endpoint_modes(octa_model, t, x)
         assert np.max(np.abs(z_end - z_ref[-1])) <= 1e-13 * np.max(np.abs(z_ref[-1]))
 
     @pytest.mark.parametrize("t", [0.37, 1.9])
@@ -686,7 +674,7 @@ class TestGridKernels:
         r, z = maxwell_modes(octa_model, 0.0, x, 32)
         np.testing.assert_array_equal(r, np.broadcast_to(np.eye(3), (33, 2, 3, 3)))
         np.testing.assert_array_equal(z, 0.0)
-        np.testing.assert_array_equal(first_order_modes(octa_model, 0.0, x), 0.0)
+        np.testing.assert_array_equal(endpoint_modes(octa_model, 0.0, x), 0.0)
         for trip in spin_correction1(octa_model, 0.0, x):
             np.testing.assert_array_equal(trip.matrices, 0.0)
 

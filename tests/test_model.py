@@ -1,4 +1,4 @@
-"""Model layer: grid geometry, couplings, helicity, rho, spin algebra, Q_t."""
+"""Model layer: grid geometry, couplings, helicity, rho, spin algebra."""
 
 import numpy as np
 import pytest
@@ -377,31 +377,3 @@ class TestFlowPairing:
         for u, row in zip(times, got):
             ref = self._reference(g, left, right, u)
             np.testing.assert_allclose(row, ref, rtol=0, atol=1e-13)
-
-
-class TestQForm:
-    def test_zero_at_t0(self, minimal_model):
-        q = minimal_model.q_form(0.0)
-        assert q.trace == 0.0
-
-    def test_nonnegative_and_increasing(self, minimal_model, rng):
-        q1 = minimal_model.q_form(0.5)
-        q2 = minimal_model.q_form(1.0)
-        # matrix order: Q_{t2} - Q_{t1} PSD
-        diff = q2.A - q1.A
-        assert np.min(np.linalg.eigvalsh(diff)) > -1e-12
-        v = random_phase_vector(rng, minimal_model.D)
-        assert q1(v) >= -1e-12
-
-    def test_trace_identity(self, minimal_model):
-        # trace A_Q = 2^N |t| int_0^t sum |chi_{-s} B|^2 ds; the flow is an
-        # isometry so the integrand is constant = sum |B|^2.
-        t = 0.8
-        q = minimal_model.q_form(t)
-        total = sum(
-            b.norm() ** 2 for row in minimal_model.couplings for b in row
-        )
-        expected = 2**minimal_model.N * abs(t) * t * total
-        assert q.trace == pytest.approx(expected, rel=1e-10)
-        # cross-check trace against eigenvalue sum
-        assert q.trace == pytest.approx(np.sum(np.linalg.eigvalsh(q.A)), rel=1e-12)

@@ -299,7 +299,7 @@ class TestC1Cross:
         # the symbol of [Op(F), Op(G)] is [F, G] + h [C1(F, G) - C1(G, F)]
         # exactly.  S = 1 commutes with the matrix polynomial G, a Pauli S
         # does not; i [C1(F, G) - C1(G, F)] is the hierarchy's Duhamel
-        # forcing, so this checks the forcing of every order_j too
+        # forcing, so this checks the forcing of order_j too
         h = 0.3
         v = random_phase_vector(rng, 2)
         g = random_symbol(rng, 2, 3, matrix_dim=2)
