@@ -1,8 +1,10 @@
 """Command-line entry points for the experiment harness.
 
 Subcommands: selftest, converge, photon, crosscheck, dump-model.  The
-process exits nonzero exactly when a gating check in the requested run
-fails; worker count comes from the BLOCHLAB_WORKERS environment variable.
+process exits 1 exactly when a gating check in the requested run fails,
+and 2, with one `blochlab: <reason>` line on stderr, when the plan is
+refused at load; worker count comes from the BLOCHLAB_WORKERS environment
+variable.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .harness import (
     write_json,
 )
 from .hierarchy import PHOTON_RATE_SIGN
-from .model import Model, ModelConfig, grid_debug_dump, polarization_project
+from .model import Model, ModelConfig, ModelError, grid_debug_dump, polarization_project
 from .oracle import ObservableSpec
 
 
@@ -66,15 +68,14 @@ def _report_convergence(plan: ExperimentPlan, args, command: str) -> int:
 
 
 def _cmd_converge(args) -> int:
-    return _report_convergence(_load_plan(args.plan), args, "converge")
+    return _report_convergence(args.plan, args, "converge")
 
 
 def _cmd_photon(args) -> int:
-    plan = _load_plan(args.plan)
     # the plan's own output paths hold its converge record: write only the
     # --json/--csv paths given here
     plan = dataclasses.replace(
-        plan,
+        args.plan,
         observables=(ObservableSpec(kind="number_rate"),),
         json_path=None,
         csv_path=None,
@@ -90,8 +91,7 @@ def _cmd_photon(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    plan = _load_plan(args.plan)
-    report = run_crosscheck(plan)
+    report = run_crosscheck(args.plan)
     for e in report.entries:
         mark = "PASS" if e["passed"] else "FAIL"
         print(f"{mark}  {e['check']:14s} t={e['t']:g}  dev {e['deviation']:.3e}")
@@ -147,6 +147,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(args, "plan"):
+        try:
+            args.plan = _load_plan(args.plan)
+        except ModelError as exc:  # HarnessError included
+            print(f"blochlab: {exc}", file=sys.stderr)
+            return 2
     return args.fn(args)
 
 

@@ -58,6 +58,7 @@ from .oracle import (
     evolved_frames,
     frame_symbol,
     apply_observable,
+    leakage_estimate,
 )
 from .stepper import StepStallError
 from .symbols import (
@@ -78,9 +79,6 @@ SLOPE_UPPER_M0 = 1.2
 # a group with no coupling, or at t = 0 where U(0) = I, has no h-dependence:
 # its cells are exact and its fit checks only that they stay below this
 ZERO_COUPLING_TOL = 1e-8
-
-# the oracle's first fluctuation cutoff; the plan's n_max caps its doublings
-FIRST_CUTOFF = 2
 
 # run_crosscheck's gate on every dual-path deviation, divergence residual
 # and hygiene residual
@@ -119,12 +117,13 @@ def _pool_map(fn, jobs):
 class ExperimentPlan:
     """One sweep: a model, observables, samples, and an h ladder.
 
-    n_max caps the photon cutoff of the oracle's fluctuation basis.  The
-    frames of every h at one (t, X) start together at FIRST_CUTOFF; those
-    whose leakage does not fit move on together to the doubled cutoff.  A
-    group below the cap stops once every frame has breached, since those
-    frames will be discarded; a group at the cap goes to t, so a failure
-    reports its full leakage.
+    n_max caps the photon cutoff of the oracle's fluctuation basis.  Each
+    frame (h, t, X) starts at the smallest cutoff whose leakage_estimate
+    fits DEFAULT_TAIL_TOL, and the frames of one (t, X) that start alike
+    run together.  Frames whose measured leakage does not fit move on
+    together to the doubled cutoff.  A group below the cap stops once every
+    frame has breached, since those frames will be discarded; a group at
+    the cap goes to t, so a failure reports its full leakage.
     """
 
     config: ModelConfig
@@ -302,7 +301,8 @@ class SweepCell:
     h: float
     error: float | None
     status: str  # ok | exact | failed:<reason>
-    # the frame's PropagationLog.to_dict() plus energy_drift and cutoff
+    # the frame's PropagationLog.to_dict() plus energy_drift, cutoff and
+    # leakage_estimate
     hygiene: dict = field(default_factory=dict)
 
 
@@ -396,13 +396,15 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
             orders = [f"failed:{exc}"] * len(observables)
         return [((obs.label(), t, x_id), o) for obs, o in zip(observables, orders)]
 
-    # one propagated frame per (h, t, X), in the frame displaced by W(X),
-    # all h of one (t, X) integrated together as a frame group.  The
-    # fluctuation cutoff starts at FIRST_CUTOFF and doubles, up to n_max,
-    # for the frames whose leakage does not fit DEFAULT_TAIL_TOL.  Below the
-    # cap a group stops once every frame has breached, since its breaching
-    # frames are discarded anyway.  Bases and Hamiltonians are built on
-    # first use, under a lock, and shared.
+    # one propagated frame per (h, t, X), in the frame displaced by W(X).
+    # Each h starts at the smallest cutoff whose leakage_estimate fits
+    # DEFAULT_TAIL_TOL, capped at n_max; the h of one (t, X) at one cutoff
+    # are integrated together as a frame group.  The measured leakage is
+    # the gate: frames that breach it move on to the doubled cutoff, up to
+    # n_max, and join the group there.  Below the cap a group stops once
+    # every frame has breached, since its breaching frames are discarded
+    # anyway.  Bases and Hamiltonians are built on first use, under a lock,
+    # and shared.
     bases, hams = {}, {}
     build_lock = threading.Lock()
 
@@ -414,13 +416,24 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
                 hams[(cutoff, h)] = Hamiltonian(model, bases[cutoff], h)
             return hams[(cutoff, h)]
 
+    def _start_cutoff(h, t):
+        for c in range(1, plan.n_max):
+            if leakage_estimate(model, h, t, c) <= DEFAULT_TAIL_TOL:
+                return c
+        return plan.n_max
+
     def _frames(point):
         """Per h: (frame, Y, Hamiltonian, hygiene) and None, or None and a
         failure."""
         t, x_id, x = point
-        out, pending = [], list(plan.h_list)
-        cutoff = min(FIRST_CUTOFF, plan.n_max)
-        while pending:
+        out, waiting = [], {}  # cutoff -> the h to run there
+        for h in plan.h_list:
+            waiting.setdefault(_start_cutoff(h, t), []).append(h)
+        while waiting:
+            # the smallest cutoff first, so that its breaching frames join
+            # the group of the doubled cutoff before that group runs
+            cutoff = min(waiting)
+            pending = sorted(waiting.pop(cutoff), reverse=True)  # ladder order
             group = [_hamiltonian(cutoff, h) for h in pending]
             stop = None if cutoff == plan.n_max else DEFAULT_TAIL_TOL
             try:
@@ -431,11 +444,13 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
                 # only the frames that stalled fail; the others run again
                 failed = [pending[i] for i in exc.frames]
                 out += [((h, t, x_id), (None, f"failed:{exc}")) for h in failed]
-                pending = [h for h in pending if h not in failed]
+                rest = [h for h in pending if h not in failed]
+                if rest:
+                    waiting[cutoff] = rest
                 continue
             except (OracleError, ModelError) as exc:
                 out += [((h, t, x_id), (None, f"failed:{exc}")) for h in pending]
-                break
+                continue
             breached = []
             for ham, frame, frame_log in zip(group, xi, log.frames):
                 leakage = frame_log.leakage
@@ -454,10 +469,14 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
                     scale = np.maximum(np.abs(e0), 1.0)
                     drift = float(np.max(np.abs(e_t - e0) / scale))
                     hygiene = frame_log.to_dict()
-                    hygiene.update(energy_drift=drift, cutoff=cutoff)
+                    estimate = leakage_estimate(model, ham.h, t, cutoff)
+                    hygiene.update(
+                        energy_drift=drift, cutoff=cutoff, leakage_estimate=estimate
+                    )
                     evolved, status = (frame, y, ham, hygiene), None
                 out.append(((ham.h, t, x_id), (evolved, status)))
-            pending, cutoff = breached, min(2 * cutoff, plan.n_max)
+            if breached:
+                waiting.setdefault(min(2 * cutoff, plan.n_max), []).extend(breached)
         return out
 
     # the hierarchy and oracle jobs share one pool, so that on a single

@@ -49,6 +49,30 @@ from reference import evolved_one
 _refine_to_32 = functools.partial(blochlab.hierarchy._refine, nmax=32)
 
 
+def _force_start(monkeypatch, start):
+    """Make every frame start at cutoff start: the leakage estimate reads
+    as infinite below it and as zero from it on."""
+
+    def forced(model, h, t, cutoff):
+        return math.inf if cutoff < start else 0.0
+
+    monkeypatch.setattr(blochlab.harness, "leakage_estimate", forced)
+
+
+def _record_groups(monkeypatch):
+    """The h of every frame group the oracle propagates, one list per call,
+    filled in as the calls are made."""
+    real = blochlab.oracle.evolve_interaction_picture
+    calls = []
+
+    def recording(hams, *args, **kwargs):
+        calls.append([ham.h for ham in hams])
+        return real(hams, *args, **kwargs)
+
+    monkeypatch.setattr(blochlab.oracle, "evolve_interaction_picture", recording)
+    return calls
+
+
 def small_plan_dict(**overrides):
     d = default_plan_dict()
     d["n_max"] = 18
@@ -459,20 +483,40 @@ class TestConvergence:
         assert [f["status"] for f in report.fits] == ["insufficient-data"] * 2
 
     def test_cutoff_sized_by_leakage(self, conv_report, small_plan):
-        # the desk frames leak above the tolerance at 2 fluctuation photons
-        # and fit at 4, well under the cap of 18
+        # the estimate puts the desk frames at 3 fluctuation photons, well
+        # under the cap of 18; at 2 they would leak above the tolerance
+        x = small_plan.x_samples[0][1]
+        basis = blochlab.fock.FockBasis(small_plan.model.D, 2)
         for c in conv_report.cells:
-            assert c.hygiene["cutoff"] == 4
+            assert c.hygiene["cutoff"] == 3
             assert c.hygiene["leakage"] <= 1e-10
+            assert c.hygiene["leakage"] <= c.hygiene["leakage_estimate"] <= 1e-10
+            ham = blochlab.oracle.Hamiltonian(small_plan.model, basis, c.h)
+            assert evolved_one(ham, 1.0, x, small_plan.oracle_tol)[2].leakage > 1e-10
+
+    def test_uncoupled_frames_start_at_cutoff_one(self):
+        # the estimate vanishes with the coupling and at t = 0, where no
+        # photon layer above the vacuum is needed
+        plan = ExperimentPlan.from_dict(small_plan_dict(n_max=8, t=[0.0, 1.0]))
+        report = run_convergence(plan)
+        assert [c.hygiene["cutoff"] for c in report.cells] == [1] * 4 + [3] * 4
+        cfg = dataclasses.replace(
+            plan.config, cutoff_fn=lambda r: np.zeros_like(np.asarray(r, dtype=float))
+        )
+        report = run_convergence(dataclasses.replace(plan, config=cfg))
+        assert [c.hygiene["cutoff"] for c in report.cells] == [1] * 8
+        assert all(c.hygiene["leakage_estimate"] == 0.0 for c in report.cells)
 
     def test_stopped_runs_leave_no_trace(self, monkeypatch):
-        # the desk frames breach at cutoff 2 and stop early there; starting
-        # at cutoff 4 skips those runs and must give the same report
+        # forced to start at cutoff 2, the desk frames breach there and stop
+        # early; starting at cutoff 4 skips those runs and must give the
+        # same report
         plan = ExperimentPlan.from_dict(small_plan_dict(n_max=8))
-        default = run_convergence(plan).to_dict()
-        monkeypatch.setattr(blochlab.harness, "FIRST_CUTOFF", 4)
-        assert run_convergence(plan).to_dict() == default
-        assert all(c["hygiene"]["cutoff"] == 4 for c in default["cells"])
+        _force_start(monkeypatch, 2)
+        from_two = run_convergence(plan).to_dict()
+        _force_start(monkeypatch, 4)
+        assert run_convergence(plan).to_dict() == from_two
+        assert all(c["hygiene"]["cutoff"] == 4 for c in from_two["cells"])
 
     def test_failure_at_the_cap_reports_the_full_run(self):
         # at the cap the run goes to t: the status carries the leakage of
@@ -512,28 +556,37 @@ class TestConvergence:
         assert again.to_dict() == conv_report.to_dict()
 
     def test_one_propagation_per_group(self, small_plan, monkeypatch):
-        # every h of the desk (t, X) is one frame group: one run at cutoff 2,
-        # where all four breach, and one at cutoff 4, where 8 runs were made
-        # when each frame was integrated alone
-        real = blochlab.oracle.evolve_interaction_picture
-        calls = []
-
-        def counting(hams, *args, **kwargs):
-            calls.append([ham.h for ham in hams])
-            return real(hams, *args, **kwargs)
-
-        monkeypatch.setattr(blochlab.oracle, "evolve_interaction_picture", counting)
+        # every h of the desk (t, X) starts at cutoff 3, and fits there: one
+        # frame group and one run, where 8 runs were made when each frame
+        # was integrated alone from a fixed start at cutoff 2
+        calls = _record_groups(monkeypatch)
         run_convergence(small_plan)
-        assert calls == [list(small_plan.h_list)] * 2
+        assert calls == [list(small_plan.h_list)]
 
-    def test_mixed_breach_ladder_matches_frames_alone(self):
-        # at cutoff 2, h = 0.0125 leaks 5.8e-11 and stays there, while
-        # h >= 0.025 leak >= 2.3e-10 and move on together to cutoff 4.
-        # Every cell equals the sweep of its h alone, a group of one.
+    def test_mixed_breach_ladder_matches_frames_alone(self, monkeypatch):
+        # forced to start at cutoff 2, h = 0.0125 leaks 5.8e-11 and stays
+        # there, while h >= 0.025 leak >= 2.3e-10 and move on together to
+        # cutoff 4.  Every cell equals the sweep of its h alone, a group of
+        # one.
+        _force_start(monkeypatch, 2)
         ladder = [0.4, 0.2, 0.1, 0.05, 0.025, 0.0125]
         report = run_convergence(ExperimentPlan.from_dict(small_plan_dict(h=ladder)))
         assert [c.h for c in report.cells] == ladder
         assert [c.hygiene["cutoff"] for c in report.cells] == [4] * 5 + [2]
+        for cell in report.cells:
+            plan = ExperimentPlan.from_dict(small_plan_dict(h=[cell.h]))
+            assert run_convergence(plan).cells == (cell,)
+
+    def test_mixed_start_ladder_matches_frames_alone(self, monkeypatch):
+        # unforced, the estimate starts h = 0.00625 at cutoff 2 (4.3e-11)
+        # and the larger h at cutoff 3: two frame groups, both of which
+        # fit.  Every cell equals the sweep of its h alone.
+        calls = _record_groups(monkeypatch)
+        ladder = [0.4, 0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625]
+        report = run_convergence(ExperimentPlan.from_dict(small_plan_dict(h=ladder)))
+        assert calls == [[0.00625], ladder[:-1]]
+        assert [c.h for c in report.cells] == ladder
+        assert [c.hygiene["cutoff"] for c in report.cells] == [3] * 6 + [2]
         for cell in report.cells:
             plan = ExperimentPlan.from_dict(small_plan_dict(h=[cell.h]))
             assert run_convergence(plan).cells == (cell,)
@@ -662,6 +715,15 @@ class TestConvergeCommand:
         assert len(rows) == 4
         assert all(r.startswith("insufficient-data") for r in rows)
         assert all(r.endswith("slope -") for r in rows)
+
+    @pytest.mark.parametrize("command", ["converge", "photon", "crosscheck"])
+    def test_refused_plan_fails_cleanly(self, tmp_path, capsys, command):
+        # a plan refused at load used to end in a HarnessError traceback
+        plan = self._desk_plan(tmp_path, M=2)
+        assert cli.main([command, plan]) == 2
+        out = capsys.readouterr()
+        assert out.err == "blochlab: expansion order M must be 0 or 1, got 2\n"
+        assert out.out == ""
 
     def test_coefficient_failure_writes_the_report(self, tmp_path, monkeypatch):
         monkeypatch.setattr(blochlab.hierarchy, "_refine", _refine_to_32)
@@ -915,7 +977,7 @@ class TestTraceTargets:
         with tracer.patched(), tracer.span("harness.sweep") as sweep:
             run_convergence(small_plan)
         metrics = tracing.layer_metrics(tracer.spans, sweep, 1)
-        assert metrics["oracle.frames"] == len(logs) == 2
+        assert metrics["oracle.frames"] == len(logs) == 1
         assert metrics["oracle.steps_accepted"] == sum(g.n_accepted for g in logs)
         assert metrics["oracle.steps_rejected"] == sum(g.n_rejected for g in logs)
         assert metrics["oracle.state_mb"] > 0.0

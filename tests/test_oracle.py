@@ -28,6 +28,7 @@ from blochlab.oracle import (
     coherent_frame,
     evolved_frames,
     frame_symbol,
+    leakage_estimate,
 )
 from blochlab.model import ModelError
 from conftest import random_phase_vector, zero_vector
@@ -578,6 +579,38 @@ class TestLeakageStop:
         frame, _, log = evolved_one(ham, 1.0, x, 1e-9, stop_leakage=DEFAULT_TAIL_TOL)
         assert np.array_equal(frame, full_frame)
         assert log.to_dict() == full.to_dict()
+
+
+class TestLeakageEstimate:
+    """The estimate that sizes each frame's start cutoff against the
+    leakage the propagation measures."""
+
+    @pytest.mark.parametrize("t", [1.0, 2.0])
+    @pytest.mark.parametrize("spins", [1, 2])
+    def test_bounds_the_measured_leakage(self, desk_setup, rng, spins, t):
+        # measured: the estimate sits 3x (desk, t = 1, cutoff 2) to 58x
+        # (two spins, t = 2) above the leakage
+        if spins == 1:
+            model, x, _ = desk_setup
+        else:
+            model = Model(minimal_grid_config(N=2))
+            x = random_phase_vector(rng, model.D, scale=0.3)
+        for cutoff in (2, 3, 4):
+            basis = FockBasis(model.D, cutoff)
+            hams = [Hamiltonian(model, basis, h) for h in (0.4, 0.05)]
+            _, _, log = evolved_frames(hams, t, x, 1e-9)
+            for ham, frame_log in zip(hams, log.frames):
+                assert frame_log.leakage > 0.0
+                assert frame_log.leakage <= leakage_estimate(model, ham.h, t, cutoff)
+
+    def test_vanishes_without_coupling_or_time(self, desk_setup):
+        model, _, _ = desk_setup
+        cfg = dataclasses.replace(
+            model.config, cutoff_fn=lambda r: np.zeros_like(np.asarray(r, dtype=float))
+        )
+        assert leakage_estimate(Model(cfg), 0.4, 1.0, 1) == 0.0
+        assert leakage_estimate(model, 0.4, 0.0, 1) == 0.0
+        assert leakage_estimate(model, 0.4, 1.0, 1) > 0.0
 
 
 class TestFrameGroup:
