@@ -48,6 +48,7 @@ from .model import (
     ModelConfig,
     ModelError,
     PhaseVector,
+    require_keys,
 )
 from .oracle import (
     DEFAULT_TAIL_TOL,
@@ -58,6 +59,7 @@ from .oracle import (
     evolved_frames,
     frame_symbol,
     apply_observable,
+    drive_weight,
     leakage_estimate,
 )
 from .stepper import StepStallError
@@ -182,6 +184,8 @@ class ExperimentPlan:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentPlan":
+        required = ("model", "observables", "t", "h", "n_max")
+        require_keys(d, required, "plan", HarnessError)
         config = ModelConfig.from_dict(d["model"])
         for i, o in enumerate(d["observables"]):
             if "kind" not in o:
@@ -416,9 +420,11 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
                 hams[(cutoff, h)] = Hamiltonian(model, bases[cutoff], h)
             return hams[(cutoff, h)]
 
+    weight = drive_weight(model)  # the estimate's per-model factor
+
     def _start_cutoff(h, t):
         for c in range(1, plan.n_max):
-            if leakage_estimate(model, h, t, c) <= DEFAULT_TAIL_TOL:
+            if leakage_estimate(model, h, t, c, weight) <= DEFAULT_TAIL_TOL:
                 return c
         return plan.n_max
 
@@ -469,7 +475,7 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
                     scale = np.maximum(np.abs(e0), 1.0)
                     drift = float(np.max(np.abs(e_t - e0) / scale))
                     hygiene = frame_log.to_dict()
-                    estimate = leakage_estimate(model, ham.h, t, cutoff)
+                    estimate = leakage_estimate(model, ham.h, t, cutoff, weight)
                     hygiene.update(
                         energy_drift=drift, cutoff=cutoff, leakage_estimate=estimate
                     )

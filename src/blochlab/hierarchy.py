@@ -62,7 +62,12 @@ sums of the first-order mode recurrence, at every substep of one fixed
 grid of steps = max(2^ceil(log2(|t| / _SUBSTEP)), n) substeps
 (_chain_steps).  The grid doubles with n, so every refinement grid of
 n <= steps panels reads its nodes as every (steps/n)-th chain state, and
-a refinement's cur - prev measures quadrature error alone.  Each chain
+the difference of two grids measures quadrature error alone.  _refine
+extrapolates each grid with the one before it (one Richardson level) and
+stops once two successive extrapolations agree to tol, so the stop test
+measures the value it returns: on the desk model at t = 0.5 .. 2 every
+quadrature stops at n = 128, where a stop on the raw trapezoid
+difference took 64 to 1024 panels.  Each chain
 evaluates its generator on the half-step stage grid once, takes every
 substep as an RK4 transfer map (blochlab.stepper.rk4_transfer) and
 chains the maps by recursive doubling (_prefix_products), so no Python
@@ -86,12 +91,15 @@ photon-rate C^1 term differentiate the chain's RK4 maps
 endpoint.  G and R still solve different equations, so the order-0 dual
 check stays independent.  The substep is capped at _SUBSTEP whatever the
 tolerance, so the chains carry an RK4 error floor of their own that grid
-doubling does not control.  Measured against adaptive RK4 at tol 1e-13
-(tests/reference.py), as the largest entry error relative to the largest
-reference entry, for the desk plan's model and X and for two spins on an
-octahedral grid (the tests' octa_model, X with normal components of scale
-0.5), with dR along the six photon-rate directions of each site, on
-chains of 512, 1024 and 2048 substeps:
+doubling does not control: a tol under that floor bounds the quadrature,
+not the coefficient.  The substep stays fixed, since a coarser one chosen
+from a loose tolerance would move the desk cells by about 1e-9, the size
+of the floor at a substep of 0.01 (below).  Measured against adaptive RK4
+at tol 1e-13 (tests/reference.py), as the largest entry error relative to
+the largest reference entry, for the desk plan's model and X and for two
+spins on an octahedral grid (the tests' octa_model, X with normal
+components of scale 0.5), with dR along the six photon-rate directions of
+each site, on chains of 512, 1024 and 2048 substeps:
 
     model  t      R        G        dR
     desk   0.5    1.0e-13  6.4e-15  1.3e-13
@@ -114,9 +122,11 @@ arrays to every later consumer at that (t, X): order0, bloch_spin0, the
 spin and field order_j calls of all axes, spin_correction1 of every site,
 maxwell_cross_check (from _maxwell_nodes), and the rotation tangents.  A
 refinement past steps panels reads a chain of n substeps of its own.  A
-chain for another model, t or X (the tangent probe's shifted points)
-integrates as usual.  The table lives in a context variable, so each pool
-thread has its own, and it is dropped when the scope exits.  Two callers
+chain for another model, t or X integrates as usual; the tangent probe's
+shifted points take no chain, only their site's rotation endpoint
+(_rotation_endpoint), the product of its RK4 maps.  The table lives in a
+context variable, so each pool thread has its own, and it is dropped when
+the scope exits.  Two callers
 open a scope: compute_hierarchy, once per (t, X) for every observable of
 a plan, and each t job of run_crosscheck.
 No function below opens one, photon_rate_expansion included: a nested
@@ -363,18 +373,29 @@ def _trap_weights(n: int, dt: float) -> np.ndarray:
 
 
 def _refine(compute, tol, nmax=4096, label="quadrature"):
-    """Double the grid from _N0 panels until the trapezoid result settles,
-    then extrapolate."""
+    """The trapezoid quadrature compute(n), extrapolated and refined by
+    doubling n from _N0 panels until the extrapolation settles.
+
+    Each grid n past the first gives one Richardson value
+    R_n = T_n + (T_n - T_{n/2}) / 3 of the trapezoid values T.  The
+    refinement returns R_n at the first n with
+    max|R_n - R_{n/2}| <= tol * max(1, max|R_n|): the stop test measures
+    the value it returns, so the earliest stop is n = 4 _N0, after three
+    grids.  Only one Richardson level is taken: a second (Romberg) level
+    was measured to stall between n = 64 and 256 on the desk model.  A
+    difference that never settles, a NaN included, raises at nmax."""
     n = _N0
     prev = compute(n)
+    rich_prev = None
     while n < nmax:
         n *= 2
         cur = compute(n)
-        scale = max(1.0, float(np.max(np.abs(cur))))
-        err = float(np.max(np.abs(cur - prev)))
-        if err <= tol * scale:
-            return cur + (cur - prev) / 3.0
-        prev = cur
+        rich = cur + (cur - prev) / 3.0
+        if rich_prev is not None:
+            scale = max(1.0, float(np.max(np.abs(rich))))
+            if float(np.max(np.abs(rich - rich_prev))) <= tol * scale:
+                return rich
+        prev, rich_prev = cur, rich
     raise HierarchyError(f"{label} did not converge below tol={tol}")
 
 
@@ -487,23 +508,40 @@ def _order1_contraction(model: Model, t: float, x: PhaseVector, n: int) -> np.nd
     return lin.transpose(1, 2, 0, 3).reshape(sd * sd, sd * sd)
 
 
-def _order1_on_grid(model, obs, t, x, n):
-    """A^[1](t, X) by trapezoid quadrature on n panels, from the node reads
-    that every observable at (t, X, n) shares."""
+def _order1_grids(model, obs, t, x):
+    """n -> A^[1](t, X) by trapezoid quadrature on n panels, from the node
+    reads that every observable at (t, X, n) shares.  The observable's
+    affine form, and a field axis's pairing of F_A with the F B_a, do not
+    depend on n: they are resolved here, once for every grid of a
+    refinement."""
     f_a, s_a = observable_form(model, obs)
     sd = model.spin_dim
     if s_a is None:
         # pure field: Phi^[0](s) = - sum_a (F_A . chi_s F B_a) sigma_a,
         # X-independent, so only the conjugated spins enter.
-        dt = t / n
-        r = t - dt * np.arange(n + 1)
         fbs = [fmap(b) for b in model.coupling_list]
-        ctab = flow_pairing(model.grid, [f_a], fbs)(r)[:, 0]  # (n+1, A)
-        sig = _conjugated_couplings(model, t, x, n).reshape(-1, sd * sd)
-        return -((_trap_weights(n, dt)[:, None] * ctab).ravel() @ sig).reshape(sd, sd)
-    g = _propagator_sweep(model, t, x, n)[n]
-    k = g @ s_a @ g.conj().T
-    return (k.ravel() @ _order1_contraction(model, t, x, n)).reshape(sd, sd)
+        pairing = flow_pairing(model.grid, [f_a], fbs)
+
+        def field(n):
+            dt = t / n
+            ctab = pairing(t - dt * np.arange(n + 1))[:, 0]  # (n+1, A)
+            sig = _conjugated_couplings(model, t, x, n).reshape(-1, sd * sd)
+            w = _trap_weights(n, dt)[:, None]
+            return -((w * ctab).ravel() @ sig).reshape(sd, sd)
+
+        return field
+
+    def spin(n):
+        g = _propagator_sweep(model, t, x, n)[n]
+        k = g @ s_a @ g.conj().T
+        return (k.ravel() @ _order1_contraction(model, t, x, n)).reshape(sd, sd)
+
+    return spin
+
+
+def _order1_on_grid(model, obs, t, x, n):
+    """A^[1](t, X) by trapezoid quadrature on n panels."""
+    return _order1_grids(model, obs, t, x)(n)
 
 
 def order_j(
@@ -522,9 +560,7 @@ def order_j(
     if t == 0.0:
         return np.zeros((model.spin_dim,) * 2, dtype=complex)
     return _refine(
-        lambda n: _order1_on_grid(model, obs, t, x, n),
-        tol,
-        label="order-1 Duhamel quadrature",
+        _order1_grids(model, obs, t, x), tol, label="order-1 Duhamel quadrature"
     )
 
 
@@ -560,6 +596,16 @@ class TangentBundleState:
     residual: float
 
 
+def _site_maps(model, lam, t, x):
+    """Site lam's part of the Maxwell chain that serves _N0 panels: the
+    substep dt, the stage times, the stage generators (a0, ah, a1) of
+    R' = 2 C(b^lam) R and their RK4 transfer maps (phi, (m2, m3, m4))."""
+    dt, stage = _chain_stages(t, _chain_steps(t, _N0))
+    fields = _site_fields(model, x, stage).reshape(-1, model.N, 3)[:, lam]
+    gens = _stage_split(2.0 * _cross_mat(fields))
+    return dt, stage, gens, rk4_transfer(*gens, dt)
+
+
 def _rotation_tangent(model, lam, t, x, vs) -> np.ndarray:
     """Tangents dR^lam(t)[V] of the site rotation along each V of vs, shape
     (len(vs), 3, 3): the derivative along V of the endpoint of the Maxwell
@@ -578,12 +624,8 @@ def _rotation_tangent(model, lam, t, x, vs) -> np.ndarray:
     so every V costs four products per substep.  Then
     dR_{k+1} = phi_k dR_k + psi_k R_k over the chain's R, summed by pairwise
     reduction."""
-    steps = _chain_steps(t, _N0)
-    dt, stage = _chain_stages(t, steps)
-    r = _maxwell_chain(model, t, x, steps)[0][:, lam]
-    fields = _site_fields(model, x, stage).reshape(-1, model.N, 3)[:, lam]
-    a0, ah, a1 = _stage_split(2.0 * _cross_mat(fields))
-    phi, (m2, m3, m4) = rk4_transfer(a0, ah, a1, dt)
+    dt, stage, (a0, ah, a1), (phi, (m2, m3, m4)) = _site_maps(model, lam, t, x)
+    r = _maxwell_chain(model, t, x, _chain_steps(t, _N0))[0][:, lam]
     eye = np.eye(3)
     ah2 = ah @ ah
     l0 = eye + dt * ah + dt**2 / 2 * ah2 + dt**3 / 4 * (a1 @ ah2)
@@ -606,6 +648,16 @@ def _rotation_tangent(model, lam, t, x, vs) -> np.ndarray:
     return q[0]
 
 
+def _rotation_endpoint(model, lam, t, x) -> np.ndarray:
+    """The site-lam rotation endpoint R^lam(t) that _rotation_tangent
+    differentiates: the product of the site's RK4 maps, reduced pairwise as
+    there, with no mode sums and no other site."""
+    phi = _site_maps(model, lam, t, x)[3][0]
+    while len(phi) > 1:
+        phi = phi[1::2] @ phi[::2]
+    return phi[0]
+
+
 def _central_difference(f, x: PhaseVector, v: PhaseVector):
     """(f(X + s V) - f(X - s V)) / 2s with s = 1e-5 / |V|, for V != 0."""
     step = 1e-5 / v.norm()
@@ -616,18 +668,15 @@ def tangent_derivatives(
     model: Model, lam: int, v: PhaseVector, t: float, x: PhaseVector
 ) -> TangentBundleState:
     """Check the tangent system of the site-lam rotation along V against a
-    central difference of the Maxwell chain's rotation endpoint.  The
-    residual is returned, not enforced: run_crosscheck's tangent-fd-residual
-    hygiene entry gates it."""
+    central difference of the RK4 rotation endpoint it differentiates
+    (_rotation_endpoint).  The residual is returned, not enforced:
+    run_crosscheck's tangent-fd-residual hygiene entry gates it."""
     if not 1 <= lam <= model.N:
         raise HierarchyError(f"site index lam={lam} outside 1..{model.N}")
     if v.norm() == 0.0:
         return TangentBundleState(residual=0.0)
     d = _rotation_tangent(model, lam - 1, t, x, [v])[0]
-    steps = _chain_steps(t, _N0)
-    fd = _central_difference(
-        lambda z: _maxwell_chain(model, t, z, steps)[0][-1, lam - 1], x, v
-    )
+    fd = _central_difference(lambda z: _rotation_endpoint(model, lam - 1, t, z), x, v)
     return TangentBundleState(
         residual=float(np.linalg.norm(fd - d) / max(np.linalg.norm(d), 1.0))
     )

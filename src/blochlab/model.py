@@ -47,6 +47,14 @@ class ModelError(ValueError):
     """Raised for invalid model configuration or mismatched dimensions."""
 
 
+def require_keys(d: dict, keys, where: str, error=ModelError) -> None:
+    """Refuse a configuration section that lacks a required key, naming the
+    first one missing."""
+    for key in keys:
+        if key not in d:
+            raise error(f"{where} has no {key!r} key")
+
+
 @dataclass(frozen=True)
 class PhaseVector:
     """A point X = (q, p) of the discretized phase space R^{2D}."""
@@ -222,6 +230,9 @@ class ModelConfig:
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
         """Build from the nested configuration-file layout."""
+        require_keys(d, ("spins", "field"), "model")
+        require_keys(d["spins"], ("positions",), "model spins")
+        require_keys(d["field"], ("beta",), "model field")
         spins = d["spins"]
         grid = d.get("grid", {})
         cutoff = d.get("cutoff", {})

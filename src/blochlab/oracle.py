@@ -225,15 +225,27 @@ class TensorOperators:
         self.pattern.data[self.drive] = 0.0
 
 
-def leakage_estimate(model: Model, h: float, t: float, cutoff: int) -> float:
-    """lam^cutoff / cutoff!, the leading-order population of photon layer
-    cutoff in the fluctuation state at (h, t), with lam = (h/2) t^2 sum_j
-    ||M_j||^2 and M_j = sum_{lam,m} c_{lam m, j} sigma_m^[lam] (see "Cutoff
-    sizing" above).  It does not depend on X: the drive creates no photon."""
+def drive_weight(model: Model) -> float:
+    """sum_j ||M_j||^2 with M_j = sum_{lam,m} c_{lam m, j} sigma_m^[lam]: the
+    factor of leakage_estimate's lam that depends on the model alone."""
     coeffs = np.array([b.q - 1j * b.p for b in model.coupling_list])
     mode_ops = np.einsum("aj,ars->jrs", coeffs, model.sigmas)
     norms = np.linalg.svd(mode_ops, compute_uv=False)[:, 0]
-    lam = 0.5 * h * t**2 * float(norms @ norms)
+    return float(norms @ norms)
+
+
+def leakage_estimate(
+    model: Model, h: float, t: float, cutoff: int, weight: float | None = None
+) -> float:
+    """lam^cutoff / cutoff!, the leading-order population of photon layer
+    cutoff in the fluctuation state at (h, t), with lam = (h/2) t^2 sum_j
+    ||M_j||^2 and M_j = sum_{lam,m} c_{lam m, j} sigma_m^[lam] (see "Cutoff
+    sizing" above).  It does not depend on X: the drive creates no photon.
+    weight, if given, is drive_weight(model), computed once by a caller
+    that makes many estimates on one model."""
+    if weight is None:
+        weight = drive_weight(model)
+    lam = 0.5 * h * t**2 * weight
     # as a product, which overflows to inf where lam**cutoff would raise
     return math.prod(lam / k for k in range(1, cutoff + 1))
 

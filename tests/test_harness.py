@@ -53,7 +53,7 @@ def _force_start(monkeypatch, start):
     """Make every frame start at cutoff start: the leakage estimate reads
     as infinite below it and as zero from it on."""
 
-    def forced(model, h, t, cutoff):
+    def forced(model, h, t, cutoff, weight=None):
         return math.inf if cutoff < start else 0.0
 
     monkeypatch.setattr(blochlab.harness, "leakage_estimate", forced)
@@ -220,6 +220,23 @@ class TestPlan:
         obs = [{"kind": "spin", "axis": 1, "spin": 1}, {"axis": 2}]
         with pytest.raises(HarnessError, match="observable 1 has no 'kind'"):
             ExperimentPlan.from_dict(small_plan_dict(observables=obs))
+
+    @pytest.mark.parametrize(
+        "section, key, where",
+        [
+            (None, "observables", "plan"),
+            (None, "n_max", "plan"),
+            ("model", "field", "model"),
+            ("spins", "positions", "model spins"),
+        ],
+    )
+    def test_missing_key_named(self, section, key, where):
+        d = small_plan_dict()
+        part = {None: d, "model": d["model"], "spins": d["model"]["spins"]}[section]
+        del part[key]
+        error = HarnessError if section is None else ModelError
+        with pytest.raises(error, match=f"^{where} has no '{key}' key$"):
+            ExperimentPlan.from_dict(d)
 
     def test_random_samples_deterministic(self):
         a = ExperimentPlan.from_dict(small_plan_dict())
@@ -494,6 +511,22 @@ class TestConvergence:
             ham = blochlab.oracle.Hamiltonian(small_plan.model, basis, c.h)
             assert evolved_one(ham, 1.0, x, small_plan.oracle_tol)[2].leakage > 1e-10
 
+    def test_drive_weight_once_per_sweep(self, monkeypatch):
+        # every estimate of the sweep, start cutoffs and hygiene alike,
+        # reads the per-model factor computed once
+        real = blochlab.harness.drive_weight
+        calls = []
+
+        def counting(model):
+            calls.append(model)
+            return real(model)
+
+        monkeypatch.setattr(blochlab.harness, "drive_weight", counting)
+        monkeypatch.setattr(blochlab.oracle, "drive_weight", counting)
+        report = run_convergence(ExperimentPlan.from_dict(small_plan_dict()))
+        assert len(calls) == 1
+        assert all("leakage_estimate" in c.hygiene for c in report.cells)
+
     def test_uncoupled_frames_start_at_cutoff_one(self):
         # the estimate vanishes with the coupling and at t = 0, where no
         # photon layer above the vacuum is needed
@@ -644,6 +677,19 @@ class TestShippedRecord:
         _assert_record_matches(got, want)
 
 
+class TestTightTolerance:
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    def test_shipped_plan_passes(self, tol):
+        # the old stop rule, on the raw trapezoid difference, gave up on
+        # every order-1 quadrature of this plan at these tolerances
+        root = Path(__file__).resolve().parent.parent
+        d = json.loads((root / "plans" / "desk_scale.json").read_text())
+        d.update(tol=tol, output={})
+        report = run_convergence(ExperimentPlan.from_dict(d))
+        assert report.passed
+        assert report.fits and all(f["status"] == "pass" for f in report.fits)
+
+
 class TestWriters:
     def test_csv_schema_and_determinism(self, conv_report, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -723,6 +769,19 @@ class TestConvergeCommand:
         assert cli.main([command, plan]) == 2
         out = capsys.readouterr()
         assert out.err == "blochlab: expansion order M must be 0 or 1, got 2\n"
+        assert out.out == ""
+
+    @pytest.mark.parametrize("command", ["converge", "photon", "crosscheck"])
+    def test_missing_key_fails_cleanly(self, tmp_path, capsys, command):
+        # a plan without a required key used to end in a KeyError traceback
+        root = Path(__file__).resolve().parent.parent
+        d = json.loads((root / "plans" / "desk_scale.json").read_text())
+        del d["observables"]
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(d))
+        assert cli.main([command, str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.err == "blochlab: plan has no 'observables' key\n"
         assert out.out == ""
 
     def test_coefficient_failure_writes_the_report(self, tmp_path, monkeypatch):

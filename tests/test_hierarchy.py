@@ -23,6 +23,7 @@ from blochlab.hierarchy import (
     _propagator_chain,
     _propagator_sweep,
     _refine,
+    _rotation_endpoint,
     _rotation_tangent,
     _site_spins,
     _spin1_on_grid,
@@ -185,6 +186,76 @@ class TestChainGrid:
         assert steps % n == 0 and 0.7 / steps <= hierarchy._SUBSTEP
         # the least power of two per panel: half of it would break the cap
         assert steps == n or 0.7 / (steps // 2) > hierarchy._SUBSTEP
+
+
+class TestRefine:
+    """The stop rule: one Richardson level, stopped on the difference of
+    successive Richardson values, which bounds the value returned."""
+
+    @staticmethod
+    def _trapezoid_exp(seen):
+        # trapezoid rule for int_0^1 exp(u) du = e - 1 on n panels
+        def compute(n):
+            seen.append(n)
+            f = np.exp(np.linspace(0.0, 1.0, n + 1))
+            return np.array([(0.5 * (f[0] + f[-1]) + f[1:-1].sum()) / n])
+
+        return compute
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-11, 1e-12])
+    def test_returned_error_within_tol(self, tol):
+        seen = []
+        got = _refine(self._trapezoid_exp(seen), tol)
+        scale = max(1.0, abs(got[0]))
+        assert abs(got[0] - (np.e - 1.0)) <= tol * scale
+        assert seen == [32 * 2**k for k in range(len(seen))]
+
+    def test_loose_tol_stops_after_three_grids(self):
+        # the first stop test compares R_128 with R_64
+        seen = []
+        _refine(self._trapezoid_exp(seen), 1e-6)
+        assert seen == [32, 64, 128]
+
+    def test_zero_tol_raises_at_nmax(self):
+        seen = []
+        with pytest.raises(HierarchyError, match="did not converge below tol=0"):
+            _refine(self._trapezoid_exp(seen), 0.0, nmax=512, label="probe")
+        assert seen == [32, 64, 128, 256, 512]
+
+    def test_nan_never_stops(self):
+        with pytest.raises(HierarchyError):
+            _refine(lambda n: np.array([np.nan]), 1.0, nmax=256)
+
+    def test_order_j_resolves_the_observable_once(self, octa_model, rng, monkeypatch):
+        # the affine form, and a field axis's pairing of F_A with the F B_a,
+        # are built once per order_j call, not once per refinement grid
+        x = random_phase_vector(rng, octa_model.D, scale=0.5)
+        forms, lefts, grids = [], [], []
+        real_form = hierarchy.observable_form
+        real_pairing = hierarchy.flow_pairing
+        real_spins = hierarchy._conjugated_couplings
+
+        def form(model, obs):
+            forms.append(obs.kind)
+            return real_form(model, obs)
+
+        def pairing(grid, left, right):
+            lefts.append(left)
+            return real_pairing(grid, left, right)
+
+        def spins(model, t, x, n):
+            grids.append(n)
+            return real_spins(model, t, x, n)
+
+        monkeypatch.setattr(hierarchy, "observable_form", form)
+        monkeypatch.setattr(hierarchy, "flow_pairing", pairing)
+        monkeypatch.setattr(hierarchy, "_conjugated_couplings", spins)
+        field = ObservableSpec(kind="field_B", m=2, x=np.array([0.3, -0.1, 0.2]))
+        order_j(octa_model, field, 1, 0.7, x, tol=1e-9)
+        assert forms == ["field_B"]
+        # the other pairings are the chain's site fields, left the couplings
+        assert sum(len(left) == 1 for left in lefts) == 1
+        assert len(grids) >= 3  # the refinement read several grids
 
 
 class TestOrder0:
@@ -356,6 +427,33 @@ class TestTangent:
         assert st.residual <= 1e-6
         d = _rotation_tangent(minimal_model, 0, 1.0, x, [v])[0]
         assert _norm(d) > 1e-4  # the check is not vacuous
+
+    @pytest.mark.parametrize("t", [0.0, 0.7, 2.0])
+    def test_probe_endpoint_is_the_chain_rotation(self, octa_model, rng, t):
+        # the central difference reads the same RK4 rotation endpoint that
+        # bloch_spin0 reads from the Maxwell chain and the tangent
+        # differentiates, bitwise
+        x = random_phase_vector(rng, octa_model.D, scale=0.5)
+        for lam, trip in enumerate(bloch_spin0(octa_model, t, x)):
+            got = _rotation_endpoint(octa_model, lam, t, x)
+            np.testing.assert_array_equal(got, trip.rotation)
+
+    def test_probe_integrates_no_mode_sums(self, octa_model, rng, monkeypatch):
+        # only the unshifted point's Maxwell chain is integrated, for the
+        # tangent's own R; the shifted points take the site's RK4 maps alone
+        x = random_phase_vector(rng, octa_model.D, scale=0.5)
+        v = random_phase_vector(rng, octa_model.D)
+        points = []
+        real = hierarchy._maxwell_chain
+
+        def recording(model, t, z, steps):
+            points.append(z)
+            return real(model, t, z, steps)
+
+        monkeypatch.setattr(hierarchy, "_maxwell_chain", recording)
+        st = tangent_derivatives(octa_model, 2, v, 1.0, x)
+        assert st.residual <= 1e-6
+        assert len(points) == 1 and points[0] is x
 
     @pytest.mark.parametrize("lam", [0, 3])
     def test_site_index_out_of_range(self, octa_model, rng, lam):
@@ -594,17 +692,28 @@ def _spin1_reference(model, lam, t, sweep):
 
 
 _MAXWELL_REFERENCES = {}
+# the finest grid that a TestGridKernels test reads from the shared stepping
+_REFERENCE_PANELS = 64
 
 
 def _shared_maxwell_reference(model, t, x, n):
-    """_maxwell_reference stepped once per (model, t, X, n) and kept for the
-    module: the sweep test and the spin1 test at one t draw the same X from
-    the seeded rng, so the second reads the first's stepping. The stored
-    model keeps its id from being reused while the entry lives."""
-    key = (id(model), t, n, x.q.tobytes(), x.p.tobytes())
+    """_maxwell_reference at the nodes of n panels, read from one stepping
+    on _REFERENCE_PANELS panels per (model, couplings, t, X), kept for the
+    module.  Where both grids read one chain, node i of n panels is bitwise
+    node i (_REFERENCE_PANELS / n) of the stepping: the substeps
+    t / n / sub are the same number.  Tests that draw the same couplings
+    and X from the seeded rng, at any such n, read the same stepping.  The
+    stored model keeps its config's id from being reused while the entry
+    lives."""
+    assert _REFERENCE_PANELS % n == 0
+    assert _chain_steps(t, n) == _chain_steps(t, _REFERENCE_PANELS)
+    couplings = b"".join(v.q.tobytes() + v.p.tobytes() for v in model.coupling_list)
+    key = (id(model.config), couplings, t, x.q.tobytes(), x.p.tobytes())
     if key not in _MAXWELL_REFERENCES:
-        _MAXWELL_REFERENCES[key] = (model, _maxwell_reference(model, t, x, n))
-    return _MAXWELL_REFERENCES[key][1]
+        sweep = _maxwell_reference(model, t, x, _REFERENCE_PANELS)
+        _MAXWELL_REFERENCES[key] = (model, sweep)
+    r_path, z_path = _MAXWELL_REFERENCES[key][1]
+    return r_path[:: _REFERENCE_PANELS // n], z_path[:: _REFERENCE_PANELS // n]
 
 
 class TestGridKernels:
@@ -647,20 +756,22 @@ class TestGridKernels:
         g_ref = _propagator_reference(model, t, x, n)
         assert np.max(np.abs(g - g_ref)) <= 1e-13
         r, z = maxwell_modes(model, t, x, n)
-        r_ref, z_ref = _maxwell_reference(model, t, x, n)
+        r_ref, z_ref = _shared_maxwell_reference(model, t, x, n)
         assert np.max(np.abs(r - r_ref)) <= 1e-13
         assert np.max(np.abs(z - z_ref)) <= 1e-13 * np.max(np.abs(z_ref))
 
     def test_spin1_sine_terms(self, octa_model, rng):
         # same-site pairings of the built couplings are pure cosine sums;
-        # generic coupling vectors also carry the sine coefficients
+        # generic coupling vectors also carry the sine coefficients.  These
+        # are the couplings and X of test_sweeps_match_stepwise_sine_terms,
+        # so the two read one stepping
         model = copy.copy(octa_model)
         model.couplings = [
-            [random_phase_vector(rng, model.D, scale=0.05) for _ in range(3)]
+            [random_phase_vector(rng, model.D, scale=0.3) for _ in range(3)]
             for _ in range(model.N)
         ]
         x = random_phase_vector(rng, model.D, scale=0.5)
-        sweep = _maxwell_reference(model, 1.9, x, 16)
+        sweep = _shared_maxwell_reference(model, 1.9, x, 16)
         for lam in range(model.N):
             got = _spin1_on_grid(model, lam, 1.9, x, 16)
             ref = _spin1_reference(model, lam, 1.9, sweep)

@@ -26,6 +26,7 @@ from blochlab.oracle import (
     apply_observable,
     _interaction_apply,
     coherent_frame,
+    drive_weight,
     evolved_frames,
     frame_symbol,
     leakage_estimate,
@@ -602,6 +603,13 @@ class TestLeakageEstimate:
             for ham, frame_log in zip(hams, log.frames):
                 assert frame_log.leakage > 0.0
                 assert frame_log.leakage <= leakage_estimate(model, ham.h, t, cutoff)
+
+    def test_given_weight_is_bitwise_the_same(self, desk_setup):
+        model, _, _ = desk_setup
+        weight = drive_weight(model)
+        for h, t, cutoff in [(0.4, 1.0, 2), (0.05, 2.0, 5), (0.1, 4.0, 30)]:
+            want = leakage_estimate(model, h, t, cutoff)
+            assert leakage_estimate(model, h, t, cutoff, weight) == want
 
     def test_vanishes_without_coupling_or_time(self, desk_setup):
         model, _, _ = desk_setup
