@@ -56,6 +56,7 @@ from .oracle import (
     ObservableSpec,
     OracleError,
     coherent_frame,
+    coupled_modes,
     evolved_frames,
     frame_symbol,
     apply_observable,
@@ -113,6 +114,37 @@ def _pool_map(fn, jobs):
 
 # ---------------------------------------------------------------------------
 # plans
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# how from_dict reads a plan value: (test of its JSON type, conversion, the
+# type named when the test fails)
+_PLAN_TYPES = {
+    "number": (_is_number, float, "a number"),
+    "integer": (
+        lambda v: isinstance(v, int) and not isinstance(v, bool),
+        int,
+        "an integer",
+    ),
+    "numbers": (
+        lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+        lambda v: tuple(float(x) for x in v),
+        "a list of numbers",
+    ),
+}
+
+
+def _plan_value(d: dict, key: str, kind: str, default=None, where: str = ""):
+    """d[key], or default when it is absent, read as kind; a value of
+    another type is refused naming the key."""
+    value = d.get(key, default)
+    valid, convert, name = _PLAN_TYPES[kind]
+    if not valid(value):
+        raise HarnessError(f"plan key {where + key!r} must be {name}, got {value!r}")
+    return convert(value)
 
 
 @dataclass(frozen=True)
@@ -191,17 +223,17 @@ class ExperimentPlan:
             if "kind" not in o:
                 raise HarnessError(f"observable {i} has no 'kind' key: {o}")
         observables = tuple(ObservableSpec.from_dict(o) for o in d["observables"])
-        seed = int(d.get("seed", 0))
+        seed = _plan_value(d, "seed", "integer", 0)
         xs_spec = d.get("X", {"count": 1, "norm": 0.5})
         samples = []
         grid_D = Model(config).D
         if isinstance(xs_spec, dict):
             rng = np.random.default_rng(seed)
-            norm = float(xs_spec.get("norm", 0.5))
+            norm = _plan_value(xs_spec, "norm", "number", 0.5, "X.")
             # a negative norm would be used as its absolute value
             if not (math.isfinite(norm) and norm >= 0.0):
                 raise HarnessError(f"X.norm must be finite and >= 0, got {norm}")
-            for i in range(int(xs_spec.get("count", 1))):
+            for i in range(_plan_value(xs_spec, "count", "integer", 1, "X.")):
                 v = rng.standard_normal(2 * grid_D)
                 v *= norm / np.linalg.norm(v)
                 samples.append(
@@ -222,12 +254,12 @@ class ExperimentPlan:
             config=config,
             observables=observables,
             x_samples=tuple(samples),
-            t_samples=tuple(float(t) for t in d["t"]),
-            h_list=tuple(float(h) for h in d["h"]),
-            M=int(d.get("M", 0)),
-            n_max=int(d["n_max"]),
-            tol=float(d.get("tol", 1e-7)),
-            oracle_tol=float(d.get("oracle_tol", 1e-9)),
+            t_samples=_plan_value(d, "t", "numbers"),
+            h_list=_plan_value(d, "h", "numbers"),
+            M=_plan_value(d, "M", "integer", 0),
+            n_max=_plan_value(d, "n_max", "integer"),
+            tol=_plan_value(d, "tol", "number", 1e-7),
+            oracle_tol=_plan_value(d, "oracle_tol", "number", 1e-9),
             seed=seed,
             csv_path=out.get("csv"),
             json_path=out.get("json"),
@@ -305,8 +337,8 @@ class SweepCell:
     h: float
     error: float | None
     status: str  # ok | exact | failed:<reason>
-    # the frame's PropagationLog.to_dict() plus energy_drift, cutoff and
-    # leakage_estimate
+    # the frame's PropagationLog.to_dict() plus energy_drift, cutoff, modes
+    # and leakage_estimate
     hygiene: dict = field(default_factory=dict)
 
 
@@ -407,8 +439,9 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
     # the gate: frames that breach it move on to the doubled cutoff, up to
     # n_max, and join the group there.  Below the cap a group stops once
     # every frame has breached, since its breaching frames are discarded
-    # anyway.  Bases and Hamiltonians are built on first use, under a lock,
-    # and shared.
+    # anyway.  Every basis holds only the coupled modes.  Bases and
+    # Hamiltonians are built on first use, under a lock, and shared.
+    modes = coupled_modes(model)
     bases, hams = {}, {}
     build_lock = threading.Lock()
 
@@ -416,8 +449,8 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
         with build_lock:
             if (cutoff, h) not in hams:
                 if cutoff not in bases:
-                    bases[cutoff] = FockBasis(model.D, cutoff)
-                hams[(cutoff, h)] = Hamiltonian(model, bases[cutoff], h)
+                    bases[cutoff] = FockBasis(modes.shape[1], cutoff)
+                hams[(cutoff, h)] = Hamiltonian(model, bases[cutoff], h, modes)
             return hams[(cutoff, h)]
 
     weight = drive_weight(model)  # the estimate's per-model factor
@@ -477,7 +510,10 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
                     hygiene = frame_log.to_dict()
                     estimate = leakage_estimate(model, ham.h, t, cutoff, weight)
                     hygiene.update(
-                        energy_drift=drift, cutoff=cutoff, leakage_estimate=estimate
+                        energy_drift=drift,
+                        cutoff=cutoff,
+                        modes=ham.basis.D,
+                        leakage_estimate=estimate,
                     )
                     evolved, status = (frame, y, ham, hygiene), None
                 out.append(((ham.h, t, x_id), (evolved, status)))

@@ -53,6 +53,24 @@ sigma for a spin, Phi_h(F_A) + (F_A . Y) for a field, and the number_rate
 generator with K_g -> L_g.  The photon-number rate is the number_rate
 observable read from the same evolved frame as every other observable.
 
+Coupled modes: the basis holds only the modes that couple.  Within one
+frequency group a real orthogonal change of modes commutes with the free
+flow, and the coupling vectors are pure q-vectors, so the span of group
+g's couplings is real, of rank r_g <= 3N.  In the displaced frame xi starts
+in the vacuum, and K_g, its adjoint and the drive involve only the modes
+of that span: the orthogonal modes stay in the vacuum, and xi is a state
+of the D_r = sum_g r_g coupled modes times their vacuum.  The photon
+number counts the coupled modes alone, so the truncation, the top photon
+layer and the leakage are those of the full basis.  coupled_modes gives
+the isometry U, shape (D, D_r), of those modes, and the Fock side reads
+every phase-space vector through U^T: X in the drive, Y in the energy's
+shift Phi_h(omega Y), and F_A in a field observable's Phi_h(F_A); the part
+of them orthogonal to the span pairs the vacuum with itself and drops out.
+The classical terms keep the full vectors: F_A . Y in a field observable
+and (1/2) sum_j omega_j (q_j^2 + p_j^2) in the energy.  The full basis is
+the identity isometry, the default of a Hamiltonian, and the reference of
+the tests.
+
 Cutoff sizing, per frame: the basis cutoff bounds the photon number of xi,
 not of Psi_X, and it is predicted before any propagation.  The drive is a
 spin matrix and creates no photon; to leading order the one-photon
@@ -98,6 +116,7 @@ from blochlab.model import (
     chi_flow_vector,
     coupling_B,
     fmap,
+    stack_vectors,
 )
 from blochlab.stepper import GroupLog, integrate_adaptive
 
@@ -173,15 +192,47 @@ def field_coupling(model: Model, obs: ObservableSpec) -> PhaseVector:
     return fmap(b)  # field_E_pol
 
 
-class TensorOperators:
-    """The h-independent generator of one (model, basis) pair.
+def coupled_modes(model: Model) -> np.ndarray:
+    """The isometry U, shape (D, D_r), onto the coupled modes (see "Coupled
+    modes" above): per frequency group, an orthonormal basis of the span of
+    the group's coupling vectors, r_g <= 3N columns supported on the group.
 
-    On the Fock-major space, with c = b_q - i b_p per coupling vector:
+    Where the group's coupled slots are independent, as the desk's two sin
+    slots are, the columns are their unit vectors, so the operators are
+    those of the full basis with the vacuum slots left out; otherwise they
+    are the right singular vectors of the group's couplings.  A model with
+    no coupling keeps its first mode, uncoupled, since a basis needs one.
+    """
+    if any(b.p.any() for b in model.coupling_list):
+        raise ModelError("coupled modes need pure q couplings, got a nonzero p part")
+    coeffs = stack_vectors(model.coupling_list)[0]
+    values, group_of = model.grid.frequency_groups
+    columns = []
+    for g in range(len(values)):
+        slots = np.flatnonzero((group_of == g) & coeffs.any(axis=0))
+        if not slots.size:
+            continue
+        _, sv, vt = np.linalg.svd(coeffs[:, slots], full_matrices=False)
+        # numpy's matrix_rank tolerance
+        floor = sv[0] * max(len(coeffs), slots.size) * np.finfo(float).eps
+        rank = int(np.sum(sv > floor))
+        u = np.zeros((model.D, rank))
+        u[slots] = np.eye(rank) if rank == slots.size else vt[:rank].T
+        columns.append(u)
+    return np.hstack(columns) if columns else np.eye(model.D, 1)
+
+
+class TensorOperators:
+    """The h-independent generator of one (model, basis) pair, on the modes
+    whose isometry U is modes (the basis's D columns of it).
+
+    On the Fock-major space, with c = (b_q - i b_p) U per coupling vector:
     h0 = I (x) sum beta_m sigma_m^[lam], and per frequency group g
     K_g = sum_{lam,m} sum_{j in g} c_{lam m, j} a_j (x) sigma_m^[lam] with
     the group's coefficients c_{lam m, j} (zero off the group), from which
     Hamiltonian.generator builds the drive.  Groups whose couplings all
-    vanish are dropped.  pattern is the generator's stacked CSR matrix
+    vanish are dropped.  omegas holds the frequency of each mode.  pattern
+    is the generator's stacked CSR matrix
     [h0; K_1 + I (x) E; K_1^H + I (x) E; ...] with E the s x s
     spin_pattern, where some spin matrix of the model is nonzero: K_g is
     off-diagonal in photon number and the drive is diagonal, so no entry is
@@ -190,9 +241,14 @@ class TensorOperators:
     column) order.
     """
 
-    def __init__(self, model: Model, basis: FockBasis):
+    def __init__(self, model: Model, basis: FockBasis, modes: np.ndarray):
         import scipy.sparse as sp
 
+        self.modes = modes
+        values, group_of = model.grid.frequency_groups
+        # each column lies in one group: its largest entry names it
+        mode_group = group_of[np.argmax(np.abs(modes), axis=0)]
+        self.omegas = values[mode_group]
         eye = sp.identity(basis.dim, dtype=complex, format="csr")
         spin_const = model.spin_matrix(model.site_beta)
         self.h0 = sp.kron(eye, sp.csr_matrix(spin_const), format="csr")
@@ -201,12 +257,11 @@ class TensorOperators:
         marks = np.where(self.spin_pattern, np.nan, 0.0)
         marks = sp.kron(eye, sp.csr_matrix(marks), format="csr")
         # one row of c per sigma_m^[lam] of model.sigmas, in (lam, m) order
-        coeffs = np.array([b.q - 1j * b.p for b in model.coupling_list])
+        coeffs = np.array([b.q - 1j * b.p for b in model.coupling_list]) @ modes
         self.groups = []  # (omega, coeff) per coupled frequency group
         blocks = [self.h0]
-        values, group_of = model.grid.frequency_groups
         for g, w in enumerate(values):
-            members = np.nonzero(group_of == g)[0]
+            members = np.nonzero(mode_group == g)[0]
             terms = []
             for coeff, sigma in zip(coeffs, model.sigmas):
                 idx = [j for j in members if coeff[j] != 0]
@@ -250,34 +305,50 @@ def leakage_estimate(
     return math.prod(lam / k for k in range(1, cutoff + 1))
 
 
-def _shared_operators(model: Model, basis: FockBasis) -> TensorOperators:
+def _shared_operators(
+    model: Model, basis: FockBasis, modes: np.ndarray
+) -> TensorOperators:
     """The TensorOperators of (model, basis), built on first use and kept
     on the basis, so the Hamiltonians of every h share one copy."""
     ops = basis.operator_cache.get(model)
     if ops is None:
-        ops = basis.operator_cache[model] = TensorOperators(model, basis)
+        ops = basis.operator_cache[model] = TensorOperators(model, basis, modes)
+    elif not np.array_equal(ops.modes, modes):
+        raise OracleError("a basis carries one set of modes per model")
     return ops
 
 
 class Hamiltonian:
-    """Truncated Hamiltonian at one h on the shared tensor operators."""
+    """Truncated Hamiltonian at one h on the shared tensor operators.
 
-    def __init__(self, model: Model, basis: FockBasis, h: float):
+    The basis's modes are the columns of the isometry modes, shape (D,
+    basis.D), from coupled_modes; by default the identity, every grid mode.
+    """
+
+    def __init__(
+        self, model: Model, basis: FockBasis, h: float, modes: np.ndarray | None = None
+    ):
         if h <= 0:
             raise OracleError("h must be positive")
-        if basis.D != model.D:
-            raise OracleError("basis mode count does not match the grid")
+        if modes is None:
+            modes = np.eye(model.D)
+        if modes.shape != (model.D, basis.D):
+            raise OracleError("basis mode count does not match the modes")
         self.model = model
         self.basis = basis
         self.h = float(h)
         self.spin_dim = model.spin_dim
-        self.slot_omegas = model.grid.slot_omegas
+        self.ops = _shared_operators(model, basis, modes)
         # exact diagonal free part (photon only), in units of energy
-        self.hph_diag = h * (basis.occupations @ self.slot_omegas)
+        self.hph_diag = h * (basis.occupations @ self.ops.omegas)
         # Phi_{S,h}(chi_{-t} B) (x) sigma summed = sqrt(h/2) sum_g
         # [e^{-i w_g t} K_g + h.c.]
         self.root = np.sqrt(self.h / 2.0)
-        self.ops = _shared_operators(model, basis)
+
+    def project(self, v: PhaseVector) -> PhaseVector:
+        """U^T V: the coordinates of a grid vector on the basis's modes."""
+        modes = self.ops.modes
+        return PhaseVector(v.q @ modes, v.p @ modes)
 
     # -- generator application -----------------------------------------
 
@@ -292,7 +363,8 @@ class Hamiltonian:
         """
         import scipy.sparse as sp
 
-        z = (x.q + 1j * x.p) / np.sqrt(2.0 * self.h)
+        xr = self.project(x)
+        z = (xr.q + 1j * xr.p) / np.sqrt(2.0 * self.h)
         drives = []
         for _, coeff in self.ops.groups:
             k_z = self.model.spin_matrix(coeff @ z)
@@ -310,10 +382,13 @@ class Hamiltonian:
         W(Y)* H W(Y) = H + Phi_h(omega Y) (x) I + (1/2) sum_j omega_j
         (q_j^2 + p_j^2) + h drive_Y(0), where Phi_h(omega Y) =
         h sum_j omega_j (conj(z_j) a_j + z_j a_j*); at Y = 0 this is <psi, H psi>.
+        The shift acts on the basis's modes, the classical term on all.
         """
         dim, s, n = psi.shape
-        om = self.slot_omegas
-        shift = segal_field(self.basis, self.h, PhaseVector(om * y.q, om * y.p))
+        om = self.model.grid.slot_omegas
+        shift = segal_field(
+            self.basis, self.h, self.project(PhaseVector(om * y.q, om * y.p))
+        )
         interaction = _interaction_apply([self], 0.0, psi[None], self.generator(y))
         hpsi = (
             self.hph_diag[:, None, None] * psi
@@ -326,7 +401,7 @@ class Hamiltonian:
         )
 
     def free_phases(self, t: float) -> np.ndarray:
-        return gamma_free_phases(self.basis, self.slot_omegas, t)
+        return gamma_free_phases(self.basis, self.ops.omegas, t)
 
 
 def _stacked_generator(hams: list, x: PhaseVector) -> sp.csr_matrix:
@@ -446,7 +521,7 @@ def apply_observable(
         return model.spin_ops[obs.lam - 1][obs.m - 1] @ psi
     if obs.kind.startswith("field"):
         v = field_coupling(model, obs)
-        f = segal_field(ham.basis, ham.h, v)
+        f = segal_field(ham.basis, ham.h, ham.project(v))
         out = (f @ psi.reshape(dim, s * n)).reshape(dim, s, n)
         out += v.dot(y) * psi
         return out

@@ -506,6 +506,8 @@ class TestConvergence:
         basis = blochlab.fock.FockBasis(small_plan.model.D, 2)
         for c in conv_report.cells:
             assert c.hygiene["cutoff"] == 3
+            # on the 2 coupled modes of 4: the cos slots do not couple
+            assert c.hygiene["modes"] == 2
             assert c.hygiene["leakage"] <= 1e-10
             assert c.hygiene["leakage"] <= c.hygiene["leakage_estimate"] <= 1e-10
             ham = blochlab.oracle.Hamiltonian(small_plan.model, basis, c.h)
@@ -762,14 +764,26 @@ class TestConvergeCommand:
         assert all(r.startswith("insufficient-data") for r in rows)
         assert all(r.endswith("slope -") for r in rows)
 
+    REFUSED = [
+        ({"M": 2}, "expansion order M must be 0 or 1, got 2"),
+        # values of the wrong type used to end in a TypeError or ValueError
+        # traceback
+        ({"t": 1.0}, "plan key 't' must be a list of numbers, got 1.0"),
+        ({"h": "0.4"}, "plan key 'h' must be a list of numbers, got '0.4'"),
+        ({"M": "one"}, "plan key 'M' must be an integer, got 'one'"),
+        ({"tol": "x"}, "plan key 'tol' must be a number, got 'x'"),
+        ({"n_max": None}, "plan key 'n_max' must be an integer, got None"),
+    ]
+
     @pytest.mark.parametrize("command", ["converge", "photon", "crosscheck"])
     def test_refused_plan_fails_cleanly(self, tmp_path, capsys, command):
         # a plan refused at load used to end in a HarnessError traceback
-        plan = self._desk_plan(tmp_path, M=2)
-        assert cli.main([command, plan]) == 2
-        out = capsys.readouterr()
-        assert out.err == "blochlab: expansion order M must be 0 or 1, got 2\n"
-        assert out.out == ""
+        for overrides, reason in self.REFUSED:
+            plan = self._desk_plan(tmp_path, **overrides)
+            assert cli.main([command, plan]) == 2
+            out = capsys.readouterr()
+            assert out.err == f"blochlab: {reason}\n"
+            assert out.out == ""
 
     @pytest.mark.parametrize("command", ["converge", "photon", "crosscheck"])
     def test_missing_key_fails_cleanly(self, tmp_path, capsys, command):

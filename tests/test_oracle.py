@@ -1,5 +1,6 @@
 """Exact propagation: Hamiltonian assembly, stepper, evolved symbols, rates."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -26,6 +27,7 @@ from blochlab.oracle import (
     apply_observable,
     _interaction_apply,
     coherent_frame,
+    coupled_modes,
     drive_weight,
     evolved_frames,
     frame_symbol,
@@ -109,9 +111,11 @@ class TestHamiltonian:
 
 @pytest.fixture(scope="module")
 def octa_setup(octa_model):
-    """Two spins and two frequency groups: D = 48, s = 4, dim 1,225."""
-    basis = FockBasis(D=octa_model.D, n_max=2)
-    return octa_model, basis, Hamiltonian(octa_model, basis, 0.3)
+    """Two spins and two frequency groups: D = 48, of which 12 couple, s = 4,
+    dim 91 (1,225 on every mode)."""
+    modes = coupled_modes(octa_model)
+    basis = FockBasis(D=modes.shape[1], n_max=2)
+    return octa_model, basis, Hamiltonian(octa_model, basis, 0.3, modes)
 
 
 def _unit_columns(rng, rows, n):
@@ -124,7 +128,7 @@ class TestTensorOperators:
 
     def test_apply_matches_operator(self, octa_setup, rng):
         model, basis, ham = octa_setup
-        assert basis.dim == 1225 and ham.spin_dim == 4
+        assert basis.dim == 91 and ham.spin_dim == 4
         assert len(ham.ops.groups) == 2
         psi = _unit_columns(rng, basis.dim * 4, 3).reshape(basis.dim, 4, 3)
         for x in (zero_vector(model.D), random_phase_vector(rng, model.D, scale=0.3)):
@@ -136,7 +140,7 @@ class TestTensorOperators:
 
     def test_operator_matches_rotated_couplings(self, octa_setup, rng):
         # H_int^free(t) + drive(t) = sum (beta_m + (chi_{-t} B) . X
-        # + Phi_{S,h}(chi_{-t} B)) (x) sigma, assembled from segal_field
+        # + Phi_{S,h}(U^T chi_{-t} B)) (x) sigma, assembled from segal_field
         # without the frequency groups
         model, basis, ham = octa_setup
         eye = sp.identity(basis.dim, format="csr")
@@ -147,7 +151,7 @@ class TestTensorOperators:
                     for m in range(3):
                         b = chi_flow_vector(model.grid, -t, model.couplings[lam][m])
                         shift = model.beta[m] + b.dot(x)
-                        field = shift * eye + segal_field(basis, ham.h, b)
+                        field = shift * eye + segal_field(basis, ham.h, ham.project(b))
                         want = want + sp.kron(field, model.spin_ops[lam][m])
                 assert abs(interaction_operator(ham, t, x) - want).max() <= 1e-13
 
@@ -183,7 +187,7 @@ class TestTensorOperators:
 
     def test_operators_shared_across_h(self, octa_model, octa_setup):
         _, basis, ham = octa_setup
-        other = Hamiltonian(octa_model, basis, 0.05)
+        other = Hamiltonian(octa_model, basis, 0.05, ham.ops.modes)
         assert other.ops is ham.ops
         assert other.root == np.sqrt(0.05 / 2.0) and ham.root == np.sqrt(0.3 / 2.0)
 
@@ -192,13 +196,14 @@ class TestObservableApplication:
     """Each observable against its materialized operator on Fock x C^s.
 
     Displaced by W(Y), a field Phi_h(V) becomes Phi_h(V) + V . Y, so every
-    reference is assembled at Y = 0 and at a random Y from segal_field.
+    reference is assembled at Y = 0 and at a random Y from segal_field, with
+    the field on the coupled modes, Phi_h(U^T V).
     """
 
     def _check(self, ham, basis, obs, op_at, rng):
-        s = ham.spin_dim
+        s, d = ham.spin_dim, ham.model.D
         psi = _unit_columns(rng, basis.dim * s, s).reshape(basis.dim, s, s)
-        for y in (zero_vector(basis.D), random_phase_vector(rng, basis.D, scale=0.3)):
+        for y in (zero_vector(d), random_phase_vector(rng, d, scale=0.3)):
             got = apply_observable(ham, obs, psi, y).reshape(-1, s)
             want = op_at(y) @ psi.reshape(-1, s)
             assert np.max(np.abs(got - want)) <= 1e-14
@@ -224,7 +229,7 @@ class TestObservableApplication:
         ):
 
             def op_at(y):
-                field = segal_field(basis, ham.h, v) + v.dot(y) * eye
+                field = segal_field(basis, ham.h, ham.project(v)) + v.dot(y) * eye
                 return sp.kron(field, sp.identity(4), format="csr")
 
             obs = ObservableSpec(kind=kind, m=2, x=point)
@@ -240,7 +245,7 @@ class TestObservableApplication:
             for lam in range(model.N):
                 for m in range(3):
                     fb = fmap(model.couplings[lam][m])
-                    f = segal_field(basis, ham.h, fb) + fb.dot(y) * eye
+                    f = segal_field(basis, ham.h, ham.project(fb)) + fb.dot(y) * eye
                     op = op - sp.kron(f, model.spin_ops[lam][m], format="csr")
             return op
 
@@ -528,15 +533,17 @@ class TestDisplacedFrame:
         assert gap <= 1e-10
 
     def test_two_groups_agree_with_undisplaced(self, octa_model, octa_setup, rng):
-        # N = 2 and two frequency groups, on the full 2-photon basis, at an
-        # |X| small enough for Psi_X to fit it
-        _, basis, _ = octa_setup
+        # N = 2 and two frequency groups: the displaced frame on the 12
+        # coupled modes against Psi_X on the full 2-photon basis, at an |X|
+        # small enough for Psi_X to fit it
+        _, basis, reduced = octa_setup
         v = rng.standard_normal(2 * octa_model.D)
         v *= 0.005 / np.linalg.norm(v)
         x = PhaseVector(v[: octa_model.D], v[octa_model.D :])
-        ham = Hamiltonian(octa_model, basis, 0.1)
+        displaced = Hamiltonian(octa_model, basis, 0.1, reduced.ops.modes)
+        full = Hamiltonian(octa_model, FockBasis(octa_model.D, 2), 0.1)
         observables = AGREEMENT_OBSERVABLES + (ObservableSpec(kind="spin", m=3, lam=2),)
-        gap, _ = _max_disagreement(ham, ham, 0.2, x, observables, 1e-11)
+        gap, _ = _max_disagreement(displaced, full, 0.2, x, observables, 1e-11)
         assert gap <= 1e-10
 
     @pytest.mark.parametrize("h", [0.4, 0.1])
@@ -680,3 +687,109 @@ class TestFrameGroup:
         hams = [Hamiltonian(m, basis, 0.1) for m in (model, other)]
         with pytest.raises(OracleError, match="one model and one basis"):
             evolved_frames(hams, 1.0, x)
+
+
+def _one_spin_octahedral():
+    """One spin at the origin on the octahedral grid with one radial node:
+    D = 24 modes in one frequency group, of which 3 couple."""
+    cfg = ModelConfig(
+        N=1,
+        positions=[[0.0, 0.0, 0.0]],
+        beta=(0.2, 0.0, 1.0),
+        grid_directions="octahedral",
+    )
+    return Model(cfg)
+
+
+class TestCoupledModes:
+    """The oracle on the coupled modes against the full basis, which is the
+    same code on the identity isometry."""
+
+    def test_desk_keeps_its_sin_slots(self, desk_setup):
+        # at the origin the cos slots' couplings A sin(k . x) vanish exactly
+        model, _, _ = desk_setup
+        assert np.array_equal(coupled_modes(model), np.eye(4)[:, 2:])
+
+    @pytest.mark.parametrize("which", ["one-spin", "octa"])
+    def test_isometry_spans_the_couplings(self, octa_model, which):
+        model = octa_model if which == "octa" else _one_spin_octahedral()
+        modes = coupled_modes(model)
+        # 3N coupled modes in each frequency group
+        groups = len(model.grid.frequency_groups[0])
+        assert modes.shape == (model.D, 3 * model.N * groups)
+        assert np.max(np.abs(modes.T @ modes - np.eye(modes.shape[1]))) <= 1e-14
+        # every column lies in one frequency group
+        _, group_of = model.grid.frequency_groups
+        for col in modes.T:
+            assert len(np.unique(group_of[col != 0])) == 1
+        for b in model.coupling_list:
+            assert np.max(np.abs(b.q - modes @ (modes.T @ b.q))) <= 1e-14 * b.norm()
+
+    def test_uncoupled_model_keeps_one_mode(self, desk_setup):
+        model, _, _ = desk_setup
+        cfg = dataclasses.replace(
+            model.config, cutoff_fn=lambda r: np.zeros_like(np.asarray(r, dtype=float))
+        )
+        assert np.array_equal(coupled_modes(Model(cfg)), np.eye(4)[:, :1])
+
+    def test_refuses_a_coupling_with_a_p_part(self, octa_model, rng):
+        model = copy.copy(octa_model)
+        model.couplings = [
+            [random_phase_vector(rng, model.D, scale=0.3) for _ in range(3)]
+            for _ in range(model.N)
+        ]
+        with pytest.raises(ModelError, match="nonzero p part"):
+            coupled_modes(model)
+
+    def test_one_set_of_modes_per_basis(self, desk_setup):
+        model, _, _ = desk_setup
+        basis = FockBasis(2, 1)
+        Hamiltonian(model, basis, 0.1, coupled_modes(model))
+        with pytest.raises(OracleError, match="one set of modes"):
+            Hamiltonian(model, basis, 0.1, np.eye(4)[:, :2])
+
+    @pytest.mark.parametrize("which", ["one-spin", "octa"])
+    def test_reduced_matches_full_basis(self, octa_model, rng, which):
+        # one spin: 325 states against 10; octa_model: 1,225 against 91.
+        # Measured: every symbol within 1.5e-14 relative, equal steps.
+        model = octa_model if which == "octa" else _one_spin_octahedral()
+        v = rng.standard_normal(2 * model.D)
+        v *= 0.5 / np.linalg.norm(v)
+        x = PhaseVector(v[: model.D], v[model.D :])
+        modes = coupled_modes(model)
+        point = np.array([0.2, -0.1, 0.3])
+        observables = [
+            ObservableSpec(kind="spin", m=m, lam=lam)
+            for lam in range(1, model.N + 1)
+            for m in (1, 2, 3)
+        ]
+        observables += [
+            ObservableSpec(kind=kind, m=2, x=point)
+            for kind in ("field_B", "field_E", "field_E_pol")
+        ]
+        observables.append(NUMBER_RATE)
+        runs = []
+        for basis, isometry in (
+            (FockBasis(model.D, 2), None),
+            (FockBasis(modes.shape[1], 2), modes),
+        ):
+            hams = [Hamiltonian(model, basis, h, isometry) for h in (0.2, 0.1)]
+            xi, y, log = evolved_frames(hams, 1.0, x, 1e-9)
+            symbols = [
+                [
+                    frame_symbol(f, apply_observable(ham, obs, f, y))
+                    for obs in observables
+                ]
+                for ham, f in zip(hams, xi)
+            ]
+            energies = [ham.energy(f, y) for ham, f in zip(hams, xi)]
+            runs.append((log, symbols, energies))
+        (full, full_symbols, full_energies), (log, symbols, energies) = runs
+        assert (log.n_accepted, log.n_rejected) == (full.n_accepted, full.n_rejected)
+        for frame_log, full_log in zip(log.frames, full.frames):
+            assert frame_log.leakage == pytest.approx(full_log.leakage, rel=1e-12)
+        for got, want in zip(energies, full_energies):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        for frame, full_frame in zip(symbols, full_symbols):
+            for got, want in zip(frame, full_frame):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
