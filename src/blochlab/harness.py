@@ -48,6 +48,7 @@ from .model import (
     ModelConfig,
     ModelError,
     PhaseVector,
+    is_number,
     require_keys,
 )
 from .oracle import (
@@ -116,24 +117,25 @@ def _pool_map(fn, jobs):
 # plans
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _is_objects(v) -> bool:
+    return isinstance(v, list) and all(isinstance(o, dict) for o in v)
 
 
 # how from_dict reads a plan value: (test of its JSON type, conversion, the
 # type named when the test fails)
 _PLAN_TYPES = {
-    "number": (_is_number, float, "a number"),
+    "number": (is_number, float, "a number"),
     "integer": (
         lambda v: isinstance(v, int) and not isinstance(v, bool),
         int,
         "an integer",
     ),
     "numbers": (
-        lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+        lambda v: isinstance(v, (list, tuple)) and all(map(is_number, v)),
         lambda v: tuple(float(x) for x in v),
         "a list of numbers",
     ),
+    "objects": (_is_objects, list, "a list of objects"),
 }
 
 
@@ -154,13 +156,11 @@ class ExperimentPlan:
     n_max caps the photon cutoff of the oracle's fluctuation basis.  Each
     frame (h, t, X) starts at the smallest cutoff whose leakage_estimate
     fits DEFAULT_TAIL_TOL, and the frames of one (t, X) that start alike
-    run together.  Frames whose measured leakage does not fit move on
-    together to the doubled cutoff.  A group below the cap stops once every
-    frame has breached, since those frames will be discarded; a group at
-    the cap goes to t, so a failure reports its full leakage.
+    run together, to t.  Frames whose measured leakage does not fit move
+    on together to the doubled cutoff; at the cap they fail with it.
     """
 
-    config: ModelConfig
+    model: Model
     observables: tuple
     x_samples: tuple  # ((x_id, PhaseVector), ...)
     t_samples: tuple
@@ -205,28 +205,25 @@ class ExperimentPlan:
         if len(set(labels)) != len(labels):
             raise HarnessError(f"observables must be distinct, got {labels}")
         for obs in self.observables:
-            if obs.kind == "spin" and obs.lam > self.config.N:
+            if obs.kind == "spin" and obs.lam > self.model.N:
                 raise HarnessError(
-                    f"{obs.label()}: site {obs.lam} outside 1..{self.config.N}"
+                    f"{obs.label()}: site {obs.lam} outside 1..{self.model.N}"
                 )
-
-    @property
-    def model(self) -> Model:
-        return Model(self.config)
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentPlan":
         required = ("model", "observables", "t", "h", "n_max")
         require_keys(d, required, "plan", HarnessError)
-        config = ModelConfig.from_dict(d["model"])
-        for i, o in enumerate(d["observables"]):
+        model = Model(ModelConfig.from_dict(d["model"]))
+        specs = _plan_value(d, "observables", "objects")
+        for i, o in enumerate(specs):
             if "kind" not in o:
                 raise HarnessError(f"observable {i} has no 'kind' key: {o}")
-        observables = tuple(ObservableSpec.from_dict(o) for o in d["observables"])
+        observables = tuple(ObservableSpec.from_dict(o) for o in specs)
         seed = _plan_value(d, "seed", "integer", 0)
         xs_spec = d.get("X", {"count": 1, "norm": 0.5})
         samples = []
-        grid_D = Model(config).D
+        grid_D = model.D
         if isinstance(xs_spec, dict):
             rng = np.random.default_rng(seed)
             norm = _plan_value(xs_spec, "norm", "number", 0.5, "X.")
@@ -240,18 +237,18 @@ class ExperimentPlan:
                     (f"X{i}", PhaseVector(v[:grid_D].copy(), v[grid_D:].copy()))
                 )
         else:
-            for i, entry in enumerate(xs_spec):
+            for i, entry in enumerate(_plan_value(d, "X", "objects")):
                 x_id = entry.get("id", f"X{i}")
-                q, p = (np.asarray(entry.get(k, ()), dtype=float) for k in ("q", "p"))
-                if q.shape != (grid_D,) or p.shape != (grid_D,):
+                q, p = (_plan_value(entry, k, "numbers", (), f"X[{i}].") for k in "qp")
+                if len(q) != grid_D or len(p) != grid_D:
                     raise HarnessError(
                         f"X sample {x_id!r}: q and p need {grid_D} entries each "
-                        f"on this grid, got shapes {q.shape} and {p.shape}"
+                        f"on this grid, got {len(q)} and {len(p)}"
                     )
                 samples.append((x_id, PhaseVector(q, p)))
         out = d.get("output", {})
         return ExperimentPlan(
-            config=config,
+            model=model,
             observables=observables,
             x_samples=tuple(samples),
             t_samples=_plan_value(d, "t", "numbers"),
@@ -437,10 +434,10 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
     # DEFAULT_TAIL_TOL, capped at n_max; the h of one (t, X) at one cutoff
     # are integrated together as a frame group.  The measured leakage is
     # the gate: frames that breach it move on to the doubled cutoff, up to
-    # n_max, and join the group there.  Below the cap a group stops once
-    # every frame has breached, since its breaching frames are discarded
-    # anyway.  Every basis holds only the coupled modes.  Bases and
-    # Hamiltonians are built on first use, under a lock, and shared.
+    # n_max, and join the group there.  Every group runs to t, so a frame
+    # that fails at the cap reports the leakage of its whole run.  Every
+    # basis holds only the coupled modes.  Bases and Hamiltonians are built
+    # on first use, under a lock, and shared.
     modes = coupled_modes(model)
     bases, hams = {}, {}
     build_lock = threading.Lock()
@@ -457,7 +454,7 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
 
     def _start_cutoff(h, t):
         for c in range(1, plan.n_max):
-            if leakage_estimate(model, h, t, c, weight) <= DEFAULT_TAIL_TOL:
+            if leakage_estimate(weight, h, t, c) <= DEFAULT_TAIL_TOL:
                 return c
         return plan.n_max
 
@@ -474,11 +471,8 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
             cutoff = min(waiting)
             pending = sorted(waiting.pop(cutoff), reverse=True)  # ladder order
             group = [_hamiltonian(cutoff, h) for h in pending]
-            stop = None if cutoff == plan.n_max else DEFAULT_TAIL_TOL
             try:
-                xi, y, log = evolved_frames(
-                    group, t, x, tol=plan.oracle_tol, stop_leakage=stop
-                )
+                xi, y, log = evolved_frames(group, t, x, tol=plan.oracle_tol)
             except StepStallError as exc:
                 # only the frames that stalled fail; the others run again
                 failed = [pending[i] for i in exc.frames]
@@ -508,7 +502,7 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
                     scale = np.maximum(np.abs(e0), 1.0)
                     drift = float(np.max(np.abs(e_t - e0) / scale))
                     hygiene = frame_log.to_dict()
-                    estimate = leakage_estimate(model, ham.h, t, cutoff, weight)
+                    estimate = leakage_estimate(weight, ham.h, t, cutoff)
                     hygiene.update(
                         energy_drift=drift,
                         cutoff=cutoff,

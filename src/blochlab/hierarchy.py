@@ -539,11 +539,6 @@ def _order1_grids(model, obs, t, x):
     return spin
 
 
-def _order1_on_grid(model, obs, t, x, n):
-    """A^[1](t, X) by trapezoid quadrature on n panels."""
-    return _order1_grids(model, obs, t, x)(n)
-
-
 def order_j(
     model: Model,
     obs: ObservableSpec,

@@ -55,6 +55,21 @@ def require_keys(d: dict, keys, where: str, error=ModelError) -> None:
             raise error(f"{where} has no {key!r} key")
 
 
+def is_number(v) -> bool:
+    """v is a JSON number: an int or a float, not a boolean."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def number_array(value, key: str) -> np.ndarray:
+    """value, a JSON array of numbers or of equal-length arrays of numbers,
+    as a float array; any other value is refused naming key."""
+    # a ragged value gives a 1-d array of its lists, which are no numbers
+    cells = np.array(value, dtype=object)
+    if cells.ndim == 0 or not all(map(is_number, cells.flat)):
+        raise ModelError(f"{key} must be an array of numbers, got {value!r}")
+    return cells.astype(float)
+
+
 @dataclass(frozen=True)
 class PhaseVector:
     """A point X = (q, p) of the discretized phase space R^{2D}."""
@@ -220,6 +235,8 @@ class ModelConfig:
             raise ModelError("need at least one spin")
         if self.positions.shape != (self.N, 3):
             raise ModelError("positions must have shape (N, 3)")
+        if self.beta.shape != (3,):
+            raise ModelError(f"beta must have 3 entries, got shape {self.beta.shape}")
         for i in range(self.N):
             for j in range(i + 1, self.N):
                 if np.allclose(self.positions[i], self.positions[j]):
@@ -239,10 +256,11 @@ class ModelConfig:
         family = cutoff.get("family", "gaussian")
         if family != "gaussian":
             raise ModelError(f"unknown cutoff family {family!r}; only 'gaussian'")
+        positions = number_array(spins["positions"], "model key 'spins.positions'")
         return ModelConfig(
-            N=int(spins.get("count", len(spins["positions"]))),
-            positions=np.asarray(spins["positions"], dtype=float),
-            beta=np.asarray(d["field"]["beta"], dtype=float),
+            N=int(spins.get("count", len(positions))),
+            positions=positions,
+            beta=number_array(d["field"]["beta"], "model key 'field.beta'"),
             cutoff_lambda=float(cutoff.get("lambda", 1.0)),
             grid_radial_nodes=int(grid.get("radial_nodes", 1)),
             grid_kmax=grid.get("kmax"),

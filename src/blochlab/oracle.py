@@ -84,10 +84,9 @@ larger cutoff than needed: that costs time, never a wrong cell, since the
 measured leakage stays the gate.  evolve_interaction_picture measures each
 frame's leakage, the largest population of the top photon layer over the
 initial state and every accepted step, and the caller keeps a frame only
-if it stays within DEFAULT_TAIL_TOL.  The leakage is a running maximum, so
-a caller that will discard the breaching frames can ask the group to stop
-once every frame has breached, and moves those frames on together to a
-larger cutoff.
+if it stays within DEFAULT_TAIL_TOL.  Every run goes to t, so a breaching
+frame's leakage is that of the whole run; the caller moves such frames on
+together to a larger cutoff.
 
 A frame (the 2^N states xi_j of one h) is an array of shape (fock_dim,
 spin_dim, n_states); a group stacks its frames on a leading axis and
@@ -116,6 +115,7 @@ from blochlab.model import (
     chi_flow_vector,
     coupling_B,
     fmap,
+    number_array,
     stack_vectors,
 )
 from blochlab.stepper import GroupLog, integrate_adaptive
@@ -166,10 +166,11 @@ class ObservableSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "ObservableSpec":
+        point = d.get("point")
         return ObservableSpec(
             kind=d["kind"],
             m=d.get("axis"),
-            x=np.asarray(d["point"], dtype=float) if "point" in d else None,
+            x=None if point is None else number_array(point, "observable key 'point'"),
             lam=d.get("spin"),
         )
 
@@ -289,17 +290,11 @@ def drive_weight(model: Model) -> float:
     return float(norms @ norms)
 
 
-def leakage_estimate(
-    model: Model, h: float, t: float, cutoff: int, weight: float | None = None
-) -> float:
+def leakage_estimate(weight: float, h: float, t: float, cutoff: int) -> float:
     """lam^cutoff / cutoff!, the leading-order population of photon layer
-    cutoff in the fluctuation state at (h, t), with lam = (h/2) t^2 sum_j
-    ||M_j||^2 and M_j = sum_{lam,m} c_{lam m, j} sigma_m^[lam] (see "Cutoff
-    sizing" above).  It does not depend on X: the drive creates no photon.
-    weight, if given, is drive_weight(model), computed once by a caller
-    that makes many estimates on one model."""
-    if weight is None:
-        weight = drive_weight(model)
+    cutoff in the fluctuation state at (h, t), with lam = (h/2) t^2 weight
+    and weight = drive_weight(model) (see "Cutoff sizing" above).  It does
+    not depend on X: the drive creates no photon."""
     lam = 0.5 * h * t**2 * weight
     # as a product, which overflows to inf where lam**cutoff would raise
     return math.prod(lam / k for k in range(1, cutoff + 1))
@@ -451,7 +446,6 @@ def evolve_interaction_picture(
     t: float,
     x: PhaseVector,
     tol: float = DEFAULT_TOL,
-    stop_leakage: float | None = None,
 ) -> tuple[np.ndarray, GroupLog]:
     """xi(t) with e^{-i (t/h) H(h)} W(X) psi0 = W(chi_t X) xi(t) for a frame
     group: psi0 has shape (F, dim, s, n), frame f evolves under hams[f],
@@ -462,10 +456,7 @@ def evolve_interaction_picture(
     control that keeps each frame's local error <= tol per step, then
     applies the exact free phase.  Each frame's log holds its leakage, the
     largest top-photon-layer population of any of its states over psi0 and
-    every accepted step, and its unitarity defect.  With stop_leakage
-    given, the integration stops at the first accepted step where every
-    frame's leakage exceeds it: the runs are then known to breach, the logs
-    cover the steps taken, and the states are not xi(t).
+    every accepted step, and its unitarity defect.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     basis, spin_dim = hams[0].basis, hams[0].spin_dim
@@ -492,12 +483,7 @@ def evolve_interaction_picture(
         leakage = np.maximum(leakage, top_population(phi))
         return phi
 
-    def breached(phi):
-        return stop_leakage is not None and bool(np.all(leakage > stop_leakage))
-
-    phi, log = integrate_adaptive(
-        rhs, psi0, 0.0, t, tol, dt0=0.1, postprocess=monitor, stop=breached
-    )
+    phi, log = integrate_adaptive(rhs, psi0, 0.0, t, tol, dt0=0.1, postprocess=monitor)
     psi_t = hams[0].free_phases(t)[:, None, None] * phi
     defects = np.max(np.abs(norms(psi_t) - norms(psi0)), axis=1)
     for frame_log, defect, leak in zip(log.frames, defects, leakage):
@@ -554,12 +540,10 @@ def evolved_frames(
     t: float,
     x: PhaseVector,
     tol: float = DEFAULT_TOL,
-    stop_leakage: float | None = None,
 ) -> tuple[np.ndarray, PhaseVector, GroupLog]:
     """The forward-evolved coherent frames of hams in the displaced frame:
     (xi, Y, log) with e^{-i(t/h)H}(Psi_X (x) e_j) = W(Y) xi[f, ..., j] at
-    h = hams[f].h and Y = chi_t X.  stop_leakage is
-    evolve_interaction_picture's."""
+    h = hams[f].h and Y = chi_t X."""
     vacuum = np.stack([coherent_frame(ham) for ham in hams])
-    xi, log = evolve_interaction_picture(hams, vacuum, t, x, tol, stop_leakage)
+    xi, log = evolve_interaction_picture(hams, vacuum, t, x, tol)
     return xi, chi_flow_vector(hams[0].model.grid, t, x), log

@@ -10,11 +10,10 @@ at most tol, and doubled after it only if every frame's error is below
 tol/64, so each frame meets its own local-error bound.  The update is the
 extrapolated value, and every frame keeps its own PropagationLog.  The
 full step and the first half step start from the same state, so they share
-their first stage: 11 right-hand-side evaluations per attempted step.  A
-caller-supplied stop condition can end the integration early, at the first
-accepted step where it holds.  Only the oracle uses it; the hierarchy's
-adaptive G, R and (R, dR) integrations survive as test oracles in
-tests/reference.py.
+their first stage: 11 right-hand-side evaluations per attempted step.
+Only the oracle uses it, and every integration runs to t1; the
+hierarchy's adaptive G, R and (R, dR) integrations survive as test
+oracles in tests/reference.py.
 
 rk4_transfer writes the same step on a linear system y' = A(u) y as a
 matrix, y -> Phi y, for a whole stack of steps in one batched product
@@ -94,16 +93,14 @@ def _rk4(rhs, y, dt, start, mid, end, k1=None):
     return y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def integrate_adaptive(rhs, y0, t0, t1, tol, dt0, postprocess=None, stop=None):
+def integrate_adaptive(rhs, y0, t0, t1, tol, dt0, postprocess=None):
     """y(t1) for dy/dt = rhs(t, y), y(t0) = y0, and the GroupLog of the
     frames along y0's leading axis.
 
-    postprocess, if given, is applied to y after every accepted step.
-    stop, if given, is called with y after postprocess; when it returns
-    true, the integration ends there and returns that y, short of t1, with
-    the log of the steps taken so far.  The integration ends on the last
-    step that leaves no more than round-off of the span.  Raises
-    StepStallError when the step size falls below 1e-12 max(|t1 - t0|, 1).
+    postprocess, if given, is applied to y after every accepted step.  The
+    integration ends on the last step that leaves no more than round-off
+    of the span.  Raises StepStallError when the step size falls below
+    1e-12 max(|t1 - t0|, 1).
     """
 
     def rk4(s, y, dt, k1=None):
@@ -139,8 +136,6 @@ def integrate_adaptive(rhs, y0, t0, t1, tol, dt0, postprocess=None, stop=None):
                 log.n_accepted += 1
                 log.step_sizes.append(dt)
                 log.local_errors.append(float(e))
-            if stop is not None and stop(y):
-                break
             if worst < tol / 64.0:
                 dt *= 2.0
         else:

@@ -187,19 +187,19 @@ def full_operator(ham: Hamiltonian) -> sp.csr_matrix:
     return (free + ham.h * interaction).tocsr()
 
 
-def evolve_one(ham: Hamiltonian, psi0, t, x, tol=DEFAULT_TOL, stop_leakage=None):
+def evolve_one(ham: Hamiltonian, psi0, t, x, tol=DEFAULT_TOL):
     """evolve_interaction_picture on a group of one frame, the states psi0
     of shape (dim, s) or (dim, s, n): the evolved states in psi0's shape and
     the frame's own PropagationLog."""
     psi0 = np.asarray(psi0)
     states = psi0[None] if psi0.ndim == 3 else psi0[None, :, :, None]
-    psi_t, log = evolve_interaction_picture([ham], states, t, x, tol, stop_leakage)
+    psi_t, log = evolve_interaction_picture([ham], states, t, x, tol)
     return psi_t[0].reshape(psi0.shape), log.frames[0]
 
 
-def evolved_one(ham: Hamiltonian, t, x, tol=DEFAULT_TOL, stop_leakage=None):
+def evolved_one(ham: Hamiltonian, t, x, tol=DEFAULT_TOL):
     """evolved_frames on a group of one: (xi, Y, the frame's log)."""
-    xi, y, log = evolved_frames([ham], t, x, tol, stop_leakage)
+    xi, y, log = evolved_frames([ham], t, x, tol)
     return xi[0], y, log.frames[0]
 
 

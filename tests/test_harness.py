@@ -35,6 +35,7 @@ from blochlab.harness import (
 )
 from blochlab.hierarchy import PHOTON_RATE_SIGN
 from blochlab.model import (
+    Model,
     ModelError,
     PhaseVector,
     minimal_grid_config,
@@ -53,7 +54,7 @@ def _force_start(monkeypatch, start):
     """Make every frame start at cutoff start: the leakage estimate reads
     as infinite below it and as zero from it on."""
 
-    def forced(model, h, t, cutoff, weight=None):
+    def forced(weight, h, t, cutoff):
         return math.inf if cutoff < start else 0.0
 
     monkeypatch.setattr(blochlab.harness, "leakage_estimate", forced)
@@ -97,6 +98,8 @@ class TestPlan:
         assert plan.M == 1
         assert plan.h_list == (0.4, 0.2, 0.1, 0.05)
         assert len(plan.observables) == 2
+        # one model per plan: shared_sweeps matches models by identity
+        assert plan.model is plan.model
 
     def test_h_must_decrease(self):
         with pytest.raises(HarnessError, match="decreasing"):
@@ -362,7 +365,7 @@ class TestConvergence:
         cfg = minimal_grid_config(beta=(0.0, 0.0, 1.0))
         cfg.cutoff_fn = lambda r: np.zeros_like(np.asarray(r, dtype=float))
         plan = ExperimentPlan(
-            config=cfg,
+            model=Model(cfg),
             observables=(ObservableSpec(kind="spin", m=1, lam=1),),
             x_samples=(
                 (
@@ -524,7 +527,6 @@ class TestConvergence:
             return real(model)
 
         monkeypatch.setattr(blochlab.harness, "drive_weight", counting)
-        monkeypatch.setattr(blochlab.oracle, "drive_weight", counting)
         report = run_convergence(ExperimentPlan.from_dict(small_plan_dict()))
         assert len(calls) == 1
         assert all("leakage_estimate" in c.hygiene for c in report.cells)
@@ -536,16 +538,17 @@ class TestConvergence:
         report = run_convergence(plan)
         assert [c.hygiene["cutoff"] for c in report.cells] == [1] * 4 + [3] * 4
         cfg = dataclasses.replace(
-            plan.config, cutoff_fn=lambda r: np.zeros_like(np.asarray(r, dtype=float))
+            plan.model.config,
+            cutoff_fn=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         )
-        report = run_convergence(dataclasses.replace(plan, config=cfg))
+        report = run_convergence(dataclasses.replace(plan, model=Model(cfg)))
         assert [c.hygiene["cutoff"] for c in report.cells] == [1] * 8
         assert all(c.hygiene["leakage_estimate"] == 0.0 for c in report.cells)
 
     def test_stopped_runs_leave_no_trace(self, monkeypatch):
-        # forced to start at cutoff 2, the desk frames breach there and stop
-        # early; starting at cutoff 4 skips those runs and must give the
-        # same report
+        # forced to start at cutoff 2, the desk frames breach there and move
+        # on; starting at cutoff 4 skips those runs and must give the same
+        # report
         plan = ExperimentPlan.from_dict(small_plan_dict(n_max=8))
         _force_start(monkeypatch, 2)
         from_two = run_convergence(plan).to_dict()
@@ -553,9 +556,27 @@ class TestConvergence:
         assert run_convergence(plan).to_dict() == from_two
         assert all(c["hygiene"]["cutoff"] == 4 for c in from_two["cells"])
 
+    def test_breaching_group_runs_to_t(self, monkeypatch):
+        # forced to start at cutoff 2, every frame of the desk group has
+        # breached by its 22nd accepted step, yet the group runs all 40
+        # before its frames move on to cutoff 4, where they fit
+        real = blochlab.oracle.evolve_interaction_picture
+        runs = []
+
+        def recording(hams, *args, **kwargs):
+            out = real(hams, *args, **kwargs)
+            runs.append((hams[0].basis.n_max, len(hams), out[1].n_accepted))
+            return out
+
+        monkeypatch.setattr(blochlab.oracle, "evolve_interaction_picture", recording)
+        _force_start(monkeypatch, 2)
+        report = run_convergence(ExperimentPlan.from_dict(small_plan_dict(n_max=8)))
+        assert runs == [(2, 4, 40), (4, 4, 40)]
+        assert all(c.hygiene["cutoff"] == 4 for c in report.cells)
+
     def test_failure_at_the_cap_reports_the_full_run(self):
-        # at the cap the run goes to t: the status carries the leakage of
-        # the whole run, not of a run stopped at its breach
+        # the run goes to t: the status carries the leakage of the whole
+        # run, not of a run stopped at its breach
         plan = ExperimentPlan.from_dict(small_plan_dict(n_max=2))
         report = run_convergence(plan)
         x = plan.x_samples[0][1]
@@ -567,7 +588,7 @@ class TestConvergence:
                 f"failed:leakage {log.leakage:.3e} exceeds 1.0e-10 "
                 "at the cap n_max = 2"
             )
-        # the strings the sweep wrote before runs could stop early
+        # the same statuses, verbatim
         assert [c.status for c in report.cells] == [
             f"failed:leakage {v} exceeds 1.0e-10 at the cap n_max = 2"
             for v in ("5.916e-08", "1.479e-08", "3.698e-09", "9.246e-10")
@@ -744,6 +765,13 @@ class TestPhotonCommand:
         assert not json_out.exists() and not csv_out.exists()
 
 
+def _desk_model(section, **values):
+    """The desk model with values set in one of its sections."""
+    model = default_plan_dict()["model"]
+    model[section] = dict(model[section], **values)
+    return model
+
+
 class TestConvergeCommand:
     @staticmethod
     def _desk_plan(tmp_path, **overrides):
@@ -773,6 +801,30 @@ class TestConvergeCommand:
         ({"M": "one"}, "plan key 'M' must be an integer, got 'one'"),
         ({"tol": "x"}, "plan key 'tol' must be a number, got 'x'"),
         ({"n_max": None}, "plan key 'n_max' must be an integer, got None"),
+        # and so did these, in the plan's sections
+        (
+            {"X": [{"q": "abc", "p": [0.0] * 4}]},
+            "plan key 'X[0].q' must be a list of numbers, got 'abc'",
+        ),
+        ({"X": "X0"}, "plan key 'X' must be a list of objects, got 'X0'"),
+        (
+            {"model": _desk_model("field", beta="up")},
+            "model key 'field.beta' must be an array of numbers, got 'up'",
+        ),
+        (
+            {"model": _desk_model("spins", positions=[[0.0, 0.0, "x"]])},
+            "model key 'spins.positions' must be an array of numbers, "
+            "got [[0.0, 0.0, 'x']]",
+        ),
+        (
+            {"observables": [{"kind": "field_B", "axis": 2, "point": "origin"}]},
+            "observable key 'point' must be an array of numbers, got 'origin'",
+        ),
+        # a string used to be read one character at a time
+        (
+            {"observables": "spin"},
+            "plan key 'observables' must be a list of objects, got 'spin'",
+        ),
     ]
 
     @pytest.mark.parametrize("command", ["converge", "photon", "crosscheck"])

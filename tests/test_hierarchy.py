@@ -18,7 +18,7 @@ from blochlab.hierarchy import (
     _chain_steps,
     _cross_mat,
     _maxwell_nodes,
-    _order1_on_grid,
+    _order1_grids,
     _polar_project,
     _propagator_chain,
     _propagator_sweep,
@@ -813,7 +813,7 @@ class TestOrder1Contraction:
         axes.append(ObservableSpec(kind="field_B", m=2, x=np.array([0.3, -0.1, 0.2])))
         with shared_sweeps(model, t, x):
             for obs in axes:
-                got = _order1_on_grid(model, obs, t, x, n)
+                got = _order1_grids(model, obs, t, x)(n)
                 ref = order1_nodes(model, obs, t, x, n)
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -936,7 +936,7 @@ class TestSharedSweeps:
 
         def both(n):
             seen.append(n)
-            a1 = _order1_on_grid(octa_model, spin, 1.0, x, n)
+            a1 = _order1_grids(octa_model, spin, 1.0, x)(n)
             return np.concatenate([a1[None], _spin1_on_grid(octa_model, 1, 1.0, x, n)])
 
         with shared_sweeps(octa_model, 1.0, x):

@@ -73,6 +73,22 @@ class TestGrid:
         d["cutoff"]["family"] = "gaussian"
         assert ModelConfig.from_dict(d).cutoff_lambda == 1.0
 
+    @pytest.mark.parametrize(
+        "section, key, value, reason",
+        [
+            ("spins", "positions", [[0, 0, 0], [1, 0]], "'spins.positions' must be"),
+            ("field", "beta", [0, 0, True], "'field.beta' must be an array"),
+            ("field", "beta", 1.0, "'field.beta' must be an array"),
+            # a two-entry field used to load and then fail to broadcast
+            ("field", "beta", [0, 1], "beta must have 3 entries"),
+        ],
+    )
+    def test_config_file_refuses_malformed_arrays(self, section, key, value, reason):
+        d = {"spins": {"positions": [[0, 0, 0]]}, "field": {"beta": [0, 0, 1]}}
+        d[section][key] = value
+        with pytest.raises(ModelError, match=reason):
+            ModelConfig.from_dict(d)
+
 
 class TestCouplings:
     def test_parallel_cross_product_vanishes(self, minimal_model):

@@ -145,49 +145,6 @@ class TestSharedFirstStage:
         assert _joint(log) == want_log
 
 
-class TestStop:
-    def test_ends_at_the_first_accepted_step_where_it_holds(self):
-        # postprocess records each accepted state; stop sees the state after
-        # postprocess and holds from the third accepted step on
-        seen, calls = [], []
-
-        def rhs(t, y):
-            calls.append(t)
-            return _linear_rhs(t, y)
-
-        def record(y):
-            seen.append(y.copy())
-            return 2.0 * y
-
-        y0 = np.array([1.0, 0.5 - 0.2j])
-        y, log = integrate_adaptive(
-            rhs,
-            y0,
-            0.0,
-            2.0,
-            1e-10,
-            1.0,
-            postprocess=record,
-            stop=lambda y: len(seen) >= 3 and np.array_equal(y, 2.0 * seen[-1]),
-        )
-        full_y, full = integrate_adaptive(_linear_rhs, y0, 0.0, 2.0, 1e-10, 1.0)
-        assert log.n_accepted == len(seen) == 3 < full.n_accepted
-        assert np.array_equal(y, 2.0 * seen[-1])
-        assert log.n_rejected > 0
-        assert len(calls) == 11 * (log.n_accepted + log.n_rejected)
-        first = log.frames[0]
-        assert sum(first.step_sizes) < 2.0
-        assert len(first.step_sizes) == len(first.local_errors) == 3
-
-    def test_never_holding_runs_to_the_end(self):
-        y0 = np.array([1.0, 0.5 - 0.2j])
-        y, log = integrate_adaptive(
-            _linear_rhs, y0, 0.0, 2.0, 1e-10, 1.0, stop=lambda y: False
-        )
-        want, want_log = integrate_adaptive(_linear_rhs, y0, 0.0, 2.0, 1e-10, 1.0)
-        assert np.array_equal(y, want) and log == want_log
-
-
 class TestTransfer:
     def test_matches_rk4_on_linear_systems(self):
         # random complex generators, a stack of 5 steps: phi y and the stage
