@@ -11,6 +11,8 @@ the model layer.
 
 scipy.sparse is imported inside the functions that build CSR matrices
 (annihilator, segal_field), so importing this module loads no sparse stack.
+segal_field keeps each field's CSR layout (indptr, indices, and where each
+entry takes its value from) on the basis, so a call writes only values.
 """
 
 from __future__ import annotations
@@ -80,7 +82,10 @@ class FockBasis:
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "parent_slot", pslot)
         object.__setattr__(self, "totals", occ.sum(axis=1))
+        object.__setattr__(self, "_lowering_cache", {})
         object.__setattr__(self, "_ladder_cache", {})
+        # segal_field's CSR layouts, keyed by the modes that a field touches
+        object.__setattr__(self, "_field_layouts", {})
         # operators that other layers assemble on this basis for one model;
         # weak keys let them go with the model
         object.__setattr__(self, "operator_cache", weakref.WeakKeyDictionary())
@@ -89,31 +94,37 @@ class FockBasis:
     def dim(self) -> int:
         return self.occupations.shape[0]
 
-    def annihilator(self, j: int) -> sp.csr_matrix:
-        """Sparse a_j: a_j |alpha> = sqrt(alpha_j) |alpha - e_j>."""
+    def lowering(self, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries of a_j as (rows, cols, values): one per state alpha
+        with alpha_j > 0, in state order, at (alpha - e_j, alpha) with
+        value sqrt(alpha_j) as a complex number."""
         if not 0 <= j < self.D:
             raise ModelError("mode index out of range")
+        cached = self._lowering_cache.get(j)
+        if cached is not None:
+            return cached
+        occ = self.occupations
+        cols = np.nonzero(occ[:, j] > 0)[0]
+        data = np.sqrt(occ[cols, j].astype(float)).astype(complex)
+        rows = self.parent[cols].copy()
+        # parent links follow the first occupied slot only; recompute for j
+        for t in np.nonzero(self.parent_slot[cols] != j)[0]:
+            a = occ[cols[t]].copy()
+            a[j] -= 1
+            rows[t] = self.index[tuple(a.tolist())]
+        # filled idempotently: frame jobs on two threads may share a basis
+        return self._lowering_cache.setdefault(j, (rows, cols, data))
+
+    def annihilator(self, j: int) -> sp.csr_matrix:
+        """Sparse a_j: a_j |alpha> = sqrt(alpha_j) |alpha - e_j>."""
         cached = self._ladder_cache.get(j)
         if cached is not None:
             return cached
         import scipy.sparse as sp
 
-        occ = self.occupations
-        cols = np.nonzero(occ[:, j] > 0)[0]
-        data = np.sqrt(occ[cols, j].astype(float))
-        rows = self.parent[cols].copy()
-        # parent links follow the first occupied slot only; recompute for j
-        fix = self.parent_slot[cols] != j
-        if np.any(fix):
-            for t in np.nonzero(fix)[0]:
-                a = occ[cols[t]].copy()
-                a[j] -= 1
-                rows[t] = self.index[tuple(a.tolist())]
-        mat = sp.csr_matrix(
-            (data, (rows, cols)), shape=(self.dim, self.dim), dtype=complex
-        )
-        self._ladder_cache[j] = mat
-        return mat
+        rows, cols, data = self.lowering(j)
+        mat = sp.csr_matrix((data, (rows, cols)), shape=(self.dim, self.dim))
+        return self._ladder_cache.setdefault(j, mat)
 
     def creator(self, j: int) -> sp.csr_matrix:
         """Truncated a*_j (the top photon layer is annihilated)."""
@@ -132,14 +143,43 @@ def gamma_free_phases(basis: FockBasis, slot_omegas: np.ndarray, t: float) -> np
     return np.exp(-1j * t * (basis.occupations @ om))
 
 
+def _field_layout(basis: FockBasis, modes: tuple) -> tuple:
+    """The CSR layout of a Segal field on modes: (indptr, indices, slot,
+    values), where entry k reads the coefficient slot[k] of
+    [c, conj(c)] and times it by values[k], sqrt(alpha_j) for an a_j
+    entry and its conjugate for an a*_j entry.  Each row's entries are in
+    column order."""
+    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    slot, values = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=complex)]
+    for j in modes:
+        r, c, a = basis.lowering(j)
+        rows += [r, c]
+        cols += [c, r]
+        slot += [np.full(len(a), j), np.full(len(a), basis.D + j)]
+        values += [a, a.conj()]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    # the terms of distinct modes, and a_j and a*_j, have disjoint patterns
+    order = np.argsort(rows * basis.dim + cols, kind="stable")
+    indptr = np.zeros(basis.dim + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=basis.dim), out=indptr[1:])
+    return (
+        indptr,
+        cols[order].astype(np.int32),
+        np.concatenate(slot)[order],
+        np.concatenate(values)[order],
+    )
+
+
 def segal_field(basis: FockBasis, h: float, v: PhaseVector) -> sp.csr_matrix:
     """Semiclassical Segal field Phi_{S,h}(V) = sqrt(h) Phi_S(V).
 
     Phi_S(V) = sum_j (v_q - i v_p)_j / sqrt(2) a_j
              + (v_q + i v_p)_j / sqrt(2) a*_j,
     the unique self-adjoint combination whose Wick symbol is h^{-1/2} V.X.
-    The terms of distinct modes, and a_j and a*_j, have disjoint patterns,
-    so the field is one sparse constructor over the cached annihilators.
+    The CSR layout of the field depends only on the modes with
+    c_j = (v_q - i v_p)_j != 0: it is laid out once per basis and set of
+    modes, and a call writes only the values, c_j sqrt(alpha_j) and
+    conj(c_j) sqrt(alpha_j), each times sqrt(h/2).
     """
     if h <= 0:
         raise ModelError("h must be positive")
@@ -147,20 +187,15 @@ def segal_field(basis: FockBasis, h: float, v: PhaseVector) -> sp.csr_matrix:
         raise ModelError("dimension mismatch")
     import scipy.sparse as sp
 
-    sq = np.sqrt(h / 2.0)
     c = v.q - 1j * v.p
-    rows, cols, vals = [], [], []
-    for j in np.nonzero(c)[0]:
-        a = basis.annihilator(j).tocoo()
-        rows += [a.row, a.col]
-        cols += [a.col, a.row]
-        vals += [sq * (c[j] * a.data), sq * (np.conj(c[j]) * a.data.conj())]
-    if not vals:
-        return sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(basis.dim, basis.dim),
-    )
+    modes = tuple(np.flatnonzero(c).tolist())
+    layout = basis._field_layouts.get(modes)
+    if layout is None:
+        # filled idempotently: frame jobs on two threads may share a basis
+        layout = basis._field_layouts.setdefault(modes, _field_layout(basis, modes))
+    indptr, indices, slot, values = layout
+    data = np.sqrt(h / 2.0) * (np.concatenate([c, c.conj()])[slot] * values)
+    return sp.csr_matrix((data, indices, indptr), shape=(basis.dim, basis.dim))
 
 
 def coherent_state(

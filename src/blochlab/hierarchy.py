@@ -372,9 +372,13 @@ def _trap_weights(n: int, dt: float) -> np.ndarray:
     return w
 
 
-def _refine(compute, tol, nmax=4096, label="quadrature"):
-    """The trapezoid quadrature compute(n), extrapolated and refined by
-    doubling n from _N0 panels until the extrapolation settles.
+# the |t| up to which _refine's cap is its nmax panels
+_CAP_SPAN = 32.0
+
+
+def _refine(compute, tol, nmax=4096, label="quadrature", t=0.0):
+    """The trapezoid quadrature compute(n) over [0, t], extrapolated and
+    refined by doubling n from _N0 panels until the extrapolation settles.
 
     Each grid n past the first gives one Richardson value
     R_n = T_n + (T_n - T_{n/2}) / 3 of the trapezoid values T.  The
@@ -383,7 +387,11 @@ def _refine(compute, tol, nmax=4096, label="quadrature"):
     the value it returns, so the earliest stop is n = 4 _N0, after three
     grids.  Only one Richardson level is taken: a second (Romberg) level
     was measured to stall between n = 64 and 256 on the desk model.  A
-    difference that never settles, a NaN included, raises at nmax."""
+    difference that never settles, a NaN included, raises at the cap: nmax
+    for |t| <= _CAP_SPAN, doubled with each doubling of |t| past it."""
+    span = _CAP_SPAN
+    while span < abs(t):
+        nmax, span = 2 * nmax, 2 * span
     n = _N0
     prev = compute(n)
     rich_prev = None
@@ -555,7 +563,7 @@ def order_j(
     if t == 0.0:
         return np.zeros((model.spin_dim,) * 2, dtype=complex)
     return _refine(
-        _order1_grids(model, obs, t, x), tol, label="order-1 Duhamel quadrature"
+        _order1_grids(model, obs, t, x), tol, label="order-1 Duhamel quadrature", t=t
     )
 
 
@@ -918,6 +926,7 @@ def spin_correction1(
                 lambda n: _spin1_on_grid(model, lam, t, x, n),
                 tol * 0.1,
                 label="spin-correction quadrature",
+                t=t,
             )
         out.append(SpinTriple(lam=lam + 1, rotation=None, matrices=mats))
     return out

@@ -70,6 +70,18 @@ def number_array(value, key: str) -> np.ndarray:
     return cells.astype(float)
 
 
+def config_number(section: dict, key: str, default, where: str, integer=False):
+    """section[key], or default when it is absent: a JSON number, an
+    integer where integer is set; any other value is refused naming the key
+    as where."""
+    value = section.get(key, default)
+    valid = isinstance(value, int) if integer else is_number(value)
+    if not valid or isinstance(value, bool):
+        kind = "an integer" if integer else "a number"
+        raise ModelError(f"model key {where!r} must be {kind}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PhaseVector:
     """A point X = (q, p) of the discretized phase space R^{2D}."""
@@ -257,20 +269,33 @@ class ModelConfig:
         if family != "gaussian":
             raise ModelError(f"unknown cutoff family {family!r}; only 'gaussian'")
         positions = number_array(spins["positions"], "model key 'spins.positions'")
+        kmax = grid.get("kmax")
+        if kmax is not None:
+            kmax = config_number(grid, "kmax", None, "grid.kmax")
+        kpoints = weights = None
+        if "kpoints" in grid:
+            kpoints = number_array(grid["kpoints"], "model key 'grid.kpoints'")
+        if "weights" in grid:
+            weights = number_array(grid["weights"], "model key 'grid.weights'")
+            if kpoints is not None and weights.shape != (len(np.atleast_2d(kpoints)),):
+                raise ModelError(
+                    "model key 'grid.weights' must hold one number per k-point, "
+                    f"got {grid['weights']!r}"
+                )
         return ModelConfig(
-            N=int(spins.get("count", len(positions))),
+            N=config_number(
+                spins, "count", len(positions), "spins.count", integer=True
+            ),
             positions=positions,
             beta=number_array(d["field"]["beta"], "model key 'field.beta'"),
-            cutoff_lambda=float(cutoff.get("lambda", 1.0)),
-            grid_radial_nodes=int(grid.get("radial_nodes", 1)),
-            grid_kmax=grid.get("kmax"),
+            cutoff_lambda=float(config_number(cutoff, "lambda", 1.0, "cutoff.lambda")),
+            grid_radial_nodes=config_number(
+                grid, "radial_nodes", 1, "grid.radial_nodes", integer=True
+            ),
+            grid_kmax=kmax,
             grid_directions=grid.get("directions", "z"),
-            grid_kpoints=np.asarray(grid["kpoints"], dtype=float)
-            if "kpoints" in grid
-            else None,
-            grid_weights=np.asarray(grid["weights"], dtype=float)
-            if "weights" in grid
-            else None,
+            grid_kpoints=kpoints,
+            grid_weights=weights,
         )
 
     @staticmethod

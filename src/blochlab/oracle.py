@@ -28,9 +28,10 @@ I (x) K_g[a -> z].  The drive sqrt(h/2) sum_g (e^{-i w_g s} K_g[a -> z] + h.c.)
 matrix per group and does not depend on h; at X = 0 it vanishes and the
 propagation is that of the undisplaced state.  H0, K_g and K_g^H do not
 depend on h or X: the blocks [H0; L_1; L_1^H; ...; L_G; L_G^H] are stacked
-in one CSR matrix whose sparsity pattern and constant values are built once
-per (model, basis) and shared by the Hamiltonians of every h; per frame
-point X only the drive entries are written into a copy of the values.  One
+in one CSR matrix.  Its pattern (indptr, indices) and constant values are
+laid out once per (model, basis), by index arithmetic on the annihilators'
+entries, and shared by the Hamiltonians of every h; per frame point X a
+call writes only the drive entries into a copy of the values.  One
 generator application is a single sparse product whose row blocks are then
 combined with the phases of time s; each row is summed as by a product
 with its own block.  The propagation, the energy and the number_rate
@@ -40,6 +41,9 @@ The frames of every h at one (t, X) differ only in sqrt(h/2) and the drive
 entries, so they are propagated together as one frame group: states carry
 a leading frame axis, shape (F, dim, s, n), and the group's generators are
 stacked block-diagonally, so one sparse product applies every h.  The
+stack's layout, and where each of its entries takes its value from the
+frames' values, is laid out once per frame count and kept with the
+operators, so a group's generator too is a write of values.  The
 stepper is the package's step-doubling RK4 (blochlab.stepper, local
 Richardson error control, first step 0.1) with joint step control, so each
 frame meets its own local error bound and keeps its own log.  The generator
@@ -93,9 +97,12 @@ spin_dim, n_states); a group stacks its frames on a leading axis and
 evolves them in one integration.  The operators act on a frame's Fock-major
 view of shape (fock_dim * spin_dim, n_states).
 
-scipy.sparse is imported only where a CSR matrix is built (TensorOperators,
-Hamiltonian.generator, _stacked_generator), so a hierarchy-only run such as
-the crosscheck never loads it.
+scipy.sparse is imported only where a CSR matrix is built (TensorOperators
+for its pattern, _stacked_generator for each generator, and fock's
+segal_field), so a hierarchy-only run such as the crosscheck never loads
+it.  Each CSR layout is kept where frame jobs on two pool workers share
+it, on the basis or its operators, and is filled either under the
+harness's build lock or idempotently, by dict.setdefault.
 """
 
 from __future__ import annotations
@@ -231,15 +238,21 @@ class TensorOperators:
     h0 = I (x) sum beta_m sigma_m^[lam], and per frequency group g
     K_g = sum_{lam,m} sum_{j in g} c_{lam m, j} a_j (x) sigma_m^[lam] with
     the group's coefficients c_{lam m, j} (zero off the group), from which
-    Hamiltonian.generator builds the drive.  Groups whose couplings all
-    vanish are dropped.  omegas holds the frequency of each mode.  pattern
-    is the generator's stacked CSR matrix
-    [h0; K_1 + I (x) E; K_1^H + I (x) E; ...] with E the s x s
-    spin_pattern, where some spin matrix of the model is nonzero: K_g is
-    off-diagonal in photon number and the drive is diagonal, so no entry is
-    a sum.  Its values are the constant entries, zero at the data positions
-    drive, which run over the drive blocks in order, each in (photon, row,
-    column) order.
+    Hamiltonian.generator_values builds the drive.  Groups whose couplings
+    all vanish are dropped.  omegas holds the frequency of each mode, and
+    block_rows the rows of one block, basis.dim * spin_dim.  pattern is the
+    generator's stacked CSR matrix [h0; K_1 + I (x) E; K_1^H + I (x) E;
+    ...] with E the s x s spin_pattern, where some spin matrix of the model
+    is nonzero: K_g is off-diagonal in photon number and the drive is
+    diagonal, so no entry is a sum.  Its values are the constant entries,
+    zero at the data positions drive, which run over the drive blocks in
+    order, each in (photon, row, column) order.
+
+    The stack is assembled from the annihilators' (row, col, sqrt(n))
+    entries by index arithmetic, each row's entries in column order.  K_g
+    sums its (lam, m) terms in that order, and an entry that a sum leaves
+    an exact zero is dropped, as a sum of sparse matrices does, so the
+    values are bitwise those of the Kronecker-product assembly.
     """
 
     def __init__(self, model: Model, basis: FockBasis, modes: np.ndarray):
@@ -250,35 +263,103 @@ class TensorOperators:
         # each column lies in one group: its largest entry names it
         mode_group = group_of[np.argmax(np.abs(modes), axis=0)]
         self.omegas = values[mode_group]
-        eye = sp.identity(basis.dim, dtype=complex, format="csr")
-        spin_const = model.spin_matrix(model.site_beta)
-        self.h0 = sp.kron(eye, sp.csr_matrix(spin_const), format="csr")
-        # the drive's entries, marked NaN until located in the stack
+        s = model.spin_dim
+        self.block_rows = n = basis.dim * s
         self.spin_pattern = np.any(model.sigmas != 0, axis=0)
-        marks = np.where(self.spin_pattern, np.nan, 0.0)
-        marks = sp.kron(eye, sp.csr_matrix(marks), format="csr")
+        photons = np.arange(basis.dim)[:, None] * s
+        parts = []  # (rows, cols, values, drive flags), rows over the stack
+
+        def add(block, rows, cols, values, drive=False):
+            parts.append((block * n + rows, cols, values, np.full(len(rows), drive)))
+
+        spin_const = model.spin_matrix(model.site_beta)
+        r, c = np.nonzero(spin_const)
+        h0 = np.ones(len(r), complex) * spin_const[r, c]  # as I (x) spin_const
+        add(0, *_photon_diagonal(photons, r, c, h0))
+        r, c = np.nonzero(self.spin_pattern)
+        marks = _photon_diagonal(photons, r, c, np.zeros(len(r), complex))
         # one row of c per sigma_m^[lam] of model.sigmas, in (lam, m) order
         coeffs = np.array([b.q - 1j * b.p for b in model.coupling_list]) @ modes
         self.groups = []  # (omega, coeff) per coupled frequency group
-        blocks = [self.h0]
+        block = 0
         for g, w in enumerate(values):
             members = np.nonzero(mode_group == g)[0]
-            terms = []
-            for coeff, sigma in zip(coeffs, model.sigmas):
-                idx = [j for j in members if coeff[j] != 0]
-                if not idx:
-                    continue
-                a_sum = sum(coeff[j] * basis.annihilator(j) for j in idx)
-                terms.append(sp.kron(a_sum, sigma, format="csr"))
-            if terms:
-                k = sum(terms).tocsr()
-                group_coeff = np.zeros_like(coeffs)
-                group_coeff[:, members] = coeffs[:, members]
-                self.groups.append((float(w), group_coeff))
-                blocks += [k + marks, k.conj().T.tocsr() + marks]
-        self.pattern = sp.vstack(blocks, format="csr")
-        self.drive = np.flatnonzero(np.isnan(self.pattern.data))
-        self.pattern.data[self.drive] = 0.0
+            k = _coupling_entries(basis, members, coeffs, model.sigmas)
+            if k is None:
+                continue
+            group_coeff = np.zeros_like(coeffs)
+            group_coeff[:, members] = coeffs[:, members]
+            self.groups.append((float(w), group_coeff))
+            k_rows, k_cols, k_values = k
+            for rows, cols, k_block in (
+                (k_rows, k_cols, k_values),
+                (k_cols, k_rows, k_values.conj()),
+            ):
+                block += 1
+                # adding the drive marks, which touch no entry of K_g, adds
+                # an exact zero to each entry and drops those left zero
+                k_block = k_block + 0j
+                keep = k_block != 0
+                add(block, rows[keep], cols[keep], k_block[keep])
+                add(block, *marks, drive=True)
+        rows, cols, data, is_drive = (np.concatenate(part) for part in zip(*parts))
+        n_rows = (block + 1) * n
+        order = np.argsort(rows * n + cols)
+        indptr = np.zeros(n_rows + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+        self.pattern = sp.csr_matrix(
+            (data[order], cols[order].astype(np.int32), indptr), (n_rows, n)
+        )
+        self.drive = np.flatnonzero(is_drive[order])
+        # _stacked_layout's per frame count, filled on first use
+        self.layouts = {}
+
+
+def _photon_diagonal(photons, r, c, values):
+    """Rows, columns and values of I (x) S, for the nonzero entries (r, c)
+    of a spin matrix S with values, in (photon, row, column) order."""
+    return (
+        (photons + r).ravel(),
+        (photons + c).ravel(),
+        np.tile(values, len(photons)),
+    )
+
+
+def _coupling_entries(basis: FockBasis, members, coeffs, sigmas):
+    """K = sum_{lam,m} (sum_{j in members} c_{lam m, j} a_j) (x)
+    sigma_m^[lam] as (rows, cols, values) on the Fock-major space, or None
+    when no coefficient on members is nonzero.
+
+    The sums run as the sparse sums of the Kronecker assembly: the terms
+    in (lam, m) order, each mode sum and each sum of terms adding an exact
+    zero to the entries that only one side holds, and dropping the results
+    that are exactly zero."""
+    s = sigmas.shape[1]
+    ladders = [basis.lowering(j) for j in members]
+    if not ladders:
+        return None
+    fock_rows, fock_cols, sqrt_n = (np.concatenate(part) for part in zip(*ladders))
+    mode = np.repeat(members, [len(a) for _, _, a in ladders])
+    held = None  # which (Fock entry, spin row, spin column) the sum holds
+    for coeff, sigma in zip(coeffs, sigmas):
+        on = coeff[mode] != 0
+        if not on.any():
+            continue
+        a_sum = coeff[mode] * sqrt_n
+        if np.count_nonzero(coeff[members]) > 1:
+            a_sum = a_sum + 0j
+        term = a_sum[:, None, None] * sigma
+        has = on[:, None, None] & (sigma != 0)
+        if held is None:
+            held, value = has, term
+            continue
+        both = held & has
+        value = np.where(both, value + term, np.where(held, value, term) + 0j)
+        held = (held | has) & (value != 0)
+    if held is None:
+        return None
+    e, r, c = np.nonzero(held)
+    return fock_rows[e] * s + r, fock_cols[e] * s + c, value[e, r, c]
 
 
 def drive_weight(model: Model) -> float:
@@ -347,29 +428,31 @@ class Hamiltonian:
 
     # -- generator application -----------------------------------------
 
+    def generator_values(self, x: PhaseVector) -> np.ndarray:
+        """The values of generator(x) in the order of the shared pattern:
+        its constant values, with the drive written at ops.drive.
+
+        K_g[a -> z] = sum_{lam,m} (c_{lam m} . z) sigma_m^[lam] is the
+        group's s x s drive matrix over sqrt(h/2); at X = 0 it vanishes.
+        """
+        ops = self.ops
+        z = (x.q @ ops.modes + 1j * (x.p @ ops.modes)) / np.sqrt(2.0 * self.h)
+        # the drive positions per block and photon state
+        per_state = np.count_nonzero(ops.spin_pattern)
+        drive = ops.drive.reshape(-1, self.basis.dim, per_state)
+        data = ops.pattern.data.copy()
+        for g, (_, coeff) in enumerate(ops.groups):
+            k_z = self.model.spin_matrix(coeff @ z)
+            data[drive[2 * g]] = k_z[ops.spin_pattern]
+            data[drive[2 * g + 1]] = k_z.conj().T[ops.spin_pattern]
+        return data
+
     def generator(self, x: PhaseVector) -> sp.csr_matrix:
         """[h0; L_1; L_1^H; ...; L_G; L_G^H] stacked in one CSR matrix, with
         L_g = W(X)* K_g W(X) = K_g + I (x) K_g[a -> z] per frequency group
-        of ops.groups; at X = 0 the L_g are the K_g.
-
-        K_g[a -> z] = sum_{lam,m} (c_{lam m} . z) sigma_m^[lam] is the
-        group's s x s drive matrix over sqrt(h/2), written into a copy of
-        the shared pattern's values.
-        """
-        import scipy.sparse as sp
-
-        xr = self.project(x)
-        z = (xr.q + 1j * xr.p) / np.sqrt(2.0 * self.h)
-        drives = []
-        for _, coeff in self.ops.groups:
-            k_z = self.model.spin_matrix(coeff @ z)
-            for block in (k_z, k_z.conj().T):
-                drives.append(np.tile(block[self.ops.spin_pattern], self.basis.dim))
-        pattern = self.ops.pattern
-        data = pattern.data.copy()
-        if drives:
-            data[self.ops.drive] = np.concatenate(drives)
-        return sp.csr_matrix((data, pattern.indices, pattern.indptr), pattern.shape)
+        of ops.groups; at X = 0 the L_g are the K_g.  This is the shared
+        pattern with generator_values(x) written into it."""
+        return _stacked_generator([self], x)
 
     def energy(self, psi: np.ndarray, y: PhaseVector) -> np.ndarray:
         """<W(Y) psi_j, H W(Y) psi_j> for each state j of psi, shape (dim, s, n).
@@ -384,7 +467,9 @@ class Hamiltonian:
         shift = segal_field(
             self.basis, self.h, self.project(PhaseVector(om * y.q, om * y.p))
         )
-        interaction = _interaction_apply([self], 0.0, psi[None], self.generator(y))
+        interaction = _interaction_apply(
+            self.ops, _roots([self]), 0.0, psi[None], self.generator(y)
+        )
         hpsi = (
             self.hph_diag[:, None, None] * psi
             + (shift @ psi.reshape(dim, s * n)).reshape(psi.shape)
@@ -399,6 +484,35 @@ class Hamiltonian:
         return gamma_free_phases(self.basis, self.ops.omegas, t)
 
 
+def _stacked_layout(ops: TensorOperators, frames: int) -> tuple:
+    """(indptr, indices, take) of _stacked_generator for a group of frames
+    on ops, laid out once per frame count and kept on ops.
+
+    Block b of frame f holds the pattern's block b with its columns moved
+    on by f * ops.block_rows, and the rows run block by block: block b of
+    every frame, then block b + 1.  take picks, from the frames' values
+    concatenated, each stacked entry's value."""
+    layout = ops.layouts.get(frames)
+    if layout is not None:
+        return layout
+    indptr, indices = ops.pattern.indptr, ops.pattern.indices
+    n, nnz = ops.block_rows, len(indices)
+    starts = indptr[::n]  # the first entry of each block, then nnz
+    take = np.concatenate(
+        [
+            (np.arange(frames)[:, None] * nnz + np.arange(a, b)).ravel()
+            for a, b in zip(starts[:-1], starts[1:])
+        ]
+    )
+    lengths = np.diff(indptr).reshape(-1, 1, n)
+    lengths = np.broadcast_to(lengths, (len(lengths), frames, n)).ravel()
+    stacked_indptr = np.zeros(len(lengths) + 1, dtype=np.int32)
+    np.cumsum(lengths, out=stacked_indptr[1:])
+    stacked_indices = (indices[take % nnz] + take // nnz * n).astype(np.int32)
+    # filled idempotently: frame jobs on two threads may share ops
+    return ops.layouts.setdefault(frames, (stacked_indptr, stacked_indices, take))
+
+
 def _stacked_generator(hams: list, x: PhaseVector) -> sp.csr_matrix:
     """The generators of hams at X stacked block-diagonally, one frame each,
     with the rows taken block by block: block b of every frame, then block
@@ -406,9 +520,16 @@ def _stacked_generator(hams: list, x: PhaseVector) -> sp.csr_matrix:
     For one frame this is its generator."""
     import scipy.sparse as sp
 
-    gen = sp.block_diag([ham.generator(x) for ham in hams], format="csr")
-    rows = np.arange(gen.shape[0]).reshape(len(hams), -1, hams[0].ops.h0.shape[0])
-    return gen[rows.transpose(1, 0, 2).ravel()]
+    ops = hams[0].ops
+    indptr, indices, take = _stacked_layout(ops, len(hams))
+    data = np.concatenate([ham.generator_values(x) for ham in hams])[take]
+    rows, cols = ops.pattern.shape
+    return sp.csr_matrix((data, indices, indptr), (len(hams) * rows, len(hams) * cols))
+
+
+def _roots(hams: list) -> np.ndarray:
+    """sqrt(h/2) of each frame, shaped to scale the blocks of a group."""
+    return np.array([ham.root for ham in hams])[:, None, None]
 
 
 def _generator_blocks(gen: sp.csr_matrix, psi: np.ndarray) -> np.ndarray:
@@ -420,16 +541,16 @@ def _generator_blocks(gen: sp.csr_matrix, psi: np.ndarray) -> np.ndarray:
 
 
 def _interaction_apply(
-    hams: list, t: float, psi: np.ndarray, gen: sp.csr_matrix
+    ops: TensorOperators, roots: np.ndarray, t: float, psi: np.ndarray, gen
 ) -> np.ndarray:
     """(H_int^free(t) + drive(t)) psi for frames psi of shape (F, dim, s, n),
-    frame f under hams[f], with gen = _stacked_generator(hams, X); each row
-    is summed as by a product with its own Hamiltonian's block."""
+    frame f under hams[f], with gen = _stacked_generator(hams, X), roots =
+    _roots(hams) and ops the hams' shared operators; each row is summed as
+    by a product with its own Hamiltonian's block."""
     blocks = _generator_blocks(gen, psi)
     out = blocks[0]
-    roots = np.array([ham.root for ham in hams])[:, None, None]
     # scaled in place: the blocks are a fresh array
-    for g, (w, _) in enumerate(hams[0].ops.groups):
+    for g, (w, _) in enumerate(ops.groups):
         ph = roots * np.exp(-1j * w * t)
         term = blocks[2 * g + 1]
         term *= ph
@@ -464,11 +585,11 @@ def evolve_interaction_picture(
         raise OracleError("state shape does not match the Hamiltonians")
     if any(ham.ops is not hams[0].ops for ham in hams):
         raise OracleError("a frame group needs one model and one basis")
-    gen = _stacked_generator(hams, x)
+    gen, roots = _stacked_generator(hams, x), _roots(hams)
     top = basis.totals == basis.n_max
 
     def rhs(s, phi):
-        return -1j * _interaction_apply(hams, s, phi, gen)
+        return -1j * _interaction_apply(hams[0].ops, roots, s, phi, gen)
 
     def top_population(phi):
         return np.max(np.sum(np.abs(phi[:, top]) ** 2, axis=(1, 2)), axis=1)

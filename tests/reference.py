@@ -1,8 +1,13 @@
 """Reference implementations that the tests compare the package against.
 
 Each is a direct, unoptimized form of an object that the package computes
-another way and never needs itself: the Segal field summed mode by mode
-instead of built in one constructor, the generator applied block by block
+another way and never needs itself: the Segal field summed mode by mode,
+or built per call in one COO constructor, instead of written into a
+layout kept on the basis, the
+oracle's tensor operators assembled from Kronecker products instead of by
+index arithmetic, the stacked generator of a frame group built by
+block_diag and a row permutation instead of taking the frames' values into
+a layout kept per frame count, the generator applied block by block
 instead of in one stacked product, the materialized Hamiltonian, the
 coherent frame Psi_X (x) e_j propagated as it stands instead of in the
 displaced frame, the affine interaction symbol as a matrix, the number
@@ -85,6 +90,25 @@ def segal_field_per_mode(basis: FockBasis, h: float, v: PhaseVector) -> sp.csr_m
     return out.tocsr()
 
 
+def segal_field_coo(basis: FockBasis, h: float, v: PhaseVector) -> sp.csr_matrix:
+    """Phi_{S,h}(V) built per call as one COO constructor over the cached
+    annihilators, mode by mode."""
+    sq = np.sqrt(h / 2.0)
+    c = v.q - 1j * v.p
+    rows, cols, vals = [], [], []
+    for j in np.nonzero(c)[0]:
+        a = basis.annihilator(j).tocoo()
+        rows += [a.row, a.col]
+        cols += [a.col, a.row]
+        vals += [sq * (c[j] * a.data), sq * (np.conj(c[j]) * a.data.conj())]
+    if not vals:
+        return sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(basis.dim, basis.dim),
+    )
+
+
 def number_operator(basis: FockBasis) -> sp.dia_matrix:
     return dgamma(basis, np.ones(basis.D))
 
@@ -124,14 +148,53 @@ def dh_int(model: Model, v: PhaseVector) -> np.ndarray:
 # -- oracle ------------------------------------------------------------
 
 
-def displaced_groups(ham: Hamiltonian, x: PhaseVector) -> list:
-    """Per frequency group (w_g, L_g, L_g^H): the row blocks of
-    ham.generator(x), each a CSR matrix of its own."""
+def tensor_operators_kron(model: Model, basis: FockBasis, modes: np.ndarray):
+    """TensorOperators' (pattern, drive) assembled from Kronecker products:
+    each drive entry marked NaN in I (x) E, the blocks summed and stacked
+    by scipy.sparse, and the marks then located and zeroed."""
+    values, group_of = model.grid.frequency_groups
+    mode_group = group_of[np.argmax(np.abs(modes), axis=0)]
+    eye = sp.identity(basis.dim, dtype=complex, format="csr")
+    spin_const = model.spin_matrix(model.site_beta)
+    blocks = [sp.kron(eye, sp.csr_matrix(spin_const), format="csr")]
+    marks = np.where(np.any(model.sigmas != 0, axis=0), np.nan, 0.0)
+    marks = sp.kron(eye, sp.csr_matrix(marks), format="csr")
+    coeffs = np.array([b.q - 1j * b.p for b in model.coupling_list]) @ modes
+    for g in range(len(values)):
+        members = np.nonzero(mode_group == g)[0]
+        terms = []
+        for coeff, sigma in zip(coeffs, model.sigmas):
+            idx = [j for j in members if coeff[j] != 0]
+            if not idx:
+                continue
+            a_sum = sum(coeff[j] * basis.annihilator(j) for j in idx)
+            terms.append(sp.kron(a_sum, sigma, format="csr"))
+        if terms:
+            k = sum(terms).tocsr()
+            blocks += [k + marks, k.conj().T.tocsr() + marks]
+    pattern = sp.vstack(blocks, format="csr")
+    drive = np.flatnonzero(np.isnan(pattern.data))
+    pattern.data[drive] = 0.0
+    return pattern, drive
+
+
+def stacked_generator_block_diag(hams: list, x: PhaseVector) -> sp.csr_matrix:
+    """_stacked_generator by block_diag of the frames' generators and a
+    row permutation that takes block b of every frame, then block b + 1."""
+    gen = sp.block_diag([ham.generator(x) for ham in hams], format="csr")
+    rows = np.arange(gen.shape[0]).reshape(len(hams), -1, hams[0].ops.block_rows)
+    return gen[rows.transpose(1, 0, 2).ravel()]
+
+
+def displaced_groups(ham: Hamiltonian, x: PhaseVector) -> tuple:
+    """The row blocks of ham.generator(x), each a CSR matrix of its own:
+    h0, and per frequency group (w_g, L_g, L_g^H)."""
     gen = ham.generator(x)
-    n = ham.ops.h0.shape[0]
-    return [
-        (w, gen[(2 * g + 1) * n : (2 * g + 2) * n], gen[(2 * g + 2) * n : (2 * g + 3) * n])
-        for g, (w, *_) in enumerate(ham.ops.groups)
+    n = ham.ops.block_rows
+    blocks = [gen[b * n : (b + 1) * n] for b in range(1 + 2 * len(ham.ops.groups))]
+    return blocks[0], [
+        (w, blocks[2 * g + 1], blocks[2 * g + 2])
+        for g, (w, _) in enumerate(ham.ops.groups)
     ]
 
 
@@ -140,8 +203,9 @@ def interaction_apply_per_group(
 ) -> np.ndarray:
     """(H_int^free(t) + drive(t)) psi with one CSR product per block."""
     flat = psi.reshape(-1, psi.shape[2])
-    out = ham.ops.h0 @ flat
-    for w, k, k_adj in displaced_groups(ham, x):
+    h0, groups = displaced_groups(ham, x)
+    out = h0 @ flat
+    for w, k, k_adj in groups:
         ph = ham.root * np.exp(-1j * w * t)
         term = k @ flat
         term *= ph
@@ -159,7 +223,7 @@ def number_rate_per_group(
     dim, s, n = psi.shape
     flat = psi.reshape(dim * s, n)
     out = np.zeros((dim * s, n), dtype=complex)
-    for _, k, k_adj in displaced_groups(ham, y):
+    for _, k, k_adj in displaced_groups(ham, y)[1]:
         out += k @ flat
         out -= k_adj @ flat
     return (1j * ham.root * out).reshape(dim, s, n)
@@ -169,8 +233,8 @@ def interaction_operator(
     ham: Hamiltonian, t: float, x: PhaseVector
 ) -> sp.csr_matrix:
     """Materialized sparse H_int^free(t) + drive(t) of frame point X."""
-    out = ham.ops.h0.copy()
-    for w, k, k_adj in displaced_groups(ham, x):
+    out, groups = displaced_groups(ham, x)
+    for w, k, k_adj in groups:
         ph = ham.root * np.exp(-1j * w * t)
         out = out + ph * k + np.conj(ph) * k_adj
     return out.tocsr()

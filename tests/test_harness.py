@@ -652,15 +652,15 @@ class TestConvergence:
         # fails, and the other frames run again and equal the clean sweep
         plan = ExperimentPlan.from_dict(small_plan_dict(n_max=8))
         want = run_convergence(plan).cells
-        real = blochlab.oracle.Hamiltonian.generator
+        real = blochlab.oracle.Hamiltonian.generator_values
 
         def spoiled(self, x):
-            gen = real(self, x)
+            values = real(self, x)
             if self.h == 0.1:
-                gen.data[:] = np.nan
-            return gen
+                values[:] = np.nan
+            return values
 
-        monkeypatch.setattr(blochlab.oracle.Hamiltonian, "generator", spoiled)
+        monkeypatch.setattr(blochlab.oracle.Hamiltonian, "generator_values", spoiled)
         got = run_convergence(plan).cells
         for cell, clean in zip(got, want):
             if cell.h == 0.1:
@@ -768,7 +768,7 @@ class TestPhotonCommand:
 def _desk_model(section, **values):
     """The desk model with values set in one of its sections."""
     model = default_plan_dict()["model"]
-    model[section] = dict(model[section], **values)
+    model[section] = dict(model.get(section, {}), **values)
     return model
 
 
@@ -815,6 +815,31 @@ class TestConvergeCommand:
             {"model": _desk_model("spins", positions=[[0.0, 0.0, "x"]])},
             "model key 'spins.positions' must be an array of numbers, "
             "got [[0.0, 0.0, 'x']]",
+        ),
+        (
+            {"model": _desk_model("spins", count="x")},
+            "model key 'spins.count' must be an integer, got 'x'",
+        ),
+        (
+            {"model": _desk_model("cutoff", **{"lambda": "x"})},
+            "model key 'cutoff.lambda' must be a number, got 'x'",
+        ),
+        (
+            {"model": _desk_model("grid", radial_nodes="two")},
+            "model key 'grid.radial_nodes' must be an integer, got 'two'",
+        ),
+        (
+            {"model": _desk_model("grid", kmax="big")},
+            "model key 'grid.kmax' must be a number, got 'big'",
+        ),
+        (
+            {"model": _desk_model("grid", kpoints="abc")},
+            "model key 'grid.kpoints' must be an array of numbers, got 'abc'",
+        ),
+        # used to be refused as "q and p must be 1-d arrays of equal length"
+        (
+            {"model": _desk_model("grid", weights=[1, 2])},
+            "model key 'grid.weights' must hold one number per k-point, got [1, 2]",
         ),
         (
             {"observables": [{"kind": "field_B", "axis": 2, "point": "origin"}]},

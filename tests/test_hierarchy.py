@@ -222,6 +222,21 @@ class TestRefine:
             _refine(self._trapezoid_exp(seen), 0.0, nmax=512, label="probe")
         assert seen == [32, 64, 128, 256, 512]
 
+    @pytest.mark.parametrize("t, cap", [(-32.0, 512), (32.5, 1024), (128.0, 2048)])
+    def test_cap_is_a_panel_density(self, t, cap):
+        # nmax panels up to |t| = 32, doubled with each doubling of |t|
+        seen = []
+        with pytest.raises(HierarchyError):
+            _refine(self._trapezoid_exp(seen), 0.0, nmax=512, t=t)
+        assert seen[-1] == cap
+
+    def test_order_j_converges_at_long_times(self, minimal_model):
+        # the desk's order-1 quadrature at t = 128 needs more than the 4096
+        # panels that suffice up to t = 64
+        x = PhaseVector(np.array([0.3, 0.0, 0.0, 0.0]), np.array([0.0, 0.2, 0.1, 0.25]))
+        spin = ObservableSpec(kind="spin", m=1, lam=1)
+        assert np.isfinite(order_j(minimal_model, spin, 1, 128.0, x, tol=1e-7)).all()
+
     def test_nan_never_stops(self):
         with pytest.raises(HierarchyError):
             _refine(lambda n: np.array([np.nan]), 1.0, nmax=256)

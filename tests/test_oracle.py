@@ -2,6 +2,8 @@
 
 import copy
 import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,8 +25,11 @@ from blochlab.oracle import (
     Hamiltonian,
     ObservableSpec,
     OracleError,
-    apply_observable,
+    TensorOperators,
     _interaction_apply,
+    _roots,
+    _stacked_generator,
+    apply_observable,
     coherent_frame,
     coupled_modes,
     drive_weight,
@@ -44,6 +49,9 @@ from reference import (
     interaction_operator,
     number_expectation,
     number_rate_per_group,
+    segal_field_coo,
+    stacked_generator_block_diag,
+    tensor_operators_kron,
 )
 
 
@@ -133,7 +141,7 @@ class TestTensorOperators:
         for x in (zero_vector(model.D), random_phase_vector(rng, model.D, scale=0.3)):
             gen = ham.generator(x)
             for t in self.T_SAMPLES:
-                got = _interaction_apply([ham], t, psi[None], gen)[0]
+                got = _interaction_apply(ham.ops, _roots([ham]), t, psi[None], gen)[0]
                 want = interaction_operator(ham, t, x) @ psi.reshape(basis.dim * 4, 3)
                 assert np.max(np.abs(got.reshape(-1, 3) - want)) <= 1e-13
 
@@ -164,7 +172,7 @@ class TestTensorOperators:
             gen = ham.generator(x)
             assert gen.shape == (5 * basis.dim * 4, basis.dim * 4)
             for t in self.T_SAMPLES:
-                got = _interaction_apply([ham], t, psi[None], gen)[0]
+                got = _interaction_apply(ham.ops, _roots([ham]), t, psi[None], gen)[0]
                 assert np.array_equal(got, interaction_apply_per_group(ham, t, psi, x))
             got = apply_observable(ham, NUMBER_RATE, psi, x)
             assert np.array_equal(got, number_rate_per_group(ham, psi, x))
@@ -189,6 +197,103 @@ class TestTensorOperators:
         other = Hamiltonian(octa_model, basis, 0.05, ham.ops.modes)
         assert other.ops is ham.ops
         assert other.root == np.sqrt(0.05 / 2.0) and ham.root == np.sqrt(0.3 / 2.0)
+
+
+def _random_coupling_model(rng):
+    """Two spins on one k-point with random pure-q couplings on every slot,
+    cos and sin alike, some exactly zero, several modes per term; both
+    sites' sigma_3 share one coupling, so K's sum cancels exactly in the
+    entries where the two spins' sigma_3 differ in sign."""
+    cfg = minimal_grid_config(N=2, positions=[[0.0, 0.0, 0.0], [0.4, -0.3, 0.2]])
+    model = Model(cfg)
+    for row in model.couplings:
+        for m in range(3):
+            q = rng.standard_normal(model.D) * (rng.random(model.D) < 0.7)
+            row[m] = PhaseVector(q, np.zeros(model.D))
+    model.couplings[1][2] = model.couplings[0][2]
+    return model
+
+
+def _assert_same_csr(got, want):
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+
+class TestOperatorLayouts:
+    """The layouts laid out once per basis against the per-call sparse
+    assemblies of tests/reference.py: the same arrays, entry for entry."""
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+    def test_tensor_operators_on_the_desk(self, minimal_model, cutoff):
+        for modes in (coupled_modes(minimal_model), np.eye(minimal_model.D)):
+            basis = FockBasis(modes.shape[1], cutoff)
+            ops = TensorOperators(minimal_model, basis, modes)
+            pattern, drive = tensor_operators_kron(minimal_model, basis, modes)
+            _assert_same_csr(ops.pattern, pattern)
+            assert np.array_equal(ops.drive, drive)
+
+    def test_tensor_operators_on_octa_and_random_couplings(self, octa_setup, rng):
+        model, basis, ham = octa_setup
+        pattern, drive = tensor_operators_kron(model, basis, ham.ops.modes)
+        _assert_same_csr(ham.ops.pattern, pattern)
+        assert np.array_equal(ham.ops.drive, drive)
+        model = _random_coupling_model(rng)
+        for cutoff in (1, 2, 3):
+            basis = FockBasis(model.D, cutoff)
+            ops = TensorOperators(model, basis, np.eye(model.D))
+            pattern, drive = tensor_operators_kron(model, basis, np.eye(model.D))
+            _assert_same_csr(ops.pattern, pattern)
+            assert np.array_equal(ops.drive, drive)
+        # the cancelled entries are dropped, not kept as zeros
+        assert np.count_nonzero(pattern.data) == pattern.nnz - len(drive)
+
+    def test_segal_field_with_zero_entries(self, octa_setup, rng):
+        _, basis, _ = octa_setup
+        for _ in range(6):
+            v = random_phase_vector(rng, basis.D)
+            v.q[rng.random(basis.D) < 0.4] = 0.0
+            v.p[rng.random(basis.D) < 0.4] = 0.0
+            _assert_same_csr(segal_field(basis, 0.3, v), segal_field_coo(basis, 0.3, v))
+        empty = segal_field(basis, 0.3, zero_vector(basis.D))
+        assert empty.shape == (basis.dim, basis.dim) and empty.nnz == 0
+
+    @pytest.mark.parametrize("frames", [1, 2, 3, 4])
+    def test_stacked_generator(self, octa_setup, rng, frames):
+        model, basis, ham = octa_setup
+        ladder = (0.4, 0.2, 0.1, 0.05)
+        hams = [Hamiltonian(model, basis, h, ham.ops.modes) for h in ladder]
+        x = random_phase_vector(rng, model.D, scale=0.3)
+        got = _stacked_generator(hams[:frames], x)
+        want = stacked_generator_block_diag(hams[:frames], x)
+        assert got.shape == want.shape
+        _assert_same_csr(got, want)
+
+    def test_layouts_shared_across_threads(self, octa_model, rng):
+        # frame jobs on two pool workers share a basis: first uses racing
+        # on many threads fill each layout once and build the same matrices
+        modes = coupled_modes(octa_model)
+        basis = FockBasis(modes.shape[1], 2)
+        hams = [Hamiltonian(octa_model, basis, h, modes) for h in (0.4, 0.2, 0.1)]
+        x = random_phase_vector(rng, octa_model.D, scale=0.3)
+        v = random_phase_vector(rng, basis.D)
+
+        def build():
+            return _stacked_generator(hams, x), segal_field(basis, 0.3, v)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(build) for _ in range(32)]
+                built = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert list(hams[0].ops.layouts) == [3] and len(basis._field_layouts) == 1
+        want_gen = stacked_generator_block_diag(hams, x)
+        want_field = segal_field_coo(basis, 0.3, v)
+        for gen, field in built:
+            _assert_same_csr(gen, want_gen)
+            _assert_same_csr(field, want_field)
 
 
 class TestObservableApplication:
