@@ -24,7 +24,7 @@ from .harness import (
     write_json,
 )
 from .hierarchy import PHOTON_RATE_SIGN
-from .model import Model, ModelConfig, ModelError, grid_debug_dump, polarization_project
+from .model import ModelError, grid_debug_dump, polarization_project
 from .oracle import ObservableSpec
 
 
@@ -105,12 +105,7 @@ def _cmd_crosscheck(args) -> int:
 
 
 def _cmd_dump_model(args) -> int:
-    if args.config == "default":
-        config = ModelConfig.from_dict(default_plan_dict()["model"])
-    else:
-        config = ModelConfig.from_file(args.config)
-    dump = grid_debug_dump(Model(config))
-    json.dump(dump, sys.stdout, indent=2, sort_keys=True)
+    json.dump(grid_debug_dump(args.plan.model), sys.stdout, indent=2, sort_keys=True)
     print()
     return 0
 
@@ -131,17 +126,15 @@ def build_parser() -> argparse.ArgumentParser:
         ("converge", _cmd_converge, "oracle-vs-expansion h sweep"),
         ("photon", _cmd_photon, "number_rate convergence sweep"),
         ("crosscheck", _cmd_crosscheck, "dual-path agreement checks"),
+        ("dump-model", _cmd_dump_model, "grid and couplings of the plan's model"),
     ):
         p = sub.add_parser(name, help=text)
         p.add_argument("plan", help="plan JSON path, or 'default'")
-        p.add_argument("--json", help="override the plan's JSON output path")
-        if name != "crosscheck":
+        if name != "dump-model":
+            p.add_argument("--json", help="override the plan's JSON output path")
+        if name in ("converge", "photon"):
             p.add_argument("--csv", help="override the plan's CSV output path")
         p.set_defaults(fn=fn)
-
-    p = sub.add_parser("dump-model", help="grid and coupling diagnostics")
-    p.add_argument("config", help="model config JSON path, or 'default'")
-    p.set_defaults(fn=_cmd_dump_model)
     return parser
 
 

@@ -43,14 +43,7 @@ from .hierarchy import (
     spin_correction1,
     tangent_derivatives,
 )
-from .model import (
-    Model,
-    ModelConfig,
-    ModelError,
-    PhaseVector,
-    is_number,
-    require_keys,
-)
+from .model import Model, ModelConfig, ModelError, PhaseVector
 from .oracle import (
     DEFAULT_TAIL_TOL,
     Hamiltonian,
@@ -117,36 +110,145 @@ def _pool_map(fn, jobs):
 # plans
 
 
-def _is_objects(v) -> bool:
-    return isinstance(v, list) and all(isinstance(o, dict) for o in v)
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# how from_dict reads a plan value: (test of its JSON type, conversion, the
-# type named when the test fails)
-_PLAN_TYPES = {
-    "number": (is_number, float, "a number"),
-    "integer": (
-        lambda v: isinstance(v, int) and not isinstance(v, bool),
-        int,
-        "an integer",
+def _is_array(v) -> bool:
+    # a ragged value gives a 1-d array of its lists, which are no numbers
+    cells = np.array(v, dtype=object)
+    return cells.ndim > 0 and all(map(_is_number, cells.flat))
+
+
+def _list_of(kind):
+    return lambda v: isinstance(v, (list, tuple)) and all(map(_JSON_TYPES[kind][0], v))
+
+
+# a plan value's JSON type: (its test, the type named when a value fails it)
+_JSON_TYPES = {
+    "number": (_is_number, "a number"),
+    "integer": (lambda v: _is_number(v) and isinstance(v, int), "an integer"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "numbers": (_list_of("number"), "a list of numbers"),
+    "array": (_is_array, "an array of numbers"),
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "objects": (_list_of("object"), "a list of objects"),
+    "string or array": (
+        lambda v: isinstance(v, str) or _is_array(v),
+        "a string or an array of numbers",
     ),
-    "numbers": (
-        lambda v: isinstance(v, (list, tuple)) and all(map(is_number, v)),
-        lambda v: tuple(float(x) for x in v),
-        "a list of numbers",
+    "object or objects": (
+        lambda v: isinstance(v, dict) or _JSON_TYPES["objects"][0](v),
+        "a list of objects",
     ),
-    "objects": (_is_objects, list, "a list of objects"),
+}
+# what a value of these types is read as; the others are kept as they are
+_CONVERSIONS = {
+    "number": float,
+    "numbers": lambda v: tuple(map(float, v)),
+    "array": lambda v: np.array(v, dtype=float),
+}
+
+REQUIRED = object()  # the default of a key that every plan must give
+
+# Every key a plan may hold, per section: (key, JSON type, default or
+# REQUIRED).  Section "" is the plan itself, "X[]" one explicit X sample and
+# "observables[<kind>]" one observable of that kind, less its "kind" key.
+# README's "Plan keys" table documents each row.
+_FIELD_KEYS = (("axis", "integer", REQUIRED), ("point", "array", REQUIRED))
+PLAN_KEYS = {
+    "": (
+        ("model", "object", REQUIRED),
+        ("observables", "objects", REQUIRED),
+        ("t", "numbers", REQUIRED),
+        ("h", "numbers", REQUIRED),
+        ("n_max", "integer", REQUIRED),
+        ("M", "integer", 0),
+        ("tol", "number", 1e-7),
+        ("oracle_tol", "number", 1e-9),
+        ("seed", "integer", 0),
+        ("X", "object or objects", {"count": 1, "norm": 0.5}),
+        ("output", "object", {}),
+    ),
+    "output": (("csv", "string", None), ("json", "string", None)),
+    "model": (
+        ("spins", "object", REQUIRED),
+        ("field", "object", REQUIRED),
+        ("cutoff", "object", {}),
+        ("grid", "object", {}),
+    ),
+    "model.spins": (("positions", "array", REQUIRED), ("count", "integer", None)),
+    "model.field": (("beta", "array", REQUIRED),),
+    "model.cutoff": (("family", "string", "gaussian"), ("lambda", "number", 1.0)),
+    "model.grid": (
+        ("radial_nodes", "integer", 1),
+        ("kmax", "number", None),
+        ("directions", "string or array", "z"),
+        ("kpoints", "array", None),
+        ("weights", "array", None),
+    ),
+    "X": (("count", "integer", 1), ("norm", "number", 0.5)),
+    "X[]": (("id", "string", None), ("q", "numbers", ()), ("p", "numbers", ())),
+    "observables[spin]": (("axis", "integer", REQUIRED), ("spin", "integer", REQUIRED)),
+    "observables[field_B]": _FIELD_KEYS,
+    "observables[field_E]": _FIELD_KEYS,
+    "observables[field_E_pol]": _FIELD_KEYS,
+    "observables[number_rate]": (),
 }
 
 
-def _plan_value(d: dict, key: str, kind: str, default=None, where: str = ""):
-    """d[key], or default when it is absent, read as kind; a value of
-    another type is refused naming the key."""
-    value = d.get(key, default)
-    valid, convert, name = _PLAN_TYPES[kind]
-    if not valid(value):
-        raise HarnessError(f"plan key {where + key!r} must be {name}, got {value!r}")
-    return convert(value)
+def _read(d: dict, section: str, where: str) -> dict:
+    """The keys of d, one section of a plan, with PLAN_KEYS[section]'s
+    defaults filled in.  where names the section: its first word is the
+    document, the rest the section's path in it ("model grid").  An
+    unknown key, a missing required key or a value of the wrong JSON type
+    is refused naming its path in the document ("model key 'grid.kmax'")."""
+    document, _, path = where.partition(" ")
+    prefix = path and path + "."
+    out = {}
+    for key, kind, default in PLAN_KEYS[section]:
+        if key not in d:
+            if default is REQUIRED:
+                raise HarnessError(f"{where} has no {key!r} key")
+            out[key] = default
+            continue
+        valid, name = _JSON_TYPES[kind]
+        if not valid(d[key]):
+            raise HarnessError(
+                f"{document} key {prefix + key!r} must be {name}, got {d[key]!r}"
+            )
+        out[key] = _CONVERSIONS[kind](d[key]) if kind in _CONVERSIONS else d[key]
+    for key in d:
+        if key not in out:
+            raise HarnessError(f"unknown {document} key {prefix + key!r}")
+    return out
+
+
+def _model_config(d: dict) -> ModelConfig:
+    """The model section of a plan as a ModelConfig."""
+    model = {
+        key: _read(value, f"model.{key}", f"model {key}")
+        for key, value in _read(d, "model", "model").items()
+    }
+    spins, cutoff, grid = model["spins"], model["cutoff"], model["grid"]
+    if cutoff["family"] != "gaussian":
+        family = cutoff["family"]
+        raise HarnessError(f"unknown cutoff family {family!r}; only 'gaussian'")
+    kpoints, weights = grid["kpoints"], grid["weights"]
+    if kpoints is not None and weights is not None:
+        if weights.shape != (len(np.atleast_2d(kpoints)),):
+            raise HarnessError(
+                "model key 'grid.weights' must hold one number per k-point, "
+                f"got {d['grid']['weights']!r}"
+            )
+    return ModelConfig(
+        N=len(spins["positions"]) if spins["count"] is None else spins["count"],
+        positions=spins["positions"],
+        beta=model["field"]["beta"],
+        cutoff_lambda=cutoff["lambda"],
+        # the grid keys are ModelConfig's grid_* fields
+        **{f"grid_{key}": value for key, value in grid.items()},
+    )
 
 
 @dataclass(frozen=True)
@@ -212,54 +314,52 @@ class ExperimentPlan:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentPlan":
-        required = ("model", "observables", "t", "h", "n_max")
-        require_keys(d, required, "plan", HarnessError)
-        model = Model(ModelConfig.from_dict(d["model"]))
-        specs = _plan_value(d, "observables", "objects")
-        for i, o in enumerate(specs):
+        """The plan a JSON document describes, read against PLAN_KEYS."""
+        plan = _read(d, "", "plan")
+        model = Model(_model_config(plan["model"]))
+        observables = []
+        for i, o in enumerate(plan["observables"]):
             if "kind" not in o:
                 raise HarnessError(f"observable {i} has no 'kind' key: {o}")
-        observables = tuple(ObservableSpec.from_dict(o) for o in specs)
-        seed = _plan_value(d, "seed", "integer", 0)
-        xs_spec = d.get("X", {"count": 1, "norm": 0.5})
-        samples = []
-        grid_D = model.D
-        if isinstance(xs_spec, dict):
-            rng = np.random.default_rng(seed)
-            norm = _plan_value(xs_spec, "norm", "number", 0.5, "X.")
+            # an unknown kind has no section: ObservableSpec refuses it
+            section = f"observables[{o['kind']}]"
+            keys = {k: v for k, v in o.items() if k != "kind"}
+            spec = _read(keys, section, "observable") if section in PLAN_KEYS else {}
+            m, x, lam = (spec.get(key) for key in ("axis", "point", "spin"))
+            observables.append(ObservableSpec(o["kind"], m, x, lam))
+        xs, samples, grid_D = plan["X"], [], model.D
+        if isinstance(xs, dict):
+            xs = _read(xs, "X", "plan X")
             # a negative norm would be used as its absolute value
-            if not (math.isfinite(norm) and norm >= 0.0):
-                raise HarnessError(f"X.norm must be finite and >= 0, got {norm}")
-            for i in range(_plan_value(xs_spec, "count", "integer", 1, "X.")):
+            if not (math.isfinite(xs["norm"]) and xs["norm"] >= 0.0):
+                raise HarnessError(f"X.norm must be finite and >= 0, got {xs['norm']}")
+            rng = np.random.default_rng(plan["seed"])
+            for i in range(xs["count"]):
                 v = rng.standard_normal(2 * grid_D)
-                v *= norm / np.linalg.norm(v)
-                samples.append(
-                    (f"X{i}", PhaseVector(v[:grid_D].copy(), v[grid_D:].copy()))
-                )
+                v *= xs["norm"] / np.linalg.norm(v)
+                samples.append((f"X{i}", PhaseVector(v[:grid_D], v[grid_D:])))
         else:
-            for i, entry in enumerate(_plan_value(d, "X", "objects")):
-                x_id = entry.get("id", f"X{i}")
-                q, p = (_plan_value(entry, k, "numbers", (), f"X[{i}].") for k in "qp")
+            for i, entry in enumerate(xs):
+                entry = _read(entry, "X[]", f"plan X[{i}]")
+                x_id = f"X{i}" if entry["id"] is None else entry["id"]
+                q, p = entry["q"], entry["p"]
                 if len(q) != grid_D or len(p) != grid_D:
                     raise HarnessError(
                         f"X sample {x_id!r}: q and p need {grid_D} entries each "
                         f"on this grid, got {len(q)} and {len(p)}"
                     )
                 samples.append((x_id, PhaseVector(q, p)))
-        out = d.get("output", {})
+        out = _read(plan["output"], "output", "plan output")
         return ExperimentPlan(
             model=model,
-            observables=observables,
+            observables=tuple(observables),
             x_samples=tuple(samples),
-            t_samples=_plan_value(d, "t", "numbers"),
-            h_list=_plan_value(d, "h", "numbers"),
-            M=_plan_value(d, "M", "integer", 0),
-            n_max=_plan_value(d, "n_max", "integer"),
-            tol=_plan_value(d, "tol", "number", 1e-7),
-            oracle_tol=_plan_value(d, "oracle_tol", "number", 1e-9),
-            seed=seed,
-            csv_path=out.get("csv"),
-            json_path=out.get("json"),
+            t_samples=plan["t"],
+            h_list=plan["h"],
+            csv_path=out["csv"],
+            json_path=out["json"],
+            # these plan keys are fields of the same name
+            **{key: plan[key] for key in ("M", "n_max", "tol", "oracle_tol", "seed")},
         )
 
     @staticmethod

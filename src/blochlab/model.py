@@ -26,7 +26,6 @@ grid of times.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -45,41 +44,6 @@ SIGMA = (
 
 class ModelError(ValueError):
     """Raised for invalid model configuration or mismatched dimensions."""
-
-
-def require_keys(d: dict, keys, where: str, error=ModelError) -> None:
-    """Refuse a configuration section that lacks a required key, naming the
-    first one missing."""
-    for key in keys:
-        if key not in d:
-            raise error(f"{where} has no {key!r} key")
-
-
-def is_number(v) -> bool:
-    """v is a JSON number: an int or a float, not a boolean."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def number_array(value, key: str) -> np.ndarray:
-    """value, a JSON array of numbers or of equal-length arrays of numbers,
-    as a float array; any other value is refused naming key."""
-    # a ragged value gives a 1-d array of its lists, which are no numbers
-    cells = np.array(value, dtype=object)
-    if cells.ndim == 0 or not all(map(is_number, cells.flat)):
-        raise ModelError(f"{key} must be an array of numbers, got {value!r}")
-    return cells.astype(float)
-
-
-def config_number(section: dict, key: str, default, where: str, integer=False):
-    """section[key], or default when it is absent: a JSON number, an
-    integer where integer is set; any other value is refused naming the key
-    as where."""
-    value = section.get(key, default)
-    valid = isinstance(value, int) if integer else is_number(value)
-    if not valid or isinstance(value, bool):
-        kind = "an integer" if integer else "a number"
-        raise ModelError(f"model key {where!r} must be {kind}, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -255,53 +219,6 @@ class ModelConfig:
                     raise ModelError("spin positions must be pairwise distinct")
         if self.cutoff_fn is None:
             self.cutoff_fn = gaussian_cutoff(self.cutoff_lambda)
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        """Build from the nested configuration-file layout."""
-        require_keys(d, ("spins", "field"), "model")
-        require_keys(d["spins"], ("positions",), "model spins")
-        require_keys(d["field"], ("beta",), "model field")
-        spins = d["spins"]
-        grid = d.get("grid", {})
-        cutoff = d.get("cutoff", {})
-        family = cutoff.get("family", "gaussian")
-        if family != "gaussian":
-            raise ModelError(f"unknown cutoff family {family!r}; only 'gaussian'")
-        positions = number_array(spins["positions"], "model key 'spins.positions'")
-        kmax = grid.get("kmax")
-        if kmax is not None:
-            kmax = config_number(grid, "kmax", None, "grid.kmax")
-        kpoints = weights = None
-        if "kpoints" in grid:
-            kpoints = number_array(grid["kpoints"], "model key 'grid.kpoints'")
-        if "weights" in grid:
-            weights = number_array(grid["weights"], "model key 'grid.weights'")
-            if kpoints is not None and weights.shape != (len(np.atleast_2d(kpoints)),):
-                raise ModelError(
-                    "model key 'grid.weights' must hold one number per k-point, "
-                    f"got {grid['weights']!r}"
-                )
-        return ModelConfig(
-            N=config_number(
-                spins, "count", len(positions), "spins.count", integer=True
-            ),
-            positions=positions,
-            beta=number_array(d["field"]["beta"], "model key 'field.beta'"),
-            cutoff_lambda=float(config_number(cutoff, "lambda", 1.0, "cutoff.lambda")),
-            grid_radial_nodes=config_number(
-                grid, "radial_nodes", 1, "grid.radial_nodes", integer=True
-            ),
-            grid_kmax=kmax,
-            grid_directions=grid.get("directions", "z"),
-            grid_kpoints=kpoints,
-            grid_weights=weights,
-        )
-
-    @staticmethod
-    def from_file(path) -> "ModelConfig":
-        with open(path) as fh:
-            return ModelConfig.from_dict(json.load(fh))
 
 
 def build_grid(config: ModelConfig) -> ModeGrid:

@@ -122,7 +122,6 @@ from blochlab.model import (
     chi_flow_vector,
     coupling_B,
     fmap,
-    number_array,
     stack_vectors,
 )
 from blochlab.stepper import GroupLog, integrate_adaptive
@@ -170,16 +169,6 @@ class ObservableSpec:
                 raise ModelError(
                     "spin observables need axis m and a 1-based site index lam"
                 )
-
-    @staticmethod
-    def from_dict(d: dict) -> "ObservableSpec":
-        point = d.get("point")
-        return ObservableSpec(
-            kind=d["kind"],
-            m=d.get("axis"),
-            x=None if point is None else number_array(point, "observable key 'point'"),
-            lam=d.get("spin"),
-        )
 
     def label(self) -> str:
         if self.kind.startswith("field"):

@@ -21,6 +21,8 @@ import pytest
 
 from blochlab.harness import (
     CSV_COLUMNS,
+    PLAN_KEYS,
+    REQUIRED,
     ExperimentPlan,
     HarnessError,
     default_plan_dict,
@@ -141,11 +143,27 @@ class TestPlan:
             # mid-sweep
             ({"kind": "spin", "axis": 1, "spin": 2}, HarnessError, "site 2"),
             # JSON true used to load as index 1, labelled spin[m=True,lam=1]
-            ({"kind": "spin", "axis": 1, "spin": True}, ModelError, "lam=True"),
-            ({"kind": "spin", "axis": True, "spin": 1}, ModelError, "m=True"),
-            ({"kind": "field_B", "axis": True, "point": [0] * 3}, ModelError, "m=True"),
+            (
+                {"kind": "spin", "axis": 1, "spin": True},
+                ModelError,
+                "^observable key 'spin' must be an integer, got True$",
+            ),
+            (
+                {"kind": "spin", "axis": True, "spin": 1},
+                ModelError,
+                "^observable key 'axis' must be an integer, got True$",
+            ),
+            (
+                {"kind": "field_B", "axis": True, "point": [0] * 3},
+                ModelError,
+                "^observable key 'axis' must be an integer, got True$",
+            ),
             # a float index used to load and then fail as an array index
-            ({"kind": "spin", "axis": 1.0, "spin": 1}, ModelError, "m=1.0"),
+            (
+                {"kind": "spin", "axis": 1.0, "spin": 1},
+                ModelError,
+                r"^observable key 'axis' must be an integer, got 1\.0$",
+            ),
         ],
         ids=["site-2", "spin-true", "axis-true", "field-axis-true", "axis-float"],
     )
@@ -240,6 +258,26 @@ class TestPlan:
         error = HarnessError if section is None else ModelError
         with pytest.raises(error, match=f"^{where} has no '{key}' key$"):
             ExperimentPlan.from_dict(d)
+
+    def test_readme_lists_every_plan_key(self):
+        # the path, JSON type and default of each row of README's table
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        text = readme.read_text().split("\n## Plan keys\n")[1].split("\n## ")[0]
+        documented = [
+            tuple(cell.strip().strip("`") for cell in line.split("|")[1:4])
+            for line in text.splitlines()
+            if line.startswith("| `")
+        ]
+        expected = [
+            (
+                f"{section}.{key}".lstrip("."),
+                kind,
+                "required" if default is REQUIRED else json.dumps(default),
+            )
+            for section, rows in PLAN_KEYS.items()
+            for key, kind, default in rows
+        ]
+        assert documented == expected
 
     def test_random_samples_deterministic(self):
         a = ExperimentPlan.from_dict(small_plan_dict())
@@ -777,7 +815,7 @@ class TestConvergeCommand:
     def _desk_plan(tmp_path, **overrides):
         root = Path(__file__).resolve().parent.parent
         d = json.loads((root / "plans" / "desk_scale.json").read_text())
-        d.update(overrides, output={})
+        d.update({"output": {}, **overrides})
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(d))
         return str(path)
@@ -841,6 +879,17 @@ class TestConvergeCommand:
             {"model": _desk_model("grid", weights=[1, 2])},
             "model key 'grid.weights' must hold one number per k-point, got [1, 2]",
         ),
+        # on a radial grid these used to end in a ValueError traceback
+        (
+            {"model": dict(_desk_model("grid"), grid={"directions": 5})},
+            "model key 'grid.directions' must be a string or an array of numbers, "
+            "got 5",
+        ),
+        (
+            {"model": dict(_desk_model("grid"), grid={"directions": [[1, "a", 0]]})},
+            "model key 'grid.directions' must be a string or an array of numbers, "
+            "got [[1, 'a', 0]]",
+        ),
         (
             {"observables": [{"kind": "field_B", "axis": 2, "point": "origin"}]},
             "observable key 'point' must be an array of numbers, got 'origin'",
@@ -850,9 +899,42 @@ class TestConvergeCommand:
             {"observables": "spin"},
             "plan key 'observables' must be a list of objects, got 'spin'",
         ),
+        # these two used to end in a TypeError after the whole sweep
+        (
+            {"X": [{"id": 3, "q": [0.0] * 4, "p": [0.0] * 4}]},
+            "plan key 'X[0].id' must be a string, got 3",
+        ),
+        ({"output": {"csv": 5}}, "plan key 'output.csv' must be a string, got 5"),
+        # an unknown key used to be ignored, and the run measured the default
+        ({"oracle_toll": 1e-3}, "unknown plan key 'oracle_toll'"),
+        ({"X": {"norms": 3}}, "unknown plan key 'X.norms'"),
+        (
+            {"X": [{"q": [0.0] * 4, "p": [0.0] * 4, "qq": 1}]},
+            "unknown plan key 'X[0].qq'",
+        ),
+        ({"output": {"cvs": "a.csv"}}, "unknown plan key 'output.cvs'"),
+        (
+            {"model": _desk_model("grid", kpoint=[[0.0, 0.0, 2.0]])},
+            "unknown model key 'grid.kpoint'",
+        ),
+        (
+            {"model": _desk_model("spins", position=[[0.0, 0.0, 1.0]])},
+            "unknown model key 'spins.position'",
+        ),
+        (
+            {"observables": [{"kind": "spin", "axis": 1, "spin": 1, "axes": 3}]},
+            "unknown observable key 'axes'",
+        ),
+        # used to load as ObservableSpec(m=7, lam=9) beside a "spin": 9
+        (
+            {"observables": [{"kind": "number_rate", "axis": 7, "spin": 9}]},
+            "unknown observable key 'axis'",
+        ),
     ]
 
-    @pytest.mark.parametrize("command", ["converge", "photon", "crosscheck"])
+    @pytest.mark.parametrize(
+        "command", ["converge", "photon", "crosscheck", "dump-model"]
+    )
     def test_refused_plan_fails_cleanly(self, tmp_path, capsys, command):
         # a plan refused at load used to end in a HarnessError traceback
         for overrides, reason in self.REFUSED:
@@ -862,7 +944,9 @@ class TestConvergeCommand:
             assert out.err == f"blochlab: {reason}\n"
             assert out.out == ""
 
-    @pytest.mark.parametrize("command", ["converge", "photon", "crosscheck"])
+    @pytest.mark.parametrize(
+        "command", ["converge", "photon", "crosscheck", "dump-model"]
+    )
     def test_missing_key_fails_cleanly(self, tmp_path, capsys, command):
         # a plan without a required key used to end in a KeyError traceback
         root = Path(__file__).resolve().parent.parent

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from blochlab.harness import ExperimentPlan, default_plan_dict
 from blochlab.model import (
     Model,
     ModelConfig,
@@ -62,6 +63,11 @@ class TestGrid:
         with pytest.raises(ModelError):
             ModelConfig(N=2, positions=[[0, 0, 0], [0, 0, 0]], beta=(0, 0, 1))
 
+    @staticmethod
+    def _plan(model):
+        """The default plan with the model section model."""
+        return ExperimentPlan.from_dict(dict(default_plan_dict(), model=model))
+
     def test_config_file_refuses_unknown_cutoff_family(self):
         d = {
             "spins": {"positions": [[0.0, 0.0, 0.0]]},
@@ -69,9 +75,9 @@ class TestGrid:
             "cutoff": {"family": "lorentzian", "lambda": 1.0},
         }
         with pytest.raises(ModelError, match="cutoff family 'lorentzian'"):
-            ModelConfig.from_dict(d)
+            self._plan(d)
         d["cutoff"]["family"] = "gaussian"
-        assert ModelConfig.from_dict(d).cutoff_lambda == 1.0
+        assert self._plan(d).model.config.cutoff_lambda == 1.0
 
     @pytest.mark.parametrize(
         "section, key, value, reason",
@@ -87,7 +93,7 @@ class TestGrid:
         d = {"spins": {"positions": [[0, 0, 0]]}, "field": {"beta": [0, 0, 1]}}
         d[section][key] = value
         with pytest.raises(ModelError, match=reason):
-            ModelConfig.from_dict(d)
+            self._plan(d)
 
 
 class TestCouplings:

@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from blochlab.fock import FockBasis, segal_field
+from blochlab.harness import ExperimentPlan, default_plan_dict
 from blochlab.model import (
     Model,
     ModelConfig,
@@ -75,16 +76,21 @@ def free_setup():
 
 class TestObservableSpec:
     def test_parse_field(self):
-        obs = ObservableSpec.from_dict(
-            {"kind": "field_B", "axis": 2, "point": [0, 0, 0]}
-        )
+        spec = {"kind": "field_B", "axis": 2, "point": [0, 0, 0]}
+        plan = ExperimentPlan.from_dict(dict(default_plan_dict(), observables=[spec]))
+        (obs,) = plan.observables
         assert obs.m == 2 and obs.kind == "field_B"
+        assert obs.x.tolist() == [0.0, 0.0, 0.0]
 
     def test_rejects_incomplete(self):
         with pytest.raises(ModelError):
             ObservableSpec(kind="field_E", m=1)
         with pytest.raises(ModelError):
             ObservableSpec(kind="nonsense")
+        # plain ints only, also where no plan is read
+        for m in (True, 1.0):
+            with pytest.raises(ModelError, match="indices must be ints"):
+                ObservableSpec(kind="spin", m=m, lam=1)
 
 
 class TestHamiltonian:
