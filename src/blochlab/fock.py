@@ -10,9 +10,10 @@ acts as z -> e^{-i omega t} z, matching the phase-space rotation used in
 the model layer.
 
 scipy.sparse is imported inside the functions that build CSR matrices
-(annihilator, segal_field), so importing this module loads no sparse stack.
-segal_field keeps each field's CSR layout (indptr, indices, and where each
-entry takes its value from) on the basis, so a call writes only values.
+(annihilator, field_operator), so importing this module loads no sparse
+stack.  field_operator keeps each field's CSR layout (indptr, indices,
+and where each entry takes its value from) on the basis, so a call writes
+only values.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class FockBasis:
         object.__setattr__(self, "totals", occ.sum(axis=1))
         object.__setattr__(self, "_lowering_cache", {})
         object.__setattr__(self, "_ladder_cache", {})
-        # segal_field's CSR layouts, keyed by the modes that a field touches
+        # field_operator's CSR layouts, keyed by the modes that a field touches
         object.__setattr__(self, "_field_layouts", {})
         # operators that other layers assemble on this basis for one model;
         # weak keys let them go with the model
@@ -176,18 +177,25 @@ def segal_field(basis: FockBasis, h: float, v: PhaseVector) -> sp.csr_matrix:
     Phi_S(V) = sum_j (v_q - i v_p)_j / sqrt(2) a_j
              + (v_q + i v_p)_j / sqrt(2) a*_j,
     the unique self-adjoint combination whose Wick symbol is h^{-1/2} V.X.
-    The CSR layout of the field depends only on the modes with
-    c_j = (v_q - i v_p)_j != 0: it is laid out once per basis and set of
-    modes, and a call writes only the values, c_j sqrt(alpha_j) and
-    conj(c_j) sqrt(alpha_j), each times sqrt(h/2).
+    """
+    if v.dim != basis.D:
+        raise ModelError("dimension mismatch")
+    return field_operator(basis, h, v.q - 1j * v.p)
+
+
+def field_operator(basis: FockBasis, h: float, c: np.ndarray) -> sp.csr_matrix:
+    """Phi_{S,h}(V) from the annihilator coefficients c = v_q - i v_p of V,
+    one per mode of the basis.
+
+    The CSR layout of the field depends only on the modes with c_j != 0:
+    it is laid out once per basis and set of modes, and a call writes only
+    the values, c_j sqrt(alpha_j) and conj(c_j) sqrt(alpha_j), each times
+    sqrt(h/2).
     """
     if h <= 0:
         raise ModelError("h must be positive")
-    if v.dim != basis.D:
-        raise ModelError("dimension mismatch")
     import scipy.sparse as sp
 
-    c = v.q - 1j * v.p
     modes = tuple(np.flatnonzero(c).tolist())
     layout = basis._field_layouts.get(modes)
     if layout is None:

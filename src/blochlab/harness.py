@@ -234,6 +234,16 @@ def _model_config(d: dict) -> ModelConfig:
     if cutoff["family"] != "gaussian":
         family = cutoff["family"]
         raise HarnessError(f"unknown cutoff family {family!r}; only 'gaussian'")
+    # build_grid takes each k-point and direction as a row of 3 numbers
+    for key in ("kpoints", "directions"):
+        rows = grid[key]
+        if rows is None or isinstance(rows, str):
+            continue
+        if np.atleast_2d(np.asarray(rows, dtype=float)).shape[1:] != (3,):
+            raise HarnessError(
+                f"model key 'grid.{key}' must hold rows of 3 numbers, "
+                f"got {d['grid'][key]!r}"
+            )
     kpoints, weights = grid["kpoints"], grid["weights"]
     if kpoints is not None and weights is not None:
         if weights.shape != (len(np.atleast_2d(kpoints)),):
@@ -315,6 +325,8 @@ class ExperimentPlan:
     @staticmethod
     def from_dict(d: dict) -> "ExperimentPlan":
         """The plan a JSON document describes, read against PLAN_KEYS."""
+        if not isinstance(d, dict):
+            raise HarnessError(f"plan must be a JSON object, got {d!r}")
         plan = _read(d, "", "plan")
         model = Model(_model_config(plan["model"]))
         observables = []

@@ -27,29 +27,35 @@ I (x) K_g[a -> z].  The drive sqrt(h/2) sum_g (e^{-i w_g s} K_g[a -> z] + h.c.)
 = sum_{lam,m} (B_{m x lam} . chi_s X) sigma_m^[lam] is one s x s spin
 matrix per group and does not depend on h; at X = 0 it vanishes and the
 propagation is that of the undisplaced state.  H0, K_g and K_g^H do not
-depend on h or X: the blocks [H0; L_1; L_1^H; ...; L_G; L_G^H] are stacked
-in one CSR matrix.  Its pattern (indptr, indices) and constant values are
-laid out once per (model, basis), by index arithmetic on the annihilators'
-entries, and shared by the Hamiltonians of every h; per frame point X a
-call writes only the drive entries into a copy of the values.  One
-generator application is a single sparse product whose row blocks are then
-combined with the phases of time s; each row is summed as by a product
-with its own block.  The propagation, the energy and the number_rate
-observable all apply the generator this way.
+depend on h or X, and the generator is folded into one operator: the
+blocks [H0; L_1; L_1^H; ...; L_G; L_G^H] share one square CSR pattern, the
+union of their positions, and a value table V holds one row per block.
+The pattern and the constant values are laid out once per (model, basis),
+by index arithmetic on the annihilators' entries, and shared by the
+Hamiltonians of every h; per frame point X a frame's table is the constant
+one with its drive written in and the L_g rows scaled by sqrt(h/2).  A
+combination sum_b c_b block_b of the blocks is then one product c @ V,
+written into the operator's values, and one sparse product applies it to
+every state: the propagation takes c(s) = -i [1, e^{-i w_1 s},
+e^{+i w_1 s}, ...], the energy [1, 1, ...] and the number_rate observable
+i [0, 1, -1, ...].  The blocks of a row are summed inside the row, so the
+results differ from a product per block by rounding only.
 
 The frames of every h at one (t, X) differ only in sqrt(h/2) and the drive
 entries, so they are propagated together as one frame group: states carry
-a leading frame axis, shape (F, dim, s, n), and the group's generators are
-stacked block-diagonally, so one sparse product applies every h.  The
-stack's layout, and where each of its entries takes its value from the
-frames' values, is laid out once per frame count and kept with the
-operators, so a group's generator too is a write of values.  The
-stepper is the package's step-doubling RK4 (blochlab.stepper, local
-Richardson error control, first step 0.1) with joint step control, so each
-frame meets its own local error bound and keeps its own log.  The generator
-is bounded uniformly in h, so steps do not shrink as h does; on the desk
-plan every h takes the same steps alone, and the group reproduces each
-frame bitwise.
+a leading frame axis, shape (F, dim, s, n), the group's operator is the
+frames' folded operators on the diagonal of one block-diagonal CSR matrix,
+laid out once per frame count and kept with the operators, and V stacks
+the frames' tables, shape (F, 1 + 2G, nnz).  The values are rewritten only
+when the time s changes: 4 of the stepper's 11 evaluations per attempted
+step repeat the previous time.  Each frame's values are one product of
+their own length, so they, and the frame's rows of the sparse product, do
+not depend on the other frames.  The stepper is the package's
+step-doubling RK4 (blochlab.stepper, local Richardson error control, first
+step 0.1) with joint step control, so each frame meets its own local error
+bound and keeps its own log.  The generator is bounded uniformly in h, so
+steps do not shrink as h does; on the desk plan every h takes the same
+steps alone, and the group reproduces each frame bitwise.
 
 Observables are read in the same frame: with Y = chi_t X,
 <W(Y) xi_i, A W(Y) xi_j> = <xi_i, W(Y)* A W(Y) xi_j>, where W(Y)* A W(Y) is
@@ -97,12 +103,12 @@ spin_dim, n_states); a group stacks its frames on a leading axis and
 evolves them in one integration.  The operators act on a frame's Fock-major
 view of shape (fock_dim * spin_dim, n_states).
 
-scipy.sparse is imported only where a CSR matrix is built (TensorOperators
-for its pattern, _stacked_generator for each generator, and fock's
-segal_field), so a hierarchy-only run such as the crosscheck never loads
-it.  Each CSR layout is kept where frame jobs on two pool workers share
-it, on the basis or its operators, and is filled either under the
-harness's build lock or idempotently, by dict.setdefault.
+scipy.sparse is imported only where a CSR matrix is built or applied
+(FoldedGenerator, and fock's field_operator), so a hierarchy-only run
+such as the crosscheck never loads it.  Each CSR layout is kept where
+frame jobs on two pool workers share it, on the basis or its operators,
+and is filled either under the harness's build lock or idempotently, by
+dict.setdefault.
 """
 
 from __future__ import annotations
@@ -113,7 +119,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from blochlab.fock import FockBasis, gamma_free_phases, segal_field
+from blochlab.fock import FockBasis, field_operator, gamma_free_phases
 from blochlab.model import (
     Model,
     ModelError,
@@ -229,24 +235,27 @@ class TensorOperators:
     the group's coefficients c_{lam m, j} (zero off the group), from which
     Hamiltonian.generator_values builds the drive.  Groups whose couplings
     all vanish are dropped.  omegas holds the frequency of each mode, and
-    block_rows the rows of one block, basis.dim * spin_dim.  pattern is the
-    generator's stacked CSR matrix [h0; K_1 + I (x) E; K_1^H + I (x) E;
-    ...] with E the s x s spin_pattern, where some spin matrix of the model
-    is nonzero: K_g is off-diagonal in photon number and the drive is
-    diagonal, so no entry is a sum.  Its values are the constant entries,
-    zero at the data positions drive, which run over the drive blocks in
-    order, each in (photon, row, column) order.
+    block_rows the rows of one block, basis.dim * spin_dim.
 
-    The stack is assembled from the annihilators' (row, col, sqrt(n))
-    entries by index arithmetic, each row's entries in column order.  K_g
-    sums its (lam, m) terms in that order, and an entry that a sum leaves
-    an exact zero is dropped, as a sum of sparse matrices does, so the
-    values are bitwise those of the Kronecker-product assembly.
+    The generator's blocks [h0; K_1 + I (x) E; K_1^H + I (x) E; ...], with
+    E the s x s spin_pattern where some spin matrix of the model is
+    nonzero, are folded onto one square CSR pattern (indptr, indices), the
+    union of their positions.  values holds the constant entries, one row
+    per block, shape (1 + 2G, nnz), zero where a block has no entry and at
+    the positions drive, the entries of I (x) E in (photon, row, column)
+    order, where every coupling block takes its drive.  K_g is off-diagonal
+    in photon number and the drive diagonal, so no entry of a block is a
+    sum.  exponents holds each block's rate of its time phase, [0, -i w_1,
+    +i w_1, ...].
+
+    The blocks are assembled from the annihilators' (row, col, sqrt(n))
+    entries by index arithmetic.  K_g sums its (lam, m) terms in that
+    order, and an entry that a sum leaves an exact zero is dropped, as a
+    sum of sparse matrices does, so the values are bitwise those of the
+    Kronecker-product assembly.
     """
 
     def __init__(self, model: Model, basis: FockBasis, modes: np.ndarray):
-        import scipy.sparse as sp
-
         self.modes = modes
         values, group_of = model.grid.frequency_groups
         # each column lies in one group: its largest entry names it
@@ -256,21 +265,18 @@ class TensorOperators:
         self.block_rows = n = basis.dim * s
         self.spin_pattern = np.any(model.sigmas != 0, axis=0)
         photons = np.arange(basis.dim)[:, None] * s
-        parts = []  # (rows, cols, values, drive flags), rows over the stack
+        parts = []  # (block, key, value) per entry, key = row * n + col
 
-        def add(block, rows, cols, values, drive=False):
-            parts.append((block * n + rows, cols, values, np.full(len(rows), drive)))
+        def add(block, rows, cols, values):
+            parts.append((np.full(len(rows), block), rows * n + cols, values))
 
         spin_const = model.spin_matrix(model.site_beta)
         r, c = np.nonzero(spin_const)
         h0 = np.ones(len(r), complex) * spin_const[r, c]  # as I (x) spin_const
         add(0, *_photon_diagonal(photons, r, c, h0))
-        r, c = np.nonzero(self.spin_pattern)
-        marks = _photon_diagonal(photons, r, c, np.zeros(len(r), complex))
         # one row of c per sigma_m^[lam] of model.sigmas, in (lam, m) order
         coeffs = np.array([b.q - 1j * b.p for b in model.coupling_list]) @ modes
         self.groups = []  # (omega, coeff) per coupled frequency group
-        block = 0
         for g, w in enumerate(values):
             members = np.nonzero(mode_group == g)[0]
             k = _coupling_entries(basis, members, coeffs, model.sigmas)
@@ -280,27 +286,29 @@ class TensorOperators:
             group_coeff[:, members] = coeffs[:, members]
             self.groups.append((float(w), group_coeff))
             k_rows, k_cols, k_values = k
-            for rows, cols, k_block in (
-                (k_rows, k_cols, k_values),
-                (k_cols, k_rows, k_values.conj()),
+            keep = k_values != 0
+            block = 2 * len(self.groups) - 1
+            for b, rows, cols, k_block in (
+                (block, k_rows, k_cols, k_values),
+                (block + 1, k_cols, k_rows, k_values.conj()),
             ):
-                block += 1
-                # adding the drive marks, which touch no entry of K_g, adds
-                # an exact zero to each entry and drops those left zero
-                k_block = k_block + 0j
-                keep = k_block != 0
-                add(block, rows[keep], cols[keep], k_block[keep])
-                add(block, *marks, drive=True)
-        rows, cols, data, is_drive = (np.concatenate(part) for part in zip(*parts))
-        n_rows = (block + 1) * n
-        order = np.argsort(rows * n + cols)
-        indptr = np.zeros(n_rows + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-        self.pattern = sp.csr_matrix(
-            (data[order], cols[order].astype(np.int32), indptr), (n_rows, n)
-        )
-        self.drive = np.flatnonzero(is_drive[order])
-        # _stacked_layout's per frame count, filled on first use
+                # adding the drive, which touches no entry of K_g, adds an
+                # exact zero to each entry and drops those left zero
+                add(b, rows[keep], cols[keep], k_block[keep] + 0j)
+        blocks, keys, data = (np.concatenate(part) for part in zip(*parts))
+        # the drive sits in the coupling blocks: without one there is none
+        r, c = np.nonzero(self.spin_pattern & bool(self.groups))
+        drive = ((photons + r) * n + photons + c).ravel()
+        union = np.union1d(keys, drive)
+        self.values = np.zeros((1 + 2 * len(self.groups), len(union)), complex)
+        self.values[blocks, np.searchsorted(union, keys)] = data
+        self.drive = np.searchsorted(union, drive)
+        self.indices = (union % n).astype(np.int32)
+        self.indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(union // n, minlength=n), out=self.indptr[1:])
+        rates = [r * w for w, _ in self.groups for r in (-1j, 1j)]
+        self.exponents = np.array([0j, *rates])
+        # _block_diagonal's per frame count, filled on first use
         self.layouts = {}
 
 
@@ -410,38 +418,34 @@ class Hamiltonian:
         # [e^{-i w_g t} K_g + h.c.]
         self.root = np.sqrt(self.h / 2.0)
 
-    def project(self, v: PhaseVector) -> PhaseVector:
-        """U^T V: the coordinates of a grid vector on the basis's modes."""
+    def field(self, q: np.ndarray, p: np.ndarray) -> sp.csr_matrix:
+        """Phi_h(U^T V) of the grid vector V = (q, p): its Segal field on
+        the basis's modes."""
         modes = self.ops.modes
-        return PhaseVector(v.q @ modes, v.p @ modes)
+        return field_operator(self.basis, self.h, q @ modes - 1j * (p @ modes))
 
     # -- generator application -----------------------------------------
 
     def generator_values(self, x: PhaseVector) -> np.ndarray:
-        """The values of generator(x) in the order of the shared pattern:
-        its constant values, with the drive written at ops.drive.
+        """This frame's value table at X on the folded pattern, shape
+        (1 + 2G, nnz): the rows of [h0; L_1; L_1^H; ...] with L_g = W(X)* K_g
+        W(X) = K_g + I (x) K_g[a -> z], the L_g rows times sqrt(h/2).
 
         K_g[a -> z] = sum_{lam,m} (c_{lam m} . z) sigma_m^[lam] is the
-        group's s x s drive matrix over sqrt(h/2); at X = 0 it vanishes.
+        group's s x s drive matrix over sqrt(h/2), written at ops.drive in
+        both of the group's rows; at X = 0 it vanishes.
         """
         ops = self.ops
         z = (x.q @ ops.modes + 1j * (x.p @ ops.modes)) / np.sqrt(2.0 * self.h)
-        # the drive positions per block and photon state
-        per_state = np.count_nonzero(ops.spin_pattern)
-        drive = ops.drive.reshape(-1, self.basis.dim, per_state)
-        data = ops.pattern.data.copy()
+        # the drive positions per photon state
+        drive = ops.drive.reshape(self.basis.dim, -1)
+        values = ops.values.copy()
         for g, (_, coeff) in enumerate(ops.groups):
             k_z = self.model.spin_matrix(coeff @ z)
-            data[drive[2 * g]] = k_z[ops.spin_pattern]
-            data[drive[2 * g + 1]] = k_z.conj().T[ops.spin_pattern]
-        return data
-
-    def generator(self, x: PhaseVector) -> sp.csr_matrix:
-        """[h0; L_1; L_1^H; ...; L_G; L_G^H] stacked in one CSR matrix, with
-        L_g = W(X)* K_g W(X) = K_g + I (x) K_g[a -> z] per frequency group
-        of ops.groups; at X = 0 the L_g are the K_g.  This is the shared
-        pattern with generator_values(x) written into it."""
-        return _stacked_generator([self], x)
+            values[2 * g + 1, drive] = k_z[ops.spin_pattern]
+            values[2 * g + 2, drive] = k_z.conj().T[ops.spin_pattern]
+        values[1:] *= self.root
+        return values
 
     def energy(self, psi: np.ndarray, y: PhaseVector) -> np.ndarray:
         """<W(Y) psi_j, H W(Y) psi_j> for each state j of psi, shape (dim, s, n).
@@ -449,20 +453,19 @@ class Hamiltonian:
         W(Y)* H W(Y) = H + Phi_h(omega Y) (x) I + (1/2) sum_j omega_j
         (q_j^2 + p_j^2) + h drive_Y(0), where Phi_h(omega Y) =
         h sum_j omega_j (conj(z_j) a_j + z_j a_j*); at Y = 0 this is <psi, H psi>.
-        The shift acts on the basis's modes, the classical term on all.
+        The shift acts on the basis's modes, the classical term on all.  The
+        interaction is the folded generator at Y with the coefficients
+        [1, 1, ...] of time 0.
         """
         dim, s, n = psi.shape
         om = self.model.grid.slot_omegas
-        shift = segal_field(
-            self.basis, self.h, self.project(PhaseVector(om * y.q, om * y.p))
-        )
-        interaction = _interaction_apply(
-            self.ops, _roots([self]), 0.0, psi[None], self.generator(y)
-        )
+        shift = self.field(om * y.q, om * y.p)
+        interaction = FoldedGenerator([self], y)
+        interaction.write(np.ones(len(self.ops.exponents)))
         hpsi = (
             self.hph_diag[:, None, None] * psi
             + (shift @ psi.reshape(dim, s * n)).reshape(psi.shape)
-            + self.h * interaction[0]
+            + self.h * interaction.apply(psi[None])[0]
         )
         classical = 0.5 * float(om @ (y.q**2 + y.p**2))
         return np.einsum("fsn,fsn->n", psi.conj(), hpsi).real + classical * np.sum(
@@ -473,81 +476,71 @@ class Hamiltonian:
         return gamma_free_phases(self.basis, self.ops.omegas, t)
 
 
-def _stacked_layout(ops: TensorOperators, frames: int) -> tuple:
-    """(indptr, indices, take) of _stacked_generator for a group of frames
-    on ops, laid out once per frame count and kept on ops.
-
-    Block b of frame f holds the pattern's block b with its columns moved
-    on by f * ops.block_rows, and the rows run block by block: block b of
-    every frame, then block b + 1.  take picks, from the frames' values
-    concatenated, each stacked entry's value."""
+def _block_diagonal(ops: TensorOperators, frames: int) -> tuple:
+    """(indptr, indices) of frames copies of the folded pattern of ops on
+    the diagonal, frame f's rows and columns moved on by f *
+    ops.block_rows, laid out once per frame count and kept on ops."""
     layout = ops.layouts.get(frames)
     if layout is not None:
         return layout
-    indptr, indices = ops.pattern.indptr, ops.pattern.indices
-    n, nnz = ops.block_rows, len(indices)
-    starts = indptr[::n]  # the first entry of each block, then nnz
-    take = np.concatenate(
-        [
-            (np.arange(frames)[:, None] * nnz + np.arange(a, b)).ravel()
-            for a, b in zip(starts[:-1], starts[1:])
-        ]
-    )
-    lengths = np.diff(indptr).reshape(-1, 1, n)
-    lengths = np.broadcast_to(lengths, (len(lengths), frames, n)).ravel()
-    stacked_indptr = np.zeros(len(lengths) + 1, dtype=np.int32)
-    np.cumsum(lengths, out=stacked_indptr[1:])
-    stacked_indices = (indices[take % nnz] + take // nnz * n).astype(np.int32)
+    nnz, n = len(ops.indices), ops.block_rows
+    shift = np.arange(frames)[:, None]
+    indptr = np.append((ops.indptr[:-1] + shift * nnz).ravel(), frames * nnz)
+    indices = (ops.indices + shift * n).ravel()
+    layout = indptr.astype(np.int32), indices.astype(np.int32)
     # filled idempotently: frame jobs on two threads may share ops
-    return ops.layouts.setdefault(frames, (stacked_indptr, stacked_indices, take))
+    return ops.layouts.setdefault(frames, layout)
 
 
-def _stacked_generator(hams: list, x: PhaseVector) -> sp.csr_matrix:
-    """The generators of hams at X stacked block-diagonally, one frame each,
-    with the rows taken block by block: block b of every frame, then block
-    b + 1.  Each row keeps its entries, so it sums as in its own generator.
-    For one frame this is its generator."""
-    import scipy.sparse as sp
+class FoldedGenerator:
+    """The folded generators of a frame group at X: frame f under hams[f],
+    all on one model and basis.
 
-    ops = hams[0].ops
-    indptr, indices, take = _stacked_layout(ops, len(hams))
-    data = np.concatenate([ham.generator_values(x) for ham in hams])[take]
-    rows, cols = ops.pattern.shape
-    return sp.csr_matrix((data, indices, indptr), (len(hams) * rows, len(hams) * cols))
+    values stacks the frames' value tables, shape (F, 1 + 2G, nnz), and
+    (indptr, indices, data) is the group's block-diagonal CSR operator,
+    whose values write sets to sum_b c_b block_b for coefficients c, one
+    per block, by one product per frame.
 
+    apply calls scipy's CSR kernel itself, the one that a scipy sparse
+    matrix's @ ends in: at the desk's size @ takes three times as long as
+    the product in its Python type dispatch, and a CSR matrix costs as much
+    again to construct."""
 
-def _roots(hams: list) -> np.ndarray:
-    """sqrt(h/2) of each frame, shaped to scale the blocks of a group."""
-    return np.array([ham.root for ham in hams])[:, None, None]
+    def __init__(self, hams: list, x: PhaseVector):
+        from scipy.sparse._sparsetools import csr_matvecs
 
+        ops = hams[0].ops
+        self._product = csr_matvecs
+        self.exponents = ops.exponents
+        self.values = np.stack([ham.generator_values(x) for ham in hams])
+        self.indptr, self.indices = _block_diagonal(ops, len(hams))
+        self.data = np.zeros((len(hams), len(ops.indices)), complex)
+        self.time = None  # the s whose right-hand side data holds
 
-def _generator_blocks(gen: sp.csr_matrix, psi: np.ndarray) -> np.ndarray:
-    """The blocks of gen = _stacked_generator(hams, X) applied to frames psi
-    of shape (F, dim, s, n) in one product: shape (1 + 2G, F, dim * s, n),
-    in each generator's block order."""
-    f, dim, s, n = psi.shape
-    return (gen @ psi.reshape(-1, n)).reshape(-1, f, dim * s, n)
+    def write(self, coeffs: np.ndarray) -> None:
+        """Set the operator to sum_b coeffs[b] block_b of every frame."""
+        np.matmul(coeffs, self.values, out=self.data)
+        self.time = None
 
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        """The operator applied to states psi of shape (F, dim, s, n)."""
+        psi = np.ascontiguousarray(psi, dtype=complex)
+        n = len(self.indptr) - 1
+        # the kernel reads and writes n rows of psi.shape[-1] unchecked
+        if psi.size != n * psi.shape[-1]:
+            raise OracleError("state shape does not match the operator")
+        out = np.zeros(psi.shape, complex)
+        data, x, y = self.data.ravel(), psi.ravel(), out.ravel()
+        self._product(n, n, psi.shape[-1], self.indptr, self.indices, data, x, y)
+        return out
 
-def _interaction_apply(
-    ops: TensorOperators, roots: np.ndarray, t: float, psi: np.ndarray, gen
-) -> np.ndarray:
-    """(H_int^free(t) + drive(t)) psi for frames psi of shape (F, dim, s, n),
-    frame f under hams[f], with gen = _stacked_generator(hams, X), roots =
-    _roots(hams) and ops the hams' shared operators; each row is summed as
-    by a product with its own Hamiltonian's block."""
-    blocks = _generator_blocks(gen, psi)
-    out = blocks[0]
-    # scaled in place: the blocks are a fresh array
-    for g, (w, _) in enumerate(ops.groups):
-        ph = roots * np.exp(-1j * w * t)
-        term = blocks[2 * g + 1]
-        term *= ph
-        out += term
-        term = blocks[2 * g + 2]
-        term *= np.conj(ph)
-        out += term
-    return out.reshape(psi.shape)
+    def rhs(self, s: float, phi: np.ndarray) -> np.ndarray:
+        """-i (H_int^free(s) + drive(s)) phi: the coefficients c(s) = -i [1,
+        e^{-i w_1 s}, e^{+i w_1 s}, ...], written only when s changes."""
+        if s != self.time:
+            self.write(-1j * np.exp(self.exponents * s))
+            self.time = s
+        return self.apply(phi)
 
 
 def evolve_interaction_picture(
@@ -574,11 +567,8 @@ def evolve_interaction_picture(
         raise OracleError("state shape does not match the Hamiltonians")
     if any(ham.ops is not hams[0].ops for ham in hams):
         raise OracleError("a frame group needs one model and one basis")
-    gen, roots = _stacked_generator(hams, x), _roots(hams)
+    rhs = FoldedGenerator(hams, x).rhs
     top = basis.totals == basis.n_max
-
-    def rhs(s, phi):
-        return -1j * _interaction_apply(hams[0].ops, roots, s, phi, gen)
 
     def top_population(phi):
         return np.max(np.sum(np.abs(phi[:, top]) ** 2, axis=(1, 2)), axis=1)
@@ -617,19 +607,18 @@ def apply_observable(
         return model.spin_ops[obs.lam - 1][obs.m - 1] @ psi
     if obs.kind.startswith("field"):
         v = field_coupling(model, obs)
-        f = segal_field(ham.basis, ham.h, ham.project(v))
+        f = ham.field(v.q, v.p)
         out = (f @ psi.reshape(dim, s * n)).reshape(dim, s, n)
         out += v.dot(y) * psi
         return out
     # number_rate generator: (i/h)[H, N (x) I] = - sum_{lam,m}
     # Phi_{S,h}(F B_{m x_lam}) (x) sigma_m^[lam].  F B has coefficients
     # -i c, so this is i sqrt(h/2) sum_g (K_g - K_g^H), conjugated by W(Y).
-    blocks = _generator_blocks(ham.generator(y), psi[None])[:, 0]
-    out = np.zeros((dim * s, n), dtype=complex)
-    for g in range(len(ham.ops.groups)):
-        out += blocks[2 * g + 1]
-        out -= blocks[2 * g + 2]
-    return (1j * ham.root * out).reshape(dim, s, n)
+    rate = FoldedGenerator([ham], y)
+    coeffs = np.zeros(len(ham.ops.exponents), complex)
+    coeffs[1::2], coeffs[2::2] = 1j, -1j
+    rate.write(coeffs)
+    return rate.apply(psi[None])[0]
 
 
 def coherent_frame(ham: Hamiltonian) -> np.ndarray:

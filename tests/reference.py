@@ -5,10 +5,11 @@ another way and never needs itself: the Segal field summed mode by mode,
 or built per call in one COO constructor, instead of written into a
 layout kept on the basis, the
 oracle's tensor operators assembled from Kronecker products instead of by
-index arithmetic, the stacked generator of a frame group built by
-block_diag and a row permutation instead of taking the frames' values into
-a layout kept per frame count, the generator applied block by block
-instead of in one stacked product, the materialized Hamiltonian, the
+index arithmetic and folded by a sparse sum of their patterns, a frame
+group's folded operator built by block_diag instead of written into a
+layout kept per frame count, the generator applied as its stacked blocks,
+one product whose row blocks are then combined with their phases, instead
+of folded into one operator, the materialized Hamiltonian, the
 coherent frame Psi_X (x) e_j propagated as it stands instead of in the
 displaced frame, the affine interaction symbol as a matrix, the number
 operator and its second-quantized relatives as diagonal matrices, and the
@@ -148,10 +149,12 @@ def dh_int(model: Model, v: PhaseVector) -> np.ndarray:
 # -- oracle ------------------------------------------------------------
 
 
-def tensor_operators_kron(model: Model, basis: FockBasis, modes: np.ndarray):
-    """TensorOperators' (pattern, drive) assembled from Kronecker products:
-    each drive entry marked NaN in I (x) E, the blocks summed and stacked
-    by scipy.sparse, and the marks then located and zeroed."""
+def _stacked_kron(model: Model, basis: FockBasis, modes: np.ndarray):
+    """The generator's blocks [h0; K_1 + I (x) E; K_1^H + I (x) E; ...]
+    stacked in one CSR matrix assembled from Kronecker products, and the
+    data positions of its drive: each drive entry marked NaN in I (x) E,
+    the blocks summed and stacked by scipy.sparse, and the marks then
+    located and zeroed."""
     values, group_of = model.grid.frequency_groups
     mode_group = group_of[np.argmax(np.abs(modes), axis=0)]
     eye = sp.identity(basis.dim, dtype=complex, format="csr")
@@ -178,18 +181,48 @@ def tensor_operators_kron(model: Model, basis: FockBasis, modes: np.ndarray):
     return pattern, drive
 
 
-def stacked_generator_block_diag(hams: list, x: PhaseVector) -> sp.csr_matrix:
-    """_stacked_generator by block_diag of the frames' generators and a
-    row permutation that takes block b of every frame, then block b + 1."""
-    gen = sp.block_diag([ham.generator(x) for ham in hams], format="csr")
-    rows = np.arange(gen.shape[0]).reshape(len(hams), -1, hams[0].ops.block_rows)
-    return gen[rows.transpose(1, 0, 2).ravel()]
+def tensor_operators_kron(model: Model, basis: FockBasis, modes: np.ndarray):
+    """TensorOperators' folded layout (indptr, indices, values, drive) from
+    the Kronecker-product stack: the union of the blocks' positions by a
+    sparse sum of their patterns, each block's values read at the union's
+    positions from its dense form."""
+    stack, drive = _stacked_kron(model, basis, modes)
+    n = basis.dim * model.spin_dim
+    marked = stack.copy()
+    marked.data[drive] = np.nan
+    blocks = [marked[b : b + n] for b in range(0, stack.shape[0], n)]
+    ones = [
+        sp.csr_matrix((np.ones(b.nnz), b.indices, b.indptr), b.shape)
+        for b in blocks
+    ]
+    union = sum(ones).tocsr()
+    union.sort_indices()
+    rows, cols = union.nonzero()  # in CSR order
+    values = np.array([block.toarray()[rows, cols] for block in blocks])
+    folded_drive = np.flatnonzero(np.isnan(values[1])) if len(blocks) > 1 else []
+    values[np.isnan(values)] = 0.0
+    return union.indptr, union.indices, values, np.asarray(folded_drive, dtype=int)
+
+
+def stacked_generator(ham: Hamiltonian, x: PhaseVector) -> sp.csr_matrix:
+    """[h0; L_1; L_1^H; ...; L_G; L_G^H] stacked in one CSR matrix, with
+    L_g = K_g + I (x) K_g[a -> z] per frequency group of ham.ops.groups:
+    the Kronecker-product stack with the drive written at its marks."""
+    stack, drive = _stacked_kron(ham.model, ham.basis, ham.ops.modes)
+    modes, spin_pattern = ham.ops.modes, ham.ops.spin_pattern
+    z = (x.q @ modes + 1j * (x.p @ modes)) / np.sqrt(2.0 * ham.h)
+    drive = drive.reshape(-1, ham.basis.dim, np.count_nonzero(spin_pattern))
+    for g, (_, coeff) in enumerate(ham.ops.groups):
+        k_z = ham.model.spin_matrix(coeff @ z)
+        stack.data[drive[2 * g]] = k_z[spin_pattern]
+        stack.data[drive[2 * g + 1]] = k_z.conj().T[spin_pattern]
+    return stack
 
 
 def displaced_groups(ham: Hamiltonian, x: PhaseVector) -> tuple:
-    """The row blocks of ham.generator(x), each a CSR matrix of its own:
-    h0, and per frequency group (w_g, L_g, L_g^H)."""
-    gen = ham.generator(x)
+    """The row blocks of stacked_generator(ham, x), each a CSR matrix of
+    its own: h0, and per frequency group (w_g, L_g, L_g^H)."""
+    gen = stacked_generator(ham, x)
     n = ham.ops.block_rows
     blocks = [gen[b * n : (b + 1) * n] for b in range(1 + 2 * len(ham.ops.groups))]
     return blocks[0], [
@@ -198,35 +231,44 @@ def displaced_groups(ham: Hamiltonian, x: PhaseVector) -> tuple:
     ]
 
 
-def interaction_apply_per_group(
+def interaction_apply_stacked(
     ham: Hamiltonian, t: float, psi: np.ndarray, x: PhaseVector
 ) -> np.ndarray:
-    """(H_int^free(t) + drive(t)) psi with one CSR product per block."""
+    """(H_int^free(t) + drive(t)) psi for psi of shape (dim, s, n) as one
+    product with the stacked blocks, whose row blocks are then combined
+    with the phases of time t and sqrt(h/2)."""
     flat = psi.reshape(-1, psi.shape[2])
-    h0, groups = displaced_groups(ham, x)
-    out = h0 @ flat
-    for w, k, k_adj in groups:
+    blocks = (stacked_generator(ham, x) @ flat).reshape(-1, *flat.shape)
+    out = blocks[0]
+    for g, (w, _) in enumerate(ham.ops.groups):
         ph = ham.root * np.exp(-1j * w * t)
-        term = k @ flat
-        term *= ph
-        out += term
-        term = k_adj @ flat
-        term *= np.conj(ph)
-        out += term
+        out = out + ph * blocks[2 * g + 1] + np.conj(ph) * blocks[2 * g + 2]
     return out.reshape(psi.shape)
 
 
-def number_rate_per_group(
+def number_rate_stacked(
     ham: Hamiltonian, psi: np.ndarray, y: PhaseVector
 ) -> np.ndarray:
-    """i sqrt(h/2) sum_g (L_g - L_g^H) psi with one CSR product per block."""
+    """i sqrt(h/2) sum_g (L_g - L_g^H) psi from one product with the
+    stacked blocks."""
     dim, s, n = psi.shape
     flat = psi.reshape(dim * s, n)
-    out = np.zeros((dim * s, n), dtype=complex)
-    for _, k, k_adj in displaced_groups(ham, y)[1]:
-        out += k @ flat
-        out -= k_adj @ flat
+    blocks = (stacked_generator(ham, y) @ flat).reshape(-1, *flat.shape)
+    out = sum(blocks[1::2]) - sum(blocks[2::2])
     return (1j * ham.root * out).reshape(dim, s, n)
+
+
+def folded_block_diag(hams: list, x: PhaseVector, coeffs: np.ndarray) -> sp.csr_matrix:
+    """A frame group's folded operator at coefficients coeffs: each frame's
+    own folded CSR matrix, sum_b coeffs[b] block_b, by block_diag."""
+    ops = hams[0].ops
+    shape = (ops.block_rows, ops.block_rows)
+    layout = (ops.indices, ops.indptr)
+    frames = [
+        sp.csr_matrix((coeffs @ ham.generator_values(x), *layout), shape)
+        for ham in hams
+    ]
+    return sp.block_diag(frames, format="csr")
 
 
 def interaction_operator(

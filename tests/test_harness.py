@@ -38,6 +38,7 @@ from blochlab.harness import (
 from blochlab.hierarchy import PHOTON_RATE_SIGN
 from blochlab.model import (
     Model,
+    ModelConfig,
     ModelError,
     PhaseVector,
     minimal_grid_config,
@@ -278,6 +279,37 @@ class TestPlan:
             for key, kind, default in rows
         ]
         assert documented == expected
+
+    def test_defaults_agree_with_the_fields(self):
+        # a default is written in PLAN_KEYS for a JSON plan and again as a
+        # field default for a plan built in code: the two must agree
+        fields = {
+            "": (ExperimentPlan, "{}"),
+            "output": (ExperimentPlan, "{}_path"),
+            "model.cutoff": (ModelConfig, "cutoff_{}"),
+            "model.grid": (ModelConfig, "grid_{}"),
+        }
+        checked = []
+        for section, (cls, name) in fields.items():
+            defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+            for key, _, default in PLAN_KEYS[section]:
+                field_default = defaults.get(name.format(key), dataclasses.MISSING)
+                if field_default is not dataclasses.MISSING:
+                    assert field_default == default, (section, key)
+                    checked.append(name.format(key))
+        assert sorted(checked) == [
+            "csv_path",
+            "cutoff_lambda",
+            "grid_directions",
+            "grid_kmax",
+            "grid_kpoints",
+            "grid_radial_nodes",
+            "grid_weights",
+            "json_path",
+            "oracle_tol",
+            "seed",
+            "tol",
+        ]
 
     def test_random_samples_deterministic(self):
         a = ExperimentPlan.from_dict(small_plan_dict())
@@ -816,8 +848,12 @@ class TestConvergeCommand:
         root = Path(__file__).resolve().parent.parent
         d = json.loads((root / "plans" / "desk_scale.json").read_text())
         d.update({"output": {}, **overrides})
+        return TestConvergeCommand._plan_file(tmp_path, d)
+
+    @staticmethod
+    def _plan_file(tmp_path, document):
         path = tmp_path / "plan.json"
-        path.write_text(json.dumps(d))
+        path.write_text(json.dumps(document))
         return str(path)
 
     def test_fits_without_slope_print_a_dash(self, tmp_path, capsys):
@@ -930,6 +966,30 @@ class TestConvergeCommand:
             {"observables": [{"kind": "number_rate", "axis": 7, "spin": 9}]},
             "unknown observable key 'axis'",
         ),
+        # rows of 2 used to end in a matmul ValueError traceback, and a
+        # nested row or no row was refused as "zero k-point"
+        (
+            {"model": _desk_model("grid", kpoints=[[1.0, 0.0]])},
+            "model key 'grid.kpoints' must hold rows of 3 numbers, got [[1.0, 0.0]]",
+        ),
+        (
+            {"model": _desk_model("grid", kpoints=[[[0.0, 0.0, 1.0]]])},
+            "model key 'grid.kpoints' must hold rows of 3 numbers, "
+            "got [[[0.0, 0.0, 1.0]]]",
+        ),
+        (
+            {"model": _desk_model("grid", kpoints=[])},
+            "model key 'grid.kpoints' must hold rows of 3 numbers, got []",
+        ),
+        (
+            {"model": dict(_desk_model("grid"), grid={"directions": [[1.0, 0.0]]})},
+            "model key 'grid.directions' must hold rows of 3 numbers, got [[1.0, 0.0]]",
+        ),
+        # a document that is no JSON object: 5 used to end in a TypeError
+        # traceback, [] and "x" were refused as "plan has no 'model' key"
+        (5, "plan must be a JSON object, got 5"),
+        ([], "plan must be a JSON object, got []"),
+        ("x", "plan must be a JSON object, got 'x'"),
     ]
 
     @pytest.mark.parametrize(
@@ -938,7 +998,10 @@ class TestConvergeCommand:
     def test_refused_plan_fails_cleanly(self, tmp_path, capsys, command):
         # a plan refused at load used to end in a HarnessError traceback
         for overrides, reason in self.REFUSED:
-            plan = self._desk_plan(tmp_path, **overrides)
+            if isinstance(overrides, dict):
+                plan = self._desk_plan(tmp_path, **overrides)
+            else:  # the whole document
+                plan = self._plan_file(tmp_path, overrides)
             assert cli.main([command, plan]) == 2
             out = capsys.readouterr()
             assert out.err == f"blochlab: {reason}\n"

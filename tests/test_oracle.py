@@ -26,10 +26,8 @@ from blochlab.oracle import (
     Hamiltonian,
     ObservableSpec,
     OracleError,
+    FoldedGenerator,
     TensorOperators,
-    _interaction_apply,
-    _roots,
-    _stacked_generator,
     apply_observable,
     coherent_frame,
     coupled_modes,
@@ -45,13 +43,13 @@ from reference import (
     evolve_one,
     evolved_one,
     evolved_wick_symbol,
+    folded_block_diag,
     full_operator,
-    interaction_apply_per_group,
+    interaction_apply_stacked,
     interaction_operator,
     number_expectation,
-    number_rate_per_group,
+    number_rate_stacked,
     segal_field_coo,
-    stacked_generator_block_diag,
     tensor_operators_kron,
 )
 
@@ -136,6 +134,16 @@ def _unit_columns(rng, rows, n):
     return psi / np.linalg.norm(psi, axis=0)
 
 
+def _on_modes(ham, v):
+    """U^T V: the coordinates of a grid vector on the basis's modes."""
+    return PhaseVector(v.q @ ham.ops.modes, v.p @ ham.ops.modes)
+
+
+def _rhs_coeffs(ops, s):
+    """The propagation's block coefficients -i [1, e^{-i w_g s}, e^{+i w_g s}, ...]."""
+    return -1j * np.exp(ops.exponents * s)
+
+
 class TestTensorOperators:
     T_SAMPLES = (0.0, 0.37, 1.9)
 
@@ -145,9 +153,9 @@ class TestTensorOperators:
         assert len(ham.ops.groups) == 2
         psi = _unit_columns(rng, basis.dim * 4, 3).reshape(basis.dim, 4, 3)
         for x in (zero_vector(model.D), random_phase_vector(rng, model.D, scale=0.3)):
-            gen = ham.generator(x)
+            gen = FoldedGenerator([ham], x)
             for t in self.T_SAMPLES:
-                got = _interaction_apply(ham.ops, _roots([ham]), t, psi[None], gen)[0]
+                got = 1j * gen.rhs(t, psi[None])[0]
                 want = interaction_operator(ham, t, x) @ psi.reshape(basis.dim * 4, 3)
                 assert np.max(np.abs(got.reshape(-1, 3) - want)) <= 1e-13
 
@@ -164,39 +172,52 @@ class TestTensorOperators:
                     for m in range(3):
                         b = chi_flow_vector(model.grid, -t, model.couplings[lam][m])
                         shift = model.beta[m] + b.dot(x)
-                        field = shift * eye + segal_field(basis, ham.h, ham.project(b))
+                        field = segal_field(basis, ham.h, _on_modes(ham, b))
+                        field = field + shift * eye
                         want = want + sp.kron(field, model.spin_ops[lam][m])
                 assert abs(interaction_operator(ham, t, x) - want).max() <= 1e-13
 
-    def test_stacked_generator_matches_per_group_products(self, octa_setup, rng):
-        # one product with [h0; L_1; L_1^H; L_2; L_2^H] sums every row as the
-        # product with its own block does, so the right-hand side, the
-        # energy's interaction part and number_rate are bitwise unchanged
-        model, basis, ham = octa_setup
-        psi = _unit_columns(rng, basis.dim * 4, 4).reshape(basis.dim, 4, 4)
-        for x in (zero_vector(model.D), random_phase_vector(rng, model.D, scale=0.3)):
-            gen = ham.generator(x)
-            assert gen.shape == (5 * basis.dim * 4, basis.dim * 4)
-            for t in self.T_SAMPLES:
-                got = _interaction_apply(ham.ops, _roots([ham]), t, psi[None], gen)[0]
-                assert np.array_equal(got, interaction_apply_per_group(ham, t, psi, x))
-            got = apply_observable(ham, NUMBER_RATE, psi, x)
-            assert np.array_equal(got, number_rate_per_group(ham, psi, x))
-
     def test_generator_writes_only_the_drive(self, octa_setup, rng):
-        # every X shares the pattern built once per (model, basis): its
-        # generator differs from it only at the drive entries, the 12 spin
-        # entries that one spin flip reaches, per photon state in each of
-        # the 2G coupling blocks
+        # every X shares the constant values laid out once per (model,
+        # basis): a frame's table is them with the L_g rows times sqrt(h/2),
+        # and differs from that only at the drive positions, the 12 spin
+        # entries that one spin flip reaches, per photon state
         model, basis, ham = octa_setup
-        pattern = ham.ops.pattern
-        assert len(ham.ops.drive) == 2 * len(ham.ops.groups) * basis.dim * 12
-        assert not pattern.data[ham.ops.drive].any()
-        gen = ham.generator(random_phase_vector(rng, model.D, scale=0.3))
-        assert np.array_equal(gen.indices, pattern.indices)
-        assert np.array_equal(gen.indptr, pattern.indptr)
-        changed = np.flatnonzero(gen.data != pattern.data)
-        assert np.array_equal(changed, ham.ops.drive)
+        ops = ham.ops
+        assert len(ops.drive) == basis.dim * 12
+        assert not ops.values[1:, ops.drive].any()
+        scaled = ops.values.copy()
+        scaled[1:] *= ham.root
+        assert np.array_equal(ham.generator_values(zero_vector(model.D)), scaled)
+        got = ham.generator_values(random_phase_vector(rng, model.D, scale=0.3))
+        changed = np.flatnonzero((got != scaled).any(axis=0))
+        assert np.array_equal(changed, ops.drive)
+        assert not (got[0] != scaled[0]).any()
+
+    def test_folded_matches_stacked_blocks(self, minimal_model, octa_model, rng):
+        # the right-hand side, the energy and number_rate against the
+        # stacked blocks' one product, combined with their phases: they sum
+        # the blocks of a row in another order, so they agree to rounding
+        # (measured: 1.9e-16 of the largest entry at most, bound 45 eps)
+        def assert_rounding(got, want):
+            assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+        ladder = (0.4, 0.2, 0.1, 0.05)
+        for model, basis, modes in _folded_cases(minimal_model, octa_model, rng):
+            hams = [Hamiltonian(model, basis, h, modes) for h in ladder]
+            s = model.spin_dim
+            x = random_phase_vector(rng, model.D, scale=0.3)
+            psi = _unit_columns(rng, 4 * basis.dim * s, 3).reshape(4, basis.dim, s, 3)
+            for frames in (1, 2, 3, 4):
+                t = rng.uniform(0.0, 3.0)
+                got = 1j * FoldedGenerator(hams[:frames], x).rhs(t, psi[:frames])
+                for ham, frame, value in zip(hams, psi, got):
+                    assert_rounding(value, interaction_apply_stacked(ham, t, frame, x))
+            for ham, frame in zip(hams, psi):
+                got = apply_observable(ham, NUMBER_RATE, frame, x)
+                assert_rounding(got, number_rate_stacked(ham, frame, x))
+                want = _energy_from_operators(ham, frame, x)
+                assert_rounding(ham.energy(frame, x), want)
 
     def test_operators_shared_across_h(self, octa_model, octa_setup):
         _, basis, ham = octa_setup
@@ -225,6 +246,34 @@ def _assert_same_csr(got, want):
         assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
 
 
+def _group_csr(gen):
+    """A FoldedGenerator's operator as a scipy CSR matrix."""
+    n = len(gen.indptr) - 1
+    return sp.csr_matrix((gen.data.ravel(), gen.indices, gen.indptr), (n, n))
+
+
+def _assert_same_layout(ops, model, basis):
+    indptr, indices, values, drive = tensor_operators_kron(model, basis, ops.modes)
+    assert np.array_equal(ops.indptr, indptr)
+    assert np.array_equal(ops.indices, indices)
+    assert np.array_equal(ops.values, values)
+    assert np.array_equal(ops.drive, drive)
+
+
+def _folded_cases(minimal_model, octa_model, rng):
+    """(model, basis, modes) of the folded-operator checks: the desk at
+    cutoffs 1-4 on its coupled and on every mode, octa's two frequency
+    groups, and random couplings with sin slots and exact cancellations."""
+    for cutoff in (1, 2, 3, 4):
+        for modes in (coupled_modes(minimal_model), np.eye(minimal_model.D)):
+            yield minimal_model, FockBasis(modes.shape[1], cutoff), modes
+    modes = coupled_modes(octa_model)
+    yield octa_model, FockBasis(modes.shape[1], 2), modes
+    model = _random_coupling_model(rng)
+    for cutoff in (1, 2, 3):
+        yield model, FockBasis(model.D, cutoff), np.eye(model.D)
+
+
 class TestOperatorLayouts:
     """The layouts laid out once per basis against the per-call sparse
     assemblies of tests/reference.py: the same arrays, entry for entry."""
@@ -234,24 +283,21 @@ class TestOperatorLayouts:
         for modes in (coupled_modes(minimal_model), np.eye(minimal_model.D)):
             basis = FockBasis(modes.shape[1], cutoff)
             ops = TensorOperators(minimal_model, basis, modes)
-            pattern, drive = tensor_operators_kron(minimal_model, basis, modes)
-            _assert_same_csr(ops.pattern, pattern)
-            assert np.array_equal(ops.drive, drive)
+            _assert_same_layout(ops, minimal_model, basis)
 
     def test_tensor_operators_on_octa_and_random_couplings(self, octa_setup, rng):
         model, basis, ham = octa_setup
-        pattern, drive = tensor_operators_kron(model, basis, ham.ops.modes)
-        _assert_same_csr(ham.ops.pattern, pattern)
-        assert np.array_equal(ham.ops.drive, drive)
+        _assert_same_layout(ham.ops, model, basis)
         model = _random_coupling_model(rng)
         for cutoff in (1, 2, 3):
             basis = FockBasis(model.D, cutoff)
             ops = TensorOperators(model, basis, np.eye(model.D))
-            pattern, drive = tensor_operators_kron(model, basis, np.eye(model.D))
-            _assert_same_csr(ops.pattern, pattern)
-            assert np.array_equal(ops.drive, drive)
-        # the cancelled entries are dropped, not kept as zeros
-        assert np.count_nonzero(pattern.data) == pattern.nnz - len(drive)
+            _assert_same_layout(ops, model, basis)
+        # the cancelled entries are dropped, not kept as zeros: every
+        # position off the drive holds a nonzero value of some block
+        off_drive = np.ones(len(ops.indices), bool)
+        off_drive[ops.drive] = False
+        assert ops.values[:, off_drive].any(axis=0).all()
 
     def test_segal_field_with_zero_entries(self, octa_setup, rng):
         _, basis, _ = octa_setup
@@ -265,14 +311,37 @@ class TestOperatorLayouts:
 
     @pytest.mark.parametrize("frames", [1, 2, 3, 4])
     def test_stacked_generator(self, octa_setup, rng, frames):
+        # the group's operator at a random time is each frame's own folded
+        # operator on the diagonal, value for value
         model, basis, ham = octa_setup
         ladder = (0.4, 0.2, 0.1, 0.05)
-        hams = [Hamiltonian(model, basis, h, ham.ops.modes) for h in ladder]
+        hams = [Hamiltonian(model, basis, h, ham.ops.modes) for h in ladder[:frames]]
         x = random_phase_vector(rng, model.D, scale=0.3)
-        got = _stacked_generator(hams[:frames], x)
-        want = stacked_generator_block_diag(hams[:frames], x)
-        assert got.shape == want.shape
-        _assert_same_csr(got, want)
+        s = rng.uniform(0.0, 3.0)
+        gen = FoldedGenerator(hams, x)
+        psi = _unit_columns(rng, frames * basis.dim * 4, 2)
+        got = gen.rhs(s, psi.reshape(frames, basis.dim, 4, 2))
+        want = folded_block_diag(hams, x, _rhs_coeffs(ham.ops, s))
+        _assert_same_csr(_group_csr(gen), want)
+        # the product is scipy's own
+        assert np.array_equal(got.reshape(psi.shape), want @ psi)
+
+    def test_values_rewritten_only_when_s_changes(self, octa_setup, rng):
+        # 4 of the stepper's 11 evaluations per attempted step repeat the
+        # time before them: those keep the values, the others write them
+        model, basis, ham = octa_setup
+        x = random_phase_vector(rng, model.D, scale=0.3)
+        psi = _unit_columns(rng, basis.dim * 4, 2).reshape(1, basis.dim, 4, 2)
+        gen = FoldedGenerator([ham], x)
+        first = gen.rhs(0.3, psi)
+        gen.data[:] = np.nan
+        assert np.isnan(gen.rhs(0.3, psi)).all()
+        fresh = FoldedGenerator([ham], x)
+        assert np.array_equal(gen.rhs(0.7, psi), fresh.rhs(0.7, psi))
+        assert np.array_equal(gen.rhs(0.3, psi), first)
+        # write sets other coefficients and forgets the time
+        gen.write(np.ones(len(ham.ops.exponents)))
+        assert np.array_equal(gen.rhs(0.3, psi), first)
 
     def test_layouts_shared_across_threads(self, octa_model, rng):
         # frame jobs on two pool workers share a basis: first uses racing
@@ -282,9 +351,12 @@ class TestOperatorLayouts:
         hams = [Hamiltonian(octa_model, basis, h, modes) for h in (0.4, 0.2, 0.1)]
         x = random_phase_vector(rng, octa_model.D, scale=0.3)
         v = random_phase_vector(rng, basis.D)
+        coeffs = _rhs_coeffs(hams[0].ops, 0.6)
 
         def build():
-            return _stacked_generator(hams, x), segal_field(basis, 0.3, v)
+            gen = FoldedGenerator(hams, x)
+            gen.write(coeffs)
+            return _group_csr(gen), segal_field(basis, 0.3, v)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -295,11 +367,27 @@ class TestOperatorLayouts:
         finally:
             sys.setswitchinterval(interval)
         assert list(hams[0].ops.layouts) == [3] and len(basis._field_layouts) == 1
-        want_gen = stacked_generator_block_diag(hams, x)
+        want_gen = folded_block_diag(hams, x, coeffs)
         want_field = segal_field_coo(basis, 0.3, v)
         for gen, field in built:
             _assert_same_csr(gen, want_gen)
             _assert_same_csr(field, want_field)
+
+
+def _energy_from_operators(ham, psi, y):
+    """<W(Y) psi_j, H W(Y) psi_j> from the materialized W(Y)* H W(Y)."""
+    model, basis = ham.model, ham.basis
+    om = model.grid.slot_omegas
+    shift = segal_field(basis, ham.h, _on_modes(ham, PhaseVector(om * y.q, om * y.p)))
+    op = (
+        sp.kron(sp.diags(ham.hph_diag) + shift, sp.identity(ham.spin_dim))
+        + ham.h * interaction_operator(ham, 0.0, y)
+    )
+    flat = psi.reshape(-1, psi.shape[2])
+    classical = 0.5 * float(om @ (y.q**2 + y.p**2))
+    return np.einsum("an,an->n", flat.conj(), op @ flat).real + classical * np.sum(
+        np.abs(flat) ** 2, axis=0
+    )
 
 
 class TestObservableApplication:
@@ -339,7 +427,7 @@ class TestObservableApplication:
         ):
 
             def op_at(y):
-                field = segal_field(basis, ham.h, ham.project(v)) + v.dot(y) * eye
+                field = segal_field(basis, ham.h, _on_modes(ham, v)) + v.dot(y) * eye
                 return sp.kron(field, sp.identity(4), format="csr")
 
             obs = ObservableSpec(kind=kind, m=2, x=point)
@@ -355,7 +443,7 @@ class TestObservableApplication:
             for lam in range(model.N):
                 for m in range(3):
                     fb = fmap(model.couplings[lam][m])
-                    f = segal_field(basis, ham.h, ham.project(fb)) + fb.dot(y) * eye
+                    f = segal_field(basis, ham.h, _on_modes(ham, fb)) + fb.dot(y) * eye
                     op = op - sp.kron(f, model.spin_ops[lam][m], format="csr")
             return op
 
