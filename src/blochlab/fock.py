@@ -9,11 +9,12 @@ Complex mode coordinates are z_j = (q_j + i p_j) / sqrt(2 h); the free flow
 acts as z -> e^{-i omega t} z, matching the phase-space rotation used in
 the model layer.
 
-scipy.sparse is imported inside the functions that build CSR matrices
-(annihilator, field_operator), so importing this module loads no sparse
-stack.  field_operator keeps each field's CSR layout (indptr, indices,
-and where each entry takes its value from) on the basis, so a call writes
-only values.
+scipy.sparse is imported inside the functions that build or apply CSR
+matrices (annihilator, field_operator, apply_field), so importing this
+module loads no sparse stack.  A field's CSR layout (indptr, indices, and
+where each entry takes its value from) is kept on the basis, so a call
+writes only values; apply_field applies them with scipy's CSR kernel, the
+one that a CSR matrix's @ ends in, and builds no matrix.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class FockBasis:
         object.__setattr__(self, "totals", occ.sum(axis=1))
         object.__setattr__(self, "_lowering_cache", {})
         object.__setattr__(self, "_ladder_cache", {})
-        # field_operator's CSR layouts, keyed by the modes that a field touches
+        # the Segal fields' CSR layouts, keyed by the modes that a field touches
         object.__setattr__(self, "_field_layouts", {})
         # operators that other layers assemble on this basis for one model;
         # weak keys let them go with the model
@@ -183,9 +184,9 @@ def segal_field(basis: FockBasis, h: float, v: PhaseVector) -> sp.csr_matrix:
     return field_operator(basis, h, v.q - 1j * v.p)
 
 
-def field_operator(basis: FockBasis, h: float, c: np.ndarray) -> sp.csr_matrix:
-    """Phi_{S,h}(V) from the annihilator coefficients c = v_q - i v_p of V,
-    one per mode of the basis.
+def _field_csr(basis: FockBasis, h: float, c: np.ndarray) -> tuple:
+    """(indptr, indices, data) of Phi_{S,h}(V) from the annihilator
+    coefficients c = v_q - i v_p of V, one per mode of the basis.
 
     The CSR layout of the field depends only on the modes with c_j != 0:
     it is laid out once per basis and set of modes, and a call writes only
@@ -194,8 +195,6 @@ def field_operator(basis: FockBasis, h: float, c: np.ndarray) -> sp.csr_matrix:
     """
     if h <= 0:
         raise ModelError("h must be positive")
-    import scipy.sparse as sp
-
     modes = tuple(np.flatnonzero(c).tolist())
     layout = basis._field_layouts.get(modes)
     if layout is None:
@@ -203,7 +202,35 @@ def field_operator(basis: FockBasis, h: float, c: np.ndarray) -> sp.csr_matrix:
         layout = basis._field_layouts.setdefault(modes, _field_layout(basis, modes))
     indptr, indices, slot, values = layout
     data = np.sqrt(h / 2.0) * (np.concatenate([c, c.conj()])[slot] * values)
+    return indptr, indices, data
+
+
+def field_operator(basis: FockBasis, h: float, c: np.ndarray) -> sp.csr_matrix:
+    """Phi_{S,h}(V) as a CSR matrix, from the annihilator coefficients
+    c = v_q - i v_p of V (_field_csr)."""
+    import scipy.sparse as sp
+
+    indptr, indices, data = _field_csr(basis, h, c)
     return sp.csr_matrix((data, indices, indptr), shape=(basis.dim, basis.dim))
+
+
+def apply_field(
+    basis: FockBasis, h: float, c: np.ndarray, psi: np.ndarray
+) -> np.ndarray:
+    """Phi_{S,h}(V) psi for psi of shape (dim, k), V given by its annihilator
+    coefficients c = v_q - i v_p (_field_csr): the product that
+    field_operator(basis, h, c) @ psi computes, with no matrix built."""
+    from scipy.sparse._sparsetools import csr_matvecs
+
+    indptr, indices, data = _field_csr(basis, h, c)
+    psi = np.ascontiguousarray(psi, dtype=complex)
+    # the kernel reads and writes dim rows of k entries unchecked
+    if psi.ndim != 2 or len(psi) != basis.dim:
+        raise ModelError("state shape does not match the basis")
+    out = np.zeros(psi.shape, complex)
+    n, k = psi.shape
+    csr_matvecs(n, n, k, indptr, indices, data, psi.ravel(), out.ravel())
+    return out
 
 
 def coherent_state(

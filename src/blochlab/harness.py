@@ -32,6 +32,7 @@ from .fock import (
 )
 from .hierarchy import (
     HierarchyError,
+    SweepTable,
     bloch_spin0,
     compute_hierarchy,
     maxwell_cross_check,
@@ -39,7 +40,6 @@ from .hierarchy import (
     order_j,
     photon_rate_expansion,  # no caller here; perfbench/tracing.py wraps it
     propagator_G,
-    shared_sweeps,
     spin_correction1,
     tangent_derivatives,
 )
@@ -532,11 +532,19 @@ def run_convergence(plan: ExperimentPlan) -> ConvergenceReport:
     # coefficients are h-independent: one hierarchy build per (t, X) reads
     # every observable, keyed by (label, t, X id).  A build that fails fails
     # only the groups of its (t, X): their orders are the failure status.
+    # The builds of one X share its chains, so each is integrated once for
+    # all of its t: each job joins its X's table, in which the first job to
+    # read a chain builds it, and the last t to read it drops it.
+    tables = {x_id: SweepTable(model, x, plan.t_samples) for x_id, x in plan.x_samples}
+
     def _coeffs(point):
         t, x_id, x = point
         observables = plan.observables
         try:
-            orders = compute_hierarchy(model, observables, t, x, plan.M, tol=plan.tol)
+            with tables[x_id].joined(t):
+                orders = compute_hierarchy(
+                    model, observables, t, x, plan.M, tol=plan.tol
+                )
         except HierarchyError as exc:
             orders = [f"failed:{exc}"] * len(observables)
         return [((obs.label(), t, x_id), o) for obs, o in zip(observables, orders)]
@@ -897,10 +905,14 @@ def run_crosscheck(plan: ExperimentPlan) -> CrosscheckReport:
     t_max = max(plan.t_samples)
     v = PhaseVector(np.ones(model.D), np.zeros(model.D)) * (1.0 / np.sqrt(model.D))
 
+    # every path at every t reads one table of chains: each chain is
+    # integrated once, by the first job that reads it, every t on the same
+    # substep reads its prefix, and the last of them drops it
+    sweeps = SweepTable(model, x, plan.t_samples)
+
     def _one_t(t):
         out, probes = [], []
-        # every path at this t reads the same chains
-        with shared_sweeps(model, t, x):
+        with sweeps.joined(t):
             # order 0: Duhamel path vs precession path, all sites and axes
             dev0 = _spin_dev(
                 bloch_spin0(model, t, x),

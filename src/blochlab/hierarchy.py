@@ -18,8 +18,9 @@ spin_correction1 is only the dual path of run_crosscheck.
 Every coupling pairing of the module, the site fields beta + B_a . chi_u X
 that drive the precession as well as the kernels B_a . chi_s B_b of the
 double integrals, is one blochlab.model.flow_pairing: a finite cosine/sine
-sum over the distinct mode frequencies, built once per call and evaluated
-at a time or on a grid of times.
+sum over the distinct mode frequencies, evaluated at a time or on a grid
+of times.  The pairings of the couplings with each other are built once
+per Model (Model.coupling_pairings, Model.site_pairings).
 
 Each shared formula has one implementation.  The C^1 composition term is
 blochlab.symbols.c1_affine: the Duhamel forcing of every order is
@@ -55,9 +56,9 @@ transport R_t R_w^T is contracted with those coefficients and with the
 tangent contraction over the nodes first, so a call ends in one
 (3, 9N + 3) by (9N + 3, sd^2) complex product.
 
-The classical objects they read come from two RK4 chains per (t, X), the
-module's only classical integrator.  _propagator_chain holds G and
-_maxwell_chain holds the site rotations R and the rotation-space partial
+The classical objects they read come from two RK4 chains per (model, X,
+substep), the module's only classical integrator.  _propagator_chain
+holds G and _maxwell_chain holds the site rotations R and the partial
 sums of the first-order mode recurrence, at every substep of one fixed
 grid of steps = max(2^ceil(log2(|t| / _SUBSTEP)), n) substeps
 (_chain_steps).  The grid doubles with n, so every refinement grid of
@@ -114,29 +115,48 @@ the desk rotation is off by 9.1e-10 at t = 1, at 0.01/4 by 8.1e-12, and
 at 0.01/16 by 5.6e-14.  Choosing the substep from the tolerance is
 ROADMAP.md item 2.
 
-Every order-0 and first-order object at a point (t, X) reads the same two
-chains, so a shared_sweeps(model, t, X) scope integrates each chain once
-and keeps every node read taken from it, the conjugated coupling spins
-and the order-1 contraction among them, and hands the stored, read-only
-arrays to every later consumer at that (t, X): order0, bloch_spin0, the
-spin and field order_j calls of all axes, spin_correction1 of every site,
-maxwell_cross_check (from _maxwell_nodes), and the rotation tangents.  A
-refinement past steps panels reads a chain of n substeps of its own.  A
-chain for another model, t or X integrates as usual; the tangent probe's
-shifted points take no chain, only their site's rotation endpoint
-(_rotation_endpoint), the product of its RK4 maps.  The table lives in a
-context variable, so each pool thread has its own, and it is dropped when
-the scope exits.  Two callers
-open a scope: compute_hierarchy, once per (t, X) for every observable of
-a plan, and each t job of run_crosscheck.
-No function below opens one, photon_rate_expansion included: a nested
-scope starts an empty table, so it would integrate the chains again.
+Every order-0 and first-order object at X reads the same two chains
+for every t whose first grid (_N0 panels) falls on the same substep:
+_chain_steps gives t = 0.5, 1 and 2, and likewise 16 to 128, the substep
+2^-10.  State k of either chain, and of the mode-sum doubling, depends
+only on the RK4 maps up to k, so the chain of a shorter t is bitwise the
+prefix of the longest one.  A SweepTable of (model, X) keeps one chain
+per (kind, substep), integrated by the first call that reads it to the
+longest chain that its t samples ask at _N0 panels, and serves each
+shorter chain as its prefix; a refinement past the stored length
+integrates the chain again to the length it asks, over a bitwise equal
+prefix.  Each join of the table also keeps every node read taken inside
+it per (t, n), the conjugated coupling spins and the order-1 contraction
+among them, and drops them when it exits.  The stored, read-only arrays
+go to every later consumer at the same (t, X): order0,
+bloch_spin0, the spin and field order_j calls of all axes,
+spin_correction1 of every site, maxwell_cross_check (from
+_maxwell_nodes), and the rotation tangents.  A chain for another model or
+X integrates as usual; the tangent probe's shifted points take no chain,
+only their site's rotation endpoint (_rotation_endpoint), the product of
+its RK4 maps.  Model and X are matched by identity.
+
+A thread joins a table through a context variable (SweepTable.joined;
+shared_sweeps joins a new one).  Pool threads inherit no context, so each
+job joins its table itself, and a lock per chain makes the first job that
+reads a chain the one that builds it.  Every public call below joins the
+table that its thread holds for its (model, X), or a table of its own for
+the length of the call, so even alone it integrates each chain once for
+all its refinement grids.  run_crosscheck keeps one table for all its t
+jobs, and run_convergence one per X for all its points; each job's join
+ends its t's reads, and a chain is dropped once no t left to run reads
+it, so a sweep holds a shared chain only while it serves.  The couplings'
+own tables (their F images, their pairings with each other, the radiated
+field's weights and read vectors) are Model attributes, built on first
+use and kept.
 """
 
 from __future__ import annotations
 
 import contextvars
 import functools
+import inspect
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -146,10 +166,7 @@ from blochlab.model import (
     Model,
     ModelError,
     PhaseVector,
-    apply_helicity,
     chi_flow_vector,
-    coupling_B,
-    coupling_B_gradient,
     flow_pairing,
     fmap,
     stack_vectors,
@@ -197,6 +214,159 @@ def _site_spins(r: np.ndarray, ops: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the chain tables
+
+
+def _frozen(out):
+    """out, a chain or node read, with every array made read-only: the
+    tables hand the same arrays to every later consumer."""
+    for a in out if isinstance(out, tuple) else (out,):
+        a.setflags(write=False)
+    return out
+
+
+class SweepTable:
+    """The chains of one (model, X).
+
+    A chain is keyed by (kind, dt): it is integrated once, by the first
+    call that reads it, to the longest chain that dt serves at the first
+    grid (_N0 panels) of the t samples ts, and every shorter chain on that
+    dt is its prefix.  A read past the stored length integrates the chain
+    again to that length; the prefix it replaces is bitwise the same.  A
+    lock guards each build, so the pool jobs of one table build each chain
+    once.  Model and X are matched by identity.
+
+    A table serves only the threads that join it (joined): pool threads do
+    not inherit the caller's context, so each job joins its table itself.
+    The node reads taken inside a join, keyed by (name, t, n), are kept
+    for the length of that join only: they serve one (t, X), and the
+    chains of the other t outlive them.  A join for one of the t samples
+    ends that t's reads, and a chain that no t sample left reads is
+    dropped, so a sweep holds no more chains than the t still to run need.
+    """
+
+    def __init__(self, model: Model, x: PhaseVector, ts=()):
+        self.model, self.x = model, x
+        self._planned = {}  # dt -> substeps of the longest chain it serves
+        self._pending = {}  # dt -> t samples on it whose joins are still to end
+        for t in ts:
+            dt, steps = _first_chain(t)
+            self._planned[dt] = max(self._planned.get(dt, 0), steps)
+            self._pending[dt] = self._pending.get(dt, 0) + 1
+        self._chains, self._locks = {}, {}
+        self._lock = threading.Lock()
+
+    def matches(self, model: Model, x: PhaseVector) -> bool:
+        return self.model is model and self.x is x
+
+    def chain(self, build, dt: float, steps: int):
+        """build's chain of steps substeps dt: a prefix of the stored one."""
+        key = (build.__name__, dt)
+        with self._lock:
+            lock = self._locks.setdefault(key, threading.Lock())
+        with lock:
+            out = self._chains.get(key)
+            if out is None or len(out[0]) <= steps:
+                length = max(steps, self._planned.get(dt, 0))
+                built = _frozen(build(self.model, dt, self.x, length))
+                out = built if isinstance(built, tuple) else (built,)
+                self._chains[key] = out
+        prefix = tuple(a[: steps + 1] for a in out)
+        return prefix if len(prefix) > 1 else prefix[0]
+
+    @contextmanager
+    def joined(self, t=None):
+        """Serve this thread's chains of (model, X) from the table inside
+        the block, and keep the node reads taken inside it.  With t, one of
+        the table's t samples, the block is that t's last read."""
+        token = _SWEEPS.set((self, {}))
+        try:
+            yield self
+        finally:
+            _SWEEPS.reset(token)
+            if t is not None:
+                self._release(t)
+
+    def _release(self, t: float) -> None:
+        """End t's reads: drop its chains if no other t sample reads them."""
+        dt, _ = _first_chain(t)
+        with self._lock:
+            self._pending[dt] -= 1
+            if self._pending[dt] == 0:
+                for key in [key for key in self._chains if key[1] == dt]:
+                    del self._chains[key]
+
+
+# (the SweepTable that this thread joined last, the node reads of that
+# join), None outside every table
+_SWEEPS = contextvars.ContextVar("blochlab_hierarchy_sweeps", default=None)
+
+
+def shared_sweeps(model: Model, x: PhaseVector, ts=()):
+    """Join a new SweepTable of (model, X) for the t samples ts inside the
+    block: each chain is integrated at most once for all of them, and each
+    node read once per t."""
+    return SweepTable(model, x, ts).joined()
+
+
+def _joined(model: Model, x: PhaseVector):
+    """(table, node reads) of this thread's join for (model, X), or None."""
+    joined = _SWEEPS.get()
+    return joined if joined is not None and joined[0].matches(model, x) else None
+
+
+def _chained(build):
+    """Serve the chain build(model, dt, x, steps) from the joined table of
+    (model, X); a call for another model or X integrates it as asked."""
+
+    @functools.wraps(build)
+    def lookup(model, dt, x, steps):
+        joined = _joined(model, x)
+        if joined is None:
+            return _frozen(build(model, dt, x, steps))
+        return joined[0].chain(build, dt, steps)
+
+    return lookup
+
+
+def _shared(build):
+    """Serve the node read build(model, t, x, n) from the joined table of
+    (model, X), building on a miss; a call for another model or X builds it
+    as asked."""
+
+    @functools.wraps(build)
+    def lookup(model, t, x, n):
+        joined = _joined(model, x)
+        if joined is None:
+            return _frozen(build(model, t, x, n))
+        reads, key = joined[1], (build.__name__, t, n)
+        if key not in reads:
+            reads[key] = _frozen(build(model, t, x, n))
+        return reads[key]
+
+    return lookup
+
+
+def _scoped(call):
+    """Run the public call in the joined table of its (model, X), or, with
+    none joined, in a table of its own for the length of the call, so that
+    every refinement grid of the call reads one chain of each kind."""
+    names = list(inspect.signature(call).parameters)
+    t_at, x_at = names.index("t"), names.index("x")
+
+    @functools.wraps(call)
+    def run(model, *args, **kwargs):
+        x = args[x_at - 1] if len(args) >= x_at else kwargs["x"]
+        if _joined(model, x) is not None:
+            return call(model, *args, **kwargs)
+        t = args[t_at - 1] if len(args) >= t_at else kwargs["t"]
+        with shared_sweeps(model, x, [t]):
+            return call(model, *args, **kwargs)
+
+    return run
+
+
+# ---------------------------------------------------------------------------
 # propagator
 
 
@@ -216,12 +386,20 @@ def _polar_project(g: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
+@_scoped
 def propagator_G(model: Model, t: float, x: PhaseVector) -> PropagatorState:
     """G(t, 0, X) of dG/dt = i G H_int(chi_t X), G(0, 0) = I: the projected
     endpoint of the propagator chain that serves _N0 panels."""
-    raw = _propagator_chain(model, t, x, _chain_steps(t, _N0))[-1]
+    dt, steps = _first_chain(t)
+    raw = _propagator_chain(model, dt, x, steps)[-1]
     defect = np.linalg.norm(raw.conj().T @ raw - np.eye(model.spin_dim))
     return PropagatorState(matrix=_polar_project(raw), unitarity_defect=float(defect))
+
+
+def _first_chain(t: float) -> tuple[float, int]:
+    """(substep, substeps) of the chain that serves _N0 panels over [0, t]."""
+    steps = _chain_steps(t, _N0)
+    return t / steps, steps
 
 
 def _chain_steps(t: float, n: int) -> int:
@@ -234,10 +412,10 @@ def _chain_steps(t: float, n: int) -> int:
     return n << (sub - 1).bit_length()
 
 
-def _chain_stages(t: float, steps: int):
-    """The substep and the half-step stage times of a chain over [0, t]."""
-    dt = t / steps
-    return dt, 0.5 * dt * np.arange(2 * steps + 1)
+def _chain_stages(dt: float, steps: int) -> np.ndarray:
+    """The half-step stage times of a chain of steps substeps dt: those of
+    a shorter chain on the same dt are its prefix."""
+    return 0.5 * dt * np.arange(2 * steps + 1)
 
 
 def _stage_split(table):
@@ -266,46 +444,11 @@ def _prefix_products(phi: np.ndarray) -> np.ndarray:
     return out
 
 
-# (model, t, X, {(name, size): arrays}) of the innermost shared_sweeps scope
-_SWEEPS = contextvars.ContextVar("blochlab_hierarchy_sweeps", default=None)
-
-
-@contextmanager
-def shared_sweeps(model: Model, t: float, x: PhaseVector):
-    """Integrate each chain of (model, t, X) at most once inside the block,
-    and keep every node read taken from it.  Model and X are matched by
-    identity."""
-    token = _SWEEPS.set((model, t, x, {}))
-    try:
-        yield
-    finally:
-        _SWEEPS.reset(token)
-
-
-def _shared(build):
-    """Serve build(model, t, x, size) from the open scope's table, building
-    on a miss; a call for another model, t or X bypasses the table.  The
-    returned arrays are read-only, since later consumers read them too."""
-
-    @functools.wraps(build)
-    def lookup(model, t, x, size):
-        scope = _SWEEPS.get()
-        hit = scope and scope[0] is model and scope[1] == t and scope[2] is x
-        table = scope[3] if hit else {}
-        key = (build.__name__, size)
-        if key not in table:
-            out = build(model, t, x, size)
-            for a in out if isinstance(out, tuple) else (out,):
-                a.setflags(write=False)
-            table[key] = out
-        return table[key]
-
-    return lookup
-
-
-@_shared
-def _propagator_chain(model: Model, t: float, x: PhaseVector, steps: int) -> np.ndarray:
-    """G(u_k, 0, X) at every substep u_k = k t / steps, unprojected, shape
+@_chained
+def _propagator_chain(
+    model: Model, dt: float, x: PhaseVector, steps: int
+) -> np.ndarray:
+    """G(u_k, 0, X) at every substep u_k = k dt, unprojected, shape
     (steps+1, sd, sd).
 
     RK4 transfer maps of G^T' = (i H)^T G^T on the half-step stage grid,
@@ -313,12 +456,14 @@ def _propagator_chain(model: Model, t: float, x: PhaseVector, steps: int) -> np.
     numpy's batched products are several times faster, and chained by
     _prefix_products."""
     sd = model.spin_dim
-    dt, stage = _chain_stages(t, steps)
+    stage = _chain_stages(dt, steps)
     ht = model.spin_matrix(_site_fields(model, x, stage)).swapaxes(1, 2)
     # the generator i H^T = -Im H^T + i Re H^T in real form
     neg = -ht.imag
     gen = np.block([[neg, -ht.real], [ht.real, neg]])
+    del ht, neg  # a long chain's peak memory is in the maps below
     phi, _ = rk4_transfer(*_stage_split(gen), dt)
+    del gen
     y = _prefix_products(phi)
     gt = np.empty((steps + 1, sd, sd), dtype=complex)
     gt.real, gt.imag = y[:, :sd, :sd], y[:, sd:, :sd]
@@ -331,7 +476,7 @@ def _propagator_sweep(model: Model, t: float, x: PhaseVector, n: int) -> np.ndar
     every (steps/n)-th state of the propagator chain, polar-projected in one
     batched SVD."""
     steps = _chain_steps(t, n)
-    return _polar_project(_propagator_chain(model, t, x, steps)[:: steps // n])
+    return _polar_project(_propagator_chain(model, t / steps, x, steps)[:: steps // n])
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +494,7 @@ def observable_form(model: Model, obs: ObservableSpec):
     )
 
 
+@_scoped
 def order0(model: Model, obs: ObservableSpec, t: float, x: PhaseVector) -> np.ndarray:
     """A^[0](t, X) = (F_A . chi_t X) I + G(t,0,X) S_A G(t,0,X)*."""
     f_a, s_a = observable_form(model, obs)
@@ -487,12 +633,9 @@ def _order1_contraction(model: Model, t: float, x: PhaseVector, n: int) -> np.nd
     V = sum_q C2[:,q,q,:]: two GEMMs over the (n+1) A node rows, and no
     observable enters until K."""
     sd = model.spin_dim
-    bs = model.coupling_list
-    fbs = [fmap(b) for b in bs]
     dt = t / n
     sig = _conjugated_couplings(model, t, x, n)
-    pair_b = flow_pairing(model.grid, bs, bs)
-    pair_f = flow_pairing(model.grid, bs, fbs)
+    pair_b, pair_f = model.coupling_pairings
     rows = _lag_convolution(pair_b.omegas, dt, sig, suffix=True)
     rows = rows.transpose(2, 4, 5, 0, 1, 3).reshape((n + 1) * sd * sd, -1)
     coef = np.concatenate(
@@ -503,7 +646,9 @@ def _order1_contraction(model: Model, t: float, x: PhaseVector, n: int) -> np.nd
     # node rows (i, a), each weighted by w_i on the Sig side
     p = (nb + 1j * nf).reshape(-1, sd * sd)
     q = (nb - 1j * nf).reshape(-1, sd * sd)
-    ws = np.repeat(_trap_weights(n, dt), len(bs))[:, None] * sig.reshape(-1, sd * sd)
+    ws = np.repeat(_trap_weights(n, dt), len(model.sigmas))[:, None] * sig.reshape(
+        -1, sd * sd
+    )
     c1 = (ws.T @ p).reshape((sd,) * 4)
     c2 = (q.T @ ws).reshape((sd,) * 4)
     eye = np.eye(sd)
@@ -527,8 +672,7 @@ def _order1_grids(model, obs, t, x):
     if s_a is None:
         # pure field: Phi^[0](s) = - sum_a (F_A . chi_s F B_a) sigma_a,
         # X-independent, so only the conjugated spins enter.
-        fbs = [fmap(b) for b in model.coupling_list]
-        pairing = flow_pairing(model.grid, [f_a], fbs)
+        pairing = flow_pairing(model.grid, [f_a], model.coupling_fmaps)
 
         def field(n):
             dt = t / n
@@ -547,6 +691,7 @@ def _order1_grids(model, obs, t, x):
     return spin
 
 
+@_scoped
 def order_j(
     model: Model,
     obs: ObservableSpec,
@@ -580,11 +725,13 @@ class SpinTriple:
     matrices: np.ndarray  # (3, sd, sd)
 
 
+@_scoped
 def bloch_spin0(model: Model, t: float, x: PhaseVector) -> list[SpinTriple]:
     """S^{[lam, 0]}(t, X) = R^lam(t) . sigma^[lam] with dR/du = 2 C(b(u)) R,
     b_m(u) = beta_m + B_{m x_lam} . chi_u X: the endpoint of the Maxwell
     chain that serves _N0 panels."""
-    rots = _maxwell_chain(model, t, x, _chain_steps(t, _N0))[0][-1]
+    dt, steps = _first_chain(t)
+    rots = _maxwell_chain(model, dt, x, steps)[0][-1]
     return [
         SpinTriple(lam=lam + 1, rotation=r, matrices=_site_spins(r, ops))
         for lam, (r, ops) in enumerate(zip(rots, model.spin_ops))
@@ -603,7 +750,8 @@ def _site_maps(model, lam, t, x):
     """Site lam's part of the Maxwell chain that serves _N0 panels: the
     substep dt, the stage times, the stage generators (a0, ah, a1) of
     R' = 2 C(b^lam) R and their RK4 transfer maps (phi, (m2, m3, m4))."""
-    dt, stage = _chain_stages(t, _chain_steps(t, _N0))
+    dt, steps = _first_chain(t)
+    stage = _chain_stages(dt, steps)
     fields = _site_fields(model, x, stage).reshape(-1, model.N, 3)[:, lam]
     gens = _stage_split(2.0 * _cross_mat(fields))
     return dt, stage, gens, rk4_transfer(*gens, dt)
@@ -628,7 +776,7 @@ def _rotation_tangent(model, lam, t, x, vs) -> np.ndarray:
     dR_{k+1} = phi_k dR_k + psi_k R_k over the chain's R, summed by pairwise
     reduction."""
     dt, stage, (a0, ah, a1), (phi, (m2, m3, m4)) = _site_maps(model, lam, t, x)
-    r = _maxwell_chain(model, t, x, _chain_steps(t, _N0))[0][:, lam]
+    r = _maxwell_chain(model, dt, x, len(phi))[0][:, lam]
     eye = np.eye(3)
     ah2 = ah @ ah
     l0 = eye + dt * ah + dt**2 / 2 * ah2 + dt**3 / 4 * (a1 @ ah2)
@@ -667,6 +815,7 @@ def _central_difference(f, x: PhaseVector, v: PhaseVector):
     return (f(x + step * v) - f(x - step * v)) / (2.0 * step)
 
 
+@_scoped
 def tangent_derivatives(
     model: Model, lam: int, v: PhaseVector, t: float, x: PhaseVector
 ) -> TangentBundleState:
@@ -689,10 +838,10 @@ def tangent_derivatives(
 # sourced Maxwell cross-check
 
 
-@_shared
-def _maxwell_chain(model: Model, t: float, x: PhaseVector, steps: int):
+@_chained
+def _maxwell_chain(model: Model, dt: float, x: PhaseVector, steps: int):
     """Per-site rotations R^lam and the rotation-space partial sums of the
-    first-order mode recurrence at every substep u_k = k t / steps.
+    first-order mode recurrence at every substep u_k = k dt.
 
     R' = 2 C(b^lam(u)) R, b_m = beta_m + B_{m x_lam} . chi_u X, is stepped by
     RK4 transfer maps on the half-step stage grid and chained by
@@ -706,27 +855,29 @@ def _maxwell_chain(model: Model, t: float, x: PhaseVector, steps: int):
     combined, and the recurrence summed, in rotation space; the mode
     weights and the read's vectors enter only at the nodes a read takes
     (_radiated).  Returns (R (steps+1, N, 3, 3),
-    sums (G, steps+1, N, 3, 3)), sums[:, k] the combined source of W(u_k)."""
+    sums (steps+1, G, N, 3, 3)), sums[k] the combined sources of W(u_k):
+    state k of either depends only on the maps up to k."""
     N = model.N
-    dt, stage = _chain_stages(t, steps)
+    stage = _chain_stages(dt, steps)
     gen = 2.0 * _cross_mat(_site_fields(model, x, stage).reshape(-1, N, 3))
     phi, maps = rk4_transfer(*_stage_split(gen), dt)
     r = _prefix_products(phi)
 
     y1 = r[:-1]
-    y2, y3, y4 = (m @ y1 for m in maps)
+    y2, y3, y4 = ((m @ y1)[:, None] for m in maps)
+    y1 = y1[:, None]
     uniq, _ = model.grid.frequency_groups
-    xg = (-1j * dt * uniq)[:, None, None, None, None]
+    xg = (-1j * dt * uniq)[:, None, None, None]
     comb = y1 / 4 * xg + (y1 + y2) / 2
     comb = (comb * xg + (y1 + y2 + y3)) * xg + (y1 + 2 * (y2 + y3) + y4)
-    sums = np.zeros((len(uniq), steps + 1, N, 3, 3), dtype=complex)
-    sums[:, 1:] = dt / 6 * comb
+    sums = np.zeros((steps + 1, len(uniq), N, 3, 3), dtype=complex)
+    sums[1:] = dt / 6 * comb
     mu = 1 + xg * (1 + xg * (1 / 2 + xg * (1 / 6 + xg / 24)))
     # a_{k+1} = mu a_k + comb_k by recursive doubling: the partial sums only
     # ever carry powers of mu, |mu| <= 1, so no weight grows
     span, power = 1, mu
     while span <= steps:
-        sums[:, span:] += power * sums[:, :-span]
+        sums[span:] += power * sums[:-span]
         span, power = 2 * span, power * power
     return r, sums
 
@@ -737,8 +888,8 @@ def _maxwell_nodes(model: Model, t: float, x: PhaseVector, n: int):
     (R (n+1, N, 3, 3), rows (G, n+1, 2, N, 3, 3)), rows the (Re, Im) of the
     combined sources, real part first."""
     steps = _chain_steps(t, n)
-    r, sums = _maxwell_chain(model, t, x, steps)
-    nodes = sums[:, :: steps // n]
+    r, sums = _maxwell_chain(model, t / steps, x, steps)
+    nodes = sums[:: steps // n].swapaxes(0, 1)
     return r[:: steps // n], np.stack([nodes.real, nodes.imag], axis=2)
 
 
@@ -758,9 +909,7 @@ def _radiated(model: Model, rows: np.ndarray, vecs) -> np.ndarray:
     s, input part r, mode j.  Contracted with vecs over the modes of each
     group g, they make one real table P[l, v, (g, r, m)] against the rows."""
     N, nodes = model.N, rows.shape[1]
-    fq, fp = stack_vectors([fmap(b) for b in model.coupling_list])  # (A, D) each
-    weights = np.stack([np.vstack([-fq, fp]), np.vstack([-fp, -fq])])
-    weights = weights.reshape(2, 2, N, 3, model.D)
+    weights = model.radiated_weights
     _, group_of = model.grid.frequency_groups
     vqp = np.stack(stack_vectors(vecs), axis=1)  # (V, 2, D)
     ptab = np.empty((N, len(vecs), len(rows), 2, 3))
@@ -793,6 +942,7 @@ class MaxwellCheckReport:
     div_e_residual: float
 
 
+@_scoped
 def maxwell_cross_check(
     model: Model, t: float, x: PhaseVector, tol: float = 1e-6
 ) -> MaxwellCheckReport:
@@ -806,12 +956,8 @@ def maxwell_cross_check(
     for any linear read of Z, right or wrong.  The p half Z_p is held only
     by the step-by-step Z tests, test_maxwell_sweep_matches_stepwise and
     test_sweeps_match_stepwise_sine_terms."""
-    grid, config = model.grid, model.config
-    vecs = []
-    for pt in config.positions:
-        grads = [coupling_B_gradient(grid, config, m, pt)[m - 1] for m in (1, 2, 3)]
-        vecs += [coupling_B(grid, config, m, pt) for m in (1, 2, 3)] + grads
-        vecs += [apply_helicity(grid, g) for g in grads]
+    config = model.config
+    vecs = [v for site in model.site_field_vectors for v in site]
     # [site, (B_m, d_m B_m, J d_m B_m), m] . Z, each term of the divergences
     # of B^[1] and E^[1] read on its own
     sd = model.spin_dim
@@ -872,9 +1018,8 @@ def _spin1_on_grid(model, lam, t, x, n):
     dt = t / n
     w = _trap_weights(n, dt)
     sig = model.spin_ops[lam]
-    bsl = model.couplings[lam]
 
-    beta1 = _radiated(model, rows, bsl)  # [a, l, k, w]
+    beta1 = _radiated(model, rows, model.couplings[lam])  # [a, l, k, w]
     # C[n, l, k, k', w] = beta1[n+1, l, k, w] R_w[n+2, k'] - (n+1 <-> n+2)
     rt = r_path.transpose(1, 2, 0)  # [b, k', w]
     cpl = (
@@ -884,7 +1029,7 @@ def _spin1_on_grid(model, lam, t, x, n):
 
     # K(w): same-site contraction of coupling pairings with the rotation
     # transport; pbb[c,m,w-u] = sum_g alpha cos(g(w-u)) + beta sin(g(w-u))
-    pairing = flow_pairing(model.grid, bsl, bsl)
+    pairing = model.site_pairings[lam]
     # Y_u[m, r, q] = R_u[m+1, r] R_u[m+2, q] - R_u[m+2, r] R_u[m+1, q]
     nxt, lst = r_path[:, _NEXT], r_path[:, _LAST]  # [u, m, r]
     y = nxt[..., None] * lst[:, :, None] - lst[..., None] * nxt[:, :, None]
@@ -911,6 +1056,7 @@ def _spin1_on_grid(model, lam, t, x, n):
     return ((r_path[n] @ real) @ table).reshape(3, sd, sd)
 
 
+@_scoped
 def spin_correction1(
     model: Model, t: float, x: PhaseVector, tol: float = 1e-6
 ) -> list[SpinTriple]:
@@ -936,6 +1082,7 @@ def spin_correction1(
 # photon-rate expansion
 
 
+@_scoped
 def photon_rate_expansion(
     model: Model, t: float, x: PhaseVector, M: int, tol: float = 1e-7
 ) -> list[np.ndarray]:
@@ -946,18 +1093,19 @@ def photon_rate_expansion(
     of the polarized-field and spin expansions.  Every term reads the
     recursion's maps at (t, X): S^[1] of each site and axis is order_j of
     that spin, the spin observables' order-1 contraction, and E^[1] the
-    field order_j.  It opens no scope of its own, so inside
-    compute_hierarchy it shares the chains and node reads of the other
-    observables at (t, X)."""
+    field order_j.  Inside compute_hierarchy it joins the table of the
+    other observables at (t, X), so it shares their chains and node reads."""
     if M not in (0, 1):
         raise HierarchyError(f"photon-rate expansion order must be 0 or 1, asked {M}")
     sd = model.spin_dim
     y = chi_flow_vector(model.grid, t, x)
     spins0 = bloch_spin0(model, t, x)
+    # F B of (lam, m) at [lam][m]
+    fbs = [model.coupling_fmaps[3 * lam : 3 * lam + 3] for lam in range(model.N)]
     n0 = np.zeros((sd, sd), dtype=complex)
     for lam in range(model.N):
         for m in range(3):
-            e0 = fmap(model.couplings[lam][m]).dot(y)
+            e0 = fbs[lam][m].dot(y)
             n0 += PHOTON_RATE_SIGN * e0 * spins0[lam].matrices[m]
     orders = [n0]
     if M == 0:
@@ -972,14 +1120,13 @@ def photon_rate_expansion(
         # reads the site tangents along W and F W of each axis.  Only dS is
         # read, so this skips tangent_derivatives' finite-difference probe;
         # run_crosscheck's tangent-fd-residual hygiene check runs it
-        ws = [chi_flow_vector(model.grid, -t, fmap(b)) for b in model.couplings[lam]]
+        ws = [chi_flow_vector(model.grid, -t, fb) for fb in fbs[lam]]
         tangents = _rotation_tangent(
             model, lam, t, x, [v for w in ws for v in (w, fmap(w))]
         )
         dspins = _site_spins(tangents, model.spin_ops[lam])  # (6, 3, sd, sd)
         for m in range(3):
-            fb = fmap(model.couplings[lam][m])
-            e0 = fb.dot(y)
+            e0 = fbs[lam][m].dot(y)
             # C^0(E^1, S^0): first-order polarized field times order-0 spin
             obs = ObservableSpec(kind="field_E_pol", m=m + 1, x=pos)
             e1 = PHOTON_RATE_SIGN * order_j(model, obs, 1, t, x, tol=tol)
@@ -998,6 +1145,7 @@ def photon_rate_expansion(
 # every observable's expansion at one (t, X)
 
 
+@_scoped
 def compute_hierarchy(
     model: Model,
     observables,
@@ -1007,7 +1155,8 @@ def compute_hierarchy(
     tol: float = 1e-7,
 ) -> list[list[np.ndarray]]:
     """Coefficients A^[0..M](t, X) of the evolved-symbol expansion of each
-    observable, in the order given, all read from one shared_sweeps scope."""
+    observable, in the order given, all read from one SweepTable: the one
+    this thread has joined for (model, X), or one of its own."""
 
     def expansion(obs):
         if obs.kind == "number_rate":
@@ -1016,5 +1165,4 @@ def compute_hierarchy(
             order_j(model, obs, j, t, x, tol=tol) for j in range(1, M + 1)
         ]
 
-    with shared_sweeps(model, t, x):
-        return [expansion(obs) for obs in observables]
+    return [expansion(obs) for obs in observables]

@@ -484,15 +484,83 @@ class Model:
         return self.grid.D
 
     @property
+    def couplings(self) -> list[list[PhaseVector]]:
+        return self._couplings
+
+    @couplings.setter
+    def couplings(self, rows) -> None:
+        # the coupling tables below are built from the couplings: new
+        # couplings drop them, on this model only
+        self._couplings = rows
+        for name in _COUPLING_TABLES:
+            self.__dict__.pop(name, None)
+
+    @property
     def coupling_list(self) -> list[PhaseVector]:
         """B_{m x_lam} in (lam, m) order, the order of sigmas."""
         return [b for row in self.couplings for b in row]
+
+    # Model-constant tables of the hierarchy, each built on first use by the
+    # call it stands for and kept, so no call rebuilds them and a plan that
+    # never reads them never builds them.
+
+    @cached_property
+    def coupling_fmaps(self) -> list[PhaseVector]:
+        """F B_{m x_lam} in (lam, m) order."""
+        return [fmap(b) for b in self.coupling_list]
+
+    @cached_property
+    def radiated_weights(self) -> np.ndarray:
+        """The mode amplitudes of the radiated field against the combined
+        sources of blochlab.hierarchy._radiated, shape (2, 2, N, 3, D):
+        [[-(F B)_q, (F B)_p], [-(F B)_p, -(F B)_q]] as [output part (q, p),
+        input part (Re, Im), site, axis, mode]."""
+        fq, fp = stack_vectors(self.coupling_fmaps)  # (A, D) each
+        weights = np.stack([np.vstack([-fq, fp]), np.vstack([-fp, -fq])])
+        return weights.reshape(2, 2, self.N, 3, self.D)
+
+    @cached_property
+    def coupling_pairings(self) -> tuple[FlowPairing, FlowPairing]:
+        """flow_pairing of the couplings with the couplings and with their F
+        images: B_a . chi_s B_b and B_a . chi_s F B_b."""
+        bs = self.coupling_list
+        return (
+            flow_pairing(self.grid, bs, bs),
+            flow_pairing(self.grid, bs, self.coupling_fmaps),
+        )
+
+    @cached_property
+    def site_pairings(self) -> list[FlowPairing]:
+        """Per site lam, flow_pairing of its couplings with themselves."""
+        return [flow_pairing(self.grid, row, row) for row in self.couplings]
+
+    @cached_property
+    def site_field_vectors(self) -> list[list[PhaseVector]]:
+        """Per site position, the vectors whose pairing with the radiated
+        field gives B^[1] and the terms of its divergences: B_m, d_m B_m and
+        J d_m B_m, m = 1..3 each, in that order."""
+        grid, config = self.grid, self.config
+        out = []
+        for pt in config.positions:
+            grads = [coupling_B_gradient(grid, config, m, pt)[m - 1] for m in (1, 2, 3)]
+            vecs = [coupling_B(grid, config, m, pt) for m in (1, 2, 3)] + grads
+            out.append(vecs + [apply_helicity(grid, g) for g in grads])
+        return out
 
     def spin_matrix(self, coefs) -> np.ndarray:
         """sum_a coefs[..., a] sigma_a over the (lam, m) stack."""
         coefs = np.asarray(coefs)
         flat = coefs @ self.sigmas.reshape(len(self.sigmas), -1)
         return flat.reshape(coefs.shape[:-1] + self.sigmas.shape[1:])
+
+
+# the cached tables of Model that its couplings determine
+_COUPLING_TABLES = (
+    "coupling_fmaps",
+    "radiated_weights",
+    "coupling_pairings",
+    "site_pairings",
+)
 
 
 def grid_debug_dump(model: Model) -> dict:

@@ -104,7 +104,7 @@ evolves them in one integration.  The operators act on a frame's Fock-major
 view of shape (fock_dim * spin_dim, n_states).
 
 scipy.sparse is imported only where a CSR matrix is built or applied
-(FoldedGenerator, and fock's field_operator), so a hierarchy-only run
+(FoldedGenerator, and fock's apply_field), so a hierarchy-only run
 such as the crosscheck never loads it.  Each CSR layout is kept where
 frame jobs on two pool workers share it, on the basis or its operators,
 and is filled either under the harness's build lock or idempotently, by
@@ -115,11 +115,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from blochlab.fock import FockBasis, field_operator, gamma_free_phases
+from blochlab.fock import FockBasis, apply_field, gamma_free_phases
 from blochlab.model import (
     Model,
     ModelError,
@@ -131,9 +130,6 @@ from blochlab.model import (
     stack_vectors,
 )
 from blochlab.stepper import GroupLog, integrate_adaptive
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 DEFAULT_TOL = 1e-9
 DEFAULT_TAIL_TOL = 1e-10
@@ -418,11 +414,14 @@ class Hamiltonian:
         # [e^{-i w_g t} K_g + h.c.]
         self.root = np.sqrt(self.h / 2.0)
 
-    def field(self, q: np.ndarray, p: np.ndarray) -> sp.csr_matrix:
-        """Phi_h(U^T V) of the grid vector V = (q, p): its Segal field on
-        the basis's modes."""
+    def apply_field(self, q: np.ndarray, p: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """Phi_h(U^T V) psi, the Segal field of the grid vector V = (q, p) on
+        the basis's modes, for psi of shape (dim, s, n)."""
         modes = self.ops.modes
-        return field_operator(self.basis, self.h, q @ modes - 1j * (p @ modes))
+        c = q @ modes - 1j * (p @ modes)
+        dim, s, n = psi.shape
+        out = apply_field(self.basis, self.h, c, psi.reshape(dim, s * n))
+        return out.reshape(psi.shape)
 
     # -- generator application -----------------------------------------
 
@@ -457,14 +456,12 @@ class Hamiltonian:
         interaction is the folded generator at Y with the coefficients
         [1, 1, ...] of time 0.
         """
-        dim, s, n = psi.shape
         om = self.model.grid.slot_omegas
-        shift = self.field(om * y.q, om * y.p)
         interaction = FoldedGenerator([self], y)
         interaction.write(np.ones(len(self.ops.exponents)))
         hpsi = (
             self.hph_diag[:, None, None] * psi
-            + (shift @ psi.reshape(dim, s * n)).reshape(psi.shape)
+            + self.apply_field(om * y.q, om * y.p, psi)
             + self.h * interaction.apply(psi[None])[0]
         )
         classical = 0.5 * float(om @ (y.q**2 + y.p**2))
@@ -601,14 +598,12 @@ def apply_observable(
     """W(Y)* A W(Y) psi for psi of shape (dim, s, n), without materializing
     A; at Y = 0 this is A psi."""
     model = ham.model
-    dim, s, n = psi.shape
     if obs.kind == "spin":
         # I (x) sigma: sigma acts on the spin axis of every Fock row
         return model.spin_ops[obs.lam - 1][obs.m - 1] @ psi
     if obs.kind.startswith("field"):
         v = field_coupling(model, obs)
-        f = ham.field(v.q, v.p)
-        out = (f @ psi.reshape(dim, s * n)).reshape(dim, s, n)
+        out = ham.apply_field(v.q, v.p, psi)
         out += v.dot(y) * psi
         return out
     # number_rate generator: (i/h)[H, N (x) I] = - sum_{lam,m}

@@ -166,9 +166,17 @@ def rk4_transfer(a0, ah, a1, dt):
     """
     eye = np.eye(a0.shape[-1])
     m2 = eye + dt / 2 * a0
-    b2 = ah @ m2
-    m3 = eye + dt / 2 * b2
-    b3 = ah @ m3
-    m4 = eye + dt * b3
-    phi = eye + dt / 6 * (a0 + 2 * b2 + 2 * b3 + a1 @ m4)
+    b = ah @ m2
+    m3 = eye + dt / 2 * b
+    # phi's sum, accumulated in its order as each B is made, so that no B
+    # outlives its stage: a hierarchy chain's peak memory is in this call
+    phi = a0 + 2 * b
+    del b
+    b = ah @ m3
+    m4 = eye + dt * b
+    phi += 2 * b
+    del b
+    phi += a1 @ m4
+    phi *= dt / 6
+    phi += eye
     return phi, (m2, m3, m4)

@@ -3,7 +3,9 @@
 Each is a direct, unoptimized form of an object that the package computes
 another way and never needs itself: the Segal field summed mode by mode,
 or built per call in one COO constructor, instead of written into a
-layout kept on the basis, the
+layout kept on the basis, the energy and the field observables applied
+through scipy's @ on a CSR matrix built per call instead of by its CSR
+kernel on the kept layout, the
 oracle's tensor operators assembled from Kronecker products instead of by
 index arithmetic and folded by a sparse sum of their patterns, a frame
 group's folded operator built by block_diag instead of written into a
@@ -28,7 +30,7 @@ import warnings
 import numpy as np
 import scipy.sparse as sp
 
-from blochlab.fock import FockBasis, coherent_state
+from blochlab.fock import FockBasis, coherent_state, field_operator
 from blochlab.hierarchy import (
     _EPS3,
     _LAST,
@@ -56,10 +58,12 @@ from blochlab.model import (
 from blochlab.oracle import (
     DEFAULT_TAIL_TOL,
     DEFAULT_TOL,
+    FoldedGenerator,
     Hamiltonian,
     ObservableSpec,
     OracleError,
     apply_observable,
+    field_coupling,
     evolve_interaction_picture,
     evolved_frames,
     frame_symbol,
@@ -291,6 +295,42 @@ def full_operator(ham: Hamiltonian) -> sp.csr_matrix:
     )
     interaction = interaction_operator(ham, 0.0, zero_vector(ham.model.D))
     return (free + ham.h * interaction).tocsr()
+
+
+def field_apply_csr(ham: Hamiltonian, q, p, psi: np.ndarray) -> np.ndarray:
+    """Phi_h(U^T V) psi for psi of shape (dim, s, n), through scipy's @ on
+    the CSR matrix of field_operator: Hamiltonian.apply_field as a matrix
+    product."""
+    modes = ham.ops.modes
+    field = field_operator(ham.basis, ham.h, q @ modes - 1j * (p @ modes))
+    dim, s, n = psi.shape
+    return (field @ psi.reshape(dim, s * n)).reshape(psi.shape)
+
+
+def energy_csr(ham: Hamiltonian, psi: np.ndarray, y: PhaseVector) -> np.ndarray:
+    """Hamiltonian.energy with its shift field applied by field_apply_csr."""
+    om = ham.model.grid.slot_omegas
+    interaction = FoldedGenerator([ham], y)
+    interaction.write(np.ones(len(ham.ops.exponents)))
+    hpsi = (
+        ham.hph_diag[:, None, None] * psi
+        + field_apply_csr(ham, om * y.q, om * y.p, psi)
+        + ham.h * interaction.apply(psi[None])[0]
+    )
+    classical = 0.5 * float(om @ (y.q**2 + y.p**2))
+    return np.einsum("fsn,fsn->n", psi.conj(), hpsi).real + classical * np.sum(
+        np.abs(psi) ** 2, axis=(0, 1)
+    )
+
+
+def field_observable_csr(
+    ham: Hamiltonian, obs: ObservableSpec, psi: np.ndarray, y: PhaseVector
+) -> np.ndarray:
+    """apply_observable of a field observable, by field_apply_csr."""
+    v = field_coupling(ham.model, obs)
+    out = field_apply_csr(ham, v.q, v.p, psi)
+    out += v.dot(y) * psi
+    return out
 
 
 def evolve_one(ham: Hamiltonian, psi0, t, x, tol=DEFAULT_TOL):

@@ -101,7 +101,7 @@ class TestPlan:
         assert plan.M == 1
         assert plan.h_list == (0.4, 0.2, 0.1, 0.05)
         assert len(plan.observables) == 2
-        # one model per plan: shared_sweeps matches models by identity
+        # one model per plan: a sweep table matches models by identity
         assert plan.model is plan.model
 
     def test_h_must_decrease(self):
@@ -1061,10 +1061,10 @@ class TestCrosscheck:
         assert report.passed
 
     def test_each_chain_integrated_once(self, monkeypatch):
-        # every path at a t, the hygiene probes at the last t included, reads
-        # that t's two chains: no RK4 transfer maps are taken twice on the
-        # same generator table.  The probe's shifted points integrate chains
-        # of their own, on tables of their own.
+        # every path at every t, the hygiene probes at the last t included,
+        # reads the chains of one table: no RK4 transfer maps are taken twice
+        # on the same generator table.  The probe's shifted points integrate
+        # chains of their own.
         real = blochlab.hierarchy.rk4_transfer
         seen = []
 
@@ -1078,6 +1078,25 @@ class TestCrosscheck:
 
     # the crosscheck-desk t samples: 14 refinement grids (t, n) in all
     DESK_T = [0.0, 0.5, 1.0, 1.5, 2.0]
+
+    def test_desk_t_samples_share_chains(self, monkeypatch):
+        # t = 0.5, 1 and 2 run on the substep 2^-10 and read one chain per
+        # kind, t = 1.5 and t = 0 one each of their own: 3 propagator and 3
+        # Maxwell chains, where each t integrated its own two; the tangent
+        # probe at the last t takes its 3 site-map chains as before
+        real = blochlab.hierarchy.rk4_transfer
+        kinds = []
+
+        def counting(a0, ah, a1, dt):
+            if a0.shape[-1] != 3:
+                kinds.append("propagator")
+            else:
+                kinds.append("maxwell" if a0.ndim == 4 else "tangent")
+            return real(a0, ah, a1, dt)
+
+        monkeypatch.setattr(blochlab.hierarchy, "rk4_transfer", counting)
+        run_crosscheck(ExperimentPlan.from_dict(small_plan_dict(t=self.DESK_T)))
+        assert sorted(kinds) == ["maxwell"] * 3 + ["propagator"] * 3 + ["tangent"] * 3
 
     def test_order1_convolution_once_per_grid(self, monkeypatch):
         # the order-1 spin check of every axis reads one suffix convolution
@@ -1113,8 +1132,9 @@ class TestCrosscheck:
         assert max(len(got) for got in reads.values()) >= 4
 
     def test_deterministic_across_workers(self, monkeypatch):
-        # each pool thread opens its own sweep table for its t sample
-        plan = ExperimentPlan.from_dict(small_plan_dict(t=[0.5, 1.0, 1.5]))
+        # the pool threads share one sweep table: t = 0.5, 1 and 2 read
+        # prefixes of one chain per kind, whichever thread builds it
+        plan = ExperimentPlan.from_dict(small_plan_dict(t=[0.5, 1.0, 1.5, 2.0]))
         blobs = []
         for workers in ("1", "2"):
             monkeypatch.setenv("BLOCHLAB_WORKERS", workers)

@@ -163,7 +163,8 @@ class TestPropagator:
         # that makes the matrix unitary to rounding
         x = random_phase_vector(rng, octa_model.D, scale=0.3)
         state = propagator_G(octa_model, 1.2, x)
-        raw = _propagator_chain(octa_model, 1.2, x, _chain_steps(1.2, 32))[-1]
+        steps = _chain_steps(1.2, 32)
+        raw = _propagator_chain(octa_model, 1.2 / steps, x, steps)[-1]
         assert state.unitarity_defect == _norm(raw.conj().T @ raw - np.eye(4))
         np.testing.assert_array_equal(state.matrix, _polar_project(raw))
         assert 1e-15 < state.unitarity_defect <= 1e-12
@@ -826,7 +827,7 @@ class TestOrder1Contraction:
             ObservableSpec(kind="spin", m=m, lam=lam) for lam in (1, 2) for m in (1, 2, 3)
         ]
         axes.append(ObservableSpec(kind="field_B", m=2, x=np.array([0.3, -0.1, 0.2])))
-        with shared_sweeps(model, t, x):
+        with shared_sweeps(model, x, [t]):
             for obs in axes:
                 got = _order1_grids(model, obs, t, x)(n)
                 ref = order1_nodes(model, obs, t, x, n)
@@ -849,7 +850,7 @@ class TestSpin1Coefficients:
         bsl = model.couplings[1]
         assert np.any(flow_pairing(model.grid, bsl, bsl).beta != 0.0)
         x = random_phase_vector(rng, model.D, scale=0.5)
-        with shared_sweeps(model, t, x):
+        with shared_sweeps(model, x, [t]):
             for lam in range(model.N):
                 got = _spin1_on_grid(model, lam, t, x, n)
                 ref = spin1_products(model, lam, t, x, n)
@@ -871,8 +872,9 @@ class TestSpin1Coefficients:
 
 
 class TestSharedSweeps:
-    """A shared_sweeps scope integrates each chain (kind, steps) of its
-    (t, X) once and serves the stored arrays, and the node reads taken from
+    """A sweep table of (model, X) integrates each chain (kind, dt) once for
+    every t that reads it, serves shorter chains on the same substep as its
+    prefix, and serves the stored arrays, and the node reads taken from
     them, to every consumer, on two sites, two frequency groups and
     cross-site sine terms."""
 
@@ -882,13 +884,17 @@ class TestSharedSweeps:
     def calls(self, monkeypatch):
         # (kind, steps) of every integrated chain: each takes its RK4
         # transfer maps in one call on (steps, ...) stage generators, the
-        # real (2 sd, 2 sd) form for the propagator chain and (N, 3, 3) for
-        # the Maxwell chain
+        # real (2 sd, 2 sd) form for the propagator chain, (N, 3, 3) for the
+        # Maxwell chain and (3, 3) for the tangent probe's site maps
         seen = []
         real = hierarchy.rk4_transfer
 
         def counting(a0, ah, a1, dt):
-            seen.append(("maxwell" if a0.shape[-1] == 3 else "propagator", len(a0)))
+            if a0.shape[-1] != 3:
+                kind = "propagator"
+            else:
+                kind = "maxwell" if a0.ndim == 4 else "tangent"
+            seen.append((kind, len(a0)))
             return real(a0, ah, a1, dt)
 
         monkeypatch.setattr(hierarchy, "rk4_transfer", counting)
@@ -909,9 +915,10 @@ class TestSharedSweeps:
     def test_bitwise_equal_and_each_sweep_once(self, octa_model, rng, calls):
         x = random_phase_vector(rng, octa_model.D, scale=0.5)
         outside = self._consumers(octa_model, self.T, x)
-        assert len(calls) > len(set(calls))  # without a scope, sweeps repeat
+        # without a joined table, each public call integrates its own chains
+        assert len(calls) > len(set(calls))
         calls.clear()
-        with shared_sweeps(octa_model, self.T, x):
+        with shared_sweeps(octa_model, x, [self.T]):
             inside = self._consumers(octa_model, self.T, x)
             assert len(calls) == len(set(calls))
             kinds = {kind for kind, _ in calls}
@@ -924,11 +931,23 @@ class TestSharedSweeps:
             np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(a, c)
 
+    def test_public_call_integrates_each_chain_once(self, octa_model, rng, calls):
+        # outside any table a public call joins one of its own: every grid
+        # of its refinement reads one chain of each kind it needs
+        x = random_phase_vector(rng, octa_model.D, scale=0.5)
+        spin = ObservableSpec(kind="spin", m=1, lam=2)
+        order_j(octa_model, spin, 1, self.T, x, tol=1e-9)
+        spin_correction1(octa_model, self.T, x, tol=1e-8)
+        steps = _chain_steps(self.T, 32)
+        assert calls == [("propagator", steps), ("maxwell", steps)]
+
     def test_other_point_bypasses(self, octa_model, rng, calls):
+        # another t of the same (model, X) joins the table; a copy of X or of
+        # the model is matched by identity, so it bypasses it
         x = random_phase_vector(rng, octa_model.D, scale=0.5)
         twin = PhaseVector(x.q.copy(), x.p.copy())
         other = copy.copy(octa_model)
-        with shared_sweeps(octa_model, self.T, x):
+        with shared_sweeps(octa_model, x, [self.T]):
             for _ in range(2):
                 _propagator_sweep(octa_model, self.T, x, 16)
                 _propagator_sweep(octa_model, 0.5, x, 16)
@@ -937,10 +956,47 @@ class TestSharedSweeps:
                 _maxwell_nodes(octa_model, self.T, x, 16)
                 _maxwell_nodes(octa_model, 0.5, x, 16)
         kinds = [kind for kind, _ in calls]
-        assert kinds.count("propagator") == 1 + 2 * 3
-        assert kinds.count("maxwell") == 1 + 2
+        assert kinds.count("propagator") == 2 + 2 * 2
+        assert kinds.count("maxwell") == 2
         steps = {_chain_steps(self.T, 16), _chain_steps(0.5, 16)}
         assert {n for _, n in calls} == steps
+
+    @pytest.mark.parametrize("ts", [(0.5, 1.0, 2.0), (16.0, 32.0)])
+    def test_prefix_equals_chain_alone(self, octa_model, rng, calls, ts):
+        # every t here reads a chain on the substep 2^-10, so the longest
+        # chain is integrated once, and each shorter one read as its prefix
+        # is bitwise the chain integrated to that t alone
+        x = random_phase_vector(rng, octa_model.D, scale=0.5)
+        grid = [(t / _chain_steps(t, 32), _chain_steps(t, 32)) for t in ts]
+        assert {dt for dt, _ in grid} == {2.0**-10}
+        with shared_sweeps(octa_model, x, ts):
+            shared = [
+                (
+                    _propagator_chain(octa_model, dt, x, n),
+                    hierarchy._maxwell_chain(octa_model, dt, x, n),
+                )
+                for dt, n in grid
+            ]
+        longest = grid[-1][1]
+        assert calls == [("propagator", longest), ("maxwell", longest)]
+        for (dt, n), (g, (r, sums)) in zip(grid[:-1], shared):
+            assert len(g) == len(r) == len(sums) == n + 1
+            np.testing.assert_array_equal(g, _propagator_chain(octa_model, dt, x, n))
+            r_alone, sums_alone = hierarchy._maxwell_chain(octa_model, dt, x, n)
+            np.testing.assert_array_equal(r, r_alone)
+            np.testing.assert_array_equal(sums, sums_alone)
+
+    def test_longer_read_extends_the_chain(self, octa_model, rng, calls):
+        # a refinement past the stored chain integrates it again to the
+        # length asked; the prefix already served stays bitwise the same
+        x = random_phase_vector(rng, octa_model.D, scale=0.5)
+        with shared_sweeps(octa_model, x, [0.5]):
+            short = _propagator_sweep(octa_model, 0.5, x, 32)
+            long = _propagator_sweep(octa_model, 1.0, x, 64)
+            again = _propagator_sweep(octa_model, 0.5, x, 64)
+        assert calls == [("propagator", 512), ("propagator", 1024)]
+        np.testing.assert_array_equal(long[:33], short)
+        np.testing.assert_array_equal(again[::2], short)
 
     def test_refinement_integrates_each_chain_once(self, octa_model, rng, calls):
         # every grid of a refinement from n = 32 to 1024 at t = 1 reads its
@@ -954,7 +1010,7 @@ class TestSharedSweeps:
             a1 = _order1_grids(octa_model, spin, 1.0, x)(n)
             return np.concatenate([a1[None], _spin1_on_grid(octa_model, 1, 1.0, x, n)])
 
-        with shared_sweeps(octa_model, 1.0, x):
+        with shared_sweeps(octa_model, x, [1.0]):
             with pytest.raises(HierarchyError):
                 _refine(both, 0.0, nmax=1024)
         assert seen == [32, 64, 128, 256, 512, 1024]
@@ -966,7 +1022,7 @@ class TestSharedSweeps:
         # with the same per-node projection and mode read
         x = random_phase_vector(rng, octa_model.D, scale=0.5)
         assert _chain_steps(self.T, 2 * n) == _chain_steps(self.T, n)
-        with shared_sweeps(octa_model, self.T, x):
+        with shared_sweeps(octa_model, x, [self.T]):
             g, g2 = (_propagator_sweep(octa_model, self.T, x, k) for k in (n, 2 * n))
             (r, z), (r2, z2) = (
                 maxwell_modes(octa_model, self.T, x, k) for k in (n, 2 * n)
@@ -977,16 +1033,18 @@ class TestSharedSweeps:
 
     def test_stored_arrays_read_only(self, octa_model, rng):
         x = random_phase_vector(rng, octa_model.D, scale=0.5)
-        with shared_sweeps(octa_model, self.T, x):
+        with shared_sweeps(octa_model, x, [self.T]):
             g = _propagator_sweep(octa_model, self.T, x, 16)
             r, rows = _maxwell_nodes(octa_model, self.T, x, 16)
-            for a in (g, r, rows, r[:, 1]):
+            steps = _chain_steps(self.T, 16)
+            chain = _propagator_chain(octa_model, self.T / steps, x, steps)
+            for a in (g, r, rows, r[:, 1], chain):
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 0.0
 
     def test_table_dropped_on_exit(self, octa_model, rng, calls):
         x = random_phase_vector(rng, octa_model.D, scale=0.5)
-        with shared_sweeps(octa_model, self.T, x):
+        with shared_sweeps(octa_model, x, [self.T]):
             inner = _propagator_sweep(octa_model, self.T, x, 16)
             assert _propagator_sweep(octa_model, self.T, x, 16) is inner
         assert hierarchy._SWEEPS.get() is None
@@ -994,9 +1052,43 @@ class TestSharedSweeps:
         assert after is not inner and len(calls) == 2
         np.testing.assert_array_equal(after, inner)
         with pytest.raises(RuntimeError):
-            with shared_sweeps(octa_model, self.T, x):
+            with shared_sweeps(octa_model, x, [self.T]):
                 raise RuntimeError
         assert hierarchy._SWEEPS.get() is None
+
+    def test_last_t_drops_its_chains(self, octa_model, rng, calls):
+        # a chain stays while a t sample that reads it has still to end its
+        # join, and goes with the last of them: t = 0.5 and 1 share the
+        # substep 2^-10, t = 1.5 has its own
+        x = random_phase_vector(rng, octa_model.D, scale=0.5)
+        table = hierarchy.SweepTable(octa_model, x, [0.5, 1.5, 1.0])
+        for t in (0.5, 1.5, 1.0):
+            with table.joined(t):
+                propagator_G(octa_model, t, x)
+        assert calls == [("propagator", 1024), ("propagator", 2048)]
+        with table.joined():
+            propagator_G(octa_model, 1.0, x)
+            propagator_G(octa_model, 1.5, x)
+        assert calls[2:] == [("propagator", 1024), ("propagator", 2048)]
+
+    def test_pool_threads_share_a_table(self, octa_model, rng, calls):
+        # pool threads inherit no context: each job joins the table itself,
+        # and the first job to read a chain builds it, once, under its lock
+        from concurrent.futures import ThreadPoolExecutor
+
+        x = random_phase_vector(rng, octa_model.D, scale=0.5)
+        ts = [0.5, 1.0, 2.0, 0.5, 1.0, 2.0]
+        table = hierarchy.SweepTable(octa_model, x, ts)
+
+        def job(t):
+            with table.joined():
+                return propagator_G(octa_model, t, x).matrix
+
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            got = list(pool.map(job, ts))
+        assert calls == [("propagator", 2048)]
+        for t, g in zip(ts, got):
+            np.testing.assert_array_equal(g, propagator_G(octa_model, t, x).matrix)
 
 
 class TestPhotonExpansion:

@@ -399,3 +399,70 @@ class TestFlowPairing:
         for u, row in zip(times, got):
             ref = self._reference(g, left, right, u)
             np.testing.assert_allclose(row, ref, rtol=0, atol=1e-13)
+
+
+class TestCouplingTables:
+    """The model-constant tables that the hierarchy reads, built on first use
+    by the calls they stand for and dropped when the couplings change."""
+
+    @staticmethod
+    def _model():
+        return Model(
+            ModelConfig(
+                N=2,
+                positions=[[0.0, 0.0, 0.0], [1.0, 0.3, -0.2]],
+                beta=(0.2, 0.0, 0.7),
+                grid_radial_nodes=2,
+                grid_kmax=3.0,
+                grid_directions="octahedral",
+            )
+        )
+
+    def test_lazy_and_equal_to_the_calls(self):
+        model = self._model()
+        # a fresh model has built none of them: plan set-up pays for none
+        assert not {"coupling_fmaps", "site_field_vectors"} & set(vars(model))
+        bs = model.coupling_list
+        fbs = [fmap(b) for b in bs]
+        for got, want in zip(model.coupling_fmaps, fbs):
+            np.testing.assert_array_equal(got.q, want.q)
+            np.testing.assert_array_equal(got.p, want.p)
+        wants = (flow_pairing(model.grid, bs, bs), flow_pairing(model.grid, bs, fbs))
+        for got, want in zip(model.coupling_pairings, wants):
+            np.testing.assert_array_equal(got.alpha, want.alpha)
+            np.testing.assert_array_equal(got.beta, want.beta)
+        for lam, row in enumerate(model.couplings):
+            want = flow_pairing(model.grid, row, row)
+            np.testing.assert_array_equal(model.site_pairings[lam].alpha, want.alpha)
+            np.testing.assert_array_equal(model.site_pairings[lam].beta, want.beta)
+        assert model.coupling_fmaps is model.coupling_fmaps  # kept
+
+    def test_field_vectors(self):
+        model = self._model()
+        grid, config = model.grid, model.config
+        for pt, vecs in zip(config.positions, model.site_field_vectors):
+            grads = [coupling_B_gradient(grid, config, m, pt)[m - 1] for m in (1, 2, 3)]
+            want = [coupling_B(grid, config, m, pt) for m in (1, 2, 3)] + grads
+            want += [apply_helicity(grid, g) for g in grads]
+            assert len(vecs) == 9
+            for got, w in zip(vecs, want):
+                np.testing.assert_array_equal(got.q, w.q)
+                np.testing.assert_array_equal(got.p, w.p)
+
+    def test_new_couplings_drop_the_tables(self, rng):
+        model = self._model()
+        old = model.coupling_pairings
+        assert model.radiated_weights is not None  # built on the old couplings
+        model.couplings = [
+            [random_phase_vector(rng, model.D) for _ in range(3)]
+            for _ in range(model.N)
+        ]
+        bs = model.coupling_list
+        assert model.coupling_pairings is not old
+        np.testing.assert_array_equal(
+            model.coupling_pairings[0].alpha, flow_pairing(model.grid, bs, bs).alpha
+        )
+        np.testing.assert_array_equal(
+            model.radiated_weights[0, 0].reshape(-1, model.D),
+            -np.array([fmap(b).q for b in bs]),
+        )

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from blochlab.fock import FockBasis, segal_field
+from blochlab.fock import FockBasis, apply_field, segal_field
 from blochlab.harness import ExperimentPlan, default_plan_dict
 from blochlab.model import (
     Model,
@@ -40,9 +40,11 @@ from blochlab.model import ModelError
 from conftest import random_phase_vector, zero_vector
 from reference import (
     coherent_spin_frame,
+    energy_csr,
     evolve_one,
     evolved_one,
     evolved_wick_symbol,
+    field_observable_csr,
     folded_block_diag,
     full_operator,
     interaction_apply_stacked,
@@ -448,6 +450,54 @@ class TestObservableApplication:
             return op
 
         self._check(ham, basis, ObservableSpec(kind="number_rate"), op_at, rng)
+
+
+class TestFieldKernel:
+    """The energy and the field observables, whose Segal fields are applied
+    by the CSR kernel on the layout kept on the basis, bitwise against
+    scipy's @ on the CSR matrix built per call (tests/reference.py)."""
+
+    FIELDS = [
+        ObservableSpec(kind=kind, m=m, x=np.array([0.2, -0.1, 0.3]))
+        for kind in ("field_B", "field_E", "field_E_pol")
+        for m in (1, 2, 3)
+    ]
+
+    @pytest.mark.parametrize("setup", ["small_setup", "octa_setup"])
+    def test_bitwise_equal_to_csr_matrix(self, request, rng, setup):
+        model, basis, ham = request.getfixturevalue(setup)[:3]
+        s, d = ham.spin_dim, model.D
+        frames = [
+            coherent_frame(ham),
+            _unit_columns(rng, basis.dim * s, s).reshape(basis.dim, s, s),
+            _unit_columns(rng, basis.dim * s, 1).reshape(basis.dim, s, 1),
+        ]
+        for y in (zero_vector(d), random_phase_vector(rng, d, scale=0.3)):
+            for psi in frames:
+                np.testing.assert_array_equal(
+                    ham.energy(psi, y), energy_csr(ham, psi, y)
+                )
+                for obs in self.FIELDS:
+                    got = frame_symbol(psi, apply_observable(ham, obs, psi, y))
+                    want = frame_symbol(psi, field_observable_csr(ham, obs, psi, y))
+                    np.testing.assert_array_equal(got, want)
+
+    def test_evolved_frame(self, small_setup, rng):
+        # the desk's evolved frame in the displaced frame, as the sweep reads it
+        _, _, ham, _ = small_setup
+        x = random_phase_vector(rng, 4, scale=0.5)
+        xi, y, _ = evolved_one(ham, 1.0, x)
+        np.testing.assert_array_equal(ham.energy(xi, y), energy_csr(ham, xi, y))
+        obs = self.FIELDS[1]
+        np.testing.assert_array_equal(
+            apply_observable(ham, obs, xi, y), field_observable_csr(ham, obs, xi, y)
+        )
+
+    def test_shape_mismatch_raises(self, small_setup):
+        _, basis, ham, _ = small_setup
+        c = np.ones(basis.D, complex)
+        with pytest.raises(ModelError, match="state shape"):
+            apply_field(basis, ham.h, c, np.zeros((basis.dim + 1, 2), complex))
 
 
 def _random_states(rng, dim):
