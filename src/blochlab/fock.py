@@ -9,16 +9,20 @@ Complex mode coordinates are z_j = (q_j + i p_j) / sqrt(2 h); the free flow
 acts as z -> e^{-i omega t} z, matching the phase-space rotation used in
 the model layer.
 
-scipy.sparse is imported inside the functions that build or apply CSR
-matrices (annihilator, field_operator, apply_field), so importing this
-module loads no sparse stack.  A field's CSR layout (indptr, indices, and
+The CSR routines of the package live here: csr_pattern lays out a
+pattern from the keys row * n + col of its entries, and csr_product
+applies a CSR operator with scipy's kernel, looked up once per process.
+The oracle's folded generator and the Segal fields both go through them.
+scipy.sparse is imported only on first use, by csr_product or where a
+CSR matrix is built (annihilator, field_operator), so importing this
+module loads no sparse stack.  A field's layout (indptr, indices, and
 where each entry takes its value from) is kept on the basis, so a call
-writes only values; apply_field applies them with scipy's CSR kernel, the
-one that a CSR matrix's @ ends in, and builds no matrix.
+writes only values, and apply_field builds no matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -145,31 +149,62 @@ def gamma_free_phases(basis: FockBasis, slot_omegas: np.ndarray, t: float) -> np
     return np.exp(-1j * t * (basis.occupations @ om))
 
 
+def csr_pattern(keys: np.ndarray, n: int) -> tuple:
+    """(indptr, indices, union) of the n x n CSR pattern holding the entries
+    keyed row * n + col: union is the sorted distinct keys, so the pattern's
+    entry np.searchsorted(union, key) holds the entry keyed key."""
+    union = np.unique(keys)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(union // n, minlength=n), out=indptr[1:])
+    return indptr, (union % n).astype(np.int32), union
+
+
+@functools.cache
+def _csr_kernel():
+    from scipy.sparse._sparsetools import csr_matvecs
+
+    return csr_matvecs
+
+
+def csr_product(
+    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, psi: np.ndarray
+) -> np.ndarray:
+    """The n x n CSR matrix (data, indices, indptr) times psi, whose last
+    axis holds the columns and whose other axes flatten to the n rows.
+
+    It calls scipy's CSR kernel, the one that a CSR matrix's @ ends in: at
+    the desk's size @ takes three times as long as the product in its Python
+    type dispatch, and a CSR matrix costs as much again to construct."""
+    psi = np.ascontiguousarray(psi, dtype=complex)
+    n, k = len(indptr) - 1, psi.shape[-1]
+    # the kernel reads and writes n rows of k entries unchecked
+    if psi.size != n * k:
+        raise ModelError("state shape does not match the operator")
+    out = np.zeros(psi.shape, complex)
+    _csr_kernel()(n, n, k, indptr, indices, data.ravel(), psi.ravel(), out.ravel())
+    return out
+
+
 def _field_layout(basis: FockBasis, modes: tuple) -> tuple:
     """The CSR layout of a Segal field on modes: (indptr, indices, slot,
     values), where entry k reads the coefficient slot[k] of
     [c, conj(c)] and times it by values[k], sqrt(alpha_j) for an a_j
-    entry and its conjugate for an a*_j entry.  Each row's entries are in
-    column order."""
-    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    slot, values = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=complex)]
+    entry and its conjugate for an a*_j entry."""
+    keys, slot = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    values = [np.empty(0, dtype=complex)]
     for j in modes:
         r, c, a = basis.lowering(j)
-        rows += [r, c]
-        cols += [c, r]
+        keys += [r * basis.dim + c, c * basis.dim + r]
         slot += [np.full(len(a), j), np.full(len(a), basis.D + j)]
         values += [a, a.conj()]
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    # the terms of distinct modes, and a_j and a*_j, have disjoint patterns
-    order = np.argsort(rows * basis.dim + cols, kind="stable")
-    indptr = np.zeros(basis.dim + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=basis.dim), out=indptr[1:])
-    return (
-        indptr,
-        cols[order].astype(np.int32),
-        np.concatenate(slot)[order],
-        np.concatenate(values)[order],
-    )
+    keys, slot, values = map(np.concatenate, (keys, slot, values))
+    indptr, indices, union = csr_pattern(keys, basis.dim)
+    # the terms of distinct modes, and a_j and a*_j, have disjoint patterns,
+    # so each key is one entry of the pattern
+    at = np.searchsorted(union, keys)
+    slot_at, values_at = np.empty_like(slot), np.empty_like(values)
+    slot_at[at], values_at[at] = slot, values
+    return indptr, indices, slot_at, values_at
 
 
 def segal_field(basis: FockBasis, h: float, v: PhaseVector) -> sp.csr_matrix:
@@ -220,17 +255,7 @@ def apply_field(
     """Phi_{S,h}(V) psi for psi of shape (dim, k), V given by its annihilator
     coefficients c = v_q - i v_p (_field_csr): the product that
     field_operator(basis, h, c) @ psi computes, with no matrix built."""
-    from scipy.sparse._sparsetools import csr_matvecs
-
-    indptr, indices, data = _field_csr(basis, h, c)
-    psi = np.ascontiguousarray(psi, dtype=complex)
-    # the kernel reads and writes dim rows of k entries unchecked
-    if psi.ndim != 2 or len(psi) != basis.dim:
-        raise ModelError("state shape does not match the basis")
-    out = np.zeros(psi.shape, complex)
-    n, k = psi.shape
-    csr_matvecs(n, n, k, indptr, indices, data, psi.ravel(), out.ravel())
-    return out
+    return csr_product(*_field_csr(basis, h, c), psi)
 
 
 def coherent_state(

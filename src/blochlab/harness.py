@@ -177,7 +177,7 @@ PLAN_KEYS = {
         ("cutoff", "object", {}),
         ("grid", "object", {}),
     ),
-    "model.spins": (("positions", "array", REQUIRED), ("count", "integer", None)),
+    "model.spins": (("positions", "array", REQUIRED),),
     "model.field": (("beta", "array", REQUIRED),),
     "model.cutoff": (("family", "string", "gaussian"), ("lambda", "number", 1.0)),
     "model.grid": (
@@ -234,6 +234,15 @@ def _model_config(d: dict) -> ModelConfig:
     if cutoff["family"] != "gaussian":
         family = cutoff["family"]
         raise HarnessError(f"unknown cutoff family {family!r}; only 'gaussian'")
+    # explicit k-points read no radial key, and a radial grid no weights
+    given = d.get("grid", {})
+    explicit = "kpoints" in given
+    for key in ("radial_nodes", "kmax", "directions") if explicit else ("weights",):
+        if key in given:
+            unused = "beside" if explicit else "without"
+            raise HarnessError(
+                f"model key 'grid.{key}' is unused {unused} 'grid.kpoints'"
+            )
     # build_grid takes each k-point and direction as a row of 3 numbers
     for key in ("kpoints", "directions"):
         rows = grid[key]
@@ -244,15 +253,15 @@ def _model_config(d: dict) -> ModelConfig:
                 f"model key 'grid.{key}' must hold rows of 3 numbers, "
                 f"got {d['grid'][key]!r}"
             )
-    kpoints, weights = grid["kpoints"], grid["weights"]
-    if kpoints is not None and weights is not None:
-        if weights.shape != (len(np.atleast_2d(kpoints)),):
-            raise HarnessError(
-                "model key 'grid.weights' must hold one number per k-point, "
-                f"got {d['grid']['weights']!r}"
-            )
+    # weights come with k-points, as checked above
+    weights = grid["weights"]
+    if weights is not None and weights.shape != (len(np.atleast_2d(grid["kpoints"])),):
+        raise HarnessError(
+            "model key 'grid.weights' must hold one number per k-point, "
+            f"got {d['grid']['weights']!r}"
+        )
     return ModelConfig(
-        N=len(spins["positions"]) if spins["count"] is None else spins["count"],
+        N=len(spins["positions"]),
         positions=spins["positions"],
         beta=model["field"]["beta"],
         cutoff_lambda=cutoff["lambda"],

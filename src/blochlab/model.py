@@ -464,9 +464,6 @@ class Model:
             [coupling_B(self.grid, config, m, config.positions[lam]) for m in (1, 2, 3)]
             for lam in range(config.N)
         ]
-        self.couplings_E = [
-            [apply_helicity(self.grid, b) for b in row] for row in self.couplings
-        ]
         # sigma_m^[lam] stacked in (lam, m) order; spin_ops[lam-1][m-1] views it
         self.sigmas = np.array(
             [
@@ -500,9 +497,14 @@ class Model:
         """B_{m x_lam} in (lam, m) order, the order of sigmas."""
         return [b for row in self.couplings for b in row]
 
-    # Model-constant tables of the hierarchy, each built on first use by the
-    # call it stands for and kept, so no call rebuilds them and a plan that
-    # never reads them never builds them.
+    # Model-constant tables of the hierarchy and the model dump, each built
+    # on first use by the call it stands for and kept, so no call rebuilds
+    # them and a plan that never reads them never builds them.
+
+    @cached_property
+    def couplings_E(self) -> list[list[PhaseVector]]:
+        """The electric couplings J B_{m x_lam}, as couplings_E[lam-1][m-1]."""
+        return [[apply_helicity(self.grid, b) for b in row] for row in self.couplings]
 
     @cached_property
     def coupling_fmaps(self) -> list[PhaseVector]:
@@ -556,6 +558,7 @@ class Model:
 
 # the cached tables of Model that its couplings determine
 _COUPLING_TABLES = (
+    "couplings_E",
     "coupling_fmaps",
     "radiated_weights",
     "coupling_pairings",

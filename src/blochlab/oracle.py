@@ -103,12 +103,14 @@ spin_dim, n_states); a group stacks its frames on a leading axis and
 evolves them in one integration.  The operators act on a frame's Fock-major
 view of shape (fock_dim * spin_dim, n_states).
 
-scipy.sparse is imported only where a CSR matrix is built or applied
-(FoldedGenerator, and fock's apply_field), so a hierarchy-only run
-such as the crosscheck never loads it.  Each CSR layout is kept where
-frame jobs on two pool workers share it, on the basis or its operators,
-and is filled either under the harness's build lock or idempotently, by
-dict.setdefault.
+Every CSR operator here is applied by fock.csr_product, the one call of
+scipy's CSR kernel, which imports scipy.sparse on first use, so a
+hierarchy-only run such as the crosscheck never loads it.  Every CSR
+pattern is laid out by fock.csr_pattern and kept where frame jobs on two
+pool workers share it: the folded pattern and its block-diagonal copies
+with the operators of (model, basis), a Segal field's layout on the
+basis.  Each is filled either under the harness's build lock or
+idempotently, by dict.setdefault.
 """
 
 from __future__ import annotations
@@ -118,7 +120,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from blochlab.fock import FockBasis, apply_field, gamma_free_phases
+from blochlab.fock import (
+    FockBasis,
+    apply_field,
+    csr_pattern,
+    csr_product,
+    gamma_free_phases,
+)
 from blochlab.model import (
     Model,
     ModelError,
@@ -245,10 +253,11 @@ class TensorOperators:
     +i w_1, ...].
 
     The blocks are assembled from the annihilators' (row, col, sqrt(n))
-    entries by index arithmetic.  K_g sums its (lam, m) terms in that
-    order, and an entry that a sum leaves an exact zero is dropped, as a
-    sum of sparse matrices does, so the values are bitwise those of the
-    Kronecker-product assembly.
+    entries by index arithmetic: each entry of a_j carries an s x s spin
+    block, K_g adds its (lam, m) terms into those blocks in that order, and
+    only the nonzero sums are kept, so an entry that cancels exactly is
+    dropped, as a sum of sparse matrices drops it.  fock.csr_pattern lays
+    out the union.
     """
 
     def __init__(self, model: Model, basis: FockBasis, modes: np.ndarray):
@@ -266,92 +275,51 @@ class TensorOperators:
         def add(block, rows, cols, values):
             parts.append((np.full(len(rows), block), rows * n + cols, values))
 
+        # h0 = I (x) spin_const, in (photon, row, column) order
         spin_const = model.spin_matrix(model.site_beta)
         r, c = np.nonzero(spin_const)
-        h0 = np.ones(len(r), complex) * spin_const[r, c]  # as I (x) spin_const
-        add(0, *_photon_diagonal(photons, r, c, h0))
+        h0 = np.tile(spin_const[r, c], basis.dim)
+        add(0, (photons + r).ravel(), (photons + c).ravel(), h0)
         # one row of c per sigma_m^[lam] of model.sigmas, in (lam, m) order
         coeffs = np.array([b.q - 1j * b.p for b in model.coupling_list]) @ modes
         self.groups = []  # (omega, coeff) per coupled frequency group
         for g, w in enumerate(values):
-            members = np.nonzero(mode_group == g)[0]
-            k = _coupling_entries(basis, members, coeffs, model.sigmas)
-            if k is None:
+            group_coeff = np.where(mode_group == g, coeffs, 0)
+            if not group_coeff.any():
                 continue
-            group_coeff = np.zeros_like(coeffs)
-            group_coeff[:, members] = coeffs[:, members]
             self.groups.append((float(w), group_coeff))
-            k_rows, k_cols, k_values = k
-            keep = k_values != 0
-            block = 2 * len(self.groups) - 1
-            for b, rows, cols, k_block in (
-                (block, k_rows, k_cols, k_values),
-                (block + 1, k_cols, k_rows, k_values.conj()),
-            ):
-                # adding the drive, which touches no entry of K_g, adds an
-                # exact zero to each entry and drops those left zero
-                add(b, rows[keep], cols[keep], k_block[keep] + 0j)
+            members = np.flatnonzero(mode_group == g)
+            rows, cols, k = _coupling_entries(basis, members, group_coeff, model.sigmas)
+            add(2 * len(self.groups) - 1, rows, cols, k)
+            add(2 * len(self.groups), cols, rows, k.conj())
         blocks, keys, data = (np.concatenate(part) for part in zip(*parts))
         # the drive sits in the coupling blocks: without one there is none
         r, c = np.nonzero(self.spin_pattern & bool(self.groups))
         drive = ((photons + r) * n + photons + c).ravel()
-        union = np.union1d(keys, drive)
+        self.indptr, self.indices, union = csr_pattern(np.append(keys, drive), n)
         self.values = np.zeros((1 + 2 * len(self.groups), len(union)), complex)
-        self.values[blocks, np.searchsorted(union, keys)] = data
+        # added to zeros, so a conjugate's -0 parts read +0, as in a sum of
+        # sparse matrices
+        self.values[blocks, np.searchsorted(union, keys)] += data
         self.drive = np.searchsorted(union, drive)
-        self.indices = (union % n).astype(np.int32)
-        self.indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(union // n, minlength=n), out=self.indptr[1:])
         rates = [r * w for w, _ in self.groups for r in (-1j, 1j)]
         self.exponents = np.array([0j, *rates])
         # _block_diagonal's per frame count, filled on first use
         self.layouts = {}
 
 
-def _photon_diagonal(photons, r, c, values):
-    """Rows, columns and values of I (x) S, for the nonzero entries (r, c)
-    of a spin matrix S with values, in (photon, row, column) order."""
-    return (
-        (photons + r).ravel(),
-        (photons + c).ravel(),
-        np.tile(values, len(photons)),
-    )
-
-
 def _coupling_entries(basis: FockBasis, members, coeffs, sigmas):
     """K = sum_{lam,m} (sum_{j in members} c_{lam m, j} a_j) (x)
-    sigma_m^[lam] as (rows, cols, values) on the Fock-major space, or None
-    when no coefficient on members is nonzero.
-
-    The sums run as the sparse sums of the Kronecker assembly: the terms
-    in (lam, m) order, each mode sum and each sum of terms adding an exact
-    zero to the entries that only one side holds, and dropping the results
-    that are exactly zero."""
+    sigma_m^[lam] as (rows, cols, values) of its nonzero entries on the
+    Fock-major space, the (lam, m) terms summed in that order."""
     s = sigmas.shape[1]
     ladders = [basis.lowering(j) for j in members]
-    if not ladders:
-        return None
     fock_rows, fock_cols, sqrt_n = (np.concatenate(part) for part in zip(*ladders))
     mode = np.repeat(members, [len(a) for _, _, a in ladders])
-    held = None  # which (Fock entry, spin row, spin column) the sum holds
+    value = np.zeros((len(mode), s, s), complex)
     for coeff, sigma in zip(coeffs, sigmas):
-        on = coeff[mode] != 0
-        if not on.any():
-            continue
-        a_sum = coeff[mode] * sqrt_n
-        if np.count_nonzero(coeff[members]) > 1:
-            a_sum = a_sum + 0j
-        term = a_sum[:, None, None] * sigma
-        has = on[:, None, None] & (sigma != 0)
-        if held is None:
-            held, value = has, term
-            continue
-        both = held & has
-        value = np.where(both, value + term, np.where(held, value, term) + 0j)
-        held = (held | has) & (value != 0)
-    if held is None:
-        return None
-    e, r, c = np.nonzero(held)
+        value += (coeff[mode] * sqrt_n)[:, None, None] * sigma
+    e, r, c = np.nonzero(value)
     return fock_rows[e] * s + r, fock_cols[e] * s + c, value[e, r, c]
 
 
@@ -496,18 +464,11 @@ class FoldedGenerator:
     values stacks the frames' value tables, shape (F, 1 + 2G, nnz), and
     (indptr, indices, data) is the group's block-diagonal CSR operator,
     whose values write sets to sum_b c_b block_b for coefficients c, one
-    per block, by one product per frame.
-
-    apply calls scipy's CSR kernel itself, the one that a scipy sparse
-    matrix's @ ends in: at the desk's size @ takes three times as long as
-    the product in its Python type dispatch, and a CSR matrix costs as much
-    again to construct."""
+    per block, by one product per frame; apply applies it with
+    fock.csr_product."""
 
     def __init__(self, hams: list, x: PhaseVector):
-        from scipy.sparse._sparsetools import csr_matvecs
-
         ops = hams[0].ops
-        self._product = csr_matvecs
         self.exponents = ops.exponents
         self.values = np.stack([ham.generator_values(x) for ham in hams])
         self.indptr, self.indices = _block_diagonal(ops, len(hams))
@@ -521,15 +482,7 @@ class FoldedGenerator:
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """The operator applied to states psi of shape (F, dim, s, n)."""
-        psi = np.ascontiguousarray(psi, dtype=complex)
-        n = len(self.indptr) - 1
-        # the kernel reads and writes n rows of psi.shape[-1] unchecked
-        if psi.size != n * psi.shape[-1]:
-            raise OracleError("state shape does not match the operator")
-        out = np.zeros(psi.shape, complex)
-        data, x, y = self.data.ravel(), psi.ravel(), out.ravel()
-        self._product(n, n, psi.shape[-1], self.indptr, self.indices, data, x, y)
-        return out
+        return csr_product(self.indptr, self.indices, self.data, psi)
 
     def rhs(self, s: float, phi: np.ndarray) -> np.ndarray:
         """-i (H_int^free(s) + drive(s)) phi: the coefficients c(s) = -i [1,

@@ -890,9 +890,10 @@ class TestConvergeCommand:
             "model key 'spins.positions' must be an array of numbers, "
             "got [[0.0, 0.0, 'x']]",
         ),
+        # the spin count was read beside the positions it must equal
         (
-            {"model": _desk_model("spins", count="x")},
-            "model key 'spins.count' must be an integer, got 'x'",
+            {"model": _desk_model("spins", count=1)},
+            "unknown model key 'spins.count'",
         ),
         (
             {"model": _desk_model("cutoff", **{"lambda": "x"})},
@@ -914,6 +915,24 @@ class TestConvergeCommand:
         (
             {"model": _desk_model("grid", weights=[1, 2])},
             "model key 'grid.weights' must hold one number per k-point, got [1, 2]",
+        ),
+        # keys of the other grid form used to be ignored: a radial grid read
+        # no weights, explicit k-points no radial key
+        (
+            {"model": dict(_desk_model("grid"), grid={"weights": [5.0]})},
+            "model key 'grid.weights' is unused without 'grid.kpoints'",
+        ),
+        (
+            {"model": _desk_model("grid", radial_nodes=4)},
+            "model key 'grid.radial_nodes' is unused beside 'grid.kpoints'",
+        ),
+        (
+            {"model": _desk_model("grid", kmax=3.0)},
+            "model key 'grid.kmax' is unused beside 'grid.kpoints'",
+        ),
+        (
+            {"model": _desk_model("grid", directions="octahedral")},
+            "model key 'grid.directions' is unused beside 'grid.kpoints'",
         ),
         # on a radial grid these used to end in a ValueError traceback
         (

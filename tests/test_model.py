@@ -15,6 +15,7 @@ from blochlab.model import (
     coupling_B_gradient,
     flow_pairing,
     fmap,
+    grid_debug_dump,
     minimal_grid_config,
     polarization_project,
     rho_discrete,
@@ -466,3 +467,19 @@ class TestCouplingTables:
             model.radiated_weights[0, 0].reshape(-1, model.D),
             -np.array([fmap(b).q for b in bs]),
         )
+
+    def test_dump_reads_the_new_couplings(self, rng):
+        # couplings_E was built in the constructor and kept, so a model given
+        # new couplings dumped the E couplings of the old ones
+        model = self._model()
+        old = grid_debug_dump(model)["couplings_E"]
+        model.couplings = [
+            [random_phase_vector(rng, model.D) for _ in range(3)]
+            for _ in range(model.N)
+        ]
+        got = grid_debug_dump(model)["couplings_E"]
+        assert got != old
+        for got_row, row in zip(got, model.couplings):
+            for entry, b in zip(got_row, row):
+                want = apply_helicity(model.grid, b)
+                assert entry == {"q": want.q.tolist(), "p": want.p.tolist()}
